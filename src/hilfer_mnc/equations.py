@@ -5,10 +5,11 @@ I is the fractional integral of the integrand G(t, alpha(t)). Everything is
 sampled on alpha's own node set, so repeated application (Picard, Darbo) is
 a map on a fixed finite-dimensional space.
 
-The per-node integrals reuse the product-integration panel weights on the
+The per-node integrals reuse the product-integration node weights on the
 grid-induced mesh s = nodes**rho. For moderate grids the weights form a
 lower-triangular matrix that is cached and applied as a matmul; large grids
-stream row by row to avoid the O(n^2) memory.
+recompute them in blocks of rows, each applied as one matmul, to avoid the
+O(n^2) memory.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ from .fractional import FracParams, GridFunction, panel_weights
 from .special_functions import k_gamma
 
 _MATRIX_MAX_NODES = 2049
+# weight entries per streamed row block: 512 KiB, reused across the blocks
+_STREAM_BLOCK_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -82,7 +85,7 @@ class SystemSpec:
 
 @lru_cache(maxsize=4)
 def _weight_matrix(rho: float, a: float, nodes_bytes: bytes, n: int) -> np.ndarray:
-    """Lower-triangular panel-weight matrix W with I = prefactor * (W @ g).
+    """Lower-triangular node-weight matrix W with I = prefactor * (W @ g).
 
     Row j carries the weights of the product rule for upper limit
     X = nodes[j]**rho over the grid-induced s-mesh; row 0 is zero.
@@ -90,10 +93,9 @@ def _weight_matrix(rho: float, a: float, nodes_bytes: bytes, n: int) -> np.ndarr
     nodes = np.frombuffer(nodes_bytes, dtype=float)
     s = nodes**rho
     w = np.zeros((n, n))
+    work = np.empty(2 * n)
     for j in range(1, n):
-        a0, a1 = panel_weights(s[j], s[: j + 1], a)
-        w[j, :j] += a0
-        w[j, 1 : j + 1] += a1
+        w[j, : j + 1] = panel_weights(s[j], s[: j + 1], a, work)
     return w
 
 
@@ -101,7 +103,8 @@ def _integral_values(params: FracParams, nodes: np.ndarray, g: np.ndarray, gk: f
     """Fractional integral of the grid integrand g at every node, batched.
 
     g has shape (m, n): m integrands sampled on the same n nodes. Returns
-    the (m, n) matrix of integral values.
+    the (m, n) matrix of integral values. Above _MATRIX_MAX_NODES the weights
+    are rebuilt per call, one block of rows at a time into one workspace.
     """
     n = nodes.shape[0]
     a = params.exponent
@@ -110,10 +113,15 @@ def _integral_values(params: FracParams, nodes: np.ndarray, g: np.ndarray, gk: f
         w = _weight_matrix(params.rho, a, nodes.tobytes(), n)
         return pref * (g @ w.T)
     s = nodes**params.rho
+    rows = max(1, _STREAM_BLOCK_ENTRIES // n)
+    # one workspace for every block: fresh block-sized temporaries would each
+    # be mapped and page-faulted anew
+    work = np.empty(2 * rows * n)
     out = np.zeros_like(g)
-    for j in range(1, n):
-        a0, a1 = panel_weights(s[j], s[: j + 1], a)
-        out[:, j] = pref * (g[:, :j] @ a0 + g[:, 1 : j + 1] @ a1)
+    for j0 in range(1, n, rows):
+        j1 = min(j0 + rows, n)
+        w = panel_weights(s[j0:j1], s[:j1], a, work)
+        out[:, j0:j1] = pref * (g[:, :j1] @ w.T)
     return out
 
 

@@ -17,7 +17,7 @@ from hilfer_mnc.equations import (
     estimate_lipschitz,
 )
 from hilfer_mnc.errors import DomainError
-from hilfer_mnc.fractional import FracParams, GridFunction, uniform_nodes
+from hilfer_mnc.fractional import FracParams, GridFunction, panel_weights, uniform_nodes
 
 _CFG = bundled_example()
 _ALPHA = _CFG.equations[0]
@@ -120,8 +120,35 @@ def test_streaming_path_matches_matrix_path(monkeypatch):
     values = rng.uniform(-0.5, 0.5, size=(3, nodes.size))
     dense = apply_operator_batch(_ALPHA, nodes, values)
     monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
+    monkeypatch.setattr(eqmod, "_STREAM_BLOCK_ENTRIES", 64 * nodes.size)
+    blocks = []
+
+    def counted(X, s, a, work=None):
+        blocks.append(len(X))
+        return panel_weights(X, s, a, work)
+
+    monkeypatch.setattr(eqmod, "panel_weights", counted)
     streamed = apply_operator_batch(_ALPHA, nodes, values)
+    # rows 1..200 in blocks of 64, the last one partial
+    assert blocks == [64, 64, 64, 8]
     np.testing.assert_allclose(streamed, dense, rtol=0.0, atol=1e-14)
+
+
+def test_streaming_path_integrates_linear_in_s_to_rounding():
+    # the rule is exact for integrands linear in s = t**rho, so on a grid
+    # past the dense limit only rounding separates it from the closed form
+    nodes = uniform_nodes(3.0, 4097)
+    assert nodes.size > eqmod._MATRIX_MAX_NODES
+    for params in (_ALPHA.params, FracParams(k=0.6, rho=0.4, gamma_ord=0.3, T=3.0)):
+        a, rho = params.exponent, params.rho
+        w = nodes**rho - 1.0
+        gk = 1.25
+        got = eqmod._integral_values(params, nodes, (0.5 + 2.0 * w)[None, :], gk)[0]
+        pref = rho ** (-a) / (params.k * gk)
+        exact = pref * (0.5 * w**a / a + 2.0 * w ** (a + 1.0) / (a * (a + 1.0)))
+        assert got[0] == 0.0
+        rel = np.abs(got[1:] - exact[1:]) / exact[1:]
+        assert rel.max() <= 5e-15
 
 
 def test_operator_rejects_wrong_domain():

@@ -182,17 +182,33 @@ def test_gamma_k_value_rescales_prefactor():
 )
 def test_panel_weights_are_nonnegative(a, span):
     s = 1.0 + span * np.linspace(0.0, 1.0, 17)
-    a0, a1 = panel_weights(float(s[-1]), s.copy(), a)
-    assert np.all(a0 >= 0.0)
-    assert np.all(a1 >= 0.0)
+    w = panel_weights(float(s[-1]), s.copy(), a)
+    assert np.all(w >= 0.0)
 
 
 def test_panel_weights_reproduce_plain_moment():
     # sum of all weights equals int_1^X (X - s)^(a-1) ds = (X-1)^a / a
     a = 1.7
     s = 1.0 + 0.8 * np.linspace(0.0, 1.0, 33)
-    a0, a1 = panel_weights(float(s[-1]), s.copy(), a)
-    assert a0.sum() + a1.sum() == pytest.approx(0.8**a / a, rel=1e-12)
+    w = panel_weights(float(s[-1]), s.copy(), a)
+    assert w.sum() == pytest.approx(0.8**a / a, rel=1e-12)
+
+
+def test_panel_weights_rows_match_scalar_calls():
+    # an array of upper limits gives the scalar calls' rows bit for bit, and
+    # every node after the first one at or beyond a limit weighs nothing
+    s = 1.0 + 0.9 * np.linspace(0.0, 1.0, 41) ** 1.5
+    limits = np.append(s[[1, 2, 7, 19, 40]], 0.5 * (s[25] + s[26]))
+    for a in (0.5, 1.0, 2.0, 3.3):
+        want = np.stack([panel_weights(X, s, a) for X in limits])
+        stale = np.full(2 * limits.size * s.size + 7, np.nan)
+        with_work = np.stack([panel_weights(X, s, a, stale).copy() for X in limits])
+        assert np.array_equal(with_work, want)
+        assert np.array_equal(panel_weights(limits, s, a), want)
+        assert np.array_equal(panel_weights(limits, s, a, stale), want)
+        for row, X in zip(want, limits):
+            assert np.all(row[np.searchsorted(s, X) + 1 :] == 0.0)
+            assert row.sum() == pytest.approx((X - 1.0) ** a / a, rel=1e-12)
 
 
 def test_convergence_order_smooth():
