@@ -40,7 +40,6 @@ from .mnc import (
     mnc_axiom_checks,
     mnc_estimate,
     modulus_of_continuity,
-    thread_count,
 )
 from .solvability import (
     RadiusCertificate,
@@ -104,7 +103,6 @@ __all__ = [
     "product_quadrature",
     "solve",
     "solve_system",
-    "thread_count",
     "to_string",
     "uniform_nodes",
 ]

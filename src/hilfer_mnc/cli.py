@@ -6,8 +6,7 @@ Subcommands: gamma-k, frac-int, check, solve, mnc-demo, and paper-example
 Exit codes: 0 success, 2 configuration or domain error, 3 failing
 certificate (or a certified run violating its own bound), 4 nonconvergence.
 Structured output is deterministic: identical configuration and seeds give
-byte-identical bytes; no timestamps are emitted. The HILFER_THREADS
-environment variable caps internal parallelism.
+byte-identical bytes; no timestamps are emitted.
 """
 
 from __future__ import annotations
@@ -44,7 +43,6 @@ from .mnc import (
     certificate_inequality_check,
     darbo_iterate,
     default_certificate,
-    thread_count,
 )
 from .solvability import RadiusCertificate, certify
 from .solver import solve as picard_solve
@@ -294,7 +292,6 @@ def _cmd_mnc_demo(args: argparse.Namespace) -> int:
         convex_samples=cfg.mnc.ensemble,
         deltas=cfg.mnc.deltas,
         rng_seed=cfg.mnc.rng_seed,
-        threads=thread_count(),
     )
     rows = []
     for p, est in enumerate(trace):

@@ -51,6 +51,38 @@ class FracParams:
         return self.gamma_ord / self.k
 
 
+def checked_grid(nodes, values, rows: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Float arrays of a node set and the values sampled on it, validated.
+
+    nodes must be one-dimensional, at least two long, start at 1 and be
+    strictly increasing. values is one vector on the nodes, or with rows
+    set a matrix with one function per row (at least one row); every value
+    must be finite. Raises DomainError on the first violated condition.
+    """
+    nodes = np.asarray(nodes, dtype=float)
+    values = np.asarray(values, dtype=float)
+    if rows:
+        if nodes.ndim != 1 or values.ndim != 2:
+            raise DomainError("nodes must be one-dimensional and values a matrix")
+        if values.shape[0] < 1:
+            raise DomainError("values need at least one row")
+    elif nodes.ndim != 1 or values.ndim != 1:
+        raise DomainError("nodes and values must be one-dimensional")
+    if values.shape[-1] != nodes.shape[0]:
+        raise DomainError(
+            f"length mismatch: {nodes.shape[0]} nodes, {values.shape[-1]} values"
+        )
+    if nodes.shape[0] < 2:
+        raise DomainError("a grid function needs at least two nodes")
+    if nodes[0] != 1.0:
+        raise DomainError(f"domain must start at 1, got {nodes[0]}")
+    if not np.all(np.diff(nodes) > 0.0):
+        raise DomainError("nodes must be strictly increasing")
+    if not np.all(np.isfinite(values)):
+        raise DomainError("values must be finite")
+    return nodes, values
+
+
 @dataclass(frozen=True)
 class GridFunction:
     """A function on [1, T]: node/value pairs, linear interpolation between.
@@ -62,24 +94,9 @@ class GridFunction:
     values: np.ndarray
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        nodes, values = checked_grid(self.nodes, self.values)
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
-        if nodes.ndim != 1 or values.ndim != 1:
-            raise DomainError("nodes and values must be one-dimensional")
-        if nodes.shape != values.shape:
-            raise DomainError(
-                f"length mismatch: {nodes.shape[0]} nodes, {values.shape[0]} values"
-            )
-        if nodes.shape[0] < 2:
-            raise DomainError("a grid function needs at least two nodes")
-        if nodes[0] != 1.0:
-            raise DomainError(f"domain must start at 1, got {nodes[0]}")
-        if not np.all(np.diff(nodes) > 0.0):
-            raise DomainError("nodes must be strictly increasing")
-        if not np.all(np.isfinite(values)):
-            raise DomainError("values must be finite")
 
     def __call__(self, x):
         return np.interp(x, self.nodes, self.values)

@@ -6,74 +6,57 @@ geometry: between consecutive "events" (a window endpoint crossing a node)
 the window max is convex in the window position and the window min concave,
 so their difference is maximized at an event, i.e. with the window start in
 {nodes} union {nodes - delta}. On a uniform grid whose spacing divides
-delta, every event window is node-aligned and a vectorized sliding-window
-max/min suffices.
+delta, every event window is node-aligned, and a running max/min over the
+columns of the whole ensemble matrix gives every member's modulus at once.
 
 The ensemble-level measure extrapolates mu(ensemble, delta) to delta -> 0
 by a linear fit on the three smallest ladder values, clamped at zero; half
 of that limit is the ball-measure estimate. The Darbo iteration drives an
-ensemble through the operator, augments with random convex combinations of
-the images (a sampled, hence conservative, convex hull), and records the
+ensemble, held as one (members, nodes) matrix, through the operator in one
+batched call per step, augments it with random convex combinations of the
+images (a sampled, hence conservative, convex hull), and records the
 measure trace.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Sequence, Union
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .equations import EquationSpec, apply_operator_batch
-from .errors import ConfigError, DomainError
-from .fractional import GridFunction
+from .errors import DomainError
+from .fractional import GridFunction, checked_grid
 
 _ALIGN_TOL = 1e-9
 _AXIOM_TOL = 1e-12
 
 
-def thread_count() -> int:
-    """Worker count from HILFER_THREADS; 1 when unset."""
-    raw = os.environ.get("HILFER_THREADS")
-    if raw is None or raw.strip() == "":
-        return 1
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ConfigError(f"HILFER_THREADS must be an integer, got {raw!r}") from None
-    if n < 1:
-        raise ConfigError(f"HILFER_THREADS must be >= 1, got {n}")
-    return n
-
-
 @dataclass(frozen=True)
 class FunctionEnsemble:
-    """A finite family of grid functions on one shared node set."""
+    """A finite family of grid functions on one shared node set.
 
-    members: tuple[GridFunction, ...]
+    values has shape (m, n): one member per row, sampled on the n nodes.
+    The checks of GridFunction run once on the whole matrix.
+    """
+
+    nodes: np.ndarray
+    values: np.ndarray
 
     def __post_init__(self) -> None:
-        if not self.members:
-            raise DomainError("ensemble must be nonempty")
-        members = tuple(self.members)
-        object.__setattr__(self, "members", members)
-        nodes = members[0].nodes
-        for m in members[1:]:
-            if not np.array_equal(m.nodes, nodes):
-                raise DomainError("all members must share one node set")
+        nodes, values = checked_grid(self.nodes, self.values, rows=True)
+        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "values", values)
 
     @classmethod
     def from_matrix(cls, nodes: np.ndarray, values: np.ndarray) -> "FunctionEnsemble":
-        return cls(tuple(GridFunction(nodes=nodes, values=row) for row in values))
+        """The ensemble of the rows of values; the same as the constructor.
 
-    @property
-    def nodes(self) -> np.ndarray:
-        return self.members[0].nodes
-
-    def values_matrix(self) -> np.ndarray:
-        return np.vstack([m.values for m in self.members])
+        Every ensemble built from a matrix goes through this name, so
+        perfbench/tracer.py can time and count the construction.
+        """
+        return cls(nodes, values)
 
 
 def _aligned_steps(nodes: np.ndarray, delta: float) -> int | None:
@@ -98,10 +81,21 @@ def _check_delta(nodes: np.ndarray, delta: float) -> None:
 
 
 def _window_moduli_aligned(values: np.ndarray, m: int) -> float:
-    """Max over node-aligned windows of m+1 consecutive values, batched rows."""
-    v = np.atleast_2d(values)
-    win = np.lib.stride_tricks.sliding_window_view(v, m + 1, axis=1)
-    return float(np.max(win.max(axis=2) - win.min(axis=2)))
+    """Max over node-aligned windows of m+1 consecutive values, batched rows.
+
+    hi[:, j] and lo[:, j] hold the max and min of a window of w columns
+    starting at j. Combining each with its copy shifted by s <= w columns
+    widens the window to w + s, so about log2(m+1) passes reach m + 1.
+    Max and min are exact, so overlapping windows change no bit.
+    """
+    hi = lo = np.atleast_2d(values)
+    w = 1
+    while w < m + 1:
+        s = min(w, m + 1 - w)
+        hi = np.maximum(hi[:, :-s], hi[:, s:])
+        lo = np.minimum(lo[:, :-s], lo[:, s:])
+        w += s
+    return float(np.max(hi - lo))
 
 
 def _interp_clipped(nodes: np.ndarray, values: np.ndarray, z: float) -> float:
@@ -156,8 +150,8 @@ def ensemble_modulus(e: FunctionEnsemble, delta: float) -> float:
     _check_delta(e.nodes, delta)
     m = _aligned_steps(e.nodes, delta)
     if m is not None:
-        return _window_moduli_aligned(e.values_matrix(), min(m, e.nodes.size - 1))
-    return max(_modulus_general(e.nodes, mem.values, delta) for mem in e.members)
+        return _window_moduli_aligned(e.values, min(m, e.nodes.size - 1))
+    return max(_modulus_general(e.nodes, row, delta) for row in e.values)
 
 
 @dataclass(frozen=True)
@@ -222,9 +216,9 @@ class AxiomReport:
 
 
 def _is_sublist(e1: FunctionEnsemble, e2: FunctionEnsemble) -> bool:
-    return all(
-        any(np.array_equal(m1.values, m2.values) for m2 in e2.members) for m1 in e1.members
-    )
+    """True when every row of e1 equals some row of e2."""
+    same = e1.values[:, None, :] == e2.values[None, :, :]
+    return bool(same.all(axis=2).any(axis=1).all())
 
 
 def mnc_axiom_checks(
@@ -246,8 +240,7 @@ def mnc_axiom_checks(
     d = np.asarray(deltas, dtype=float)
     if d.size < 1:
         raise DomainError("deltas must be nonempty")
-    v1 = e1.values_matrix()
-    v2 = e2.values_matrix()
+    v1, v2 = e1.values, e2.values
     combined = (L * v1[:, None, :] + (1.0 - L) * v2[None, :, :]).reshape(-1, v1.shape[1])
     comb = FunctionEnsemble.from_matrix(e1.nodes, combined)
     mono_slack = -np.inf
@@ -268,61 +261,37 @@ def mnc_axiom_checks(
     )
 
 
-Operator = Union[EquationSpec, Callable[[GridFunction], GridFunction]]
-
-
-def _image_rows(op: Operator, nodes: np.ndarray, values: np.ndarray, threads: int) -> np.ndarray:
-    """Operator image of every row. Rows are processed one at a time so the
-    result is bitwise identical for any thread count."""
-    if isinstance(op, EquationSpec):
-        def one(i: int) -> np.ndarray:
-            return apply_operator_batch(op, nodes, values[i : i + 1])[0]
-    else:
-        def one(i: int) -> np.ndarray:
-            return np.asarray(op(GridFunction(nodes=nodes, values=values[i])).values)
-
-    idx = range(values.shape[0])
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = list(pool.map(one, idx))
-    else:
-        rows = [one(i) for i in idx]
-    return np.vstack(rows)
-
-
 def darbo_iterate(
-    op: Operator,
+    op: EquationSpec,
     seed: FunctionEnsemble,
     p_max: int,
     convex_samples: int,
     deltas: Sequence[float],
     rng_seed: int = 0,
-    threads: int | None = None,
 ) -> list[MncEstimate]:
     """Measure trace of the sampled Darbo scheme, seed ensemble included.
 
     Each step replaces the ensemble with the operator images of every
-    member plus convex_samples Dirichlet-weighted convex combinations of
-    those images. Sampling the convex hull can only under-estimate its
-    modulus, so a decaying trace is evidence in the conservative direction.
+    member, computed in one batched operator call, plus convex_samples
+    Dirichlet-weighted convex combinations of those images. Sampling the
+    convex hull can only under-estimate its modulus, so a decaying trace is
+    evidence in the conservative direction. An image that is not finite
+    raises DomainError.
     """
     if p_max < 1:
         raise DomainError(f"p_max must be >= 1, got {p_max}")
     if convex_samples < 0:
         raise DomainError(f"convex_samples must be >= 0, got {convex_samples}")
-    workers = thread_count() if threads is None else max(1, threads)
     rng = np.random.default_rng(rng_seed)
-    nodes = seed.nodes
-    values = seed.values_matrix()
+    ensemble = seed
     trace = [mnc_estimate(seed, deltas)]
     for _ in range(p_max):
-        images = _image_rows(op, nodes, values, workers)
+        images = apply_operator_batch(op, ensemble.nodes, ensemble.values)
         if convex_samples > 0:
             weights = rng.dirichlet(np.ones(images.shape[0]), size=convex_samples)
-            values = np.vstack([images, weights @ images])
-        else:
-            values = images
-        trace.append(mnc_estimate(FunctionEnsemble.from_matrix(nodes, values), deltas))
+            images = np.vstack([images, weights @ images])
+        ensemble = FunctionEnsemble.from_matrix(ensemble.nodes, images)
+        trace.append(mnc_estimate(ensemble, deltas))
     return trace
 
 

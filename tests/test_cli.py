@@ -250,13 +250,6 @@ def test_mnc_demo_equation_selector(capsys):
     assert json.loads(out)["error_type"] == "config"
 
 
-def test_mnc_demo_rejects_bad_thread_env(monkeypatch, capsys):
-    monkeypatch.setenv("HILFER_THREADS", "fast")
-    code, out = _run(["mnc-demo", "--paper-example"], capsys)
-    assert code == 2
-    assert json.loads(out)["error_type"] == "config"
-
-
 def test_dump_config_round_trips(capsys):
     code, out = _run(["solve", "--paper-example", "--dump-config"], capsys)
     assert code == 0
@@ -306,22 +299,23 @@ def test_paper_example_bundle_with_override(capsys):
     assert '"status": "pass"' in out
 
 
-def _subprocess_env(threads: str) -> dict:
+def _subprocess_env(blas_threads: str) -> dict:
     env = dict(os.environ)
-    env["HILFER_THREADS"] = threads
+    env["OPENBLAS_NUM_THREADS"] = blas_threads
     env.setdefault("PYTHONHASHSEED", "0")
     return env
 
 
 def test_mnc_demo_bytes_identical_across_threads():
+    # the batched operator matmul must not depend on how the BLAS splits it
     cmd = [sys.executable, "-m", "hilfer_mnc.cli", "mnc-demo", "--paper-example"]
     runs = {
         threads: subprocess.run(
             cmd, capture_output=True, env=_subprocess_env(threads), check=True
         )
-        for threads in ("1", "4")
+        for threads in ("1", "2")
     }
-    assert runs["1"].stdout == runs["4"].stdout
+    assert runs["1"].stdout == runs["2"].stdout
     assert runs["1"].stdout  # nonempty
     # a second single-thread run is byte-identical too
     again = subprocess.run(cmd, capture_output=True, env=_subprocess_env("1"), check=True)

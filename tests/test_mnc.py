@@ -8,8 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilfer_mnc.config import bundled_example
-from hilfer_mnc.errors import ConfigError, DomainError
-from hilfer_mnc.fractional import GridFunction, uniform_nodes
+from hilfer_mnc.equations import EquationSpec, Nonlinearity, apply_operator
+from hilfer_mnc.errors import DomainError
+from hilfer_mnc.fractional import FracParams, GridFunction, uniform_nodes
 from hilfer_mnc.mnc import (
     FunctionEnsemble,
     certificate_inequality_check,
@@ -20,7 +21,6 @@ from hilfer_mnc.mnc import (
     mnc_axiom_checks,
     mnc_estimate,
     modulus_of_continuity,
-    thread_count,
 )
 from hilfer_mnc.solvability import certify
 
@@ -34,19 +34,14 @@ def _uniform(values) -> GridFunction:
     return _gf(np.linspace(1.0, 3.0, v.size), v)
 
 
-def test_thread_count(monkeypatch):
-    monkeypatch.delenv("HILFER_THREADS", raising=False)
-    assert thread_count() == 1
-    monkeypatch.setenv("HILFER_THREADS", "4")
-    assert thread_count() == 4
-    monkeypatch.setenv("HILFER_THREADS", "")
-    assert thread_count() == 1
-    monkeypatch.setenv("HILFER_THREADS", "0")
-    with pytest.raises(ConfigError):
-        thread_count()
-    monkeypatch.setenv("HILFER_THREADS", "many")
-    with pytest.raises(ConfigError):
-        thread_count()
+def _halving_equation(f: str = "0.5*a", psi: str = "0", g: str = "0") -> EquationSpec:
+    """With the defaults the operator sends a to exactly 0.5 * a."""
+    return EquationSpec(
+        params=FracParams(k=0.5, rho=0.5, gamma_ord=0.5, T=3.0),
+        f=Nonlinearity.from_string(f, lipschitz=0.5, zero_at_zero=True),
+        psi=Nonlinearity.from_string(psi, lipschitz=0.0, zero_at_zero=True),
+        g=Nonlinearity.from_string(g, lipschitz=0.0, zero_at_zero=True),
+    )
 
 
 def test_modulus_linear_function():
@@ -91,6 +86,22 @@ def test_modulus_aligned_and_general_paths_agree():
         assert general == pytest.approx(aligned, abs=1e-12)
 
 
+@pytest.mark.parametrize("rows", [1, 7])
+@pytest.mark.parametrize("n", [2, 3, 17, 50])
+def test_window_moduli_match_brute_force(n, rows):
+    # every width, powers of two or not, up to the whole row (m = n - 1)
+    from hilfer_mnc.mnc import _window_moduli_aligned
+
+    rng = np.random.default_rng(n * 10 + rows)
+    values = rng.standard_normal((rows, n))
+    for m in range(1, n):
+        win = np.lib.stride_tricks.sliding_window_view(values, m + 1, axis=1)
+        brute = float(np.max(win.max(axis=2) - win.min(axis=2)))
+        assert _window_moduli_aligned(values, m) == brute
+        if rows == 1:
+            assert _window_moduli_aligned(values[0], m) == brute
+
+
 def test_modulus_delta_validation():
     f = _uniform(np.zeros(17))
     with pytest.raises(DomainError):
@@ -119,25 +130,39 @@ def test_modulus_monotone_and_subadditive(values, d1, d2):
 
 def test_ensemble_modulus_is_member_sup():
     nodes = np.linspace(1.0, 3.0, 65)
-    e = FunctionEnsemble.from_matrix(nodes, np.vstack([nodes, 2.0 * nodes]))
+    e = FunctionEnsemble(nodes, np.vstack([nodes, 2.0 * nodes]))
     assert ensemble_modulus(e, 0.25) == pytest.approx(0.5, abs=1e-12)
-    singles = [modulus_of_continuity(m, 0.25) for m in e.members]
+    singles = [modulus_of_continuity(_gf(nodes, row), 0.25) for row in e.values]
     assert ensemble_modulus(e, 0.25) == max(singles)
 
 
 def test_ensemble_requires_shared_nodes():
-    a = _gf([1.0, 2.0, 3.0], [0.0, 1.0, 0.0])
-    b = _gf([1.0, 1.5, 3.0], [0.0, 1.0, 0.0])
-    with pytest.raises(DomainError):
-        FunctionEnsemble(members=(a, b))
-    with pytest.raises(DomainError):
-        FunctionEnsemble(members=())
+    nodes = np.linspace(1.0, 3.0, 5)
+    e = FunctionEnsemble(nodes, np.zeros((2, 5)))
+    assert e.values.shape == (2, 5)
+    nan_row = np.array([[0.0, np.nan, 0.0, 0.0, 0.0]])
+    bad = [
+        (nodes, np.zeros((0, 5))),  # empty
+        (nodes, np.zeros(5)),  # one function, not a matrix
+        (nodes, np.zeros((2, 4))),  # column count differs from the node count
+        (nodes, nan_row),
+        (nodes, -np.inf * np.ones((1, 5))),
+        (nodes[None, :], np.zeros((1, 5))),  # nodes not one-dimensional
+        ([1.0], np.zeros((1, 1))),  # a single node
+        ([0.0, 1.0, 2.0], np.zeros((1, 3))),  # domain not starting at 1
+        ([1.0, 2.0, 2.0], np.zeros((1, 3))),  # nodes not strictly increasing
+    ]
+    for bad_nodes, bad_values in bad:
+        with pytest.raises(DomainError):
+            FunctionEnsemble(bad_nodes, bad_values)
+        with pytest.raises(DomainError):
+            FunctionEnsemble.from_matrix(bad_nodes, bad_values)
 
 
 def test_mnc_estimate_linear_ladder():
     # moduli lie on the line 2*delta: the extrapolated limit is zero
     nodes = np.linspace(1.0, 3.0, 257)
-    e = FunctionEnsemble.from_matrix(nodes, (2.0 * nodes)[None, :])
+    e = FunctionEnsemble(nodes, (2.0 * nodes)[None, :])
     est = mnc_estimate(e, [0.25, 0.125, 0.0625, 0.03125])
     np.testing.assert_allclose(est.moduli, [0.5, 0.25, 0.125, 0.0625])
     assert est.mu0 == pytest.approx(0.0, abs=1e-12)
@@ -149,7 +174,7 @@ def test_mnc_estimate_oscillation_plateau():
     # full amplitude, so the extrapolated limit is the amplitude itself
     nodes = np.linspace(1.0, 3.0, 257)
     zigzag = np.where(np.arange(257) % 2 == 0, 0.0, 0.3)
-    e = FunctionEnsemble.from_matrix(nodes, zigzag[None, :])
+    e = FunctionEnsemble(nodes, zigzag[None, :])
     est = mnc_estimate(e, [0.25, 0.125, 0.0625])
     np.testing.assert_allclose(est.moduli, 0.3)
     assert est.mu0 == pytest.approx(0.3, abs=1e-12)
@@ -158,7 +183,7 @@ def test_mnc_estimate_oscillation_plateau():
 
 def test_mnc_estimate_validation():
     nodes = np.linspace(1.0, 3.0, 17)
-    e = FunctionEnsemble.from_matrix(nodes, np.zeros((1, 17)))
+    e = FunctionEnsemble(nodes, np.zeros((1, 17)))
     with pytest.raises(DomainError):
         mnc_estimate(e, [0.25, 0.125])
     with pytest.raises(DomainError):
@@ -168,7 +193,7 @@ def test_mnc_estimate_validation():
 def test_axiom_checks_identity_weight():
     nodes = np.linspace(1.0, 3.0, 65)
     rng = np.random.default_rng(9)
-    e = FunctionEnsemble.from_matrix(nodes, rng.uniform(-1.0, 1.0, size=(4, 65)))
+    e = FunctionEnsemble(nodes, rng.uniform(-1.0, 1.0, size=(4, 65)))
     report = mnc_axiom_checks(e, e, L=1.0, deltas=[0.25, 0.125])
     assert report.monotonicity_applicable
     assert report.monotonicity_pass
@@ -180,8 +205,8 @@ def test_axiom_checks_sublist_monotonicity():
     nodes = np.linspace(1.0, 3.0, 65)
     rng = np.random.default_rng(10)
     big = rng.uniform(-1.0, 1.0, size=(5, 65))
-    e_small = FunctionEnsemble.from_matrix(nodes, big[:2])
-    e_big = FunctionEnsemble.from_matrix(nodes, big)
+    e_small = FunctionEnsemble(nodes, big[:2])
+    e_big = FunctionEnsemble(nodes, big)
     report = mnc_axiom_checks(e_small, e_big, L=0.5, deltas=[0.25, 0.125, 0.0625])
     assert report.monotonicity_applicable
     assert report.monotonicity_pass
@@ -190,7 +215,7 @@ def test_axiom_checks_sublist_monotonicity():
 
 def test_axiom_checks_validation():
     nodes = np.linspace(1.0, 3.0, 17)
-    e = FunctionEnsemble.from_matrix(nodes, np.zeros((1, 17)))
+    e = FunctionEnsemble(nodes, np.zeros((1, 17)))
     with pytest.raises(DomainError):
         mnc_axiom_checks(e, e, L=1.5, deltas=[0.25])
     with pytest.raises(DomainError):
@@ -202,7 +227,7 @@ def test_darbo_trace_shape_and_decay():
     eq = cfg.equations[0]
     nodes = uniform_nodes(3.0, 65)
     rng = np.random.default_rng(1)
-    seed = FunctionEnsemble.from_matrix(nodes, rng.uniform(-0.1, 0.1, size=(10, 65)))
+    seed = FunctionEnsemble(nodes, rng.uniform(-0.1, 0.1, size=(10, 65)))
     trace = darbo_iterate(eq, seed, p_max=4, convex_samples=10, deltas=cfg.mnc.deltas, rng_seed=7)
     assert len(trace) == 5
     assert trace[0].mu0 > 0.0
@@ -212,31 +237,45 @@ def test_darbo_trace_shape_and_decay():
         assert trace[p + 1].mu0 <= (factor + 0.05) * trace[p].mu0 + 1e-15
 
 
-def test_darbo_is_thread_invariant():
+def test_darbo_matches_row_by_row_reference():
     cfg = bundled_example()
     eq = cfg.equations[0]
     nodes = uniform_nodes(3.0, 65)
     rng = np.random.default_rng(2)
-    seed = FunctionEnsemble.from_matrix(nodes, rng.uniform(-0.1, 0.1, size=(8, 65)))
-    kw = dict(p_max=3, convex_samples=8, deltas=cfg.mnc.deltas, rng_seed=3)
-    single = darbo_iterate(eq, seed, threads=1, **kw)
-    multi = darbo_iterate(eq, seed, threads=4, **kw)
-    for a, b in zip(single, multi):
-        np.testing.assert_array_equal(a.moduli, b.moduli)
-        assert a.mu0 == b.mu0
+    seed_values = rng.uniform(-0.1, 0.1, size=(8, 65))
+    p_max, samples, rng_seed = 3, 8, 3
+    trace = darbo_iterate(
+        eq,
+        FunctionEnsemble(nodes, seed_values),
+        p_max=p_max,
+        convex_samples=samples,
+        deltas=cfg.mnc.deltas,
+        rng_seed=rng_seed,
+    )
+    # the same scheme, applying the operator to one member at a time
+    draws = np.random.default_rng(rng_seed)
+    values = seed_values
+    reference = [mnc_estimate(FunctionEnsemble(nodes, values), cfg.mnc.deltas)]
+    for _ in range(p_max):
+        images = np.vstack([apply_operator(eq, _gf(nodes, row)).values for row in values])
+        weights = draws.dirichlet(np.ones(images.shape[0]), size=samples)
+        values = np.vstack([images, weights @ images])
+        reference.append(mnc_estimate(FunctionEnsemble(nodes, values), cfg.mnc.deltas))
+    assert len(trace) == len(reference) == p_max + 1
+    for got, want in zip(trace, reference):
+        np.testing.assert_allclose(got.moduli, want.moduli, rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(got.mu0, want.mu0, rtol=1e-12, atol=0.0)
 
 
-def test_darbo_accepts_callable_operator():
+def test_darbo_halving_operator_halves_measure():
     # a zigzag seed keeps the measure strictly positive, and halving the
     # values must halve the measure step by step
     nodes = np.linspace(1.0, 3.0, 33)
     zigzag = np.where(np.arange(33) % 2 == 0, 0.0, 0.3)
-    seed = FunctionEnsemble.from_matrix(nodes, zigzag[None, :])
-
-    def halve(g: GridFunction) -> GridFunction:
-        return GridFunction(nodes=g.nodes, values=0.5 * g.values)
-
-    trace = darbo_iterate(halve, seed, p_max=3, convex_samples=0, deltas=[0.5, 0.25, 0.125])
+    seed = FunctionEnsemble(nodes, zigzag[None, :])
+    trace = darbo_iterate(
+        _halving_equation(), seed, p_max=3, convex_samples=0, deltas=[0.5, 0.25, 0.125]
+    )
     assert trace[0].mu0 == pytest.approx(0.3, abs=1e-12)
     for p in range(3):
         assert trace[p + 1].mu0 == pytest.approx(0.5 * trace[p].mu0, rel=1e-12)
@@ -244,11 +283,16 @@ def test_darbo_accepts_callable_operator():
 
 def test_darbo_validation():
     nodes = np.linspace(1.0, 3.0, 17)
-    seed = FunctionEnsemble.from_matrix(nodes, np.zeros((2, 17)))
+    seed = FunctionEnsemble(nodes, np.zeros((2, 17)))
+    halve = _halving_equation()
     with pytest.raises(DomainError):
-        darbo_iterate(lambda g: g, seed, p_max=0, convex_samples=1, deltas=[0.5, 0.25, 0.125])
+        darbo_iterate(halve, seed, p_max=0, convex_samples=1, deltas=[0.5, 0.25, 0.125])
     with pytest.raises(DomainError):
-        darbo_iterate(lambda g: g, seed, p_max=1, convex_samples=-1, deltas=[0.5, 0.25, 0.125])
+        darbo_iterate(halve, seed, p_max=1, convex_samples=-1, deltas=[0.5, 0.25, 0.125])
+    # finite f, psi and g whose combination f + psi * I overflows
+    overflow = _halving_equation(f="1.7e308", psi="1.7e308", g="1")
+    with np.errstate(over="ignore"), pytest.raises(DomainError, match="finite"):
+        darbo_iterate(overflow, seed, p_max=1, convex_samples=1, deltas=[0.5, 0.25, 0.125])
 
 
 def test_default_certificate_classes():
@@ -266,13 +310,9 @@ def test_default_certificate_classes():
 def test_certificate_inequality_on_geometric_trace():
     nodes = np.linspace(1.0, 3.0, 33)
     deltas = [0.5, 0.25, 0.125]
-
-    def halve(g: GridFunction) -> GridFunction:
-        return GridFunction(nodes=g.nodes, values=0.5 * g.values)
-
     zigzag = np.where(np.arange(33) % 2 == 0, 0.0, 0.3)
-    seed = FunctionEnsemble.from_matrix(nodes, zigzag[None, :])
-    trace = darbo_iterate(halve, seed, p_max=4, convex_samples=0, deltas=deltas)
+    seed = FunctionEnsemble(nodes, zigzag[None, :])
+    trace = darbo_iterate(_halving_equation(), seed, p_max=4, convex_samples=0, deltas=deltas)
     report = certificate_inequality_check(default_certificate(gain=0.2), trace, factor=0.6)
     assert report.all_pass
     assert report.gain == pytest.approx(0.2)
@@ -284,7 +324,7 @@ def test_certificate_inequality_on_geometric_trace():
 
 def test_certificate_inequality_validation():
     nodes = np.linspace(1.0, 3.0, 17)
-    e = FunctionEnsemble.from_matrix(nodes, np.zeros((1, 17)))
+    e = FunctionEnsemble(nodes, np.zeros((1, 17)))
     est = mnc_estimate(e, [0.5, 0.25, 0.125])
     cert = default_certificate(gain=0.2)
     with pytest.raises(DomainError):
