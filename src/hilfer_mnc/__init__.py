@@ -43,12 +43,10 @@ from .mnc import (
 )
 from .solvability import (
     RadiusCertificate,
-    SystemCertificate,
     certify,
-    certify_system,
     contraction_factor,
 )
-from .solver import SolveReport, solve, solve_system
+from .solver import SolveReport, solve
 from .special_functions import KGammaResult, beta, gamma, k_gamma, k_gamma_integral
 
 __version__ = "0.1.0"
@@ -71,7 +69,6 @@ __all__ = [
     "RadiusCertificate",
     "RunConfig",
     "SolveReport",
-    "SystemCertificate",
     "SystemSpec",
     "apply_operator",
     "apply_operator_batch",
@@ -79,7 +76,6 @@ __all__ = [
     "bundled_example",
     "certificate_inequality_check",
     "certify",
-    "certify_system",
     "check_certificate_classes",
     "check_zero_conditions",
     "contraction_factor",
@@ -102,7 +98,6 @@ __all__ = [
     "parse_config",
     "product_quadrature",
     "solve",
-    "solve_system",
     "to_string",
     "uniform_nodes",
 ]

@@ -5,11 +5,15 @@ I is the fractional integral of the integrand G(t, alpha(t)). Everything is
 sampled on alpha's own node set, so repeated application (Picard, Darbo) is
 a map on a fixed finite-dimensional space.
 
-The per-node integrals reuse the product-integration node weights on the
-grid-induced mesh s = nodes**rho. For moderate grids the weights form a
-lower-triangular matrix that is cached and applied as a matmul; large grids
-recompute them in blocks of rows, each applied as one matmul, to avoid the
-O(n^2) memory.
+The per-node integrals use the product-integration rule on the
+grid-induced mesh s = nodes**rho. For moderate grids its node weights form a
+lower-triangular matrix that is cached and applied as a matmul. Large grids
+never form it: summation by parts writes the rule with the first divided
+differences of (X - s)_+^(a+1) (fractional.power_slopes) against the
+differences of the integrand, entries near the diagonal are evaluated
+exactly, and each far block is interpolated in X at Chebyshev points of its
+row cluster, so one application costs O(n log n) time and O(n) memory on any
+grid.
 """
 
 from __future__ import annotations
@@ -22,12 +26,14 @@ import numpy as np
 
 from .errors import DomainError
 from .expressions import Expr, evaluate, parse
-from .fractional import FracParams, GridFunction, panel_weights
+from .fractional import FracParams, GridFunction, panel_weights, power_slopes
 from .special_functions import k_gamma
 
 _MATRIX_MAX_NODES = 2049
-# weight entries per streamed row block: 512 KiB, reused across the blocks
-_STREAM_BLOCK_ENTRIES = 2**16
+# above it: rows per leaf block of the exact near field, and Chebyshev
+# points per row cluster of the far field
+_LEAF_ROWS = 64
+_CHEB_POINTS = 20
 
 
 @dataclass(frozen=True)
@@ -99,12 +105,93 @@ def _weight_matrix(rho: float, a: float, nodes_bytes: bytes, n: int) -> np.ndarr
     return w
 
 
+def _interpolation_matrix(lo: float, hi: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Chebyshev points on [lo, hi] and the matrix that interpolates from them to x.
+
+    The points are those of the first kind, _CHEB_POINTS of them. Row i of
+    the matrix holds the barycentric weights for x[i]; a point of x that
+    coincides with a Chebyshev point gets the unit row.
+    """
+    p = _CHEB_POINTS
+    half = 0.5 * (hi - lo)
+    points = (lo + half) + half * np.cos((np.arange(p) + 0.5) * (np.pi / p))
+    # weights of the rounded points themselves: the textbook Chebyshev
+    # weights are off by the points' rounding, which is large next to a
+    # narrow cluster's width
+    gaps = (points[:, None] - points) / half
+    np.fill_diagonal(gaps, 1.0)
+    weights = 1.0 / gaps.prod(axis=1)
+    diff = x[:, None] - points
+    hit = diff == 0.0
+    diff[hit] = 1.0
+    lag = weights / diff
+    lag /= lag.sum(axis=1, keepdims=True)
+    exact = hit.any(axis=1)
+    lag[exact] = hit[exact]
+    return points, lag
+
+
+def _slope_sums(s: np.ndarray, a: float, dg: np.ndarray) -> np.ndarray:
+    """Row sums sum_j d_j(s[i]) * dg[:, j] at every node i, in O(n log n).
+
+    d_j(X) is the power slope of panel j (fractional.power_slopes) and dg
+    has shape (m, n - 1). Row blocks of _LEAF_ROWS take their columns from
+    the previous leaf up to the diagonal exactly. The rest is split along
+    the dyadic interaction lists: at cluster size B, row cluster k gets the
+    columns [(k-2)B, (k-1)B) when k is even and [(k-3)B, (k-1)B) when k is
+    odd. Such a block is smooth in X, so it is evaluated at the Chebyshev
+    points of the cluster's X range and interpolated to its rows. A cluster
+    with no more rows than points, or one that is closer in s to its columns
+    than it is wide, is evaluated exactly.
+    """
+    n = s.shape[0]
+    out = np.zeros((dg.shape[0], n))
+    # one workspace for every block: it holds any Chebyshev block, and
+    # exact blocks are evaluated in row chunks that fit it
+    cap = _CHEB_POINTS * (n + 1)
+    w_buf = np.empty(cap)
+    d_buf = np.empty(cap)
+
+    def slopes(limits: np.ndarray, c0: int, c1: int) -> np.ndarray:
+        rows, cols = limits.shape[0], c1 - c0 + 1
+        w = w_buf[: rows * cols].reshape(rows, cols)
+        d = d_buf[: rows * (cols - 1)].reshape(rows, cols - 1)
+        return power_slopes(limits, s[c0 : c1 + 1], a, w, d)
+
+    def exact(r0: int, r1: int, c0: int, c1: int) -> None:
+        step = max(1, cap // (c1 - c0 + 1))
+        for i0 in range(r0, r1, step):
+            i1 = min(i0 + step, r1)
+            out[:, i0:i1] += dg[:, c0:c1] @ slopes(s[i0:i1], c0, c1).T
+
+    for r0 in range(0, n, _LEAF_ROWS):
+        r1 = min(r0 + _LEAF_ROWS, n)
+        exact(r0, r1, max(r0 - _LEAF_ROWS, 0), r1 - 1)
+    size = _LEAF_ROWS
+    while 2 * size < n:
+        for k in range(2, -(-n // size)):
+            r0, r1 = k * size, min((k + 1) * size, n)
+            c1 = (k - 1) * size
+            c0 = c1 - size * (1 + k % 2)
+            if r1 - r0 <= _CHEB_POINTS or s[r0] - s[c1] < s[r1 - 1] - s[r0]:
+                exact(r0, r1, c0, c1)
+                continue
+            points, lag = _interpolation_matrix(s[r0], s[r1 - 1], s[r0:r1])
+            out[:, r0:r1] += (dg[:, c0:c1] @ slopes(points, c0, c1).T) @ lag.T
+        size *= 2
+    return out
+
+
 def _integral_values(params: FracParams, nodes: np.ndarray, g: np.ndarray, gk: float) -> np.ndarray:
     """Fractional integral of the grid integrand g at every node, batched.
 
     g has shape (m, n): m integrands sampled on the same n nodes. Returns
-    the (m, n) matrix of integral values. Above _MATRIX_MAX_NODES the weights
-    are rebuilt per call, one block of rows at a time into one workspace.
+    the (m, n) matrix of integral values. Above _MATRIX_MAX_NODES the rule
+    is summed by parts in its exact form
+
+        a (a+1) I(X) = (a+1) (X - s_0)^a g_0 - sum_j d_j(X) (g_{j+1} - g_j),
+
+    with d_j(X) the power slopes, through _slope_sums.
     """
     n = nodes.shape[0]
     a = params.exponent
@@ -113,16 +200,9 @@ def _integral_values(params: FracParams, nodes: np.ndarray, g: np.ndarray, gk: f
         w = _weight_matrix(params.rho, a, nodes.tobytes(), n)
         return pref * (g @ w.T)
     s = nodes**params.rho
-    rows = max(1, _STREAM_BLOCK_ENTRIES // n)
-    # one workspace for every block: fresh block-sized temporaries would each
-    # be mapped and page-faulted anew
-    work = np.empty(2 * rows * n)
-    out = np.zeros_like(g)
-    for j0 in range(1, n, rows):
-        j1 = min(j0 + rows, n)
-        w = panel_weights(s[j0:j1], s[:j1], a, work)
-        out[:, j0:j1] = pref * (g[:, :j1] @ w.T)
-    return out
+    total = _slope_sums(s, a, g[:, :-1] - g[:, 1:])
+    total += (a + 1.0) * (s - s[0]) ** a * g[:, :1]
+    return (pref / (a * (a + 1.0))) * total
 
 
 def _as_grid(expr: Expr, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -133,7 +213,8 @@ def _as_grid(expr: Expr, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
 def apply_operator_batch(eq: EquationSpec, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     """Operator images of many grid functions at once.
 
-    values has shape (m, n), one row per function on the shared nodes.
+    values has shape (m, n), one row per function on the shared nodes. An
+    image that overflows raises DomainError.
     """
     if abs(nodes[-1] - eq.params.T) > 1e-12 * max(1.0, eq.params.T):
         raise DomainError(
@@ -143,8 +224,12 @@ def apply_operator_batch(eq: EquationSpec, nodes: np.ndarray, values: np.ndarray
     f_vals = _as_grid(eq.f.expr, xs, values)
     psi_vals = _as_grid(eq.psi.expr, xs, values)
     g_vals = _as_grid(eq.g.expr, xs, values)
-    i_vals = _integral_values(eq.params, nodes, g_vals, eq.gamma_k_value())
-    return f_vals + psi_vals * i_vals
+    with np.errstate(over="ignore", invalid="ignore"):
+        i_vals = _integral_values(eq.params, nodes, g_vals, eq.gamma_k_value())
+        out = f_vals + psi_vals * i_vals
+    if not np.all(np.isfinite(out)):
+        raise DomainError("operator image is not finite")
+    return out
 
 
 def apply_operator(eq: EquationSpec, alpha: GridFunction) -> GridFunction:

@@ -123,6 +123,23 @@ def _s_mesh(X: float, panels: int, mesh: str) -> np.ndarray:
     raise DomainError(f"mesh must be 'uniform' or 'graded', got {mesh!r}")
 
 
+def power_slopes(X: np.ndarray, s: np.ndarray, a: float, w: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """First divided differences of (X - s)_+^(a+1) along the mesh, one row per limit.
+
+    d[r, j] = ((X[r] - s[j+1])_+^(a+1) - (X[r] - s[j])_+^(a+1)) / (s[j+1] - s[j])
+    for a 1-D array of limits X. w, of shape (len(X), len(s)), is scratch
+    and is left holding the powers; d, of shape (len(X), len(s) - 1), is
+    filled and returned. Every row of d vanishes from the first panel that
+    starts at or beyond its limit.
+    """
+    np.subtract(X[:, None], s, out=w)
+    np.maximum(w, 0.0, out=w)
+    np.power(w, a + 1.0, out=w)
+    np.subtract(w[:, 1:], w[:, :-1], out=d)
+    d /= np.diff(s)
+    return d
+
+
 def panel_weights(
     X: float | np.ndarray, s: np.ndarray, a: float, work: np.ndarray | None = None
 ) -> np.ndarray:
@@ -131,7 +148,8 @@ def panel_weights(
     p is the piecewise-linear interpolant of its values at the mesh s. With
     G(w) = w^(a+1) / (a (a+1)) the kernel is G''(X - s), so integrating each
     hat function by parts twice makes its weight the second divided
-    difference of G(X - s) at the node's neighbours. The first node adds the
+    difference of G(X - s) at the node's neighbours, taken as the difference
+    of neighbouring power_slopes. The first node adds the
     boundary term G'(X - s[0]) = (X - s[0])^a / a to its first divided
     difference. X - s is clamped at 0 before the power, so G(X - s) vanishes
     from X on and every node after the first one at or beyond X weighs 0.
@@ -148,11 +166,7 @@ def panel_weights(
         work = np.empty(2 * size)
     w = work[:size].reshape(rows, cols)
     d = work[size : 2 * size - rows].reshape(rows, cols - 1)
-    np.subtract(limits[:, None], s, out=w)
-    np.maximum(w, 0.0, out=w)
-    np.power(w, a + 1.0, out=w)
-    np.subtract(w[:, 1:], w[:, :-1], out=d)
-    d /= np.diff(s)
+    power_slopes(limits, s, a, w, d)
     # from here on w holds the weights scaled by a (a+1)
     np.add((a + 1.0) * np.maximum(limits - s[0], 0.0) ** a, d[:, 0], out=w[:, 0])
     np.subtract(d[:, 1:], d[:, :-1], out=w[:, 1:-1])

@@ -1,4 +1,4 @@
-"""Contraction and self-map certificates for one equation or the pair.
+"""Contraction and self-map certificates for one equation.
 
 The key coefficient is
 
@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .equations import EquationSpec, SystemSpec, estimate_lipschitz
+from .equations import EquationSpec, estimate_lipschitz
 from .errors import DomainError
 from .special_functions import k_gamma
 
@@ -58,20 +58,6 @@ class RadiusCertificate:
     def boundary(self, r0: float, slack: float = DEFAULT_SLACK) -> bool:
         """True when factor_at(r0) sits inside the strictness slack band."""
         return 1.0 - slack <= self.factor_at(r0) < 1.0
-
-
-@dataclass(frozen=True)
-class SystemCertificate:
-    """Pairwise certificate: worst contraction factor of the two equations."""
-
-    cert_alpha: RadiusCertificate
-    cert_beta: RadiusCertificate
-    r0: float
-    epsilon: float
-
-    @property
-    def passes(self) -> bool:
-        return self.r0 > 0.0 and self.epsilon < 1.0 - DEFAULT_SLACK
 
 
 def _resolve_gamma_k(eq: EquationSpec, gamma_k_override: float | None) -> tuple[float, bool]:
@@ -163,18 +149,3 @@ def certify(
         kernel_factor_overridden=kern_over,
     )
 
-
-def certify_system(
-    sys: SystemSpec,
-    r0: float,
-    gamma_k_override: float | None = None,
-    kernel_factor_override: float | None = None,
-    probes: int = 101,
-) -> SystemCertificate:
-    """Certificates for both equations plus the combined worst factor."""
-    if not r0 >= 0.0:
-        raise DomainError(f"r0 must be >= 0, got {r0}")
-    ca = certify(sys.eq_alpha, gamma_k_override, kernel_factor_override, probes=probes)
-    cb = certify(sys.eq_beta, gamma_k_override, kernel_factor_override, probes=probes)
-    eps = max(ca.factor_at(r0), cb.factor_at(r0))
-    return SystemCertificate(cert_alpha=ca, cert_beta=cb, r0=r0, epsilon=eps)

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import EquationSpec, SystemSpec, apply_operator
+from .equations import EquationSpec, apply_operator
 from .errors import DomainError
 from .fractional import GridFunction
 
@@ -100,16 +100,3 @@ def solve(
         sup_norms=np.array(norms),
     )
 
-
-def solve_system(
-    sys: SystemSpec,
-    alpha0: GridFunction,
-    beta0: GridFunction,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-    r0: float | None = None,
-) -> tuple[SolveReport, SolveReport]:
-    """Solve both (uncoupled) equations with shared settings."""
-    ra = solve(sys.eq_alpha, alpha0, tol=tol, max_iter=max_iter, r0=r0)
-    rb = solve(sys.eq_beta, beta0, tol=tol, max_iter=max_iter, r0=r0)
-    return ra, rb

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -17,7 +19,7 @@ from hilfer_mnc.equations import (
     estimate_lipschitz,
 )
 from hilfer_mnc.errors import DomainError
-from hilfer_mnc.fractional import FracParams, GridFunction, panel_weights, uniform_nodes
+from hilfer_mnc.fractional import FracParams, GridFunction, power_slopes, uniform_nodes
 
 _CFG = bundled_example()
 _ALPHA = _CFG.equations[0]
@@ -114,24 +116,137 @@ def test_batch_rows_match_single_applications():
         np.testing.assert_allclose(batch[i], single.values, rtol=1e-13, atol=1e-15)
 
 
+# (a, rho, T) of the large-grid accuracy checks
+_RULE_CASES = ((2.0, 1.0 / 3.0, 3.0), (0.5, 0.4, 3.0), (0.2, 0.1, 50.0), (1.3, 0.7, 10.0))
+
+
+def _rule_params(a: float, rho: float, T: float) -> FracParams:
+    return FracParams(k=0.45, rho=rho, gamma_ord=0.45 * a, T=T)
+
+
+def _longdouble_rule(params: FracParams, nodes: np.ndarray, g: np.ndarray, rows) -> np.ndarray:
+    """The product rule with Gamma_k = 1 at the selected rows, in extended precision.
+
+    Same float64 mesh s = nodes**rho as the program, summed by parts.
+    """
+    s = (nodes**params.rho).astype(np.longdouble)
+    a = np.longdouble(params.exponent)
+    g = np.asarray(g, dtype=np.longdouble)
+    x = s[rows]
+    w = x[:, None] - s
+    ahead = w > 0
+    w[~ahead] = 0
+    # exp of log: far faster than a long double power, and as accurate here
+    w[ahead] = np.exp((a + 1) * np.log(w[ahead]))
+    d = (w[:, 1:] - w[:, :-1]) / np.diff(s)
+    total = (a + 1) * (x - s[0]) ** a * g[:, :1] - (g[:, 1:] - g[:, :-1]) @ d.T
+    pref = np.longdouble(params.rho) ** -a / np.longdouble(params.k)
+    return pref * total / (a * (a + 1))
+
+
+def _rule_errors(params, nodes, g, results, rows) -> np.ndarray:
+    """Max error at the rows of each result (axis 0) and integrand (axis 1).
+
+    Relative to |W| @ |g|, which is the rule applied to |g| as W >= 0.
+    """
+    m = g.shape[0]
+    ref = _longdouble_rule(params, nodes, np.vstack([g, np.abs(g)]), rows)
+    exact, scale = ref[:m], ref[m:]
+    return np.array([np.max(np.abs(got[:, rows] - exact) / scale, axis=1) for got in results])
+
+
+def _test_grids(T: float, n: int, rng) -> dict:
+    u = np.linspace(0.0, 1.0, n)
+    inner = np.sort(rng.uniform(1.0, T, n - 2))
+    return {
+        "uniform": uniform_nodes(T, n),
+        "random": np.concatenate(([1.0], inner, [T])),
+        "graded": 1.0 + (T - 1.0) * u**2,
+    }
+
+
 def test_streaming_path_matches_matrix_path(monkeypatch):
-    nodes = uniform_nodes(3.0, 201)
+    # the large-grid path may round differently from the dense matrix, but
+    # against an extended-precision evaluation of the same rule its error
+    # must stay within 3x the dense path's (or 1e-14 of |W| @ |g|)
     rng = np.random.default_rng(5)
-    values = rng.uniform(-0.5, 0.5, size=(3, nodes.size))
-    dense = apply_operator_batch(_ALPHA, nodes, values)
+    for n, (a, rho, T) in itertools.product((201, 1025), _RULE_CASES):
+        params = _rule_params(a, rho, T)
+        for grid, nodes in _test_grids(T, n, rng).items():
+            # two random and two smooth integrands
+            g = np.vstack(
+                [rng.uniform(-0.5, 0.5, size=(2, n)), np.cos(nodes), np.exp(-nodes / T)]
+            )
+            monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 2049)
+            dense = eqmod._integral_values(params, nodes, g, 1.0)
+            monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
+            fast = eqmod._integral_values(params, nodes, g, 1.0)
+            assert np.all(fast[:, 0] == 0.0)
+            errs = _rule_errors(params, nodes, g, (dense, fast), np.arange(1, n))
+            for kind, sel in (("random", slice(0, 2)), ("smooth", slice(2, 4))):
+                dense_err, fast_err = errs[:, sel].max(axis=1)
+                bound = max(3.0 * dense_err, 1e-14)
+                assert fast_err <= bound, (n, a, rho, T, grid, kind, fast_err, dense_err)
+
+
+@pytest.mark.parametrize("n", [65, 130, 340, 341, 360, 4097])
+def test_streaming_path_partial_last_cluster(monkeypatch, n):
+    # 65 and 4097 end in a one-row cluster, 130 in a two-row one; the last
+    # level-0 cluster of 340 has exactly _CHEB_POINTS rows (exact), of 341
+    # one more (interpolated), of 360 it is a partial interpolated cluster
     monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
-    monkeypatch.setattr(eqmod, "_STREAM_BLOCK_ENTRIES", 64 * nodes.size)
-    blocks = []
+    params = _rule_params(*_RULE_CASES[0])
+    nodes = uniform_nodes(params.T, n)
+    g = np.stack([np.cos(nodes), 1.0 + np.sqrt(nodes)])
+    got = eqmod._integral_values(params, nodes, g, 1.0)
+    # every row of the last two leaves and a stride of the rest
+    rows = np.unique(np.concatenate([np.arange(1, n, 37), np.arange(max(1, n - 130), n)]))
+    assert _rule_errors(params, nodes, g, [got], rows).max() <= 1e-13
 
-    def counted(X, s, a, work=None):
-        blocks.append(len(X))
-        return panel_weights(X, s, a, work)
 
-    monkeypatch.setattr(eqmod, "panel_weights", counted)
-    streamed = apply_operator_batch(_ALPHA, nodes, values)
-    # rows 1..200 in blocks of 64, the last one partial
-    assert blocks == [64, 64, 64, 8]
-    np.testing.assert_allclose(streamed, dense, rtol=0.0, atol=1e-14)
+def test_streaming_path_falls_back_where_blocks_are_close(monkeypatch):
+    # on a grid graded toward t = 1 the s-spacing grows, so a row cluster is
+    # wider than its gap to the columns and the block is evaluated exactly
+    monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
+    interpolated = []
+    original = eqmod._interpolation_matrix
+
+    def counted(lo, hi, x):
+        interpolated.append(x.size)
+        return original(lo, hi, x)
+
+    monkeypatch.setattr(eqmod, "_interpolation_matrix", counted)
+    params = _rule_params(*_RULE_CASES[0])
+    n = 1025
+    g = np.random.default_rng(3).uniform(-0.5, 0.5, size=(1, n))
+    eqmod._integral_values(params, uniform_nodes(params.T, n), g, 1.0)
+    on_uniform = len(interpolated)
+    interpolated.clear()
+    nodes = _test_grids(params.T, n, np.random.default_rng(0))["graded"]
+    got = eqmod._integral_values(params, nodes, g, 1.0)
+    # the same cluster tree, so every missing interpolation is a fallback
+    assert len(interpolated) < on_uniform / 2
+    monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 2049)
+    dense = eqmod._integral_values(params, nodes, g, 1.0)
+    dense_err, fast_err = _rule_errors(params, nodes, g, (dense, got), np.arange(1, n)).max(axis=1)
+    assert fast_err <= max(3.0 * dense_err, 1e-14)
+
+
+def test_streaming_path_cost_is_near_linear(monkeypatch):
+    # a quadratic path evaluates 16x the slopes for 4x the nodes
+    entries = []
+
+    def counted(X, s, a, w, d):
+        entries.append(d.size)
+        return power_slopes(X, s, a, w, d)
+
+    monkeypatch.setattr(eqmod, "power_slopes", counted)
+    total = []
+    for n in (4097, 16385):
+        entries.clear()
+        eqmod._integral_values(_ALPHA.params, uniform_nodes(3.0, n), np.ones((1, n)), 1.0)
+        total.append(sum(entries))
+    assert total[1] <= 6 * total[0]
 
 
 def test_streaming_path_integrates_linear_in_s_to_rounding():
@@ -149,6 +264,24 @@ def test_streaming_path_integrates_linear_in_s_to_rounding():
         assert got[0] == 0.0
         rel = np.abs(got[1:] - exact[1:]) / exact[1:]
         assert rel.max() <= 5e-15
+
+
+def test_operator_overflow_raises_domain_error(monkeypatch):
+    # finite f, psi and g whose image overflows; RuntimeWarnings are errors
+    # under the test configuration, so none may be emitted on the way
+    def spec(g: str) -> EquationSpec:
+        big = Nonlinearity.from_string("1.7e308", lipschitz=0.0, zero_at_zero=False)
+        return EquationSpec(
+            params=_ALPHA.params, f=big, psi=big, g=Nonlinearity.from_string(g, 0.0, False)
+        )
+
+    nodes = uniform_nodes(3.0, 65)
+    with pytest.raises(DomainError, match="operator image is not finite"):
+        apply_operator_batch(spec("1"), nodes, np.zeros((2, 65)))
+    # on the large-grid path the differences of g overflow first
+    monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
+    with pytest.raises(DomainError, match="operator image is not finite"):
+        apply_operator_batch(spec("1.7e308*cos(100*x)"), nodes, np.zeros((2, 65)))
 
 
 def test_operator_rejects_wrong_domain():

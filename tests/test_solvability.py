@@ -12,7 +12,6 @@ from hilfer_mnc.errors import DomainError
 from hilfer_mnc.fractional import FracParams
 from hilfer_mnc.solvability import (
     certify,
-    certify_system,
     contraction_factor,
 )
 
@@ -155,16 +154,3 @@ def test_invalid_override_values():
         certify(_ALPHA, gamma_k_override=0.0)
     with pytest.raises(DomainError):
         certify(_ALPHA, kernel_factor_override=-1.0)
-
-
-def test_system_certificate():
-    sys_spec = _CFG.system()
-    assert sys_spec is not None
-    cert = certify_system(sys_spec, r0=0.1, kernel_factor_override=0.5358)
-    # both equations share constants, so epsilon is the common factor
-    assert cert.epsilon == pytest.approx(1.0 / 6.0 + _KAPPA_STD_PUB * 0.1, rel=1e-12)
-    assert cert.passes
-    tight = certify_system(sys_spec, r0=0.2, kernel_factor_override=0.5358)
-    assert not tight.passes  # factor exceeds 1 at r0 = 0.2
-    with pytest.raises(DomainError):
-        certify_system(sys_spec, r0=-1.0)

@@ -9,7 +9,7 @@ from hilfer_mnc.config import bundled_example
 from hilfer_mnc.equations import apply_operator
 from hilfer_mnc.errors import DomainError
 from hilfer_mnc.fractional import GridFunction, uniform_nodes
-from hilfer_mnc.solver import SolveReport, _measured_rate, solve, solve_system
+from hilfer_mnc.solver import SolveReport, _measured_rate, solve
 
 
 def _zero_seed(n: int = 129) -> GridFunction:
@@ -98,16 +98,6 @@ def test_solve_validation():
         solve(cfg.equations[0], _zero_seed(65), tol=0.0)
     with pytest.raises(DomainError):
         solve(cfg.equations[0], _zero_seed(65), max_iter=0)
-
-
-def test_solve_system_componentwise():
-    cfg = bundled_example()
-    sys = cfg.system()
-    assert sys is not None
-    ra, rb = solve_system(sys, _zero_seed(65), _zero_seed(65), tol=1e-9, max_iter=40)
-    assert ra.converged and rb.converged
-    solo = solve(cfg.equations[1], _zero_seed(65), tol=1e-9, max_iter=40)
-    np.testing.assert_array_equal(rb.solution.values, solo.solution.values)
 
 
 def test_report_validation():
