@@ -162,10 +162,9 @@ def _cmd_frac_int(args: argparse.Namespace) -> int:
         np.asarray(evaluate(expr, nodes, np.zeros_like(nodes)), dtype=float), nodes.shape
     )
     phi = GridFunction(nodes=nodes, values=values)
-    rows = []
-    for x in args.x:
-        val = hilfer_integral(params, phi, float(x), panels=panels, mesh=mesh, gamma_k_value=gk)
-        rows.append([float(x), val])
+    points = np.array(args.x, dtype=float)
+    integrals = hilfer_integral(params, phi, points, panels=panels, mesh=mesh, gamma_k_value=gk)
+    rows = [[x, val] for x, val in zip(points.tolist(), integrals.tolist())]
     _emit_rows(["x", "value"], rows, fmt, out_path, label="frac-int")
     return 0
 

@@ -10,6 +10,11 @@ with X = x^rho. On each panel of an s-mesh the integrand's piecewise-linear
 interpolant is integrated against the weight (X - s)^(a-1) in closed form, so
 no quadrature node ever sits on the singularity and the scheme is exact for
 integrands constant or linear in s.
+
+The point rule (product_quadrature) uses one unit mesh sigma on [0, 1] and the
+s-mesh 1 + (X - 1) sigma for every upper limit X, so its node weights are
+(X - 1)^a times the unit mesh's: one weight vector serves any number of
+points, and a point next to x = 1 keeps a mesh of distinct nodes.
 """
 
 from __future__ import annotations
@@ -24,6 +29,8 @@ from .special_functions import k_gamma
 
 DEFAULT_PANELS = 1024
 _GRADING_POWER = 2.0
+# entries of the (points x nodes) block the point rule samples phi into at once
+_POINT_BLOCK = 2**15
 
 
 @dataclass(frozen=True)
@@ -113,16 +120,6 @@ def uniform_nodes(T: float, n: int) -> np.ndarray:
     return np.linspace(1.0, T, n)
 
 
-def _s_mesh(X: float, panels: int, mesh: str) -> np.ndarray:
-    if mesh == "uniform":
-        return 1.0 + (X - 1.0) * np.linspace(0.0, 1.0, panels + 1)
-    if mesh == "graded":
-        # cluster toward the singular end s = X
-        frac = np.linspace(1.0, 0.0, panels + 1) ** _GRADING_POWER
-        return X - (X - 1.0) * frac
-    raise DomainError(f"mesh must be 'uniform' or 'graded', got {mesh!r}")
-
-
 def power_slopes(X: np.ndarray, s: np.ndarray, a: float, w: np.ndarray, d: np.ndarray) -> np.ndarray:
     """First divided differences of (X - s)_+^(a+1) along the mesh, one row per limit.
 
@@ -180,35 +177,72 @@ def panel_weights(
 def product_quadrature(
     params: FracParams,
     phi: GridFunction,
-    x: float,
+    x: float | np.ndarray,
     panels: int = DEFAULT_PANELS,
     mesh: str = "uniform",
     gamma_k_value: float | None = None,
-) -> float:
-    """Product-integration value of the fractional integral at one point x.
+) -> float | np.ndarray:
+    """Product-integration value of the fractional integral at a point or at each of many.
 
-    phi is interpolated onto a mesh in s = t^rho (uniform by default, graded
-    toward the singular end on request) and each panel integrates the linear
-    interpolant exactly. gamma_k_value substitutes a caller-supplied constant
-    for Gamma_k(gamma_ord) in the prefactor. The value at x = 1 is exactly 0.
+    x is a scalar (returns a float) or a 1-D array of points (returns an
+    array of the same length; each entry equals the scalar call's value bit
+    for bit). phi is interpolated onto a mesh in s = t^rho, uniform by
+    default or graded toward the singular end on request, and each panel
+    integrates the linear interpolant exactly. Every point's s-mesh is the
+    affine image 1 + (X - 1) sigma of one unit mesh sigma, so its weights are
+    (X - 1)^a times the unit mesh's: those, and Gamma_k, are computed once per
+    call. gamma_k_value substitutes a caller-supplied constant for
+    Gamma_k(gamma_ord) in the prefactor. The value at x = 1 is exactly 0.
+    Every point is validated before any is evaluated, and a DomainError
+    names the first one outside [1, T].
     """
-    if not 1.0 <= x <= params.T * (1.0 + 1e-12):
-        raise DomainError(f"x must lie in [1, {params.T}], got {x}")
+    xs = np.asarray(x, dtype=float)
+    if xs.ndim > 1:
+        raise DomainError(f"x must be a scalar or a 1-D array, got shape {xs.shape}")
+    pts = np.atleast_1d(xs)
+    outside = ~((pts >= 1.0) & (pts <= params.T * (1.0 + 1e-12)))
+    if outside.any():
+        raise DomainError(f"x must lie in [1, {params.T}], got {pts[np.argmax(outside)]}")
     if abs(phi.nodes[-1] - params.T) > 1e-12 * max(1.0, params.T):
         raise DomainError(
             f"phi is defined on [1, {phi.nodes[-1]}], expected [1, {params.T}]"
         )
     if panels < 1:
         raise DomainError(f"panels must be >= 1, got {panels}")
-    if x == 1.0:
-        return 0.0
     a = params.exponent
-    X = x**params.rho
-    s = _s_mesh(X, panels, mesh)
-    v = phi(s ** (1.0 / params.rho))
-    total = float(panel_weights(X, s, a) @ v)
+    # scalar powers, as for a single x: NumPy's vectorised power may round differently
+    X = np.array([p**params.rho for p in pts.tolist()])
+    # each point's s-mesh is origin + (X - 1) * unit; the unit mesh's weights
+    # are taken at the limit `end`, the unit point whose image is X
+    if mesh == "uniform":
+        unit = np.linspace(0.0, 1.0, panels + 1)
+        origin, end = np.ones_like(X), 1.0
+    elif mesh == "graded":
+        # clustered toward the singular end: unit is minus the distance to it
+        unit = -np.linspace(1.0, 0.0, panels + 1) ** _GRADING_POWER
+        origin, end = X, 0.0
+    else:
+        raise DomainError(f"mesh must be 'uniform' or 'graded', got {mesh!r}")
+    w = panel_weights(end, unit, a)
     gk = gamma_k_value if gamma_k_value is not None else k_gamma(params.k, params.gamma_ord).value
-    return params.rho ** (-a) / (params.k * gk) * total
+    scale = params.rho ** (-a) / (params.k * gk) * (X - 1.0) ** a
+    out = np.empty(pts.shape)
+    step = max(1, _POINT_BLOCK // unit.size)
+    buf = np.empty((min(step, pts.size), unit.size))
+    for i in range(0, pts.size, step):
+        Xb = X[i : i + step]
+        s = buf[: Xb.size]
+        np.multiply((Xb - 1.0)[:, None], unit, out=s)
+        s += origin[i : i + step, None]
+        s **= 1.0 / params.rho
+        v = phi(s)
+        v *= w
+        # a row sum, not a matrix-vector product: each point's value does not
+        # depend on the other points in its block
+        np.sum(v, axis=1, out=out[i : i + step])
+    out *= scale
+    out[pts == 1.0] = 0.0
+    return float(out[0]) if xs.ndim == 0 else out
 
 
 # the name the CLI, the README and the package exports use

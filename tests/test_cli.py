@@ -83,6 +83,38 @@ def test_frac_int_requires_params(capsys):
     assert data["error_type"] == "config"
 
 
+_NEAR_ONE_ARGS = ["--k", "0.6", "--rho", "0.4", "--gamma-ord", "0.3", "--T", "3", "--panels", "4096"]
+
+
+@pytest.mark.parametrize("mesh", ["uniform", "graded"])
+def test_frac_int_next_to_left_endpoint_is_finite(mesh, capsys):
+    xs = ["1.000000000001", "1.000000001"]
+    code, out = _run(
+        ["frac-int", "--expr", "1", "--x", *xs, *_NEAR_ONE_ARGS, "--mesh", mesh], capsys
+    )
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[:2] == ["# frac-int", "x,value"]
+    params = FracParams(k=0.6, rho=0.4, gamma_ord=0.3, T=3.0)
+    for x, line in zip(xs, lines[2:], strict=True):
+        x_str, val_str = line.split(",")
+        assert x_str == x
+        assert float(val_str) == pytest.approx(closed_form_constant(params, float(x)), rel=1e-12)
+
+
+def test_frac_int_rejects_a_point_beyond_T_before_any_output(capsys):
+    code, out = _run(
+        ["frac-int", "--expr", "1", "--x", "2.0", "5.0", "--k", "0.5", "--rho", "0.5",
+         "--gamma-ord", "0.5", "--T", "3"],
+        capsys,
+    )
+    assert code == 2
+    # the error payload is all of stdout: no table, not even the 2.0 row
+    data = json.loads(out)
+    assert data["error_type"] == "domain"
+    assert data["message"].endswith("got 5.0")
+
+
 def test_frac_int_out_file(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code, out = _run(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hilfer_mnc import fractional
 from hilfer_mnc.errors import DomainError
 from hilfer_mnc.fractional import (
     FracParams,
@@ -103,6 +105,16 @@ def test_domain_checks():
         product_quadrature(_P, phi, 2.0, mesh="chebyshev")
 
 
+def test_domain_check_names_the_point_outside():
+    phi = _const(_P, 1.0)
+    with pytest.raises(DomainError, match=r"got 3\.5$"):
+        product_quadrature(_P, phi, np.array([1.0, 2.0, 3.5, 2.5]))
+    with pytest.raises(DomainError, match=r"got nan$"):
+        product_quadrature(_P, phi, np.array([2.0, np.nan]))
+    with pytest.raises(DomainError):
+        product_quadrature(_P, phi, np.full((2, 2), 2.0))
+
+
 def test_constant_closed_form_frozen():
     # mpmath at 40 digits for phi == 1
     cases = [
@@ -173,6 +185,113 @@ def test_gamma_k_value_rescales_prefactor():
     replaced = product_quadrature(_P, phi, 2.5, gamma_k_value=2.4047)
     gk = k_gamma(_P.k, _P.gamma_ord).value
     assert replaced == pytest.approx(base * gk / 2.4047, rel=1e-13)
+
+
+# (k, rho, gamma_ord, T) of the frac-int workload; kernel exponent 0.5
+_NEAR_ONE = FracParams(k=0.6, rho=0.4, gamma_ord=0.3, T=3.0)
+
+
+@pytest.mark.parametrize("mesh", ["uniform", "graded"])
+def test_points_next_to_left_endpoint_stay_finite(mesh):
+    # a per-point s-mesh 1 + (X - 1) * lin rounds to repeated nodes this
+    # close to x = 1, where the divided differences are 0 / 0; the unit mesh
+    # cannot collapse
+    phi = _const(_NEAR_ONE, 1.0, n=4097)
+    xs = np.array([1.000000000001, 1.000000001])
+    got = product_quadrature(_NEAR_ONE, phi, xs, panels=4096, mesh=mesh)
+    for x, value in zip(xs, got):
+        want = closed_form_constant(_NEAR_ONE, x)
+        assert value == pytest.approx(want, rel=1e-12)
+        assert product_quadrature(_NEAR_ONE, phi, x, panels=4096, mesh=mesh) == value
+
+
+@pytest.mark.parametrize("mesh", ["uniform", "graded"])
+def test_array_call_matches_scalar_calls(mesh):
+    # 4097 nodes make blocks of 7 points: 26 points fill three blocks and
+    # part of a fourth; unsorted, repeated, and x = 1 where the integrand is
+    # negative (the value must be +0.0, not -0.0)
+    assert fractional._POINT_BLOCK // 4097 == 7
+    nodes = uniform_nodes(_P.T, 513)
+    phi = GridFunction(nodes=nodes, values=np.cos(2.0 * nodes) - 0.9)
+    rng = np.random.default_rng(7)
+    xs = np.concatenate(([2.5, 1.0, 3.0], rng.uniform(1.0, 3.0, 20), [2.5, 1.0, 1.2]))
+    got = product_quadrature(_P, phi, xs, panels=4096, mesh=mesh)
+    want = np.array([product_quadrature(_P, phi, float(x), panels=4096, mesh=mesh) for x in xs])
+    assert got.shape == xs.shape
+    assert np.array_equal(got, want)
+    assert np.all(got[xs == 1.0] == 0.0) and not np.any(np.signbit(got[xs == 1.0]))
+    empty = product_quadrature(_P, phi, np.array([]), panels=4096, mesh=mesh)
+    assert isinstance(empty, np.ndarray) and empty.shape == (0,)
+
+
+def test_array_call_builds_weights_and_gamma_k_once(monkeypatch):
+    calls = {"panel_weights": 0, "k_gamma": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(fractional, "panel_weights", counting("panel_weights", panel_weights))
+    monkeypatch.setattr(fractional, "k_gamma", counting("k_gamma", k_gamma))
+    xs = np.linspace(1.0, _P.T, 256)
+    product_quadrature(_P, _const(_P, 1.0), xs, panels=4096, mesh="graded")
+    assert calls == {"panel_weights": 1, "k_gamma": 1}
+
+
+def _longdouble_point_rule(params: FracParams, x: float, dist: np.ndarray, v: np.ndarray) -> np.longdouble:
+    """The product rule at x on the exact scaled mesh, in extended precision.
+
+    dist is the unit mesh as distances 1 - sigma from its singular end, so the
+    s-mesh's distances X - s = (X - 1) dist carry no cancellation. Summed by
+    parts like the program; Gamma_k is the program's float64 value.
+    """
+    X = np.longdouble(x**params.rho)
+    a = np.longdouble(params.exponent)
+    g = np.asarray(v, dtype=np.longdouble)
+    d = (X - 1) * np.asarray(dist, dtype=np.longdouble)
+    w = np.zeros_like(d)
+    ahead = d > 0
+    w[ahead] = np.exp((a + 1) * np.log(d[ahead]))
+    slopes = (w[1:] - w[:-1]) / (d[:-1] - d[1:])
+    total = (a + 1) * d[0] ** a * g[0] - (g[1:] - g[:-1]) @ slopes
+    gk = np.longdouble(k_gamma(params.k, params.gamma_ord).value)
+    pref = np.longdouble(params.rho) ** -a / (np.longdouble(params.k) * gk)
+    return pref * total / (a * (a + 1))
+
+
+def test_point_rule_matches_extended_precision():
+    # error relative to |W| @ |v|, the rule applied to |v| (W >= 0); phi is
+    # sampled at the program's own float64 mesh, so only the weights and the
+    # sum are compared
+    T = 10.0
+    nodes = uniform_nodes(T, 2001)
+    xs = np.array([1.0 + 1e-9, 1.5, 3.0, 10.0])
+    errors = []
+    for a, rho, mesh, panels in itertools.product(
+        (0.2, 0.5, 1.3, 2.0), (0.1, 0.4, 0.9), ("uniform", "graded"), (7, 1024)
+    ):
+        params = FracParams(k=0.45, rho=rho, gamma_ord=0.45 * a, T=T)
+        if mesh == "uniform":
+            lin = np.linspace(0.0, 1.0, panels + 1)
+            dist = 1 - lin.astype(np.longdouble)
+        else:
+            lin = np.linspace(1.0, 0.0, panels + 1) ** 2.0
+            dist = lin
+        for f in (np.cos, lambda t: np.exp(-t / T)):
+            phi = GridFunction(nodes=nodes, values=f(nodes))
+            got = product_quadrature(params, phi, xs, panels=panels, mesh=mesh)
+            for x, value in zip(xs, got):
+                X = x**rho
+                s = X - (X - 1.0) * lin if mesh == "graded" else 1.0 + (X - 1.0) * lin
+                v = phi(s ** (1.0 / rho))
+                exact = _longdouble_point_rule(params, x, dist, v)
+                scale = _longdouble_point_rule(params, x, dist, np.abs(v))
+                errors.append(float(abs(value - exact) / scale))
+    # a NaN fails this too
+    assert np.all(np.array(errors) <= 1e-14), max(errors)
 
 
 @settings(max_examples=60, deadline=None)
