@@ -3,8 +3,9 @@
 Subcommands: gamma-k, frac-int, check, solve, mnc-demo, and paper-example
 (a bundle running check + solve + mnc-demo on the built-in scenario).
 
-Exit codes: 0 success, 2 configuration or domain error, 3 failing
-certificate (or a certified run violating its own bound), 4 nonconvergence.
+Exit codes: 0 success, 1 stdout closed by its reader before the output
+ended, 2 configuration or domain error, 3 failing certificate (or a
+certified run violating its own bound), 4 nonconvergence.
 Structured output is deterministic: identical configuration and seeds give
 byte-identical bytes; no timestamps are emitted.
 """
@@ -415,6 +416,18 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    try:
+        code = _dispatch(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`): drop the rest of the
+        # output, including what the interpreter would flush on exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+
+
+def _dispatch(args: argparse.Namespace) -> int:
     try:
         return args.func(args)
     except ConfigError as exc:

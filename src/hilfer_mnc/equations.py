@@ -10,10 +10,13 @@ grid-induced mesh s = nodes**rho. For moderate grids its node weights form a
 lower-triangular matrix that is cached and applied as a matmul. Large grids
 never form it: summation by parts writes the rule with the first divided
 differences of (X - s)_+^(a+1) (fractional.power_slopes) against the
-differences of the integrand, entries near the diagonal are evaluated
-exactly, and each far block is interpolated in X at Chebyshev points of its
-row cluster, so one application costs O(n log n) time and O(n) memory on any
-grid.
+differences of the integrand. Entries within one leaf of the diagonal are
+evaluated exactly on every application. Every far block is interpolated in
+s at Chebyshev points of its column cluster and in X at those of its row
+cluster, with nested bases on both sides (an H^2-matrix: Boerm, Efficient
+Numerical Methods for Non-local Operators, EMS 2010). Those factors are
+built once per (nodes, rho, a) and cached; they hold O(n) floats, and one
+application costs near-linear time, on graded grids too.
 """
 
 from __future__ import annotations
@@ -30,10 +33,14 @@ from .fractional import FracParams, GridFunction, panel_weights, power_slopes
 from .special_functions import k_gamma
 
 _MATRIX_MAX_NODES = 2049
-# above it: rows per leaf block of the exact near field, and Chebyshev
-# points per row cluster of the far field
+# above it: rows per leaf of the cluster tree, Chebyshev points per cluster,
+# Gauss-Legendre points per panel, and the admissibility factor: a block is
+# interpolated when neither cluster is wider than this factor times the gap
+# between them
 _LEAF_ROWS = 64
 _CHEB_POINTS = 20
+_GAUSS_POINTS = 11
+_ADMISSIBLE = 1.5
 
 
 @dataclass(frozen=True)
@@ -105,20 +112,21 @@ def _weight_matrix(rho: float, a: float, nodes_bytes: bytes, n: int) -> np.ndarr
     return w
 
 
-def _interpolation_matrix(lo: float, hi: float, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Chebyshev points on [lo, hi] and the matrix that interpolates from them to x.
-
-    The points are those of the first kind, _CHEB_POINTS of them. Row i of
-    the matrix holds the barycentric weights for x[i]; a point of x that
-    coincides with a Chebyshev point gets the unit row.
-    """
-    p = _CHEB_POINTS
+def _chebyshev_points(lo: float, hi: float) -> np.ndarray:
+    """The _CHEB_POINTS Chebyshev points of the first kind on [lo, hi]."""
     half = 0.5 * (hi - lo)
-    points = (lo + half) + half * np.cos((np.arange(p) + 0.5) * (np.pi / p))
-    # weights of the rounded points themselves: the textbook Chebyshev
-    # weights are off by the points' rounding, which is large next to a
-    # narrow cluster's width
-    gaps = (points[:, None] - points) / half
+    return (lo + half) + half * np.cos((np.arange(_CHEB_POINTS) + 0.5) * (np.pi / _CHEB_POINTS))
+
+
+def _lagrange_matrix(points: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Values at x (one row each) of the Lagrange polynomials of the points (one column each).
+
+    Barycentric form, with the weights of the rounded points themselves: the
+    textbook Chebyshev weights are off by the points' rounding, which is
+    large next to a narrow cluster's width. A point of x that coincides with
+    one of the points gets the unit row.
+    """
+    gaps = (points[:, None] - points) / (points[0] - points[-1])
     np.fill_diagonal(gaps, 1.0)
     weights = 1.0 / gaps.prod(axis=1)
     diff = x[:, None] - points
@@ -128,57 +136,214 @@ def _interpolation_matrix(lo: float, hi: float, x: np.ndarray) -> tuple[np.ndarr
     lag /= lag.sum(axis=1, keepdims=True)
     exact = hit.any(axis=1)
     lag[exact] = hit[exact]
-    return points, lag
+    return lag
 
 
-def _slope_sums(s: np.ndarray, a: float, dg: np.ndarray) -> np.ndarray:
-    """Row sums sum_j d_j(s[i]) * dg[:, j] at every node i, in O(n log n).
+def _gauss_legendre(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes in (0, 1) and weights summing to 1 of the q-point Gauss-Legendre rule.
+
+    Newton's method on the Legendre polynomial P_q from cosine guesses, with
+    P_q and P_(q-1) from the three-term recurrence. (np.linalg.eigh by
+    Golub-Welsch gives the same rule, but maps in LAPACK: 0.75 MB of memory.)
+    """
+    x = np.cos(np.pi * (np.arange(q) + 0.75) / (q + 0.5))
+    for _ in range(8):
+        prev, cur = np.ones_like(x), x
+        for k in range(2, q + 1):
+            prev, cur = cur, ((2 * k - 1) * x * cur - (k - 1) * prev) / k
+        slope = q * (x * cur - prev) / (x * x - 1.0)
+        x = x - cur / slope
+    return 0.5 * (1.0 + x), 1.0 / ((1.0 - x * x) * slope * slope)
+
+
+@dataclass(frozen=True)
+class _Level:
+    """One level of the cluster tree of an _H2Operator.
+
+    At cluster size B, cluster k holds the rows (nodes) and the panels
+    numbered from k B to (k + 1) B - 1, cut at the grid's end, and one set of
+    Chebyshev points on s[k B] .. s[min((k + 1) B, n - 1)] that serves both.
+    Only the clusters with more than _CHEB_POINTS rows have points; `full`
+    leading ones also have all their panels, and so moments.
+    """
+
+    full: int
+    # (clusters, p): the Chebyshev points of each cluster
+    points: np.ndarray
+    # (clusters, p, p): the parent's Lagrange polynomials at each cluster's
+    # points; moments go up as M @ up, local values come down as F @ up.T
+    up: np.ndarray
+    # far blocks: row cluster targets[i] takes the moments of column cluster
+    # sources[i] through kernels[i][q, p] = -(a+1) (X_p - sigma_q)^a
+    targets: np.ndarray
+    sources: np.ndarray
+    kernels: np.ndarray
+    # (cluster, r0, r1, matrix): rows r0..r1-1 form a child too small for
+    # points, and take that cluster's local values through the matrix
+    spill: tuple[int, int, int, np.ndarray] | None
+
+
+@dataclass(frozen=True)
+class _H2Operator:
+    """The large-grid product rule, summed by parts, as an H^2-matrix.
+
+    exact lists the blocks (r0, r1, c0, c1), rows r0..r1-1 against panels
+    c0..c1-1, that are evaluated through power_slopes on every application:
+    each leaf against the previous leaf and itself, and every far block that
+    no level could interpolate. anterp maps a leaf's panel differences to its
+    moments, and interp a leaf's local values to its rows (zero-padded for
+    a partial last leaf).
+    """
+
+    levels: tuple[_Level, ...]
+    anterp: np.ndarray
+    interp: np.ndarray
+    exact: tuple[tuple[int, int, int, int], ...]
+
+    @property
+    def nbytes(self) -> int:
+        """Bytes of the stored factors."""
+        arrays = [self.anterp, self.interp]
+        for lev in self.levels:
+            arrays += [lev.points, lev.up, lev.targets, lev.sources, lev.kernels]
+            if lev.spill is not None:
+                arrays.append(lev.spill[3])
+        return sum(x.nbytes for x in arrays)
+
+
+@lru_cache(maxsize=4)
+def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operator:
+    """Build the large-grid operator for one (nodes, rho, a).
+
+    The tree's leaves hold _LEAF_ROWS nodes and sizes double while twice the
+    size is below n. At size B, row cluster k meets the columns its parent
+    could not interpolate and it can: cluster k - 2 for even k, k - 3 and
+    k - 2 for odd k. A block whose clusters are both at most _ADMISSIBLE
+    times as wide as the gap between them is interpolated on both sides
+    (Fong & Darve's black-box FMM, J. Comput. Phys. 228 (2009) 8712); one
+    that is not is split into its child blocks, and evaluated exactly at
+    leaf level or when its rows are too few for points.
+    """
+    s = np.frombuffer(nodes_bytes, dtype=float) ** rho
+    leaf, p = _LEAF_ROWS, _CHEB_POINTS
+    exact = [
+        (r0, min(r0 + leaf, n), max(r0 - leaf, 0), min(r0 + leaf, n) - 1)
+        for r0 in range(0, n, leaf)
+    ]
+    sizes = []
+    while 2 * leaf << len(sizes) < n:
+        sizes.append(leaf << len(sizes))
+    counts = [n // b + (n % b > p) for b in sizes]
+    points = [
+        np.array([_chebyshev_points(s[k * b], s[min((k + 1) * b, n - 1)]) for k in range(c)])
+        for b, c in zip(sizes, counts)
+    ]
+    pairs: list[list[tuple[int, int]]] = [[] for _ in sizes]
+
+    def place(lvl: int, k: int, c: int) -> None:
+        b = sizes[lvl]
+        r0, r1 = k * b, min((k + 1) * b, n)
+        c0, c1 = c * b, min((c + 1) * b, n - 1)
+        if r0 >= n or c0 >= c1:
+            return
+        if k < counts[lvl] and c < (n - 1) // b:
+            width = max(s[min(r0 + b, n - 1)] - s[r0], s[c1] - s[c0])
+            if width <= _ADMISSIBLE * (s[r0] - s[c1]):
+                pairs[lvl].append((k, c))
+                return
+        if lvl == 0 or k >= counts[lvl]:
+            exact.append((r0, r1, c0, c1))
+            return
+        for kk in (2 * k, 2 * k + 1):
+            for cc in (2 * c, 2 * c + 1):
+                place(lvl - 1, kk, cc)
+
+    for lvl, b in enumerate(sizes):
+        for k in range(2, -(-n // b)):
+            for c in range(k - 2 - k % 2, k - 1):
+                place(lvl, k, c)
+
+    levels = []
+    for lvl, (b, pts) in enumerate(zip(sizes, points)):
+        if lvl + 1 < len(sizes):
+            parents = points[lvl + 1]
+            up = np.array([_lagrange_matrix(parents[k // 2], pts[k]) for k in range(len(pts))])
+        else:
+            up = np.empty((0, p, p))
+        spill = None
+        small = counts[lvl - 1] if lvl else 0
+        if lvl and small * sizes[lvl - 1] < n and small // 2 < len(pts):
+            r0 = small * sizes[lvl - 1]
+            spill = (small // 2, r0, n, _lagrange_matrix(pts[small // 2], s[r0:n]).T.copy())
+        targets, sources = np.array(pairs[lvl], dtype=np.intp).reshape(-1, 2).T
+        kernels = pts[targets][:, None, :] - pts[sources][:, :, None]
+        kernels **= a
+        kernels *= -(a + 1.0)
+        levels.append(_Level((n - 1) // b, pts, up, targets, sources, kernels, spill))
+
+    g_nodes, g_weights = _gauss_legendre(_GAUSS_POINTS)
+    anterp = np.empty((levels[0].full if levels else 0, leaf, p))
+    for c in range(anterp.shape[0]):
+        lo = s[c * leaf : (c + 1) * leaf + 1]
+        x = lo[:-1, None] + np.diff(lo)[:, None] * g_nodes
+        lag = _lagrange_matrix(points[0][c], x.ravel()).reshape(leaf, _GAUSS_POINTS, p)
+        anterp[c] = np.einsum("jgq,g->jq", lag, g_weights)
+    interp = np.zeros((len(points[0]) if levels else 0, p, leaf))
+    for k in range(interp.shape[0]):
+        rows = s[k * leaf : min((k + 1) * leaf, n)]
+        interp[k, :, : rows.size] = _lagrange_matrix(points[0][k], rows).T
+    return _H2Operator(tuple(levels), anterp, interp, tuple(exact))
+
+
+def _h2_sums(op: _H2Operator, s: np.ndarray, a: float, dg: np.ndarray) -> np.ndarray:
+    """Row sums sum_j d_j(s[i]) * dg[:, j] at every node i, through op.
 
     d_j(X) is the power slope of panel j (fractional.power_slopes) and dg
-    has shape (m, n - 1). Row blocks of _LEAF_ROWS take their columns from
-    the previous leaf up to the diagonal exactly. The rest is split along
-    the dyadic interaction lists: at cluster size B, row cluster k gets the
-    columns [(k-2)B, (k-1)B) when k is even and [(k-3)B, (k-1)B) when k is
-    odd. Such a block is smooth in X, so it is evaluated at the Chebyshev
-    points of the cluster's X range and interpolated to its rows. A cluster
-    with no more rows than points, or one that is closer in s to its columns
-    than it is wide, is evaluated exactly.
+    has shape (m, n - 1). For X beyond panel j, d_j(X) is -(a+1) times the
+    mean of (X - s)^a over the panel, and interpolating (X - s)^a in s at a
+    column cluster's points sigma_q turns its panels into the moments
+    M_q = sum_j <l_q>_j dg_j. Moments go up the tree, each far block maps
+    them to local values at its row cluster's points, and local values come
+    down the tree to the rows.
     """
-    n = s.shape[0]
-    out = np.zeros((dg.shape[0], n))
-    # one workspace for every block: it holds any Chebyshev block, and
-    # exact blocks are evaluated in row chunks that fit it
-    cap = _CHEB_POINTS * (n + 1)
+    m, n = dg.shape[0], s.shape[0]
+    out = np.zeros((m, n))
+    # one workspace for every exact block, evaluated in row chunks that fit
+    # it: a near-band leaf block at once, or at least one row
+    cap = max(_LEAF_ROWS * (2 * _LEAF_ROWS + 1), n + 1)
     w_buf = np.empty(cap)
     d_buf = np.empty(cap)
-
-    def slopes(limits: np.ndarray, c0: int, c1: int) -> np.ndarray:
-        rows, cols = limits.shape[0], c1 - c0 + 1
-        w = w_buf[: rows * cols].reshape(rows, cols)
-        d = d_buf[: rows * (cols - 1)].reshape(rows, cols - 1)
-        return power_slopes(limits, s[c0 : c1 + 1], a, w, d)
-
-    def exact(r0: int, r1: int, c0: int, c1: int) -> None:
-        step = max(1, cap // (c1 - c0 + 1))
+    for r0, r1, c0, c1 in op.exact:
+        cols = c1 - c0 + 1
+        step = max(1, cap // cols)
         for i0 in range(r0, r1, step):
             i1 = min(i0 + step, r1)
-            out[:, i0:i1] += dg[:, c0:c1] @ slopes(s[i0:i1], c0, c1).T
-
-    for r0 in range(0, n, _LEAF_ROWS):
-        r1 = min(r0 + _LEAF_ROWS, n)
-        exact(r0, r1, max(r0 - _LEAF_ROWS, 0), r1 - 1)
-    size = _LEAF_ROWS
-    while 2 * size < n:
-        for k in range(2, -(-n // size)):
-            r0, r1 = k * size, min((k + 1) * size, n)
-            c1 = (k - 1) * size
-            c0 = c1 - size * (1 + k % 2)
-            if r1 - r0 <= _CHEB_POINTS or s[r0] - s[c1] < s[r1 - 1] - s[r0]:
-                exact(r0, r1, c0, c1)
-                continue
-            points, lag = _interpolation_matrix(s[r0], s[r1 - 1], s[r0:r1])
-            out[:, r0:r1] += (dg[:, c0:c1] @ slopes(points, c0, c1).T) @ lag.T
-        size *= 2
+            w = w_buf[: (i1 - i0) * cols].reshape(i1 - i0, cols)
+            d = d_buf[: (i1 - i0) * (cols - 1)].reshape(i1 - i0, cols - 1)
+            out[:, i0:i1] += dg[:, c0:c1] @ power_slopes(s[i0:i1], s[c0 : c1 + 1], a, w, d).T
+    if not op.levels:
+        return out
+    leaf, p = _LEAF_ROWS, _CHEB_POINTS
+    full = op.anterp.shape[0]
+    moments = [np.matmul(dg[:, : full * leaf].reshape(m, full, leaf).transpose(1, 0, 2), op.anterp)]
+    for lev, parent in zip(op.levels, op.levels[1:]):
+        children = np.matmul(moments[-1][: 2 * parent.full], lev.up[: 2 * parent.full])
+        moments.append(children.reshape(parent.full, 2, m, p).sum(axis=1))
+    local = None
+    for lev, mom in zip(reversed(op.levels), reversed(moments)):
+        clusters = lev.points.shape[0]
+        if local is None:
+            here = np.zeros((clusters, m, p))
+        else:
+            here = np.matmul(local[np.arange(clusters) // 2], lev.up.transpose(0, 2, 1))
+        np.add.at(here, lev.targets, np.matmul(mom[lev.sources], lev.kernels))
+        if lev.spill is not None:
+            k, r0, r1, mat = lev.spill
+            out[:, r0:r1] += here[k] @ mat
+        local = here
+    rows = np.matmul(local, op.interp).transpose(1, 0, 2).reshape(m, -1)
+    span = min(n, rows.shape[1])
+    out[:, :span] += rows[:, :span]
     return out
 
 
@@ -191,7 +356,7 @@ def _integral_values(params: FracParams, nodes: np.ndarray, g: np.ndarray, gk: f
 
         a (a+1) I(X) = (a+1) (X - s_0)^a g_0 - sum_j d_j(X) (g_{j+1} - g_j),
 
-    with d_j(X) the power slopes, through _slope_sums.
+    with d_j(X) the power slopes, through the cached _H2Operator of the grid.
     """
     n = nodes.shape[0]
     a = params.exponent
@@ -200,7 +365,8 @@ def _integral_values(params: FracParams, nodes: np.ndarray, g: np.ndarray, gk: f
         w = _weight_matrix(params.rho, a, nodes.tobytes(), n)
         return pref * (g @ w.T)
     s = nodes**params.rho
-    total = _slope_sums(s, a, g[:, :-1] - g[:, 1:])
+    op = _h2_operator(params.rho, a, nodes.tobytes(), n)
+    total = _h2_sums(op, s, a, g[:, :-1] - g[:, 1:])
     total += (a + 1.0) * (s - s[0]) ** a * g[:, :1]
     return (pref / (a * (a + 1.0))) * total
 

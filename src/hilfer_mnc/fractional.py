@@ -131,7 +131,8 @@ def power_slopes(X: np.ndarray, s: np.ndarray, a: float, w: np.ndarray, d: np.nd
     """
     np.subtract(X[:, None], s, out=w)
     np.maximum(w, 0.0, out=w)
-    np.power(w, a + 1.0, out=w)
+    # the SIMD pow falls back to a slow path on zero lanes, and 0^(a+1) is 0
+    np.power(w, a + 1.0, out=w, where=w > 0.0)
     np.subtract(w[:, 1:], w[:, :-1], out=d)
     d /= np.diff(s)
     return d

@@ -352,3 +352,16 @@ def test_mnc_demo_bytes_identical_across_threads():
     # a second single-thread run is byte-identical too
     again = subprocess.run(cmd, capture_output=True, env=_subprocess_env("1"), check=True)
     assert again.stdout == runs["1"].stdout
+
+
+def test_closed_stdout_exits_quietly():
+    # `hilfer-mnc paper-example | head -n 5`: the reader closes the pipe
+    # before the output ends; the run stops with exit 1 and no traceback
+    cmd = [sys.executable, "-m", "hilfer_mnc.cli", "paper-example"]
+    proc = subprocess.Popen(
+        cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env("1")
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert proc.wait(timeout=120) == 1
+    assert err == b""

@@ -3,12 +3,13 @@
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 import numpy as np
 import pytest
 
 import hilfer_mnc.equations as eqmod
-from hilfer_mnc.config import bundled_example
+from hilfer_mnc.config import bundled_example, parse_config
 from hilfer_mnc.equations import (
     EquationSpec,
     Nonlinearity,
@@ -20,6 +21,7 @@ from hilfer_mnc.equations import (
 )
 from hilfer_mnc.errors import DomainError
 from hilfer_mnc.fractional import FracParams, GridFunction, power_slopes, uniform_nodes
+from hilfer_mnc.solver import solve
 
 _CFG = bundled_example()
 _ALPHA = _CFG.equations[0]
@@ -204,36 +206,7 @@ def test_streaming_path_partial_last_cluster(monkeypatch, n):
     assert _rule_errors(params, nodes, g, [got], rows).max() <= 1e-13
 
 
-def test_streaming_path_falls_back_where_blocks_are_close(monkeypatch):
-    # on a grid graded toward t = 1 the s-spacing grows, so a row cluster is
-    # wider than its gap to the columns and the block is evaluated exactly
-    monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
-    interpolated = []
-    original = eqmod._interpolation_matrix
-
-    def counted(lo, hi, x):
-        interpolated.append(x.size)
-        return original(lo, hi, x)
-
-    monkeypatch.setattr(eqmod, "_interpolation_matrix", counted)
-    params = _rule_params(*_RULE_CASES[0])
-    n = 1025
-    g = np.random.default_rng(3).uniform(-0.5, 0.5, size=(1, n))
-    eqmod._integral_values(params, uniform_nodes(params.T, n), g, 1.0)
-    on_uniform = len(interpolated)
-    interpolated.clear()
-    nodes = _test_grids(params.T, n, np.random.default_rng(0))["graded"]
-    got = eqmod._integral_values(params, nodes, g, 1.0)
-    # the same cluster tree, so every missing interpolation is a fallback
-    assert len(interpolated) < on_uniform / 2
-    monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 2049)
-    dense = eqmod._integral_values(params, nodes, g, 1.0)
-    dense_err, fast_err = _rule_errors(params, nodes, g, (dense, got), np.arange(1, n)).max(axis=1)
-    assert fast_err <= max(3.0 * dense_err, 1e-14)
-
-
-def test_streaming_path_cost_is_near_linear(monkeypatch):
-    # a quadratic path evaluates 16x the slopes for 4x the nodes
+def _count_slope_entries(monkeypatch) -> list:
     entries = []
 
     def counted(X, s, a, w, d):
@@ -241,12 +214,108 @@ def test_streaming_path_cost_is_near_linear(monkeypatch):
         return power_slopes(X, s, a, w, d)
 
     monkeypatch.setattr(eqmod, "power_slopes", counted)
+    return entries
+
+
+def test_streaming_path_refines_blocks_that_are_close(monkeypatch):
+    # on a grid graded toward t = 1 the s-spacing grows, so a row cluster is
+    # wider than its gap to the columns; the block is split into its child
+    # blocks instead of evaluated exactly, and the cost stays that of the
+    # uniform grid (on t = 1 + 2 u^4, exact evaluation would take 3.4x)
+    params = _rule_params(*_RULE_CASES[0])
+    n = 1025
+    g = np.random.default_rng(3).uniform(-0.5, 0.5, size=(1, n))
+    u = np.linspace(0.0, 1.0, n)
+    graded = {
+        "u^2": _test_grids(params.T, n, np.random.default_rng(0))["graded"],
+        "u^4": 1.0 + (params.T - 1.0) * u**4,
+    }
+    monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
+    entries = _count_slope_entries(monkeypatch)
+    eqmod._integral_values(params, uniform_nodes(params.T, n), g, 1.0)
+    on_uniform = sum(entries)
+    for grid, nodes in graded.items():
+        monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
+        entries.clear()
+        got = eqmod._integral_values(params, nodes, g, 1.0)
+        assert sum(entries) <= 2 * on_uniform, grid
+        monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 2049)
+        dense = eqmod._integral_values(params, nodes, g, 1.0)
+        errs = _rule_errors(params, nodes, g, (dense, got), np.arange(1, n))
+        dense_err, fast_err = errs.max(axis=1)
+        assert fast_err <= max(3.0 * dense_err, 1e-14), grid
+
+
+def test_streaming_path_cost_is_near_linear(monkeypatch):
+    # a quadratic path evaluates 16x the slopes for 4x the nodes
+    entries = _count_slope_entries(monkeypatch)
     total = []
     for n in (4097, 16385):
         entries.clear()
         eqmod._integral_values(_ALPHA.params, uniform_nodes(3.0, n), np.ones((1, n)), 1.0)
         total.append(sum(entries))
     assert total[1] <= 6 * total[0]
+
+
+_FORCED = {
+    "params": {"k": 1.0 / 3.0, "rho": 1.0 / 3.0, "gamma_ord": 2.0 / 3.0, "T": 3.0},
+    "equations": [
+        {
+            "name": "forced",
+            "f": {"expr": "0.2*sin(x)+abs(a)/6", "lipschitz": 1.0 / 6.0},
+            "psi": {"expr": "1/(1+a*a)", "lipschitz": 0.65},
+            "g": {"expr": "a/(3+log(x))", "lipschitz": 1.0 / 3.0},
+        }
+    ],
+}
+
+
+def test_large_grid_operator_is_built_once_per_solve(monkeypatch):
+    # the cluster tree and its factors depend on (nodes, rho, a) only, so a
+    # Picard solve builds them once and replays them on every application
+    builds = []
+    build = eqmod._h2_operator.__wrapped__
+
+    def counted(*key):
+        builds.append(key[:2])
+        return build(*key)
+
+    monkeypatch.setattr(eqmod, "_h2_operator", lru_cache(maxsize=4)(counted))
+    eq = parse_config(_FORCED).equations[0]
+    nodes = uniform_nodes(3.0, 4097)
+    start = GridFunction(nodes=nodes, values=0.3 * np.cos(3.0 * nodes))
+    report = solve(eq, start, tol=1e-10)
+    assert report.converged and report.iterations >= 20
+    assert builds == [(eq.params.rho, eq.params.exponent)]
+
+
+def test_large_grid_operator_stores_linear_memory():
+    # nested bases store O(n p) floats: 2.3 MB at 4097 nodes, not the
+    # 10.8 MB of one interpolation matrix per far block
+    stored = []
+    for n in (4097, 16385):
+        nodes = uniform_nodes(3.0, n)
+        stored.append(eqmod._h2_operator(1.0 / 3.0, 2.0, nodes.tobytes(), n).nbytes)
+    eqmod._h2_operator.cache_clear()
+    assert stored[0] <= 2.5e6
+    assert stored[1] <= 4.5 * stored[0]
+
+
+def test_large_grid_operator_is_cached_per_rho_and_a(monkeypatch):
+    # one node array under three parameter sets: each gets its own factors,
+    # and each stays right when the others were built in between
+    monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
+    n = 1025
+    nodes = _test_grids(3.0, n, np.random.default_rng(2))["graded"]
+    g = np.stack([np.cos(nodes), 1.0 + np.sqrt(nodes)])
+    rows = np.arange(1, n, 17)
+    cases = [_rule_params(2.0, 1.0 / 3.0, 3.0), _rule_params(0.5, 1.0 / 3.0, 3.0), _rule_params(2.0, 0.7, 3.0)]
+    eqmod._h2_operator.cache_clear()
+    for params in cases + cases:
+        got = eqmod._integral_values(params, nodes, g, 1.0)
+        assert _rule_errors(params, nodes, g, [got], rows).max() <= 1e-13
+    info = eqmod._h2_operator.cache_info()
+    assert (info.misses, info.hits) == (3, 3)
 
 
 def test_streaming_path_integrates_linear_in_s_to_rounding():

@@ -330,6 +330,31 @@ def test_panel_weights_rows_match_scalar_calls():
             assert row.sum() == pytest.approx((X - 1.0) ** a / a, rel=1e-12)
 
 
+def test_power_slopes_skip_zeros_bit_for_bit():
+    # pow is skipped where X - s clamps to zero; the slopes must equal the
+    # plain formula's, which raises every clamped entry to the power too
+    rng = np.random.default_rng(17)
+    for _ in range(200):
+        cols = int(rng.integers(2, 300))
+        s = np.cumsum(rng.uniform(0.01, 1.0, cols)) + rng.uniform(-2.0, 2.0)
+        # limits below, inside, on and beyond the mesh
+        limits = np.concatenate(
+            [
+                rng.uniform(s[0] - 1.0, s[-1] + 1.0, int(rng.integers(1, 20))),
+                rng.choice(s, 3),
+                [s[0] - 0.5, s[-1] + 0.5],
+            ]
+        )
+        rng.shuffle(limits)
+        a = float(rng.choice([0.05, 0.5, 1.0, 2.0, 3.7, rng.uniform(0.01, 5.0)]))
+        w = np.maximum(limits[:, None] - s, 0.0) ** (a + 1.0)
+        want = (w[:, 1:] - w[:, :-1]) / np.diff(s)
+        work = np.full(limits.size * cols, np.nan).reshape(limits.size, cols)
+        got = fractional.power_slopes(limits, s, a, work, np.empty((limits.size, cols - 1)))
+        assert np.array_equal(got, want)
+        assert np.array_equal(work, w)
+
+
 def test_convergence_order_smooth():
     nodes = uniform_nodes(3.0, 20001)
     phi = GridFunction(nodes=nodes, values=np.sin(nodes))
