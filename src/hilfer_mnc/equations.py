@@ -233,6 +233,8 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
     sizes = []
     while 2 * leaf << len(sizes) < n:
         sizes.append(leaf << len(sizes))
+    if not sizes:
+        return _H2Operator((), np.empty((0, leaf, p)), np.empty((0, p, leaf)), tuple(exact))
     counts = [n // b + (n % b > p) for b in sizes]
     points = [
         np.array([_chebyshev_points(s[k * b], s[min((k + 1) * b, n - 1)]) for k in range(c)])
@@ -282,13 +284,13 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
         levels.append(_Level((n - 1) // b, pts, up, targets, sources, kernels, spill))
 
     g_nodes, g_weights = _gauss_legendre(_GAUSS_POINTS)
-    anterp = np.empty((levels[0].full if levels else 0, leaf, p))
+    anterp = np.empty((levels[0].full, leaf, p))
     for c in range(anterp.shape[0]):
         lo = s[c * leaf : (c + 1) * leaf + 1]
         x = lo[:-1, None] + np.diff(lo)[:, None] * g_nodes
         lag = _lagrange_matrix(points[0][c], x.ravel()).reshape(leaf, _GAUSS_POINTS, p)
         anterp[c] = np.einsum("jgq,g->jq", lag, g_weights)
-    interp = np.zeros((len(points[0]) if levels else 0, p, leaf))
+    interp = np.zeros((len(points[0]), p, leaf))
     for k in range(interp.shape[0]):
         rows = s[k * leaf : min((k + 1) * leaf, n)]
         interp[k, :, : rows.size] = _lagrange_matrix(points[0][k], rows).T
