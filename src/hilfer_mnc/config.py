@@ -8,6 +8,7 @@ with the offending JSON path in the message.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, replace
 
 from .equations import EquationSpec, Nonlinearity, SystemSpec
@@ -84,7 +85,15 @@ def _get(data: dict, key: str, path: str, default=_MISSING):
 def _num(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{path}: expected a number, got {value!r}")
-    return float(value)
+    # JSON decodes 1e999 to inf, Python's decoder also reads NaN and
+    # Infinity, and an integer may be too large for a float
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {number}")
+    return number
 
 
 def _int(value, path: str) -> int:
@@ -244,6 +253,9 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+    except ValueError as exc:
+        # an integer literal beyond Python's digit limit for str -> int
+        raise ConfigError(f"{path}: invalid JSON: {exc}") from None
     return parse_config(data)
 
 

@@ -374,8 +374,18 @@ def _integral_values(params: FracParams, nodes: np.ndarray, g: np.ndarray, gk: f
 
 
 def _as_grid(expr: Expr, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """expr on the (m, n) grid of values, as an array of its own.
+
+    nodes broadcasts against values. A result of the full shape is returned
+    as it is, unless it is values itself (the expression `a`); a scalar or
+    a result in x alone is spread over a fresh array.
+    """
     out = evaluate(expr, nodes, values)
-    return np.broadcast_to(np.asarray(out, dtype=float), values.shape).copy()
+    if isinstance(out, np.ndarray) and out.shape == values.shape and out is not values:
+        return out
+    grid = np.empty(values.shape)
+    grid[...] = out
+    return grid
 
 
 def apply_operator_batch(eq: EquationSpec, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -388,14 +398,13 @@ def apply_operator_batch(eq: EquationSpec, nodes: np.ndarray, values: np.ndarray
         raise DomainError(
             f"grid ends at {nodes[-1]}, equation domain is [1, {eq.params.T}]"
         )
-    xs = np.broadcast_to(nodes, values.shape)
-    f_vals = _as_grid(eq.f.expr, xs, values)
-    psi_vals = _as_grid(eq.psi.expr, xs, values)
-    g_vals = _as_grid(eq.g.expr, xs, values)
+    f_vals = _as_grid(eq.f.expr, nodes, values)
+    psi_vals = _as_grid(eq.psi.expr, nodes, values)
+    g_vals = _as_grid(eq.g.expr, nodes, values)
     with np.errstate(over="ignore", invalid="ignore"):
         i_vals = _integral_values(eq.params, nodes, g_vals, eq.gamma_k_value())
         out = f_vals + psi_vals * i_vals
-    if not np.all(np.isfinite(out)):
+    if not np.isfinite(out).all():
         raise DomainError("operator image is not finite")
     return out
 

@@ -190,7 +190,7 @@ def evaluate(expr: Expr, x, a):
     with np.errstate(all="ignore"):
         out = _eval(expr, xv, av)
     res = np.asarray(out, dtype=float)
-    if not np.all(np.isfinite(res)):
+    if not np.isfinite(res).all():
         raise EvaluationError("expression produced a non-finite value")
     if res.ndim == 0:
         return float(res)
@@ -216,7 +216,7 @@ def _eval(expr: Expr, xv: np.ndarray, av: np.ndarray):
         case Bin(op="/", left=l, right=r):
             num = _eval(l, xv, av)
             den = _eval(r, xv, av)
-            if np.any(np.asarray(den) == 0.0):
+            if (np.asarray(den) == 0.0).any():
                 raise EvaluationError("division by zero")
             return num / den
         case Bin(op="^", left=l, right=r):
@@ -225,7 +225,7 @@ def _eval(expr: Expr, xv: np.ndarray, av: np.ndarray):
             return np.abs(_eval(e, xv, av))
         case Call(fn="log", args=(e,)):
             v = np.asarray(_eval(e, xv, av))
-            if np.any(v <= 0.0):
+            if (v <= 0.0).any():
                 raise EvaluationError("log of a nonpositive value")
             return np.log(v)
         case Call(fn="exp", args=(e,)):
@@ -236,7 +236,7 @@ def _eval(expr: Expr, xv: np.ndarray, av: np.ndarray):
             return np.cos(_eval(e, xv, av))
         case Call(fn="sqrt", args=(e,)):
             v = np.asarray(_eval(e, xv, av))
-            if np.any(v < 0.0):
+            if (v < 0.0).any():
                 raise EvaluationError("sqrt of a negative value")
             return np.sqrt(v)
         case Call(fn="min", args=(l, r)):

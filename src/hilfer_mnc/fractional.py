@@ -51,6 +51,8 @@ class FracParams:
             raise DomainError(f"gamma_ord must lie in (0, 1), got {self.gamma_ord}")
         if not self.T > 1.0:
             raise DomainError(f"T must exceed 1, got {self.T}")
+        if not math.isfinite(self.T):
+            raise DomainError(f"T must be finite, got {self.T}")
 
     @property
     def exponent(self) -> float:

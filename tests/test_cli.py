@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 
@@ -313,6 +314,44 @@ def test_invalid_json_config_exits_2(tmp_path, capsys):
     data = json.loads(out)
     assert data["error_type"] == "config"
     assert "line 1" in data["message"]
+
+
+def _set_path(data: dict, path: str, value) -> None:
+    """data["equations"][0]["f"]["lipschitz"] = value for "equations[0].f.lipschitz"."""
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"\w+", path)]
+    for key in keys[:-1]:
+        data = data[key]
+    data[keys[-1]] = value
+
+
+@pytest.mark.parametrize("command", ["check", "solve", "mnc-demo"])
+@pytest.mark.parametrize(
+    "path", ["params.T", "solver.tol", "equations[0].f.lipschitz", "mnc.deltas[0]"]
+)
+def test_nonfinite_config_number_exits_2(tmp_path, capsys, command, path):
+    # JSON has no inf literal, but 1e999 overflows to inf when decoded
+    data = json.loads(dump_config(bundled_example()))
+    _set_path(data, path, "NONFINITE")
+    p = tmp_path / "inf.json"
+    p.write_text(json.dumps(data).replace('"NONFINITE"', "1e999"), encoding="utf-8")
+    code = main([command, "--config", str(p)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["error_type"] == "config"
+    assert payload["message"] == f"{path}: expected a finite number, got inf"
+
+
+def test_frac_int_rejects_infinite_T(capsys):
+    code = main(["frac-int", "--expr", "1", "--x", "2.0", "--k", "0.5", "--rho", "0.5",
+                 "--gamma-ord", "0.5", "--T", "inf"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert payload["error_type"] == "domain"
+    assert payload["message"] == "T must be finite, got inf"
 
 
 def test_paper_example_bundle_without_override_fails(capsys):

@@ -73,6 +73,14 @@ def test_load_config_reports_json_position(tmp_path):
         load_config(str(p))
 
 
+def test_load_config_rejects_an_overlong_integer(tmp_path):
+    # Python refuses to convert integer strings beyond its digit limit
+    p = tmp_path / "long.json"
+    p.write_text('{"params": {"k": ' + "1" * 5000 + "}}", encoding="utf-8")
+    with pytest.raises(ConfigError, match=r"invalid JSON: Exceeds the limit"):
+        load_config(str(p))
+
+
 def test_load_config_missing_file():
     with pytest.raises(ConfigError, match="cannot read config"):
         load_config("/nonexistent/run.json")
@@ -135,6 +143,20 @@ def test_rejects_bool_where_number_expected():
     data = _base()
     data["solver"]["max_iter"] = True
     with pytest.raises(ConfigError, match="expected an integer"):
+        parse_config(data)
+
+
+def test_rejects_nonfinite_numbers():
+    # NaN and Infinity are JSON extensions that Python's decoder reads; an
+    # integer beyond the float range would overflow to inf
+    for value, shown in ((float("nan"), "nan"), (-float("inf"), "-inf"), (10**400, "inf")):
+        data = _base()
+        data["params"]["k"] = value
+        with pytest.raises(ConfigError, match=rf"^params\.k: expected a finite number, got {shown}$"):
+            parse_config(data)
+    data = _base()
+    data["gamma_k_override"] = float("inf")
+    with pytest.raises(ConfigError, match=r"^gamma_k_override: expected a finite number"):
         parse_config(data)
 
 

@@ -89,17 +89,67 @@ def test_modulus_aligned_and_general_paths_agree():
 @pytest.mark.parametrize("rows", [1, 7])
 @pytest.mark.parametrize("n", [2, 3, 17, 50])
 def test_window_moduli_match_brute_force(n, rows):
-    # every width, powers of two or not, up to the whole row (m = n - 1)
-    from hilfer_mnc.mnc import _window_moduli_aligned
+    # every width, powers of two or not, up to the whole row (m = n - 1);
+    # unit spacing makes a delta of m the window of m + 1 values
+    from hilfer_mnc.mnc import _modulus_ladder
 
     rng = np.random.default_rng(n * 10 + rows)
     values = rng.standard_normal((rows, n))
+    nodes = np.arange(1.0, n + 1.0)
+    brutes = []
     for m in range(1, n):
         win = np.lib.stride_tricks.sliding_window_view(values, m + 1, axis=1)
         brute = float(np.max(win.max(axis=2) - win.min(axis=2)))
-        assert _window_moduli_aligned(values, m) == brute
+        brutes.append(brute)
+        assert _modulus_ladder(nodes, values, [float(m)])[0] == brute
         if rows == 1:
-            assert _window_moduli_aligned(values[0], m) == brute
+            assert _modulus_ladder(nodes, values[0], [float(m)])[0] == brute
+    # one sweep through every width gives the same rungs
+    assert np.array_equal(_modulus_ladder(nodes, values, np.arange(1.0, n)), brutes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.integers(min_value=1, max_value=40),
+    n=st.integers(min_value=2, max_value=200),
+    steps=st.lists(st.integers(min_value=1, max_value=199), min_size=1, max_size=6),
+    odd=st.integers(min_value=0, max_value=198),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_ladder_matches_brute_force_windows(rows, n, steps, odd, seed):
+    from hilfer_mnc.mnc import _modulus_general, _modulus_ladder
+
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((rows, n))
+    nodes = uniform_nodes(3.0, n)
+    h = nodes[1] - nodes[0]
+    # aligned rungs in drawn order, then the whole span (its width equals
+    # that of any rung of n - 1 steps)
+    ms = [min(m, n - 1) for m in steps] + [n - 1]
+    deltas = [m * h for m in ms[:-1]] + [nodes[-1] - nodes[0]]
+
+    def brute(v, m):
+        win = np.lib.stride_tricks.sliding_window_view(v, m + 1, axis=1)
+        return (win.max(axis=2) - win.min(axis=2)).max()
+
+    def general(v, grid, delta):
+        return max(_modulus_general(grid, row, delta) for row in v)
+
+    got = _modulus_ladder(nodes, values, deltas)
+    assert np.array_equal(got, [brute(values, m) for m in ms])
+    # the exact general path runs a Python loop per row, so the ladders
+    # that take it are kept small: one rung between two nodes among the
+    # aligned ones on two rows, and the first rung and the span on a graded
+    # grid on one row
+    few = values[:2]
+    between = (min(odd, n - 2) + 0.5) * h
+    got = _modulus_ladder(nodes, few, [between] + deltas)
+    assert np.array_equal(got, [general(few, nodes, between)] + [brute(few, m) for m in ms])
+    if n >= 3:
+        graded = 1.0 + 2.0 * np.linspace(0.0, 1.0, n) ** 2
+        ends = [deltas[0], deltas[-1]]
+        got = _modulus_ladder(graded, values[:1], ends)
+        assert np.array_equal(got, [general(values[:1], graded, d) for d in ends])
 
 
 def test_modulus_delta_validation():
@@ -188,6 +238,34 @@ def test_mnc_estimate_validation():
         mnc_estimate(e, [0.25, 0.125])
     with pytest.raises(DomainError):
         mnc_estimate(e, [0.125, 0.25, 0.5])
+
+
+def test_fit_intercept_matches_polyfit():
+    from hilfer_mnc.mnc import _fit_intercept
+
+    rng = np.random.default_rng(11)
+    for _ in range(2000):
+        # a decreasing ladder of three deltas and nonincreasing moduli in [0, 1]
+        x = rng.uniform(1e-3, 1.0) * np.cumprod(rng.uniform(1.1, 4.0, 3))[::-1]
+        y = np.sort(rng.uniform(0.0, 1.0, 3))[::-1]
+        want = np.polyfit(x, y, 1)[1]
+        got = _fit_intercept(x.tolist(), y.tolist())
+        assert abs(got - want) <= max(1e-12 * abs(want), 1e-15)
+
+
+def test_mnc_estimate_clamps_a_negative_intercept():
+    # two unit jumps 8 steps apart: moduli 2, 1, 1 at 8, 6, 4 steps lie on
+    # a line with intercept -1/6, which the estimate clamps to zero
+    nodes = np.linspace(1.0, 3.0, 33)
+    values = np.zeros(33)
+    values[10:] += 1.0
+    values[17:] += 1.0
+    deltas = [0.5, 0.375, 0.25]
+    est = mnc_estimate(FunctionEnsemble(nodes, values[None, :]), deltas)
+    np.testing.assert_array_equal(est.moduli, [2.0, 1.0, 1.0])
+    assert np.polyfit(deltas, est.moduli, 1)[1] == pytest.approx(-1.0 / 6.0)
+    assert est.mu0 == 0.0
+    assert est.hausdorff == 0.0
 
 
 def test_axiom_checks_identity_weight():
