@@ -1,11 +1,19 @@
 """Command-line surface for the integral-equation toolkit.
 
-Subcommands: gamma-k, frac-int, check, solve, mnc-demo, and paper-example
-(a bundle running check + solve + mnc-demo on the built-in scenario).
+Subcommands: gamma-k, frac-int, check, solve, mnc-demo, and paper-example.
+paper-example prints exactly what check, solve and mnc-demo print with
+--paper-example, in that order, but loads the built-in scenario once and
+runs the three stages on it; mnc-demo reuses the check stage's certificate
+of its equation instead of certifying it again.
+
+The argument parser is built on the first `main` call and reused by later
+calls in the same process, and the built-in scenario is parsed once per
+process (`config.bundled_example`).
 
 Exit codes: 0 success, 1 stdout closed by its reader before the output
-ended, 2 configuration or domain error, 3 failing certificate (or a
-certified run violating its own bound), 4 nonconvergence.
+ended, 2 configuration or domain error (a non-finite number such as
+`--tol inf` included), 3 failing certificate (or a certified run
+violating its own bound), 4 nonconvergence.
 Structured output is deterministic: identical configuration and seeds give
 byte-identical bytes; no timestamps are emitted.
 """
@@ -14,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
@@ -45,11 +54,12 @@ from .mnc import (
     darbo_iterate,
     default_certificate,
 )
-from .solvability import RadiusCertificate, certify
+from .solvability import DEFAULT_PROBES, RadiusCertificate, certify
 from .solver import solve as picard_solve
 from .special_functions import k_gamma, k_gamma_integral
 
 _RATE_SLACK = 0.05
+_DEFAULT_SEED_VALUE = 0.5
 
 
 def _print_payload(payload: dict) -> None:
@@ -178,8 +188,17 @@ def _cmd_check(args: argparse.Namespace) -> int:
     r0 = args.r0
     if r0 is None and args.paper_example:
         r0 = BUNDLED_R0
+    return _check_stage(cfg, r0, args.probes)[0]
+
+
+def _check_stage(cfg: RunConfig, r0: float | None, probes: int) -> tuple[int, list[RadiusCertificate]]:
+    """Certify every equation and print the check payload.
+
+    Returns the exit code and the certificates, one per equation in config
+    order, so a later stage can reuse them.
+    """
     certs = [
-        certify(eq, kernel_factor_override=cfg.kernel_factor_override, probes=args.probes)
+        certify(eq, kernel_factor_override=cfg.kernel_factor_override, probes=probes)
         for eq in cfg.equations
     ]
     records = [
@@ -200,7 +219,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
         ok = ok and admissible
     payload["status"] = "pass" if ok else "fail"
     _print_payload(payload)
-    return 0 if ok else 3
+    return (0 if ok else 3), certs
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -208,12 +227,22 @@ def _cmd_solve(args: argparse.Namespace) -> int:
     if args.dump_config:
         print(dump_config(cfg))
         return 0
-    tol = args.tol if args.tol is not None else cfg.solver.tol
-    max_iter = args.max_iter if args.max_iter is not None else cfg.solver.max_iter
-    n_nodes = args.nodes if args.nodes is not None else cfg.solver.nodes
-    out_path = args.out if args.out is not None else cfg.output.path
+    return _solve_stage(
+        cfg,
+        seed_value=args.seed_value,
+        tol=args.tol if args.tol is not None else cfg.solver.tol,
+        max_iter=args.max_iter if args.max_iter is not None else cfg.solver.max_iter,
+        n_nodes=args.nodes if args.nodes is not None else cfg.solver.nodes,
+        out_path=args.out if args.out is not None else cfg.output.path,
+    )
+
+
+def _solve_stage(
+    cfg: RunConfig, seed_value: float, tol: float, max_iter: int, n_nodes: int, out_path: str | None
+) -> int:
+    """Picard-solve every equation from a constant seed; print tables and summary."""
     nodes = uniform_nodes(cfg.params.T, n_nodes)
-    seed = GridFunction(nodes=nodes, values=np.full(nodes.shape, args.seed_value))
+    seed = GridFunction(nodes=nodes, values=np.full(nodes.shape, seed_value))
     multi = len(cfg.equations) > 1
     summary = []
     all_converged = True
@@ -271,15 +300,24 @@ def _cmd_mnc_demo(args: argparse.Namespace) -> int:
     if args.dump_config:
         print(dump_config(cfg))
         return 0
-    if args.equation is not None:
-        if args.equation not in cfg.names:
-            raise ConfigError(f"unknown equation {args.equation!r}; have {list(cfg.names)}")
-        eq = cfg.equations[cfg.names.index(args.equation)]
-        name = args.equation
-    else:
-        eq, name = cfg.equations[0], cfg.names[0]
+    name = cfg.names[0] if args.equation is None else args.equation
+    if name not in cfg.names:
+        raise ConfigError(f"unknown equation {name!r}; have {list(cfg.names)}")
     out_path = args.out if args.out is not None else cfg.output.path
-    cert = certify(eq, kernel_factor_override=cfg.kernel_factor_override)
+    return _mnc_stage(cfg, name, out_path)
+
+
+def _mnc_stage(
+    cfg: RunConfig, name: str, out_path: str | None, cert: RadiusCertificate | None = None
+) -> int:
+    """Sampled Darbo trace of the named equation, checked against its certificate.
+
+    cert is the equation's certificate when an earlier stage already
+    computed it with the default probes; otherwise it is computed here.
+    """
+    eq = cfg.equations[cfg.names.index(name)]
+    if cert is None:
+        cert = certify(eq, kernel_factor_override=cfg.kernel_factor_override)
     if cert.passes and math.isfinite(cert.r0_max_contraction):
         amplitude = min(0.1, 0.9 * cert.r0_max_contraction)
     else:
@@ -331,22 +369,26 @@ def _cmd_mnc_demo(args: argparse.Namespace) -> int:
 
 
 def _cmd_paper_example(args: argparse.Namespace) -> int:
-    base = dict(
-        paper_example=True,
-        config=None,
-        gamma_k_override=args.gamma_k_override,
-        dump_config=False,
-        out=None,
-    )
-    check_args = argparse.Namespace(**base, r0=None, probes=101)
-    solve_args = argparse.Namespace(**base, seed_value=0.5, tol=None, max_iter=None, nodes=None)
-    mnc_args = argparse.Namespace(**base, equation=None)
+    """check, solve and mnc-demo --paper-example on one loaded config.
+
+    The check stage certifies every equation with the default probes; the
+    mnc-demo stage reuses the first equation's certificate instead of
+    certifying it again.
+    """
+    cfg = bundled_example().with_gamma_k_override(args.gamma_k_override)
     if args.dump_config:
-        print(dump_config(_load(argparse.Namespace(**base))))
+        print(dump_config(cfg))
         return 0
-    rc_check = _cmd_check(check_args)
-    rc_solve = _cmd_solve(solve_args)
-    rc_mnc = _cmd_mnc_demo(mnc_args)
+    rc_check, certs = _check_stage(cfg, BUNDLED_R0, probes=DEFAULT_PROBES)
+    rc_solve = _solve_stage(
+        cfg,
+        seed_value=_DEFAULT_SEED_VALUE,
+        tol=cfg.solver.tol,
+        max_iter=cfg.solver.max_iter,
+        n_nodes=cfg.solver.nodes,
+        out_path=cfg.output.path,
+    )
+    rc_mnc = _mnc_stage(cfg, cfg.names[0], cfg.output.path, cert=certs[0])
     return rc_check or rc_solve or rc_mnc
 
 
@@ -389,12 +431,12 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="contraction/self-map certificates")
     _add_config_args(c)
     c.add_argument("--r0", type=float, default=None, help="radius to test for admissibility")
-    c.add_argument("--probes", type=int, default=101, help="Lipschitz validation budget")
+    c.add_argument("--probes", type=int, default=DEFAULT_PROBES, help="Lipschitz validation budget")
     c.set_defaults(func=_cmd_check)
 
     s = sub.add_parser("solve", help="Picard iteration with per-step trace")
     _add_config_args(s)
-    s.add_argument("--seed-value", type=float, default=0.5, help="constant initial iterate")
+    s.add_argument("--seed-value", type=float, default=_DEFAULT_SEED_VALUE, help="constant initial iterate")
     s.add_argument("--tol", type=float, default=None)
     s.add_argument("--max-iter", type=int, default=None)
     s.add_argument("--nodes", type=int, default=None)
@@ -413,9 +455,19 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every `main` call in this process, built on first use.
+
+    Parsing leaves nothing behind in it: every call gets a fresh namespace,
+    no default is mutable, and the handlers it holds are the `_cmd_*`
+    functions, which look up what they call when they run.
+    """
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = _dispatch(args)
         sys.stdout.flush()

@@ -75,8 +75,10 @@ class EquationSpec:
     gamma_k_override: float | None = None
 
     def __post_init__(self) -> None:
-        if self.gamma_k_override is not None and not self.gamma_k_override > 0.0:
-            raise DomainError(f"gamma_k_override must be positive, got {self.gamma_k_override}")
+        if self.gamma_k_override is not None and not 0.0 < self.gamma_k_override < math.inf:
+            raise DomainError(
+                f"gamma_k_override must be positive and finite, got {self.gamma_k_override}"
+            )
 
     def gamma_k_value(self) -> float:
         if self.gamma_k_override is not None:

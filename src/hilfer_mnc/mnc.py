@@ -9,7 +9,10 @@ so their difference is maximized at an event, i.e. with the window start in
 delta, every event window is node-aligned, and a running max/min over the
 columns of the whole ensemble matrix gives every member's modulus at once.
 One sweep of growing windows serves every rung of a delta ladder: it is
-read off at each rung's width on its way to the widest.
+read off at each rung's width on its way to the widest. Any other delta,
+and every delta on a non-uniform grid, evaluates all members at all event
+windows at once, with the extrema of the nodes inside each window taken
+from a sparse table of running max/min.
 
 The ensemble-level measure extrapolates mu(ensemble, delta) to delta -> 0
 by a least-squares line through the three smallest ladder values, its
@@ -32,6 +35,10 @@ from .errors import DomainError
 from .fractional import GridFunction, checked_grid
 
 _ALIGN_TOL = 1e-9
+# window entries (rows x starts) per block of the general modulus path: its
+# temporaries stay at 256 KB; on a 270 x 129 ladder one block of all rows
+# (about 70k entries) measured twice as slow, 16 against 8 ms
+_GENERAL_BLOCK = 2**15
 _AXIOM_TOL = 1e-12
 
 
@@ -78,41 +85,68 @@ def _check_delta(nodes: np.ndarray, delta: float) -> None:
         raise DomainError(f"delta must not exceed the domain span {span}, got {delta}")
 
 
-def _interp_clipped(nodes: np.ndarray, values: np.ndarray, z: float) -> float:
-    """Linear interpolation with the result clipped into its segment's range.
+def _interp_clipped(nodes: np.ndarray, cols: np.ndarray, z: np.ndarray) -> np.ndarray:
+    """Linear interpolation of every column of cols at each z, clipped per segment.
 
+    cols holds one function per column, sampled at the nodes along axis 0.
     Clipping removes sub-ulp overshoot so window extrema never leave the
-    convex hull of the bracketing node values.
+    convex hull of the bracketing node values. Returns shape (z.size,
+    cols.shape[1]).
     """
-    i = int(np.searchsorted(nodes, z, side="right")) - 1
-    i = min(max(i, 0), nodes.size - 2)
+    i = np.clip(np.searchsorted(nodes, z, side="right") - 1, 0, nodes.size - 2)
     x0, x1 = nodes[i], nodes[i + 1]
-    v0, v1 = values[i], values[i + 1]
-    t = (z - x0) / (x1 - x0)
-    t = min(max(t, 0.0), 1.0)
-    val = v0 + t * (v1 - v0)
-    lo, hi = (v0, v1) if v0 <= v1 else (v1, v0)
-    return min(max(val, lo), hi)
+    v0, v1 = cols[i], cols[i + 1]
+    t = np.clip((z - x0) / (x1 - x0), 0.0, 1.0)[:, None]
+    # v0 + t * (v1 - v0) in place, then clipped into [min(v0, v1), max(v0, v1)]
+    val = np.subtract(v1, v0)
+    val *= t
+    val += v0
+    np.maximum(val, np.minimum(v0, v1), out=val)
+    return np.minimum(val, np.maximum(v0, v1, out=v1), out=val)
 
 
 def _modulus_general(nodes: np.ndarray, values: np.ndarray, delta: float) -> float:
+    """Largest modulus over the rows of values (or of one row) at delta, on any grid.
+
+    The windows [z, z + delta] start at every event z in nodes or nodes -
+    delta, clipped to the domain, and all rows are evaluated at all starts
+    at once: the two end values by clipped interpolation, the nodes strictly
+    inside from a sparse table of running max/min over all rows. Level k of
+    the table holds the extrema of 2^k consecutive nodes; it answers every
+    window holding 2^k to 2^(k+1) - 1 inner nodes with two overlapping
+    entries and is then folded into level k + 1, so only one level is held
+    at a time. As in the aligned sweep, the work runs on the transpose, and
+    rows go in blocks of about _GENERAL_BLOCK window entries.
+    """
+    rows = np.atleast_2d(values)
+    last = nodes[-1]
     lo_z = nodes[0]
-    hi_z = max(nodes[-1] - delta, lo_z)
-    starts = np.unique(np.clip(np.concatenate([nodes, nodes - delta]), lo_z, hi_z))
+    hi_z = max(last - delta, lo_z)
+    z1 = np.unique(np.clip(np.concatenate([nodes, nodes - delta]), lo_z, hi_z))
+    z2 = np.minimum(z1 + delta, last)
+    first = np.searchsorted(nodes, z1, side="right")
+    count = np.searchsorted(nodes, z2, side="left") - first
+    # floor(log2(count)) for count >= 1, exact for integers; -1 when empty
+    level = np.where(count > 0, np.frexp(count)[1] - 1, -1)
+    by_level = [np.flatnonzero(level == k) for k in range(int(level.max()) + 1)]
+    block = max(1, _GENERAL_BLOCK // z1.size)
     best = 0.0
-    for z in starts:
-        z2 = min(z + delta, nodes[-1])
-        a = _interp_clipped(nodes, values, z)
-        b = _interp_clipped(nodes, values, z2)
-        wmax = a if a >= b else b
-        wmin = a if a <= b else b
-        lo = int(np.searchsorted(nodes, z, side="right"))
-        hi = int(np.searchsorted(nodes, z2, side="left"))
-        if hi > lo:
-            inner = values[lo:hi]
-            wmax = max(wmax, float(inner.max()))
-            wmin = min(wmin, float(inner.min()))
-        best = max(best, wmax - wmin)
+    for r in range(0, rows.shape[0], block):
+        cols = rows[r : r + block].T.copy()
+        a = _interp_clipped(nodes, cols, z1)
+        b = _interp_clipped(nodes, cols, z2)
+        wmax, wmin = np.maximum(a, b), np.minimum(a, b, out=a)
+        hi = lo = cols
+        for k, sel in enumerate(by_level):
+            if sel.size:
+                left, right = first[sel], first[sel] + count[sel] - (1 << k)
+                wmax[sel] = np.maximum(wmax[sel], np.maximum(hi[left], hi[right]))
+                wmin[sel] = np.minimum(wmin[sel], np.minimum(lo[left], lo[right]))
+            if k + 1 < len(by_level):
+                w = 1 << k
+                hi = np.maximum(hi[:-w], hi[w:])
+                lo = np.minimum(lo[:-w], lo[w:])
+        best = max(best, float(np.subtract(wmax, wmin, out=wmax).max()))
     return best
 
 
@@ -129,8 +163,8 @@ def _modulus_ladder(nodes: np.ndarray, values: np.ndarray, deltas: Sequence[floa
     transpose, so each shifted slice is one block of memory; on a 60 x 129
     ensemble that measured about twice as fast as slicing columns. Max and
     min are exact, so overlapping windows change no bit. Other deltas, and
-    every delta on a non-uniform grid, take the exact general path row by
-    row.
+    every delta on a non-uniform grid, take the exact general path, one
+    call per delta for all rows.
     """
     for delta in deltas:
         _check_delta(nodes, delta)
@@ -144,7 +178,7 @@ def _modulus_ladder(nodes: np.ndarray, values: np.ndarray, deltas: Sequence[floa
     for i, delta in enumerate(deltas):
         m = _aligned_steps(h, delta) if uniform else None
         if m is None:
-            out[i] = max(_modulus_general(nodes, row, delta) for row in rows)
+            out[i] = _modulus_general(nodes, rows, delta)
         else:
             widths.setdefault(min(m, n - 1) + 1, []).append(i)
     hi = lo = rows.T.copy()

@@ -24,6 +24,7 @@ from .errors import DomainError
 from .special_functions import k_gamma
 
 DEFAULT_SLACK = 1e-9
+DEFAULT_PROBES = 101
 _LIPSCHITZ_TOL = 1e-9
 
 
@@ -45,8 +46,8 @@ class RadiusCertificate:
         return self.r0_max_contraction > 0.0 and self.r0_selfmap_interval is not None
 
     def factor_at(self, r0: float) -> float:
-        if not r0 >= 0.0:
-            raise DomainError(f"r0 must be >= 0, got {r0}")
+        if not 0.0 <= r0 < math.inf:
+            raise DomainError(f"r0 must be finite and >= 0, got {r0}")
         return self.c1 + self.kappa * r0
 
     def admits(self, r0: float, slack: float = DEFAULT_SLACK) -> bool:
@@ -62,8 +63,10 @@ class RadiusCertificate:
 
 def _resolve_gamma_k(eq: EquationSpec, gamma_k_override: float | None) -> tuple[float, bool]:
     if gamma_k_override is not None:
-        if not gamma_k_override > 0.0:
-            raise DomainError(f"gamma_k_override must be positive, got {gamma_k_override}")
+        if not 0.0 < gamma_k_override < math.inf:
+            raise DomainError(
+                f"gamma_k_override must be positive and finite, got {gamma_k_override}"
+            )
         return gamma_k_override, True
     if eq.gamma_k_override is not None:
         return eq.gamma_k_override, True
@@ -73,9 +76,9 @@ def _resolve_gamma_k(eq: EquationSpec, gamma_k_override: float | None) -> tuple[
 def _resolve_kernel(eq: EquationSpec, kernel_factor_override: float | None) -> tuple[float, bool]:
     p = eq.params
     if kernel_factor_override is not None:
-        if not kernel_factor_override > 0.0:
+        if not 0.0 < kernel_factor_override < math.inf:
             raise DomainError(
-                f"kernel_factor_override must be positive, got {kernel_factor_override}"
+                f"kernel_factor_override must be positive and finite, got {kernel_factor_override}"
             )
         return kernel_factor_override, True
     return (p.T**p.rho - 1.0) ** p.exponent, False
@@ -91,8 +94,8 @@ def contraction_factor(
 
     gamma_k_override falls back to the equation's own stored override.
     """
-    if not r0 >= 0.0:
-        raise DomainError(f"r0 must be >= 0, got {r0}")
+    if not 0.0 <= r0 < math.inf:
+        raise DomainError(f"r0 must be finite and >= 0, got {r0}")
     gk, _ = _resolve_gamma_k(eq, gamma_k_override)
     kern, _ = _resolve_kernel(eq, kernel_factor_override)
     p = eq.params
@@ -110,7 +113,7 @@ def certify(
     eq: EquationSpec,
     gamma_k_override: float | None = None,
     kernel_factor_override: float | None = None,
-    probes: int = 101,
+    probes: int = DEFAULT_PROBES,
 ) -> RadiusCertificate:
     """Full radius certificate, after validating the declared constants.
 

@@ -8,6 +8,7 @@ the step size only stops the loop.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -68,8 +69,8 @@ def solve(
     ball, a warning is issued (the contraction guarantee does not apply)
     but the iteration still runs.
     """
-    if not tol > 0.0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0.0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     if r0 is not None and alpha0.sup_norm > r0:

@@ -44,8 +44,8 @@ def gamma(x: float) -> float:
 def _check_k_z(k: float, z: float) -> None:
     if not 0 < k <= 1:
         raise DomainError(f"k must lie in (0, 1], got {k}")
-    if not z > 0:
-        raise DomainError(f"z must be positive, got {z}")
+    if not 0 < z < math.inf:
+        raise DomainError(f"z must be positive and finite, got {z}")
 
 
 def k_gamma(k: float, z: float) -> KGammaResult:
@@ -108,8 +108,8 @@ def k_gamma_integral(k: float, z: float, tol: float = 1e-8) -> KGammaResult:
     once it drops below tol * 1e-3.
     """
     _check_k_z(k, z)
-    if not tol > 0:
-        raise DomainError(f"tol must be positive, got {tol}")
+    if not 0 < tol < math.inf:
+        raise DomainError(f"tol must be positive and finite, got {tol}")
     budget = [_EVAL_BUDGET]
     w = z / k
 

@@ -354,6 +354,100 @@ def test_frac_int_rejects_infinite_T(capsys):
     assert payload["message"] == "T must be finite, got inf"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--paper-example", "--tol", "inf"],
+        ["check", "--paper-example", "--r0", "inf"],
+        ["solve", "--paper-example", "--gamma-k-override", "inf"],
+        ["gamma-k", "0.5", "inf"],
+        ["frac-int", "--expr", "1", "--x", "2.0", "--k", "0.5", "--rho", "0.5",
+         "--gamma-ord", "0.5", "--T", "3", "--gamma-k-override", "inf"],
+    ],
+    ids=["solve-tol", "check-r0", "solve-gamma-k-override", "gamma-k-z", "frac-int-gamma-k"],
+)
+def test_nonfinite_flag_exits_2(capsys, argv):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert (payload["status"], payload["error_type"]) == ("error", "domain")
+    assert "finite" in payload["message"] and payload["message"].endswith("got inf")
+
+
+def test_shared_parser_keeps_no_option_between_calls(capsys):
+    code, out = _run(["solve", "--paper-example", "--tol", "1e-6"], capsys)
+    assert code == 0
+    assert _payload(out)["tol"] == 1e-6
+    code, out = _run(["solve", "--paper-example"], capsys)
+    assert code == 0
+    assert _payload(out)["tol"] == bundled_example().solver.tol == 1e-10
+
+
+def test_shared_parser_recovers_from_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--nodes", "abc"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    code, out = _run(["solve", "--paper-example", "--nodes", "33"], capsys)
+    assert code == 0
+    assert _payload(out)["status"] == "ok"
+
+
+def test_shared_parser_does_not_accumulate_points(monkeypatch, capsys):
+    from hilfer_mnc import cli
+
+    argv = ["frac-int", "--expr", "1", "--k", "0.5", "--rho", "0.5", "--gamma-ord", "0.5",
+            "--T", "3", "--x"]
+    code, out = _run(argv + ["1.5", "2.0"], capsys)
+    assert code == 0
+    assert len(out.strip().split("\n")) == 4
+    # the parser is built once: later calls make no new one
+    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
+    code, out = _run(argv + ["2.5"], capsys)
+    assert code == 0
+    lines = out.strip().split("\n")
+    assert lines[:2] == ["# frac-int", "x,value"]
+    assert len(lines) == 3 and lines[2].startswith("2.5,")
+
+
+def _counting(monkeypatch, module, name: str, counts: dict) -> None:
+    fn = getattr(module, name)
+
+    def wrapper(*args, **kwargs):
+        counts[name] = counts.get(name, 0) + 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, wrapper)
+
+
+@pytest.mark.parametrize("override, want_code", [(None, 3), ("2.4047", 0)])
+def test_paper_example_is_exactly_its_three_stages(monkeypatch, capsys, override, want_code):
+    from hilfer_mnc import cli, config, solvability
+
+    flag = [] if override is None else ["--gamma-k-override", override]
+    stages = []
+    for command in ("check", "solve", "mnc-demo"):
+        _, out = _run([command, "--paper-example", *flag], capsys)
+        stages.append(out)
+
+    counts: dict = {}
+    _counting(monkeypatch, cli, "certify", counts)
+    _counting(monkeypatch, solvability, "estimate_lipschitz", counts)
+    _counting(monkeypatch, config, "parse_config", counts)
+    bundled_example.cache_clear()  # the bundled scenario is parsed on first use only
+    code, out = _run(["paper-example", *flag], capsys)
+    assert code == want_code
+    assert out == "".join(stages)
+    # alpha is certified once, by the check stage, and mnc-demo reuses it
+    assert counts == {"certify": 2, "estimate_lipschitz": 6, "parse_config": 1}
+    counts.clear()
+    code, again = _run(["paper-example", *flag], capsys)
+    assert (code, again) == (want_code, out)
+    assert counts == {"certify": 2, "estimate_lipschitz": 6}
+
+
 def test_paper_example_bundle_without_override_fails(capsys):
     code, out = _run(["paper-example"], capsys)
     assert code == 3

@@ -67,8 +67,11 @@ def test_gamma_k_value_resolution():
         params=_ALPHA.params, f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g, gamma_k_override=2.4047
     )
     assert overridden.gamma_k_value() == 2.4047
-    with pytest.raises(DomainError):
-        EquationSpec(params=_ALPHA.params, f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g, gamma_k_override=0.0)
+    for value in (0.0, float("inf"), float("nan")):
+        with pytest.raises(DomainError):
+            EquationSpec(
+                params=_ALPHA.params, f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g, gamma_k_override=value
+            )
 
 
 def test_system_requires_matching_params():

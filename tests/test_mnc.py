@@ -137,10 +137,9 @@ def test_ladder_matches_brute_force_windows(rows, n, steps, odd, seed):
 
     got = _modulus_ladder(nodes, values, deltas)
     assert np.array_equal(got, [brute(values, m) for m in ms])
-    # the exact general path runs a Python loop per row, so the ladders
-    # that take it are kept small: one rung between two nodes among the
-    # aligned ones on two rows, and the first rung and the span on a graded
-    # grid on one row
+    # ladders that take the exact general path: one rung between two nodes
+    # among the aligned ones on two rows, and the first rung and the span
+    # on a graded grid on one row
     few = values[:2]
     between = (min(odd, n - 2) + 0.5) * h
     got = _modulus_ladder(nodes, few, [between] + deltas)
@@ -150,6 +149,82 @@ def test_ladder_matches_brute_force_windows(rows, n, steps, odd, seed):
         ends = [deltas[0], deltas[-1]]
         got = _modulus_ladder(graded, values[:1], ends)
         assert np.array_equal(got, [general(values[:1], graded, d) for d in ends])
+
+
+def _reference_interp(nodes, row, z):
+    i = int(np.searchsorted(nodes, z, side="right")) - 1
+    i = min(max(i, 0), nodes.size - 2)
+    x0, x1 = nodes[i], nodes[i + 1]
+    v0, v1 = row[i], row[i + 1]
+    t = (z - x0) / (x1 - x0)
+    t = min(max(t, 0.0), 1.0)
+    val = v0 + t * (v1 - v0)
+    lo, hi = (v0, v1) if v0 <= v1 else (v1, v0)
+    return min(max(val, lo), hi)
+
+
+def _reference_modulus(nodes, row, delta):
+    """The general path as it was first written: a loop over window starts."""
+    lo_z = nodes[0]
+    hi_z = max(nodes[-1] - delta, lo_z)
+    starts = np.unique(np.clip(np.concatenate([nodes, nodes - delta]), lo_z, hi_z))
+    best = 0.0
+    for z in starts:
+        z2 = min(z + delta, nodes[-1])
+        a = _reference_interp(nodes, row, z)
+        b = _reference_interp(nodes, row, z2)
+        wmax = a if a >= b else b
+        wmin = a if a <= b else b
+        lo = int(np.searchsorted(nodes, z, side="right"))
+        hi = int(np.searchsorted(nodes, z2, side="left"))
+        if hi > lo:
+            inner = row[lo:hi]
+            wmax = max(wmax, float(inner.max()))
+            wmin = min(wmin, float(inner.min()))
+        best = max(best, wmax - wmin)
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    grid=st.sampled_from(["uniform", "random", "graded"]),
+    rows=st.integers(min_value=1, max_value=20),
+    n=st.integers(min_value=2, max_value=200),
+    frac=st.floats(min_value=1e-3, max_value=1.0),
+    j=st.integers(min_value=1, max_value=199),
+    integer_values=st.booleans(),
+    block=st.sampled_from([1, 500, 2**15]),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_general_modulus_matches_loop_reference(
+    grid, rows, n, frac, j, integer_values, block, seed
+):
+    from unittest import mock
+
+    from hilfer_mnc import mnc
+
+    rng = np.random.default_rng(seed)
+    if grid == "uniform":
+        nodes = uniform_nodes(3.0, n)
+    elif grid == "random":
+        nodes = 1.0 + np.concatenate([[0.0], np.cumsum(rng.uniform(0.01, 1.0, n - 1))])
+    else:
+        nodes = 1.0 + 2.0 * np.linspace(0.0, 1.0, n) ** 2
+    values = rng.standard_normal((rows, n))
+    if integer_values:  # flat stretches and ties between window ends and inner nodes
+        values = np.round(2.0 * values)
+    span = nodes[-1] - nodes[0]
+    j = min(j, n - 1)
+    # a fraction of the span, a node distance, and half a first step past it
+    reach = nodes[j] - nodes[0]
+    deltas = [frac * span, reach, min(reach + 0.5 * (nodes[1] - nodes[0]), span)]
+    # block 1 runs one row per block, 500 a few rows, 2**15 all of them at once
+    with mock.patch.object(mnc, "_GENERAL_BLOCK", block):
+        for delta in deltas:
+            want = [_reference_modulus(nodes, row, delta) for row in values]
+            got = [mnc._modulus_general(nodes, row, delta) for row in values]
+            assert np.array_equal(got, want)
+            assert mnc._modulus_general(nodes, values, delta) == max(want)
 
 
 def test_modulus_delta_validation():

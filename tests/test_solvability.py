@@ -89,8 +89,13 @@ def test_contraction_factor_matches_certificate():
     cert = certify(_ALPHA)
     for r0 in (0.0, 0.1, 0.5):
         assert contraction_factor(_ALPHA, r0) == pytest.approx(cert.factor_at(r0), rel=1e-14)
+    for r0 in (-0.1, math.inf, math.nan):
+        with pytest.raises(DomainError):
+            contraction_factor(_ALPHA, r0)
+        with pytest.raises(DomainError):
+            cert.factor_at(r0)
     with pytest.raises(DomainError):
-        contraction_factor(_ALPHA, -0.1)
+        cert.admits(math.inf)
 
 
 def test_factor_at_half_frozen():
@@ -154,3 +159,7 @@ def test_invalid_override_values():
         certify(_ALPHA, gamma_k_override=0.0)
     with pytest.raises(DomainError):
         certify(_ALPHA, kernel_factor_override=-1.0)
+    with pytest.raises(DomainError):
+        certify(_ALPHA, gamma_k_override=math.inf)
+    with pytest.raises(DomainError):
+        certify(_ALPHA, kernel_factor_override=math.inf)

@@ -94,8 +94,9 @@ def test_budget_exhaustion_reports_not_converged():
 
 def test_solve_validation():
     cfg = bundled_example()
-    with pytest.raises(DomainError):
-        solve(cfg.equations[0], _zero_seed(65), tol=0.0)
+    for tol in (0.0, float("inf"), float("nan")):
+        with pytest.raises(DomainError):
+            solve(cfg.equations[0], _zero_seed(65), tol=tol)
     with pytest.raises(DomainError):
         solve(cfg.equations[0], _zero_seed(65), max_iter=0)
 

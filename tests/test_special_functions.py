@@ -61,13 +61,14 @@ def test_integral_tol_tightens_result():
 
 
 def test_domain_errors():
-    for k, z in ((0.0, 1.0), (-0.5, 1.0), (1.5, 1.0), (0.5, 0.0), (0.5, -1.0)):
+    for k, z in ((0.0, 1.0), (-0.5, 1.0), (1.5, 1.0), (0.5, 0.0), (0.5, -1.0), (0.5, math.inf)):
         with pytest.raises(DomainError):
             k_gamma(k, z)
         with pytest.raises(DomainError):
             k_gamma_integral(k, z)
-    with pytest.raises(DomainError):
-        k_gamma_integral(0.5, 1.0, tol=0.0)
+    for tol in (0.0, math.inf):
+        with pytest.raises(DomainError):
+            k_gamma_integral(0.5, 1.0, tol=tol)
 
 
 def test_integral_budget_exhaustion(monkeypatch):
