@@ -7,7 +7,6 @@ with the offending JSON path in the message.
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, replace
@@ -304,7 +303,6 @@ def dump_config(cfg: RunConfig) -> str:
     return json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
 
 
-@functools.cache
 def bundled_example() -> RunConfig:
     """The built-in two-equation scenario on [1, 3].
 
@@ -312,10 +310,6 @@ def bundled_example() -> RunConfig:
     (T^rho - 1)^(gamma/k) is pinned at 0.5358 for certificate arithmetic;
     the directly computed value is (3^(1/3) - 1)^2, roughly 0.1956, and the
     override is reported on every certificate that uses it.
-
-    Parsed once per process: every call returns the same RunConfig, which
-    is safe to share because each of its fields is a frozen dataclass, a
-    tuple or a number.
     """
     third = 1.0 / 3.0
     return parse_config(

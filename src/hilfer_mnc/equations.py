@@ -27,7 +27,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_positive_finite
 from .expressions import Expr, evaluate, parse
 from .fractional import FracParams, GridFunction, panel_weights, power_slopes
 from .special_functions import k_gamma
@@ -75,10 +75,8 @@ class EquationSpec:
     gamma_k_override: float | None = None
 
     def __post_init__(self) -> None:
-        if self.gamma_k_override is not None and not 0.0 < self.gamma_k_override < math.inf:
-            raise DomainError(
-                f"gamma_k_override must be positive and finite, got {self.gamma_k_override}"
-            )
+        if self.gamma_k_override is not None:
+            require_positive_finite("gamma_k_override", self.gamma_k_override)
 
     def gamma_k_value(self) -> float:
         if self.gamma_k_override is not None:

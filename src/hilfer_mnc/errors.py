@@ -6,6 +6,8 @@ exit 2, NonconvergenceError exits 4.
 
 from __future__ import annotations
 
+import math
+
 
 class DomainError(ValueError):
     """An argument lies outside the mathematical domain of an operation."""
@@ -29,3 +31,15 @@ class ParseError(ValueError):
 
 class EvaluationError(ValueError):
     """Expression evaluation hit an invalid operation (log/sqrt domain, division by zero)."""
+
+
+def require_positive_finite(name: str, x: float) -> None:
+    """Raise DomainError unless 0 < x < inf (NaN fails too)."""
+    if not 0.0 < x < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {x}")
+
+
+def require_nonnegative_finite(name: str, x: float) -> None:
+    """Raise DomainError unless 0 <= x < inf (NaN fails too)."""
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"{name} must be finite and >= 0, got {x}")

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, require_positive_finite
 from .special_functions import k_gamma
 
 DEFAULT_PANELS = 1024
@@ -212,8 +212,8 @@ def product_quadrature(
         )
     if panels < 1:
         raise DomainError(f"panels must be >= 1, got {panels}")
-    if gamma_k_value is not None and not 0.0 < gamma_k_value < math.inf:
-        raise DomainError(f"gamma_k_value must be positive and finite, got {gamma_k_value}")
+    if gamma_k_value is not None:
+        require_positive_finite("gamma_k_value", gamma_k_value)
     a = params.exponent
     # scalar powers, as for a single x: NumPy's vectorised power may round differently
     X = np.array([p**params.rho for p in pts.tolist()])

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass
 
 from .equations import EquationSpec, estimate_lipschitz
-from .errors import DomainError
+from .errors import DomainError, require_nonnegative_finite, require_positive_finite
 from .special_functions import k_gamma
 
 DEFAULT_SLACK = 1e-9
@@ -46,8 +46,7 @@ class RadiusCertificate:
         return self.r0_max_contraction > 0.0 and self.r0_selfmap_interval is not None
 
     def factor_at(self, r0: float) -> float:
-        if not 0.0 <= r0 < math.inf:
-            raise DomainError(f"r0 must be finite and >= 0, got {r0}")
+        require_nonnegative_finite("r0", r0)
         return self.c1 + self.kappa * r0
 
     def admits(self, r0: float, slack: float = DEFAULT_SLACK) -> bool:
@@ -63,10 +62,7 @@ class RadiusCertificate:
 
 def _resolve_gamma_k(eq: EquationSpec, gamma_k_override: float | None) -> tuple[float, bool]:
     if gamma_k_override is not None:
-        if not 0.0 < gamma_k_override < math.inf:
-            raise DomainError(
-                f"gamma_k_override must be positive and finite, got {gamma_k_override}"
-            )
+        require_positive_finite("gamma_k_override", gamma_k_override)
         return gamma_k_override, True
     if eq.gamma_k_override is not None:
         return eq.gamma_k_override, True
@@ -76,10 +72,7 @@ def _resolve_gamma_k(eq: EquationSpec, gamma_k_override: float | None) -> tuple[
 def _resolve_kernel(eq: EquationSpec, kernel_factor_override: float | None) -> tuple[float, bool]:
     p = eq.params
     if kernel_factor_override is not None:
-        if not 0.0 < kernel_factor_override < math.inf:
-            raise DomainError(
-                f"kernel_factor_override must be positive and finite, got {kernel_factor_override}"
-            )
+        require_positive_finite("kernel_factor_override", kernel_factor_override)
         return kernel_factor_override, True
     return (p.T**p.rho - 1.0) ** p.exponent, False
 
@@ -94,8 +87,7 @@ def contraction_factor(
 
     gamma_k_override falls back to the equation's own stored override.
     """
-    if not 0.0 <= r0 < math.inf:
-        raise DomainError(f"r0 must be finite and >= 0, got {r0}")
+    require_nonnegative_finite("r0", r0)
     gk, _ = _resolve_gamma_k(eq, gamma_k_override)
     kern, _ = _resolve_kernel(eq, kernel_factor_override)
     p = eq.params

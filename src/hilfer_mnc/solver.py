@@ -8,14 +8,13 @@ the step size only stops the loop.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .equations import EquationSpec, apply_operator
-from .errors import DomainError
+from .errors import DomainError, require_positive_finite
 from .fractional import GridFunction
 
 DEFAULT_TOL = 1e-10
@@ -69,8 +68,7 @@ def solve(
     ball, a warning is issued (the contraction guarantee does not apply)
     but the iteration still runs.
     """
-    if not 0.0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    require_positive_finite("tol", tol)
     if max_iter < 1:
         raise DomainError(f"max_iter must be >= 1, got {max_iter}")
     if r0 is not None and alpha0.sup_norm > r0:

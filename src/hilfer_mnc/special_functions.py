@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError, NonconvergenceError
+from .errors import DomainError, NonconvergenceError, require_positive_finite
 
 _EVAL_BUDGET = 400_000
 
@@ -44,8 +44,7 @@ def gamma(x: float) -> float:
 def _check_k_z(k: float, z: float) -> None:
     if not 0 < k <= 1:
         raise DomainError(f"k must lie in (0, 1], got {k}")
-    if not 0 < z < math.inf:
-        raise DomainError(f"z must be positive and finite, got {z}")
+    require_positive_finite("z", z)
 
 
 def k_gamma(k: float, z: float) -> KGammaResult:
@@ -108,8 +107,7 @@ def k_gamma_integral(k: float, z: float, tol: float = 1e-8) -> KGammaResult:
     once it drops below tol * 1e-3.
     """
     _check_k_z(k, z)
-    if not 0 < tol < math.inf:
-        raise DomainError(f"tol must be positive and finite, got {tol}")
+    require_positive_finite("tol", tol)
     budget = [_EVAL_BUDGET]
     w = z / k
 

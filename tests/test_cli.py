@@ -376,7 +376,25 @@ def test_nonfinite_flag_exits_2(capsys, argv):
     assert "finite" in payload["message"] and payload["message"].endswith("got inf")
 
 
-def test_shared_parser_keeps_no_option_between_calls(capsys):
+def test_help_and_usage_list_every_subcommand(capsys):
+    listing = "{gamma-k,frac-int,check,solve,mnc-demo,paper-example}"
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert listing in capsys.readouterr().out
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--help"])
+    assert exc.value.code == 0
+    assert "--seed-value" in capsys.readouterr().out
+    # an argument no subparser takes is reported by the top-level parser
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--paper-example", "extra"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert listing in err and "unrecognized arguments: extra" in err
+
+
+def test_successive_calls_keep_no_option(capsys):
     code, out = _run(["solve", "--paper-example", "--tol", "1e-6"], capsys)
     assert code == 0
     assert _payload(out)["tol"] == 1e-6
@@ -385,7 +403,7 @@ def test_shared_parser_keeps_no_option_between_calls(capsys):
     assert _payload(out)["tol"] == bundled_example().solver.tol == 1e-10
 
 
-def test_shared_parser_recovers_from_a_usage_error(capsys):
+def test_successive_calls_recover_from_a_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--nodes", "abc"])
     assert exc.value.code == 2
@@ -395,16 +413,12 @@ def test_shared_parser_recovers_from_a_usage_error(capsys):
     assert _payload(out)["status"] == "ok"
 
 
-def test_shared_parser_does_not_accumulate_points(monkeypatch, capsys):
-    from hilfer_mnc import cli
-
+def test_successive_calls_do_not_accumulate_points(capsys):
     argv = ["frac-int", "--expr", "1", "--k", "0.5", "--rho", "0.5", "--gamma-ord", "0.5",
             "--T", "3", "--x"]
     code, out = _run(argv + ["1.5", "2.0"], capsys)
     assert code == 0
     assert len(out.strip().split("\n")) == 4
-    # the parser is built once: later calls make no new one
-    monkeypatch.setattr(cli, "build_parser", lambda: pytest.fail("parser rebuilt"))
     code, out = _run(argv + ["2.5"], capsys)
     assert code == 0
     lines = out.strip().split("\n")
@@ -436,16 +450,12 @@ def test_paper_example_is_exactly_its_three_stages(monkeypatch, capsys, override
     _counting(monkeypatch, cli, "certify", counts)
     _counting(monkeypatch, solvability, "estimate_lipschitz", counts)
     _counting(monkeypatch, config, "parse_config", counts)
-    bundled_example.cache_clear()  # the bundled scenario is parsed on first use only
     code, out = _run(["paper-example", *flag], capsys)
     assert code == want_code
     assert out == "".join(stages)
-    # alpha is certified once, by the check stage, and mnc-demo reuses it
+    # the scenario is loaded once; alpha is certified once, by the check
+    # stage, and mnc-demo reuses it
     assert counts == {"certify": 2, "estimate_lipschitz": 6, "parse_config": 1}
-    counts.clear()
-    code, again = _run(["paper-example", *flag], capsys)
-    assert (code, again) == (want_code, out)
-    assert counts == {"certify": 2, "estimate_lipschitz": 6}
 
 
 def test_paper_example_bundle_without_override_fails(capsys):
