@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import ctypes
 import io
 import json
 import math
@@ -58,6 +59,9 @@ from .special_functions import k_gamma, k_gamma_integral
 
 _RATE_SLACK = 0.05
 _DEFAULT_SEED_VALUE = 0.5
+# mallopt(3) parameter numbers, from glibc's <malloc.h>
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
 
 
 def _print_payload(payload: dict) -> None:
@@ -85,8 +89,11 @@ def _emit_rows(header: list[str], rows: list[list], fmt: str, path: str | None, 
             print(f"# {label}")
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8", newline="") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file {path}: {exc.strerror or exc}") from None
 
 
 def _table_path(base: str | None, name: str, multi: bool) -> str | None:
@@ -481,7 +488,35 @@ def build_parser(argv: list[str]) -> argparse.ArgumentParser:
     return p
 
 
+def _keep_freed_heap() -> None:
+    """Let glibc malloc reuse freed arrays instead of unmapping them.
+
+    The Darbo trace allocates (m x n) temporaries that grow step by step.
+    glibc serves each one above its dynamic mmap threshold with a fresh
+    mapping and trims the heap top after every free, so the pages are
+    faulted in again on the next step (about 1,450 minor faults per
+    paper-example run). Fixed thresholds of 4 MiB (mmap) and 16 MiB (trim)
+    keep that memory in the heap. The policy is process-wide, so only the
+    entry point sets it; other C libraries are left alone.
+    """
+    try:
+        libc = os.confstr("CS_GNU_LIBC_VERSION")
+    except (AttributeError, ValueError, OSError):  # no confstr, or not glibc
+        return
+    if not libc or not libc.startswith("glibc"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 4 << 20)
+    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
+
+
 def main(argv: list[str] | None = None) -> int:
+    _keep_freed_heap()
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)

@@ -53,6 +53,13 @@ class FracParams:
             raise DomainError(f"T must exceed 1, got {self.T}")
         if not math.isfinite(self.T):
             raise DomainError(f"T must be finite, got {self.T}")
+        try:
+            self.rho ** -self.exponent
+        except OverflowError:
+            raise DomainError(
+                f"the kernel prefactor rho^(-gamma_ord/k) = {self.rho}^(-{self.exponent}) "
+                "overflows a double"
+            ) from None
 
     @property
     def exponent(self) -> float:

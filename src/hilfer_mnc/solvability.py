@@ -1,12 +1,17 @@
-"""Contraction and self-map certificates for one equation.
+"""Darbo-factor and self-map certificates for one equation.
 
 The key coefficient is
 
     kappa = c2 * c3 * rho^(-a) * (T^rho - 1)^a / (gamma_ord * Gamma_k(gamma_ord)),
 
 with c1, c2, c3 the declared Lipschitz constants of f, psi, g and
-a = gamma_ord/k. The operator contracts on the ball of radius r0 when
-c1 + kappa * r0 < 1 and maps the ball into itself when r0 <= (1 - c1)/kappa.
+a = gamma_ord/k. On the ball of radius r0, c1 + kappa * r0 bounds the Darbo
+factor: the factor by which the operator shrinks the measure of
+noncompactness (the modulus of continuity). It is not a Lipschitz constant,
+which has a second kappa * r0 term, so c1 + kappa * r0 < 1 does not make
+the operator a contraction. The operator maps the ball into itself when
+r0 <= (1 - c1)/kappa. r0_max_contraction and contraction_factor keep their
+names until ROADMAP item 1 adds a separate Lipschitz factor.
 
 Two reproduction knobs exist so reference arithmetic can be replayed
 without touching the actual numerics: gamma_k_override replaces
@@ -30,7 +35,7 @@ _LIPSCHITZ_TOL = 1e-9
 
 @dataclass(frozen=True)
 class RadiusCertificate:
-    """Contraction/self-map analysis of one equation at declared constants."""
+    """Darbo-factor/self-map analysis of one equation at declared constants."""
 
     kappa: float
     c1: float
@@ -50,7 +55,7 @@ class RadiusCertificate:
         return self.c1 + self.kappa * r0
 
     def admits(self, r0: float, slack: float = DEFAULT_SLACK) -> bool:
-        """True when radius r0 certifies: contraction strict, self-map holds."""
+        """True when radius r0 certifies: Darbo factor strictly below 1, self-map holds."""
         if r0 <= 0.0 or self.r0_selfmap_interval is None:
             return False
         return self.factor_at(r0) < 1.0 - slack and r0 <= self.r0_selfmap_interval[1]

@@ -65,8 +65,10 @@ def solve(
     """Run Picard iteration from alpha0.
 
     When a certified radius r0 is supplied and the seed lies outside the
-    ball, a warning is issued (the contraction guarantee does not apply)
-    but the iteration still runs.
+    ball, a warning is issued (the certificate's self-map and Darbo-factor
+    bounds hold on that ball only) but the iteration still runs. The
+    certificate bounds the Darbo factor, not the Lipschitz constant, so it
+    does not by itself guarantee that the iteration contracts.
     """
     require_positive_finite("tol", tol)
     if max_iter < 1:

@@ -10,11 +10,15 @@ suspicious constant instead of trusting a single path.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .errors import DomainError, NonconvergenceError, require_positive_finite
 
 _EVAL_BUDGET = 400_000
+# logs of the smallest positive normal double and of the largest double
+_LOG_MIN_NORMAL = math.log(sys.float_info.min)
+_LOG_MAX = math.log(sys.float_info.max)
 
 
 @dataclass(frozen=True)
@@ -41,21 +45,40 @@ def gamma(x: float) -> float:
     return math.gamma(x)
 
 
-def _check_k_z(k: float, z: float) -> None:
+def _log_k_gamma(k: float, z: float) -> float:
+    """log Gamma_k(z) by the identity, in log space.
+
+    Raises DomainError unless k lies in (0, 1], z is positive and finite,
+    and Gamma_k(z) is a positive normal double: an overflowing value, or one
+    that underflows to a subnormal or zero, would turn every prefactor
+    1 / Gamma_k(z) into inf or a division by zero.
+    """
     if not 0 < k <= 1:
         raise DomainError(f"k must lie in (0, 1], got {k}")
     require_positive_finite("z", z)
+    w = z / k
+    try:
+        log_value = (w - 1.0) * math.log(k) + math.lgamma(w)
+    except OverflowError:  # lgamma of a w near the largest double
+        log_value = math.inf
+    if not _LOG_MIN_NORMAL <= log_value <= _LOG_MAX:  # NaN fails too
+        raise DomainError(
+            f"Gamma_k(z) for k = {k}, z = {z} lies outside the normal double range "
+            f"(log Gamma_k = {log_value:.6g})"
+        )
+    return log_value
 
 
 def k_gamma(k: float, z: float) -> KGammaResult:
     """Gamma_k(z) via the identity k**(z/k - 1) * Gamma(z/k).
 
     Evaluated in log space so large z/k does not overflow the intermediate
-    Gamma(z/k).
+    Gamma(z/k). Raises DomainError when Gamma_k(z) itself is not a positive
+    normal double.
     """
-    _check_k_z(k, z)
+    log_value = _log_k_gamma(k, z)
     w = z / k
-    value = math.exp((w - 1.0) * math.log(k) + math.lgamma(w))
+    value = math.exp(log_value)
     # lgamma carries ~1e-16 relative error; exp amplifies it by the log scale
     err = abs(value) * 1e-14 * max(1.0, abs((w - 1.0) * math.log(k)) + abs(math.lgamma(w)))
     return KGammaResult(value=value, method="identity", estimated_abs_error=err)
@@ -105,8 +128,11 @@ def k_gamma_integral(k: float, z: float, tol: float = 1e-8) -> KGammaResult:
     endpoint singularity exactly. On [1, inf) the substitution u = t**k / k
     turns the integrand into (k*u)**(z/k - 1) * exp(-u), which is truncated
     once it drops below tol * 1e-3.
+
+    Raises DomainError when Gamma_k(z) is not a positive normal double;
+    that range test reads the identity's log value, not the quadrature.
     """
-    _check_k_z(k, z)
+    _log_k_gamma(k, z)
     require_positive_finite("tol", tol)
     budget = [_EVAL_BUDGET]
     w = z / k

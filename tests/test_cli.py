@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import ctypes
 import json
 import os
 import re
@@ -376,6 +377,48 @@ def test_nonfinite_flag_exits_2(capsys, argv):
     assert "finite" in payload["message"] and payload["message"].endswith("got inf")
 
 
+_FRAC_INT_SMALL_K = ["frac-int", "--expr", "x", "--x", "2", "--rho", "0.5", "--gamma-ord", "0.9", "--T", "3"]
+
+
+@pytest.mark.parametrize(
+    "argv, fragment",
+    [
+        (["gamma-k", "0.5", "400"], "outside the normal double range"),
+        ([*_FRAC_INT_SMALL_K, "--k", "0.001"], "outside the normal double range"),
+        ([*_FRAC_INT_SMALL_K, "--k", "0.0005"], "overflows a double"),
+    ],
+    ids=["gamma-k-overflows", "frac-int-gamma-k-underflows", "frac-int-prefactor-overflows"],
+)
+def test_out_of_range_gamma_k_or_prefactor_exits_2(capsys, argv, fragment):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert (payload["status"], payload["error_type"]) == ("error", "domain")
+    assert fragment in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "argv, written",
+    [
+        (["solve", "--paper-example", "--nodes", "65"], "x_alpha.csv"),
+        (["mnc-demo", "--paper-example"], "x.csv"),
+    ],
+    ids=["solve", "mnc-demo"],
+)
+def test_unwritable_out_exits_2_naming_the_path(tmp_path, capsys, argv, written):
+    missing = tmp_path / "missing"
+    code = main([*argv, "--out", str(missing / "x.csv")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    payload = json.loads(captured.out)
+    assert (payload["status"], payload["error_type"]) == ("error", "config")
+    assert str(missing / written) in payload["message"]
+    assert not missing.exists()
+
+
 def test_help_and_usage_list_every_subcommand(capsys):
     listing = "{gamma-k,frac-int,check,solve,mnc-demo,paper-example}"
     with pytest.raises(SystemExit) as exc:
@@ -501,10 +544,60 @@ def test_closed_stdout_exits_quietly():
     # `hilfer-mnc paper-example | head -n 5`: the reader closes the pipe
     # before the output ends; the run stops with exit 1 and no traceback
     cmd = [sys.executable, "-m", "hilfer_mnc.cli", "paper-example"]
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_subprocess_env("1")
-    )
-    proc.stdout.close()
-    err = proc.stderr.read()
-    assert proc.wait(timeout=120) == 1
+    ) as proc:
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
     assert err == b""
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, ValueError, OSError):
+        return False
+
+
+# the second of two paper-example runs in one process; prints its minor faults
+_FAULT_PROBE = """
+import contextlib, io, resource
+from hilfer_mnc import cli
+argv = ["paper-example", "--gamma-k-override", "2.4047"]
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not (sys.platform.startswith("linux") and _glibc()), reason="glibc Linux only")
+def test_repeated_paper_example_reuses_freed_heap():
+    # with glibc's default thresholds the growing Darbo temporaries are
+    # mapped and unmapped on every step: about 1,450 faults per run
+    proc = subprocess.run(
+        [sys.executable, "-c", _FAULT_PROBE],
+        capture_output=True, text=True, env=_subprocess_env("1"), check=True, timeout=120,
+    )
+    assert int(proc.stdout) < 300
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(ctypes, "CDLL"), (os, "confstr")],
+    ids=["mallopt-lookup-fails", "not-glibc"],
+)
+def test_main_runs_unchanged_without_mallopt(monkeypatch, capsys, module, name):
+    argv = ["paper-example", "--gamma-k-override", "2.4047"]
+    want = _run(argv, capsys)
+    calls = []
+
+    def refuse(*args):
+        calls.append(args)
+        raise OSError("no C library here")
+
+    monkeypatch.setattr(module, name, refuse)
+    assert _run(argv, capsys) == want
+    assert want[0] == 0 and calls

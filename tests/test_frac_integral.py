@@ -52,6 +52,7 @@ def test_params_validation():
         dict(k=0.3, rho=0.3, gamma_ord=0.0, T=2.0),
         dict(k=0.3, rho=0.3, gamma_ord=1.0, T=2.0),
         dict(k=0.3, rho=0.3, gamma_ord=0.5, T=1.0),
+        dict(k=0.0005, rho=0.5, gamma_ord=0.9, T=3.0),  # rho^(-gamma_ord/k) overflows
     ):
         with pytest.raises(DomainError):
             FracParams(**kw)

@@ -61,7 +61,9 @@ def test_integral_tol_tightens_result():
 
 
 def test_domain_errors():
-    for k, z in ((0.0, 1.0), (-0.5, 1.0), (1.5, 1.0), (0.5, 0.0), (0.5, -1.0), (0.5, math.inf)):
+    # the last three: Gamma_k(z) overflows, underflows, and lgamma itself overflows
+    for k, z in ((0.0, 1.0), (-0.5, 1.0), (1.5, 1.0), (0.5, 0.0), (0.5, -1.0), (0.5, math.inf),
+                 (0.5, 400.0), (0.001, 0.9), (1.0, 1e308)):
         with pytest.raises(DomainError):
             k_gamma(k, z)
         with pytest.raises(DomainError):
