@@ -65,7 +65,17 @@ _M_MMAP_THRESHOLD = -3
 
 
 def _print_payload(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    """Print payload as strict JSON (RFC 8259 has no Infinity or NaN)."""
+    try:
+        text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError:
+        raise DomainError("a reported number is not finite") from None
+    print(text)
+
+
+def _bound(value: float) -> float | None:
+    """value, or None (JSON null) for an unbounded one."""
+    return value if math.isfinite(value) else None
 
 
 def _emit_rows(header: list[str], rows: list[list], fmt: str, path: str | None, label: str | None) -> None:
@@ -119,8 +129,10 @@ def _cert_payload(name: str, cert: RadiusCertificate, r0: float | None) -> dict:
         "name": name,
         "kappa": cert.kappa,
         "c1": cert.c1,
-        "threshold": cert.r0_max_contraction,
-        "selfmap_interval": list(cert.r0_selfmap_interval) if cert.r0_selfmap_interval else None,
+        "threshold": _bound(cert.r0_max_contraction),
+        "selfmap_interval": (
+            [_bound(end) for end in cert.r0_selfmap_interval] if cert.r0_selfmap_interval else None
+        ),
         "gamma_k_used": cert.gamma_k_used,
         "gamma_k_overridden": cert.gamma_k_overridden,
         "kernel_factor_used": cert.kernel_factor_used,

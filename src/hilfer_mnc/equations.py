@@ -11,12 +11,15 @@ lower-triangular matrix that is cached and applied as a matmul. Large grids
 never form it: summation by parts writes the rule with the first divided
 differences of (X - s)_+^(a+1) (fractional.power_slopes) against the
 differences of the integrand. Entries within one leaf of the diagonal are
-evaluated exactly on every application. Every far block is interpolated in
-s at Chebyshev points of its column cluster and in X at those of its row
-cluster, with nested bases on both sides (an H^2-matrix: Boerm, Efficient
-Numerical Methods for Non-local Operators, EMS 2010). Those factors are
-built once per (nodes, rho, a) and cached; they hold O(n) floats, and one
-application costs near-linear time, on graded grids too.
+evaluated exactly on every application: the integrand differences are
+divided by the panel widths once, and each exact block takes the undivided
+panel differences of the powers (fractional.power_differences). Every far
+block is interpolated in s at Chebyshev points of its column cluster and in
+X at those of its row cluster, with nested bases on both sides (an
+H^2-matrix: Boerm, Efficient Numerical Methods for Non-local Operators, EMS
+2010). Those factors are built once per (nodes, rho, a) and cached; they
+hold O(n) floats, and one application costs near-linear time, on graded
+grids too.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import numpy as np
 
 from .errors import DomainError, require_positive_finite
 from .expressions import Expr, evaluate, parse
-from .fractional import FracParams, GridFunction, panel_weights, power_slopes
+from .fractional import FracParams, GridFunction, panel_weights, power_differences
 from .special_functions import k_gamma
 
 _MATRIX_MAX_NODES = 2049
@@ -188,9 +191,10 @@ class _H2Operator:
     """The large-grid product rule, summed by parts, as an H^2-matrix.
 
     exact lists the blocks (r0, r1, c0, c1), rows r0..r1-1 against panels
-    c0..c1-1, that are evaluated through power_slopes on every application:
-    each leaf against the previous leaf and itself, and every far block that
-    no level could interpolate. anterp maps a leaf's panel differences to its
+    c0..c1-1, that are evaluated through power_differences on every
+    application: each leaf against the previous leaf and itself, and every
+    far block that no level could interpolate, merged where they share their
+    rows and meet in panels. anterp maps a leaf's panel differences to its
     moments, and interp a leaf's local values to its rows (zero-padded for
     a partial last leaf).
     """
@@ -211,6 +215,17 @@ class _H2Operator:
         return sum(x.nbytes for x in arrays)
 
 
+def _merged(blocks: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
+    """Blocks (r0, r1, c0, c1) with every run on the same rows and adjacent panels joined."""
+    out: list[tuple[int, int, int, int]] = []
+    for r0, r1, c0, c1 in sorted(blocks):
+        if out and out[-1][:2] == (r0, r1) and out[-1][3] == c0:
+            out[-1] = (r0, r1, out[-1][2], c1)
+        else:
+            out.append((r0, r1, c0, c1))
+    return out
+
+
 @lru_cache(maxsize=4)
 def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operator:
     """Build the large-grid operator for one (nodes, rho, a).
@@ -222,7 +237,8 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
     times as wide as the gap between them is interpolated on both sides
     (Fong & Darve's black-box FMM, J. Comput. Phys. 228 (2009) 8712); one
     that is not is split into its child blocks, and evaluated exactly at
-    leaf level or when its rows are too few for points.
+    leaf level or when its rows are too few for points. Exact blocks on the
+    same rows that meet in panels are merged into one.
     """
     s = np.frombuffer(nodes_bytes, dtype=float) ** rho
     leaf, p = _LEAF_ROWS, _CHEB_POINTS
@@ -265,6 +281,7 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
             for c in range(k - 2 - k % 2, k - 1):
                 place(lvl, k, c)
 
+    exact = _merged(exact)
     levels = []
     for lvl, (b, pts) in enumerate(zip(sizes, points)):
         if lvl + 1 < len(sizes):
@@ -307,9 +324,14 @@ def _h2_sums(op: _H2Operator, s: np.ndarray, a: float, dg: np.ndarray) -> np.nda
     M_q = sum_j <l_q>_j dg_j. Moments go up the tree, each far block maps
     them to local values at its row cluster's points, and local values come
     down the tree to the rows.
+
+    The exact blocks take the integrand differences divided by the panel
+    widths, c = dg / diff(s), computed once; each block then costs one
+    subtract, one masked power, one difference and one product.
     """
     m, n = dg.shape[0], s.shape[0]
     out = np.zeros((m, n))
+    c = dg / np.diff(s)
     # one workspace for every exact block, evaluated in row chunks that fit
     # it: a near-band leaf block at once, or at least one row
     cap = max(_LEAF_ROWS * (2 * _LEAF_ROWS + 1), n + 1)
@@ -322,7 +344,7 @@ def _h2_sums(op: _H2Operator, s: np.ndarray, a: float, dg: np.ndarray) -> np.nda
             i1 = min(i0 + step, r1)
             w = w_buf[: (i1 - i0) * cols].reshape(i1 - i0, cols)
             d = d_buf[: (i1 - i0) * (cols - 1)].reshape(i1 - i0, cols - 1)
-            out[:, i0:i1] += dg[:, c0:c1] @ power_slopes(s[i0:i1], s[c0 : c1 + 1], a, w, d).T
+            out[:, i0:i1] += c[:, c0:c1] @ power_differences(s[i0:i1], s[c0 : c1 + 1], a, w, d).T
     if not op.levels:
         return out
     leaf, p = _LEAF_ROWS, _CHEB_POINTS

@@ -129,20 +129,30 @@ def uniform_nodes(T: float, n: int) -> np.ndarray:
     return np.linspace(1.0, T, n)
 
 
-def power_slopes(X: np.ndarray, s: np.ndarray, a: float, w: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """First divided differences of (X - s)_+^(a+1) along the mesh, one row per limit.
+def power_differences(X: np.ndarray, s: np.ndarray, a: float, w: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """Panel differences of (X - s)_+^(a+1) along the mesh, one row per limit.
 
-    d[r, j] = ((X[r] - s[j+1])_+^(a+1) - (X[r] - s[j])_+^(a+1)) / (s[j+1] - s[j])
-    for a 1-D array of limits X. w, of shape (len(X), len(s)), is scratch
-    and is left holding the powers; d, of shape (len(X), len(s) - 1), is
-    filled and returned. Every row of d vanishes from the first panel that
-    starts at or beyond its limit.
+    d[r, j] = (X[r] - s[j+1])_+^(a+1) - (X[r] - s[j])_+^(a+1) for a 1-D
+    array of limits X. w, of shape (len(X), len(s)), is scratch and is left
+    holding the powers; d, of shape (len(X), len(s) - 1), is filled and
+    returned. Every row of d vanishes from the first panel that starts at or
+    beyond its limit.
     """
     np.subtract(X[:, None], s, out=w)
     np.maximum(w, 0.0, out=w)
     # the SIMD pow falls back to a slow path on zero lanes, and 0^(a+1) is 0
     np.power(w, a + 1.0, out=w, where=w > 0.0)
     np.subtract(w[:, 1:], w[:, :-1], out=d)
+    return d
+
+
+def power_slopes(X: np.ndarray, s: np.ndarray, a: float, w: np.ndarray, d: np.ndarray) -> np.ndarray:
+    """First divided differences of (X - s)_+^(a+1) along the mesh, one row per limit.
+
+    d[r, j] = ((X[r] - s[j+1])_+^(a+1) - (X[r] - s[j])_+^(a+1)) / (s[j+1] - s[j]):
+    power_differences divided by the panel widths, with the same arguments.
+    """
+    power_differences(X, s, a, w, d)
     d /= np.diff(s)
     return d
 

@@ -79,7 +79,25 @@ def _resolve_kernel(eq: EquationSpec, kernel_factor_override: float | None) -> t
     if kernel_factor_override is not None:
         require_positive_finite("kernel_factor_override", kernel_factor_override)
         return kernel_factor_override, True
-    return (p.T**p.rho - 1.0) ** p.exponent, False
+    try:
+        return (p.T**p.rho - 1.0) ** p.exponent, False
+    except OverflowError:
+        raise DomainError(
+            f"the kernel factor (T^rho - 1)^(gamma_ord/k) = ({p.T}^{p.rho} - 1)^{p.exponent} "
+            "overflows a double"
+        ) from None
+
+
+def _kappa(eq: EquationSpec, gk: float, kern: float) -> float:
+    """c2 * c3 * rho^(-a) * kern / (gamma_ord * gk); raises DomainError when it overflows."""
+    p = eq.params
+    kappa = eq.psi.lipschitz * eq.g.lipschitz * p.rho ** (-p.exponent) * kern / (p.gamma_ord * gk)
+    if not math.isfinite(kappa):
+        raise DomainError(
+            f"kappa = c2 c3 rho^(-a) (T^rho - 1)^a / (gamma_ord Gamma_k) overflows a double "
+            f"(rho^(-a) = {p.rho ** (-p.exponent):.6g}, kernel factor {kern:.6g}, Gamma_k {gk:.6g})"
+        )
+    return kappa
 
 
 def contraction_factor(
@@ -95,15 +113,7 @@ def contraction_factor(
     require_nonnegative_finite("r0", r0)
     gk, _ = _resolve_gamma_k(eq, gamma_k_override)
     kern, _ = _resolve_kernel(eq, kernel_factor_override)
-    p = eq.params
-    kappa = (
-        eq.psi.lipschitz
-        * eq.g.lipschitz
-        * p.rho ** (-p.exponent)
-        * kern
-        / (p.gamma_ord * gk)
-    )
-    return eq.f.lipschitz + kappa * r0
+    return eq.f.lipschitz + _kappa(eq, gk, kern) * r0
 
 
 def certify(
@@ -116,6 +126,7 @@ def certify(
 
     Each declared Lipschitz constant is checked against an empirical
     estimate on x in [1, T], |a| <= 1; a dishonest declaration raises.
+    A kernel factor or kappa that overflows a double raises DomainError.
     """
     for name, n in (("f", eq.f), ("psi", eq.psi), ("g", eq.g)):
         est = estimate_lipschitz(n, r0=1.0, probes=probes, t_end=eq.params.T)
@@ -126,9 +137,8 @@ def certify(
             )
     gk, gk_over = _resolve_gamma_k(eq, gamma_k_override)
     kern, kern_over = _resolve_kernel(eq, kernel_factor_override)
-    p = eq.params
     c1 = eq.f.lipschitz
-    kappa = eq.psi.lipschitz * eq.g.lipschitz * p.rho ** (-p.exponent) * kern / (p.gamma_ord * gk)
+    kappa = _kappa(eq, gk, kern)
     if c1 >= 1.0:
         r0_max = 0.0
         selfmap = None

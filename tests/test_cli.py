@@ -190,6 +190,82 @@ def test_check_structural_failure(tmp_path, capsys):
     assert payload["equations"][0]["c1"] == 1.0
 
 
+def _strict_json(text: str):
+    """json.loads that refuses Infinity and NaN, which RFC 8259 JSON does not have."""
+
+    def refuse(name):
+        raise ValueError(f"not JSON: {name}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def _bundled_with(tmp_path, params: dict | None = None, psi: dict | None = None) -> str:
+    """Path of the bundled scenario with params updated (kernel factor computed) or psi replaced."""
+    data = json.loads(dump_config(bundled_example()))
+    if params is not None:
+        data["params"].update(params)
+        data["kernel_factor_override"] = None
+    if psi is not None:
+        for eq in data["equations"]:
+            eq["psi"] = psi
+    p = tmp_path / "scenario.json"
+    p.write_text(json.dumps(data), encoding="utf-8")
+    return str(p)
+
+
+@pytest.mark.parametrize("command", ["check", "mnc-demo"])
+def test_overflowing_kernel_factor_exits_2(tmp_path, capsys, command):
+    # Gamma_k and rho^(-a) are in range, but (T^rho - 1)^(gamma_ord/k) is not
+    path = _bundled_with(tmp_path, {"k": 0.0015, "rho": 0.99, "gamma_ord": 0.9, "T": 100.0})
+    code = main([command, "--config", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    payload = _strict_json(captured.out)
+    assert (payload["status"], payload["error_type"]) == ("error", "domain")
+    assert "(T^rho - 1)^(gamma_ord/k)" in payload["message"]
+    assert "overflows a double" in payload["message"]
+
+
+def test_overflowing_kappa_exits_2(tmp_path, capsys):
+    # kernel factor 8.0e210 and rho^(-a) 6.5e125 are finite, their product is not
+    path = _bundled_with(tmp_path, {"k": 0.005, "rho": 0.2, "gamma_ord": 0.9, "T": 1e6})
+    code = main(["check", "--config", path])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    payload = _strict_json(captured.out)
+    assert (payload["status"], payload["error_type"]) == ("error", "domain")
+    assert payload["message"].startswith("kappa")
+
+
+def test_unbounded_radius_prints_null(tmp_path, capsys):
+    # a constant psi makes kappa 0: the threshold and the self-map interval
+    # have no upper end, which JSON writes as null
+    path = _bundled_with(tmp_path, psi={"expr": "0.1", "lipschitz": 0.0, "zero_at_zero": False})
+    code = main(["check", "--config", path])
+    captured = capsys.readouterr()
+    assert code == 0
+    payload = _strict_json(captured.out)
+    for rec in payload["equations"]:
+        assert rec["kappa"] == 0.0
+        assert rec["threshold"] is None
+        assert rec["selfmap_interval"] == [0.0, None]
+        assert rec["passes"] is True
+
+
+def test_overflowing_factor_at_r0_exits_2(capsys):
+    # kappa is finite (about 1e299) but kappa * r0 is not
+    argv = ["check", "--paper-example", "--gamma-k-override", "1e-300", "--r0", "1e10"]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    payload = _strict_json(captured.out)
+    assert (payload["status"], payload["error_type"]) == ("error", "domain")
+    assert "not finite" in payload["message"]
+
+
 def test_solve_stdout_tables_and_summary(capsys):
     code, out = _run(["solve", "--paper-example", "--nodes", "65"], capsys)
     assert code == 0

@@ -20,7 +20,7 @@ from hilfer_mnc.equations import (
     estimate_lipschitz,
 )
 from hilfer_mnc.errors import DomainError
-from hilfer_mnc.fractional import FracParams, GridFunction, power_slopes, uniform_nodes
+from hilfer_mnc.fractional import FracParams, GridFunction, power_differences, uniform_nodes
 from hilfer_mnc.solver import solve
 
 _CFG = bundled_example()
@@ -209,14 +209,15 @@ def test_streaming_path_partial_last_cluster(monkeypatch, n):
     assert _rule_errors(params, nodes, g, [got], rows).max() <= 1e-13
 
 
-def _count_slope_entries(monkeypatch) -> list:
+def _count_exact_entries(monkeypatch) -> list:
+    # the kernel the exact blocks of the large-grid path call
     entries = []
 
     def counted(X, s, a, w, d):
         entries.append(d.size)
-        return power_slopes(X, s, a, w, d)
+        return power_differences(X, s, a, w, d)
 
-    monkeypatch.setattr(eqmod, "power_slopes", counted)
+    monkeypatch.setattr(eqmod, "power_differences", counted)
     return entries
 
 
@@ -234,14 +235,15 @@ def test_streaming_path_refines_blocks_that_are_close(monkeypatch):
         "u^4": 1.0 + (params.T - 1.0) * u**4,
     }
     monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
-    entries = _count_slope_entries(monkeypatch)
+    entries = _count_exact_entries(monkeypatch)
     eqmod._integral_values(params, uniform_nodes(params.T, n), g, 1.0)
     on_uniform = sum(entries)
+    assert on_uniform > 0
     for grid, nodes in graded.items():
         monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
         entries.clear()
         got = eqmod._integral_values(params, nodes, g, 1.0)
-        assert sum(entries) <= 2 * on_uniform, grid
+        assert 0 < sum(entries) <= 2 * on_uniform, grid
         monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 2049)
         dense = eqmod._integral_values(params, nodes, g, 1.0)
         errs = _rule_errors(params, nodes, g, (dense, got), np.arange(1, n))
@@ -251,13 +253,28 @@ def test_streaming_path_refines_blocks_that_are_close(monkeypatch):
 
 def test_streaming_path_cost_is_near_linear(monkeypatch):
     # a quadratic path evaluates 16x the slopes for 4x the nodes
-    entries = _count_slope_entries(monkeypatch)
+    entries = _count_exact_entries(monkeypatch)
     total = []
     for n in (4097, 16385):
         entries.clear()
         eqmod._integral_values(_ALPHA.params, uniform_nodes(3.0, n), np.ones((1, n)), 1.0)
         total.append(sum(entries))
-    assert total[1] <= 6 * total[0]
+    assert 0 < total[0] and total[1] <= 6 * total[0]
+
+
+def test_large_grid_exact_blocks_are_merged():
+    # 4097 nodes end in a one-row leaf whose far blocks no level can
+    # interpolate; with its near block they form one block, so every leaf
+    # has one exact block, and no two blocks on the same rows meet in panels
+    n = 4097
+    nodes = uniform_nodes(3.0, n)
+    exact = eqmod._h2_operator(1.0 / 3.0, 2.0, nodes.tobytes(), n).exact
+    eqmod._h2_operator.cache_clear()
+    assert len(exact) == -(-n // eqmod._LEAF_ROWS) == 65
+    assert exact[-1] == (n - 1, n, 0, n - 1)
+    for (r0, r1, c0, c1), (q0, q1, d0, d1) in itertools.combinations(exact, 2):
+        if (r0, r1) == (q0, q1):
+            assert c1 < d0 or d1 < c0
 
 
 _FORCED = {

@@ -143,6 +143,23 @@ def test_unbounded_radius_when_kappa_vanishes():
     assert cert.admits(100.0)
 
 
+def test_overflowing_kappa_is_rejected():
+    # the kernel factor (8.0e210) and rho^(-a) (6.5e125) are finite, their product is not
+    params = FracParams(k=0.005, rho=0.2, gamma_ord=0.9, T=1e6)
+    eq = EquationSpec(params=params, f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g)
+    with pytest.raises(DomainError, match="kappa"):
+        certify(eq)
+    with pytest.raises(DomainError, match="kappa"):
+        contraction_factor(eq, 0.5)
+
+
+def test_overflowing_kernel_factor_is_rejected():
+    params = FracParams(k=0.0015, rho=0.99, gamma_ord=0.9, T=100.0)
+    eq = EquationSpec(params=params, f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g)
+    with pytest.raises(DomainError, match=r"\(T\^rho - 1\)\^\(gamma_ord/k\)"):
+        certify(eq)
+
+
 def test_dishonest_declaration_is_rejected():
     eq = EquationSpec(
         params=_ALPHA.params,
