@@ -6,7 +6,6 @@ from .config import RunConfig, bundled_example, dump_config, load_config, parse_
 from .equations import (
     EquationSpec,
     Nonlinearity,
-    SystemSpec,
     apply_operator,
     apply_operator_batch,
     check_zero_conditions,
@@ -41,11 +40,7 @@ from .mnc import (
     mnc_estimate,
     modulus_of_continuity,
 )
-from .solvability import (
-    RadiusCertificate,
-    certify,
-    contraction_factor,
-)
+from .solvability import RadiusCertificate, certify
 from .solver import SolveReport, solve
 from .special_functions import KGammaResult, beta, gamma, k_gamma, k_gamma_integral
 
@@ -69,7 +64,6 @@ __all__ = [
     "RadiusCertificate",
     "RunConfig",
     "SolveReport",
-    "SystemSpec",
     "apply_operator",
     "apply_operator_batch",
     "beta",
@@ -78,7 +72,6 @@ __all__ = [
     "certify",
     "check_certificate_classes",
     "check_zero_conditions",
-    "contraction_factor",
     "darbo_iterate",
     "default_certificate",
     "dump_config",

@@ -82,8 +82,14 @@ def _emit_rows(header: list[str], rows: list[list], fmt: str, path: str | None, 
     """Write one table as CSV or JSON lines, to a file or stdout.
 
     On stdout a `# label` comment line precedes the table so multi-table
-    output stays splittable.
+    output stays splittable. A float cell that is not finite raises
+    DomainError before anything is written; a None cell is written empty
+    (CSV) or as null (JSON).
     """
+    for i, row in enumerate(rows, start=1):
+        for name, v in zip(header, row):
+            if isinstance(v, float) and not math.isfinite(v):
+                raise DomainError(f"table {label}, row {i}: {name} = {v} is not finite")
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -92,7 +98,7 @@ def _emit_rows(header: list[str], rows: list[list], fmt: str, path: str | None, 
             writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v for v in row])
         text = buf.getvalue()
     else:
-        lines = [json.dumps(dict(zip(header, row)), sort_keys=True) for row in rows]
+        lines = [json.dumps(dict(zip(header, row)), sort_keys=True, allow_nan=False) for row in rows]
         text = "\n".join(lines) + ("\n" if lines else "")
     if path is None:
         if label is not None:

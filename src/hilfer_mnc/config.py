@@ -2,7 +2,8 @@
 
 A config file mirrors RunConfig section by section; expressions are strings
 in the small expression language. Validation failures raise ConfigError
-with the offending JSON path in the message.
+with the offending JSON path in the message; keys the schema does not use
+are ignored.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import json
 import math
 from dataclasses import dataclass, replace
 
-from .equations import EquationSpec, Nonlinearity, SystemSpec
+from .equations import EquationSpec, Nonlinearity
 from .errors import ConfigError, DomainError, ParseError
 from .expressions import parse, to_string
 from .fractional import DEFAULT_PANELS, FracParams
@@ -59,11 +60,6 @@ class RunConfig:
     mnc: MncConfig
     output: OutputConfig
 
-    def system(self) -> SystemSpec | None:
-        if len(self.equations) == 2:
-            return SystemSpec(eq_alpha=self.equations[0], eq_beta=self.equations[1])
-        return None
-
     def with_gamma_k_override(self, value: float | None) -> "RunConfig":
         if value is None:
             return self
@@ -71,15 +67,11 @@ class RunConfig:
         return replace(self, equations=eqs, gamma_k_override=value)
 
 
-_MISSING = object()
-
-
-def _get(data: dict, key: str, path: str, default=_MISSING):
-    if key in data:
-        return data[key]
-    if default is _MISSING:
+def _get(data: dict, key: str, path: str):
+    """The required field data[key]; ConfigError naming path.key when it is missing."""
+    if key not in data:
         raise ConfigError(f"{path}.{key}: missing required field")
-    return default
+    return data[key]
 
 
 def _num(value, path: str) -> float:
@@ -113,11 +105,8 @@ def _nonlinearity(data, path: str) -> Nonlinearity:
     except ParseError as exc:
         raise ConfigError(f"{path}.expr: {exc}") from None
     lipschitz = _num(_get(data, "lipschitz", path), f"{path}.lipschitz")
-    zero = _get(data, "zero_at_zero", path, default=False)
-    if not isinstance(zero, bool):
-        raise ConfigError(f"{path}.zero_at_zero: expected a boolean")
     try:
-        return Nonlinearity(expr=expr, lipschitz=lipschitz, zero_at_zero=zero)
+        return Nonlinearity(expr=expr, lipschitz=lipschitz)
     except DomainError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -292,11 +281,7 @@ def config_to_dict(cfg: RunConfig) -> dict:
 
 
 def _nl_dict(n: Nonlinearity) -> dict:
-    return {
-        "expr": to_string(n.expr),
-        "lipschitz": n.lipschitz,
-        "zero_at_zero": n.zero_at_zero,
-    }
+    return {"expr": to_string(n.expr), "lipschitz": n.lipschitz}
 
 
 def dump_config(cfg: RunConfig) -> str:
@@ -318,15 +303,15 @@ def bundled_example() -> RunConfig:
             "equations": [
                 {
                     "name": "alpha",
-                    "f": {"expr": "abs(a)/6", "lipschitz": 1.0 / 6.0, "zero_at_zero": True},
-                    "psi": {"expr": "abs(a)", "lipschitz": 1.0, "zero_at_zero": True},
-                    "g": {"expr": "a/(3+log(x))", "lipschitz": third, "zero_at_zero": True},
+                    "f": {"expr": "abs(a)/6", "lipschitz": 1.0 / 6.0},
+                    "psi": {"expr": "abs(a)", "lipschitz": 1.0},
+                    "g": {"expr": "a/(3+log(x))", "lipschitz": third},
                 },
                 {
                     "name": "beta",
-                    "f": {"expr": "abs(a)/6", "lipschitz": 1.0 / 6.0, "zero_at_zero": True},
-                    "psi": {"expr": "abs(a)", "lipschitz": 1.0, "zero_at_zero": True},
-                    "g": {"expr": "a/(2+x)", "lipschitz": third, "zero_at_zero": True},
+                    "f": {"expr": "abs(a)/6", "lipschitz": 1.0 / 6.0},
+                    "psi": {"expr": "abs(a)", "lipschitz": 1.0},
+                    "g": {"expr": "a/(2+x)", "lipschitz": third},
                 },
             ],
             "solver": {"tol": 1e-10, "max_iter": 200, "nodes": 129},

@@ -9,11 +9,11 @@ The per-node integrals use the product-integration rule on the
 grid-induced mesh s = nodes**rho. For moderate grids its node weights form a
 lower-triangular matrix that is cached and applied as a matmul. Large grids
 never form it: summation by parts writes the rule with the first divided
-differences of (X - s)_+^(a+1) (fractional.power_slopes) against the
-differences of the integrand. Entries within one leaf of the diagonal are
-evaluated exactly on every application: the integrand differences are
-divided by the panel widths once, and each exact block takes the undivided
-panel differences of the powers (fractional.power_differences). Every far
+differences of (X - s)_+^(a+1) (the power slopes) against the differences
+of the integrand. Entries within one leaf of the diagonal are evaluated
+exactly on every application: the integrand differences are divided by the
+panel widths once, and each exact block takes the undivided panel
+differences of the powers (fractional.power_differences). Every far
 block is interpolated in s at Chebyshev points of its column cluster and in
 X at those of its row cluster, with nested bases on both sides (an
 H^2-matrix: Boerm, Efficient Numerical Methods for Non-local Operators, EMS
@@ -52,15 +52,14 @@ class Nonlinearity:
 
     expr: Expr
     lipschitz: float
-    zero_at_zero: bool
 
     def __post_init__(self) -> None:
         if not self.lipschitz >= 0.0:
             raise DomainError(f"lipschitz must be >= 0, got {self.lipschitz}")
 
     @classmethod
-    def from_string(cls, src: str, lipschitz: float, zero_at_zero: bool) -> "Nonlinearity":
-        return cls(expr=parse(src), lipschitz=lipschitz, zero_at_zero=zero_at_zero)
+    def from_string(cls, src: str, lipschitz: float) -> "Nonlinearity":
+        return cls(expr=parse(src), lipschitz=lipschitz)
 
 
 @dataclass(frozen=True)
@@ -85,18 +84,6 @@ class EquationSpec:
         if self.gamma_k_override is not None:
             return self.gamma_k_override
         return k_gamma(self.params.k, self.params.gamma_ord).value
-
-
-@dataclass(frozen=True)
-class SystemSpec:
-    """Two uncoupled equations sharing one set of order parameters."""
-
-    eq_alpha: EquationSpec
-    eq_beta: EquationSpec
-
-    def __post_init__(self) -> None:
-        if self.eq_alpha.params != self.eq_beta.params:
-            raise DomainError("both equations must share identical FracParams")
 
 
 @lru_cache(maxsize=4)
@@ -317,13 +304,13 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
 def _h2_sums(op: _H2Operator, s: np.ndarray, a: float, dg: np.ndarray) -> np.ndarray:
     """Row sums sum_j d_j(s[i]) * dg[:, j] at every node i, through op.
 
-    d_j(X) is the power slope of panel j (fractional.power_slopes) and dg
-    has shape (m, n - 1). For X beyond panel j, d_j(X) is -(a+1) times the
-    mean of (X - s)^a over the panel, and interpolating (X - s)^a in s at a
-    column cluster's points sigma_q turns its panels into the moments
-    M_q = sum_j <l_q>_j dg_j. Moments go up the tree, each far block maps
-    them to local values at its row cluster's points, and local values come
-    down the tree to the rows.
+    d_j(X) = ((X - s_(j+1))_+^(a+1) - (X - s_j)_+^(a+1)) / (s_(j+1) - s_j)
+    is the power slope of panel j, and dg has shape (m, n - 1). For X beyond
+    panel j, d_j(X) is -(a+1) times the mean of (X - s)^a over the panel,
+    and interpolating (X - s)^a in s at a column cluster's points sigma_q
+    turns its panels into the moments M_q = sum_j <l_q>_j dg_j. Moments go
+    up the tree, each far block maps them to local values at its row
+    cluster's points, and local values come down the tree to the rows.
 
     The exact blocks take the integrand differences divided by the panel
     widths, c = dg / diff(s), computed once; each block then costs one

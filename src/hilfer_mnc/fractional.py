@@ -146,17 +146,6 @@ def power_differences(X: np.ndarray, s: np.ndarray, a: float, w: np.ndarray, d: 
     return d
 
 
-def power_slopes(X: np.ndarray, s: np.ndarray, a: float, w: np.ndarray, d: np.ndarray) -> np.ndarray:
-    """First divided differences of (X - s)_+^(a+1) along the mesh, one row per limit.
-
-    d[r, j] = ((X[r] - s[j+1])_+^(a+1) - (X[r] - s[j])_+^(a+1)) / (s[j+1] - s[j]):
-    power_differences divided by the panel widths, with the same arguments.
-    """
-    power_differences(X, s, a, w, d)
-    d /= np.diff(s)
-    return d
-
-
 def panel_weights(
     X: float | np.ndarray, s: np.ndarray, a: float, work: np.ndarray | None = None
 ) -> np.ndarray:
@@ -165,11 +154,13 @@ def panel_weights(
     p is the piecewise-linear interpolant of its values at the mesh s. With
     G(w) = w^(a+1) / (a (a+1)) the kernel is G''(X - s), so integrating each
     hat function by parts twice makes its weight the second divided
-    difference of G(X - s) at the node's neighbours, taken as the difference
-    of neighbouring power_slopes. The first node adds the
-    boundary term G'(X - s[0]) = (X - s[0])^a / a to its first divided
-    difference. X - s is clamped at 0 before the power, so G(X - s) vanishes
-    from X on and every node after the first one at or beyond X weighs 0.
+    difference of G(X - s) at the node's neighbours: the first divided
+    differences of (X - s)_+^(a+1) are power_differences divided by the
+    panel widths, and each weight is the difference of its two neighbouring
+    ones. The first node adds the boundary term G'(X - s[0]) = (X - s[0])^a
+    / a to its first divided difference. X - s is clamped at 0 before the
+    power, so G(X - s) vanishes from X on and every node after the first
+    one at or beyond X weighs 0.
 
     X may be a scalar (returns shape (len(s),)) or an array of upper limits
     (returns one row per limit). work, when given, is a float64 buffer of at
@@ -183,7 +174,8 @@ def panel_weights(
         work = np.empty(2 * size)
     w = work[:size].reshape(rows, cols)
     d = work[size : 2 * size - rows].reshape(rows, cols - 1)
-    power_slopes(limits, s, a, w, d)
+    power_differences(limits, s, a, w, d)
+    d /= np.diff(s)
     # from here on w holds the weights scaled by a (a+1)
     np.add((a + 1.0) * np.maximum(limits - s[0], 0.0) ** a, d[:, 0], out=w[:, 0])
     np.subtract(d[:, 1:], d[:, :-1], out=w[:, 1:-1])
@@ -214,7 +206,8 @@ def product_quadrature(
     call. gamma_k_value substitutes a caller-supplied constant for
     Gamma_k(gamma_ord) in the prefactor. The value at x = 1 is exactly 0.
     Every point is validated before any is evaluated, and a DomainError
-    names the first one outside [1, T].
+    names the first one outside [1, T], or the first whose prefactor
+    (X - 1)^a overflows a double.
     """
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
@@ -247,7 +240,15 @@ def product_quadrature(
         raise DomainError(f"mesh must be 'uniform' or 'graded', got {mesh!r}")
     w = panel_weights(end, unit, a)
     gk = gamma_k_value if gamma_k_value is not None else k_gamma(params.k, params.gamma_ord).value
-    scale = params.rho ** (-a) / (params.k * gk) * (X - 1.0) ** a
+    with np.errstate(over="ignore"):
+        scale = params.rho ** (-a) / (params.k * gk) * (X - 1.0) ** a
+    overflow = ~np.isfinite(scale)
+    if overflow.any():
+        bad = int(np.argmax(overflow))
+        raise DomainError(
+            f"the prefactor rho^(-a) (X - 1)^(gamma_ord/k) / (k Gamma_k) with X = x^rho "
+            f"overflows a double at x = {pts[bad]} ((X - 1)^(gamma_ord/k) = ({X[bad] - 1.0})^{a})"
+        )
     out = np.empty(pts.shape)
     step = max(1, _POINT_BLOCK // unit.size)
     buf = np.empty((min(step, pts.size), unit.size))

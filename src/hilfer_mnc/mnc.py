@@ -252,7 +252,12 @@ def mnc_estimate(e: FunctionEnsemble, deltas: Sequence[float]) -> MncEstimate:
         raise DomainError("deltas needs at least 3 entries")
     if not (np.diff(d) < 0.0).all():
         raise DomainError("deltas must be strictly decreasing")
-    moduli = _modulus_ladder(e.nodes, e.values, d)
+    return _ladder_estimate(e.nodes, e.values, d)
+
+
+def _ladder_estimate(nodes: np.ndarray, values: np.ndarray, d: np.ndarray) -> MncEstimate:
+    """mnc_estimate of the rows of values, on arguments it has already checked."""
+    moduli = _modulus_ladder(nodes, values, d)
     mu0 = max(0.0, _fit_intercept(d[-3:].tolist(), moduli[-3:].tolist()))
     return MncEstimate(deltas=d, moduli=moduli, mu0=mu0, hausdorff=0.5 * mu0)
 
@@ -332,21 +337,24 @@ def darbo_iterate(
     convex hull can only under-estimate its modulus, so a decaying trace is
     evidence in the conservative direction. An image that is not finite
     raises DomainError.
+
+    The seed and the deltas are validated once, by the seed's estimate;
+    every later ensemble is a plain matrix on the seed's nodes, whose
+    finiteness the operator call has already checked.
     """
     if p_max < 1:
         raise DomainError(f"p_max must be >= 1, got {p_max}")
     if convex_samples < 0:
         raise DomainError(f"convex_samples must be >= 0, got {convex_samples}")
     rng = np.random.default_rng(rng_seed)
-    ensemble = seed
     trace = [mnc_estimate(seed, deltas)]
+    nodes, values = seed.nodes, seed.values
     for _ in range(p_max):
-        images = apply_operator_batch(op, ensemble.nodes, ensemble.values)
+        values = apply_operator_batch(op, nodes, values)
         if convex_samples > 0:
-            weights = rng.dirichlet(np.ones(images.shape[0]), size=convex_samples)
-            images = np.vstack([images, weights @ images])
-        ensemble = FunctionEnsemble.from_matrix(ensemble.nodes, images)
-        trace.append(mnc_estimate(ensemble, deltas))
+            weights = rng.dirichlet(np.ones(values.shape[0]), size=convex_samples)
+            values = np.vstack([values, weights @ values])
+        trace.append(_ladder_estimate(nodes, values, np.asarray(deltas, dtype=float)))
     return trace
 
 

@@ -10,13 +10,15 @@ factor: the factor by which the operator shrinks the measure of
 noncompactness (the modulus of continuity). It is not a Lipschitz constant,
 which has a second kappa * r0 term, so c1 + kappa * r0 < 1 does not make
 the operator a contraction. The operator maps the ball into itself when
-r0 <= (1 - c1)/kappa. r0_max_contraction and contraction_factor keep their
-names until ROADMAP item 1 adds a separate Lipschitz factor.
+r0 <= (1 - c1)/kappa. RadiusCertificate.factor_at is the one place that
+computes the Darbo factor; r0_max_contraction is the radius where it
+reaches 1, not a contraction radius.
 
-Two reproduction knobs exist so reference arithmetic can be replayed
-without touching the actual numerics: gamma_k_override replaces
-Gamma_k(gamma_ord) and kernel_factor_override replaces (T^rho - 1)^a,
-both in the certificate only. Every certificate records what was used.
+Two reproduction knobs exist so reference arithmetic can be replayed: the
+equation's own gamma_k_override replaces Gamma_k(gamma_ord) in its operator
+and its certificate alike, and certify's kernel_factor_override replaces
+(T^rho - 1)^a in the certificate only. Every certificate records what was
+used.
 """
 
 from __future__ import annotations
@@ -26,7 +28,6 @@ from dataclasses import dataclass
 
 from .equations import EquationSpec, estimate_lipschitz
 from .errors import DomainError, require_nonnegative_finite, require_positive_finite
-from .special_functions import k_gamma
 
 DEFAULT_SLACK = 1e-9
 DEFAULT_PROBES = 101
@@ -65,15 +66,6 @@ class RadiusCertificate:
         return 1.0 - slack <= self.factor_at(r0) < 1.0
 
 
-def _resolve_gamma_k(eq: EquationSpec, gamma_k_override: float | None) -> tuple[float, bool]:
-    if gamma_k_override is not None:
-        require_positive_finite("gamma_k_override", gamma_k_override)
-        return gamma_k_override, True
-    if eq.gamma_k_override is not None:
-        return eq.gamma_k_override, True
-    return k_gamma(eq.params.k, eq.params.gamma_ord).value, False
-
-
 def _resolve_kernel(eq: EquationSpec, kernel_factor_override: float | None) -> tuple[float, bool]:
     p = eq.params
     if kernel_factor_override is not None:
@@ -88,37 +80,8 @@ def _resolve_kernel(eq: EquationSpec, kernel_factor_override: float | None) -> t
         ) from None
 
 
-def _kappa(eq: EquationSpec, gk: float, kern: float) -> float:
-    """c2 * c3 * rho^(-a) * kern / (gamma_ord * gk); raises DomainError when it overflows."""
-    p = eq.params
-    kappa = eq.psi.lipschitz * eq.g.lipschitz * p.rho ** (-p.exponent) * kern / (p.gamma_ord * gk)
-    if not math.isfinite(kappa):
-        raise DomainError(
-            f"kappa = c2 c3 rho^(-a) (T^rho - 1)^a / (gamma_ord Gamma_k) overflows a double "
-            f"(rho^(-a) = {p.rho ** (-p.exponent):.6g}, kernel factor {kern:.6g}, Gamma_k {gk:.6g})"
-        )
-    return kappa
-
-
-def contraction_factor(
-    eq: EquationSpec,
-    r0: float,
-    gamma_k_override: float | None = None,
-    kernel_factor_override: float | None = None,
-) -> float:
-    """c1 + kappa * r0 at radius r0.
-
-    gamma_k_override falls back to the equation's own stored override.
-    """
-    require_nonnegative_finite("r0", r0)
-    gk, _ = _resolve_gamma_k(eq, gamma_k_override)
-    kern, _ = _resolve_kernel(eq, kernel_factor_override)
-    return eq.f.lipschitz + _kappa(eq, gk, kern) * r0
-
-
 def certify(
     eq: EquationSpec,
-    gamma_k_override: float | None = None,
     kernel_factor_override: float | None = None,
     probes: int = DEFAULT_PROBES,
 ) -> RadiusCertificate:
@@ -135,10 +98,16 @@ def certify(
                 f"declared lipschitz constant for {name} is {n.lipschitz}, "
                 f"but sampling finds {est:.6g}"
             )
-    gk, gk_over = _resolve_gamma_k(eq, gamma_k_override)
+    p = eq.params
+    gk = eq.gamma_k_value()
     kern, kern_over = _resolve_kernel(eq, kernel_factor_override)
     c1 = eq.f.lipschitz
-    kappa = _kappa(eq, gk, kern)
+    kappa = eq.psi.lipschitz * eq.g.lipschitz * p.rho ** (-p.exponent) * kern / (p.gamma_ord * gk)
+    if not math.isfinite(kappa):
+        raise DomainError(
+            f"kappa = c2 c3 rho^(-a) (T^rho - 1)^a / (gamma_ord Gamma_k) overflows a double "
+            f"(rho^(-a) = {p.rho ** (-p.exponent):.6g}, kernel factor {kern:.6g}, Gamma_k {gk:.6g})"
+        )
     if c1 >= 1.0:
         r0_max = 0.0
         selfmap = None
@@ -154,7 +123,7 @@ def certify(
         r0_max_contraction=r0_max,
         r0_selfmap_interval=selfmap,
         gamma_k_used=gk,
-        gamma_k_overridden=gk_over,
+        gamma_k_overridden=eq.gamma_k_override is not None,
         kernel_factor_used=kern,
         kernel_factor_overridden=kern_over,
     )

@@ -37,7 +37,7 @@ from hilfer_mnc.mnc import (
     mnc_estimate,
     modulus_of_continuity,
 )
-from hilfer_mnc.solvability import certify, contraction_factor
+from hilfer_mnc.solvability import certify
 from hilfer_mnc.solver import solve
 from hilfer_mnc.special_functions import k_gamma, k_gamma_integral
 
@@ -150,7 +150,7 @@ def test_criterion_5_picard_contraction_both_gamma_modes():
         report = solve(eq, seed, tol=1e-10, max_iter=200)
         assert report.converged
         assert report.solution.sup_norm <= 1e-8
-        assert report.measured_rate <= contraction_factor(eq, 0.5) + 0.05
+        assert report.measured_rate <= certify(eq).factor_at(0.5) + 0.05
 
 
 def test_criterion_6_ball_invariance():

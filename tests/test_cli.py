@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ctypes
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,8 +12,10 @@ import sys
 
 import pytest
 
+from hilfer_mnc import cli
 from hilfer_mnc.cli import main
 from hilfer_mnc.config import bundled_example, dump_config, parse_config
+from hilfer_mnc.errors import DomainError
 from hilfer_mnc.fractional import FracParams, closed_form_constant
 
 
@@ -178,7 +181,7 @@ def test_check_explicit_radius(capsys):
 def test_check_structural_failure(tmp_path, capsys):
     data = json.loads(dump_config(bundled_example()))
     data["equations"] = [data["equations"][0]]
-    data["equations"][0]["f"] = {"expr": "a", "lipschitz": 1.0, "zero_at_zero": True}
+    data["equations"][0]["f"] = {"expr": "a", "lipschitz": 1.0}
     data["kernel_factor_override"] = None
     p = tmp_path / "c1.json"
     p.write_text(json.dumps(data), encoding="utf-8")
@@ -242,7 +245,7 @@ def test_overflowing_kappa_exits_2(tmp_path, capsys):
 def test_unbounded_radius_prints_null(tmp_path, capsys):
     # a constant psi makes kappa 0: the threshold and the self-map interval
     # have no upper end, which JSON writes as null
-    path = _bundled_with(tmp_path, psi={"expr": "0.1", "lipschitz": 0.0, "zero_at_zero": False})
+    path = _bundled_with(tmp_path, psi={"expr": "0.1", "lipschitz": 0.0})
     code = main(["check", "--config", path])
     captured = capsys.readouterr()
     assert code == 0
@@ -366,6 +369,24 @@ def test_dump_config_round_trips(capsys):
     assert parse_config(json.loads(out)) == bundled_example()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--paper-example"],
+        ["solve", "--paper-example"],
+        ["mnc-demo", "--paper-example"],
+        ["frac-int", "--paper-example", "--expr", "1", "--x", "2"],
+        ["paper-example"],
+    ],
+    ids=["check", "solve", "mnc-demo", "frac-int", "paper-example"],
+)
+def test_dump_config_has_no_zero_at_zero_and_round_trips(capsys, argv):
+    code, out = _run([*argv, "--dump-config"], capsys)
+    assert code == 0
+    assert "zero_at_zero" not in out
+    assert parse_config(_strict_json(out)) == bundled_example()
+
+
 def test_dump_config_reflects_override(capsys):
     code, out = _run(
         ["check", "--paper-example", "--gamma-k-override", "2.4047", "--dump-config"],
@@ -473,6 +494,43 @@ def test_out_of_range_gamma_k_or_prefactor_exits_2(capsys, argv, fragment):
     payload = json.loads(captured.out)
     assert (payload["status"], payload["error_type"]) == ("error", "domain")
     assert fragment in payload["message"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+def test_frac_int_overflowing_integral_exits_2(tmp_path, capsys, fmt):
+    # (X - 1)^(gamma_ord/k) = 9119^90 overflows at x = 1e4; at x = 2 it is in range
+    argv = ["frac-int", "--expr", "1", "--x", "2", "1e4"]
+    if fmt == "csv":
+        argv += ["--k", "0.01", "--rho", "0.99", "--gamma-ord", "0.9", "--T", "1e4"]
+    else:
+        data = json.loads(dump_config(bundled_example()))
+        data["params"] = {"k": 0.01, "rho": 0.99, "gamma_ord": 0.9, "T": 1e4}
+        data["output"]["format"] = "json-lines"
+        path = tmp_path / "overflow.json"
+        path.write_text(json.dumps(data), encoding="utf-8")
+        argv += ["--config", str(path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    # the error payload is all of stdout: no row, not even the finite one at x = 2
+    payload = _strict_json(captured.out)
+    assert (payload["status"], payload["error_type"]) == ("error", "domain")
+    assert "(X - 1)^(gamma_ord/k)" in payload["message"]
+    assert "x = 10000.0" in payload["message"]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json-lines"])
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_emit_rows_refuses_a_nonfinite_cell(capsys, fmt, bad):
+    rows = [[1.0, 2.0, None], [2.0, bad, 0.5]]
+    with pytest.raises(DomainError, match=r"^table t, row 2: value = .* is not finite$"):
+        cli._emit_rows(["x", "value", "ratio"], rows, fmt, None, label="t")
+    assert capsys.readouterr().out == ""
+    # a None cell is written empty or as null
+    cli._emit_rows(["x", "value", "ratio"], rows[:1], fmt, None, label="t")
+    body = capsys.readouterr().out.splitlines()[1:]
+    assert body == (["x,value,ratio", "1.0,2.0,"] if fmt == "csv" else ['{"ratio": null, "value": 2.0, "x": 1.0}'])
 
 
 @pytest.mark.parametrize(

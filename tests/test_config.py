@@ -36,7 +36,6 @@ def test_bundled_scenario_shape():
     assert cfg.quadrature == type(cfg.quadrature)(panels=1024, mesh="uniform")
     assert cfg.mnc.deltas == (0.25, 0.125, 0.0625, 0.03125)
     assert BUNDLED_R0 == 0.83
-    assert cfg.system() is not None
 
 
 def test_bundled_nonlinearities_evaluate():
@@ -45,6 +44,43 @@ def test_bundled_nonlinearities_evaluate():
     assert evaluate(eq.f.expr, x=2.0, a=-3.0) == pytest.approx(0.5)
     assert evaluate(eq.psi.expr, x=1.0, a=-2.0) == 2.0
     assert eq.g.lipschitz == pytest.approx(1.0 / 3.0)
+
+
+def _readme_example(zero_at_zero: bool) -> dict:
+    """The config example of the README, with or without the zero_at_zero flag of older configs."""
+
+    def block(expr: str, lipschitz: float) -> dict:
+        out = {"expr": expr, "lipschitz": lipschitz}
+        if zero_at_zero:
+            out["zero_at_zero"] = True
+        return out
+
+    return {
+        "params": {"k": 0.333, "rho": 0.333, "gamma_ord": 0.667, "T": 3.0},
+        "equations": [
+            {
+                "name": "alpha",
+                "f": block("abs(a)/6", 0.1667),
+                "psi": block("abs(a)", 1.0),
+                "g": block("a/(3+log(x))", 0.333),
+            }
+        ],
+        "solver": {"tol": 1e-10, "max_iter": 200, "nodes": 129},
+        "quadrature": {"panels": 1024, "mesh": "uniform"},
+        "gamma_k_override": None,
+        "kernel_factor_override": None,
+        "mnc": {"deltas": [0.25, 0.125, 0.0625, 0.03125], "ensemble": 30, "p_max": 8, "rng_seed": 42},
+        "output": {"format": "csv", "path": None},
+    }
+
+
+def test_zero_at_zero_key_still_loads_and_is_ignored():
+    old = _readme_example(zero_at_zero=True)
+    assert all("zero_at_zero" in old["equations"][0][n] for n in ("f", "psi", "g"))
+    assert parse_config(old) == parse_config(_readme_example(zero_at_zero=False))
+    # any value loads, as for every other key the schema does not use
+    old["equations"][0]["f"]["zero_at_zero"] = "yes"
+    assert parse_config(old) == parse_config(_readme_example(zero_at_zero=False))
 
 
 def test_dump_parse_round_trip():

@@ -13,7 +13,6 @@ from hilfer_mnc.config import bundled_example, parse_config
 from hilfer_mnc.equations import (
     EquationSpec,
     Nonlinearity,
-    SystemSpec,
     apply_operator,
     apply_operator_batch,
     check_zero_conditions,
@@ -54,11 +53,10 @@ def _half(eq: EquationSpec, n: int = 1025) -> GridFunction:
 
 
 def test_nonlinearity_from_string():
-    n = Nonlinearity.from_string("abs(a)/6", lipschitz=1.0 / 6.0, zero_at_zero=True)
+    n = Nonlinearity.from_string("abs(a)/6", lipschitz=1.0 / 6.0)
     assert n.lipschitz == pytest.approx(1.0 / 6.0)
-    assert n.zero_at_zero
     with pytest.raises(DomainError):
-        Nonlinearity.from_string("a", lipschitz=-1.0, zero_at_zero=True)
+        Nonlinearity.from_string("a", lipschitz=-1.0)
 
 
 def test_gamma_k_value_resolution():
@@ -72,14 +70,6 @@ def test_gamma_k_value_resolution():
             EquationSpec(
                 params=_ALPHA.params, f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g, gamma_k_override=value
             )
-
-
-def test_system_requires_matching_params():
-    other = FracParams(k=0.5, rho=0.5, gamma_ord=0.5, T=3.0)
-    moved = EquationSpec(params=other, f=_BETA.f, psi=_BETA.psi, g=_BETA.g)
-    with pytest.raises(DomainError):
-        SystemSpec(eq_alpha=_ALPHA, eq_beta=moved)
-    assert SystemSpec(eq_alpha=_ALPHA, eq_beta=_BETA).eq_alpha is _ALPHA
 
 
 def test_operator_matches_brute_force_alpha():
@@ -359,9 +349,9 @@ def test_operator_overflow_raises_domain_error(monkeypatch):
     # finite f, psi and g whose image overflows; RuntimeWarnings are errors
     # under the test configuration, so none may be emitted on the way
     def spec(g: str) -> EquationSpec:
-        big = Nonlinearity.from_string("1.7e308", lipschitz=0.0, zero_at_zero=False)
+        big = Nonlinearity.from_string("1.7e308", lipschitz=0.0)
         return EquationSpec(
-            params=_ALPHA.params, f=big, psi=big, g=Nonlinearity.from_string(g, 0.0, False)
+            params=_ALPHA.params, f=big, psi=big, g=Nonlinearity.from_string(g, 0.0)
         )
 
     nodes = uniform_nodes(3.0, 65)
@@ -405,7 +395,7 @@ def test_zero_conditions():
     assert check_zero_conditions(_BETA, probes=33)
     shifted = EquationSpec(
         params=_ALPHA.params,
-        f=Nonlinearity.from_string("abs(a)/6+1", lipschitz=1.0 / 6.0, zero_at_zero=False),
+        f=Nonlinearity.from_string("abs(a)/6+1", lipschitz=1.0 / 6.0),
         psi=_ALPHA.psi,
         g=_ALPHA.g,
     )

@@ -38,9 +38,9 @@ def _halving_equation(f: str = "0.5*a", psi: str = "0", g: str = "0") -> Equatio
     """With the defaults the operator sends a to exactly 0.5 * a."""
     return EquationSpec(
         params=FracParams(k=0.5, rho=0.5, gamma_ord=0.5, T=3.0),
-        f=Nonlinearity.from_string(f, lipschitz=0.5, zero_at_zero=True),
-        psi=Nonlinearity.from_string(psi, lipschitz=0.0, zero_at_zero=True),
-        g=Nonlinearity.from_string(g, lipschitz=0.0, zero_at_zero=True),
+        f=Nonlinearity.from_string(f, lipschitz=0.5),
+        psi=Nonlinearity.from_string(psi, lipschitz=0.0),
+        g=Nonlinearity.from_string(g, lipschitz=0.0),
     )
 
 

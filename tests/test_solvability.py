@@ -2,18 +2,19 @@
 
 from __future__ import annotations
 
+import dataclasses
+import inspect
 import math
 
 import pytest
 
+import hilfer_mnc
+from hilfer_mnc import config, equations, solvability
 from hilfer_mnc.config import bundled_example
 from hilfer_mnc.equations import EquationSpec, Nonlinearity
 from hilfer_mnc.errors import DomainError
 from hilfer_mnc.fractional import FracParams
-from hilfer_mnc.solvability import (
-    certify,
-    contraction_factor,
-)
+from hilfer_mnc.solvability import certify
 
 _CFG = bundled_example()
 _ALPHA = _CFG.equations[0]
@@ -76,30 +77,24 @@ def test_kappa_override_pinned_kernel():
     assert not cert.boundary(0.5 * cert.r0_max_contraction)
 
 
-def test_explicit_override_beats_stored_one():
-    eq = _with_override(_ALPHA, 2.4047)
-    cert = certify(eq, gamma_k_override=1.0 / 3.0)
-    assert cert.kappa == pytest.approx(
-        certify(_ALPHA).kappa * certify(_ALPHA).gamma_k_used / (1.0 / 3.0), rel=1e-12
-    )
-    assert cert.gamma_k_overridden
-
-
-def test_contraction_factor_matches_certificate():
+def test_factor_at_and_admits_refuse_bad_radii():
     cert = certify(_ALPHA)
     for r0 in (0.0, 0.1, 0.5):
-        assert contraction_factor(_ALPHA, r0) == pytest.approx(cert.factor_at(r0), rel=1e-14)
+        assert cert.factor_at(r0) == cert.c1 + cert.kappa * r0
     for r0 in (-0.1, math.inf, math.nan):
         with pytest.raises(DomainError):
-            contraction_factor(_ALPHA, r0)
-        with pytest.raises(DomainError):
             cert.factor_at(r0)
-    with pytest.raises(DomainError):
-        cert.admits(math.inf)
+        with pytest.raises(DomainError):
+            cert.boundary(r0)
+    # admits returns False on a radius that is not positive, before factor_at
+    assert not cert.admits(-0.1)
+    for r0 in (math.inf, math.nan):
+        with pytest.raises(DomainError):
+            cert.admits(r0)
 
 
 def test_factor_at_half_frozen():
-    assert contraction_factor(_ALPHA, 0.5) == pytest.approx(
+    assert certify(_ALPHA).factor_at(0.5) == pytest.approx(
         1.0 / 6.0 + _KAPPA_STD_TRUE / 2.0, rel=1e-12
     )
 
@@ -116,7 +111,7 @@ def test_admits_respects_slack():
 def test_failing_certificate_when_c1_is_one():
     eq = EquationSpec(
         params=_ALPHA.params,
-        f=Nonlinearity.from_string("a", lipschitz=1.0, zero_at_zero=True),
+        f=Nonlinearity.from_string("a", lipschitz=1.0),
         psi=_ALPHA.psi,
         g=_ALPHA.g,
     )
@@ -132,7 +127,7 @@ def test_unbounded_radius_when_kappa_vanishes():
     eq = EquationSpec(
         params=_ALPHA.params,
         f=_ALPHA.f,
-        psi=Nonlinearity.from_string("0*a", lipschitz=0.0, zero_at_zero=True),
+        psi=Nonlinearity.from_string("0*a", lipschitz=0.0),
         g=_ALPHA.g,
     )
     cert = certify(eq)
@@ -149,8 +144,6 @@ def test_overflowing_kappa_is_rejected():
     eq = EquationSpec(params=params, f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g)
     with pytest.raises(DomainError, match="kappa"):
         certify(eq)
-    with pytest.raises(DomainError, match="kappa"):
-        contraction_factor(eq, 0.5)
 
 
 def test_overflowing_kernel_factor_is_rejected():
@@ -163,7 +156,7 @@ def test_overflowing_kernel_factor_is_rejected():
 def test_dishonest_declaration_is_rejected():
     eq = EquationSpec(
         params=_ALPHA.params,
-        f=Nonlinearity.from_string("a", lipschitz=0.5, zero_at_zero=True),
+        f=Nonlinearity.from_string("a", lipschitz=0.5),
         psi=_ALPHA.psi,
         g=_ALPHA.g,
     )
@@ -173,10 +166,22 @@ def test_dishonest_declaration_is_rejected():
 
 def test_invalid_override_values():
     with pytest.raises(DomainError):
-        certify(_ALPHA, gamma_k_override=0.0)
+        certify(_with_override(_ALPHA, 0.0))
     with pytest.raises(DomainError):
         certify(_ALPHA, kernel_factor_override=-1.0)
     with pytest.raises(DomainError):
-        certify(_ALPHA, gamma_k_override=math.inf)
+        certify(_with_override(_ALPHA, math.inf))
     with pytest.raises(DomainError):
         certify(_ALPHA, kernel_factor_override=math.inf)
+
+def test_public_surface_resolves_and_holds_no_dead_names():
+    for name in hilfer_mnc.__all__:
+        assert getattr(hilfer_mnc, name) is not None, name
+    assert len(set(hilfer_mnc.__all__)) == len(hilfer_mnc.__all__)
+    for module in (hilfer_mnc, config, equations, solvability):
+        assert not hasattr(module, "SystemSpec")
+        assert not hasattr(module, "contraction_factor")
+    assert not hasattr(config.RunConfig, "system")
+    # the equation carries the Gamma_k override; certify has no second copy
+    assert "gamma_k_override" not in inspect.signature(certify).parameters
+    assert [f.name for f in dataclasses.fields(equations.Nonlinearity)] == ["expr", "lipschitz"]
