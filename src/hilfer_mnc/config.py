@@ -55,16 +55,20 @@ class RunConfig:
     names: tuple[str, ...]
     solver: SolverConfig
     quadrature: QuadratureConfig
-    gamma_k_override: float | None
     kernel_factor_override: float | None
     mnc: MncConfig
     output: OutputConfig
+
+    @property
+    def gamma_k_override(self) -> float | None:
+        """The Gamma_k override, kept on the equations (parse_config gives all the same)."""
+        return self.equations[0].gamma_k_override
 
     def with_gamma_k_override(self, value: float | None) -> "RunConfig":
         if value is None:
             return self
         eqs = tuple(replace(eq, gamma_k_override=value) for eq in self.equations)
-        return replace(self, equations=eqs, gamma_k_override=value)
+        return replace(self, equations=eqs)
 
 
 def _get(data: dict, key: str, path: str):
@@ -226,7 +230,6 @@ def parse_config(data: dict) -> RunConfig:
         names=tuple(names),
         solver=solver,
         quadrature=quadrature,
-        gamma_k_override=gk,
         kernel_factor_override=kern,
         mnc=mnc,
         output=output,

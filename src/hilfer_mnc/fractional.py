@@ -15,22 +15,124 @@ The point rule (product_quadrature) uses one unit mesh sigma on [0, 1] and the
 s-mesh 1 + (X - 1) sigma for every upper limit X, so its node weights are
 (X - 1)^a times the unit mesh's: one weight vector serves any number of
 points, and a point next to x = 1 keeps a mesh of distinct nodes.
+
+The point rule evaluates its points in blocks. A call with at least two
+blocks shares them between the calling thread and helper threads from one
+process-wide pool of (cores available to the process - 1) threads, created
+on the first such call and dropped in a forked child. Each point's value is
+its own row sum, so the result is bit for bit the same for any number of
+threads. Only NumPy kernels run in the helpers; the functions a tracer may
+wrap (panel_weights, k_gamma) run on the calling thread.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, require_positive_finite
 from .special_functions import k_gamma
 
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
+
 DEFAULT_PANELS = 1024
 _GRADING_POWER = 2.0
 # entries of the (points x nodes) block the point rule samples phi into at once
 _POINT_BLOCK = 2**15
+
+# helper threads of the point rule; created on first use, see _point_pool
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _helper_count() -> int:
+    """Helper threads beside the caller: one per further core the process may run on."""
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        cpus = os.cpu_count() or 1
+    return cpus - 1
+
+
+def _point_pool(helpers: int) -> ThreadPoolExecutor:
+    """The process's helper pool, created with room for `helpers` threads on the first call.
+
+    The pool starts its threads as tasks arrive, up to that number.
+    """
+    global _pool
+    # imported here: a process that never pools does not pay for the import
+    from concurrent.futures import ThreadPoolExecutor
+
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(helpers, thread_name_prefix="hilfer-point-rule")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child has none of its parent's threads: a task submitted to the
+    # inherited pool would never run, and the child would evaluate every block alone
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def _run_blocks(starts: range, block, shape: tuple[int, int]) -> None:
+    """Call block(start, buf) once for each start, on this thread and the helpers.
+
+    Every thread claims the next start under a lock and reuses one scratch
+    buffer buf of the given shape for all of its blocks. A helper that has
+    not started by the time this thread runs out of blocks is cancelled, so
+    a call never waits for a helper that could not get a core, nor for
+    another call's blocks. After an exception in any thread no thread
+    starts another block, and the exception propagates.
+    """
+    lock = threading.Lock()
+    pending = list(reversed(starts))
+
+    def work() -> None:
+        buf = None
+        try:
+            while True:
+                with lock:
+                    if not pending:
+                        return
+                    i = pending.pop()
+                if buf is None:
+                    buf = np.empty(shape)
+                block(i, buf)
+        except BaseException:
+            # the first error ends the call: no thread starts another block
+            with lock:
+                pending.clear()
+            raise
+
+    available = _helper_count()
+    helpers = min(available, len(starts) - 1)
+    futures = []
+    if helpers > 0:
+        pool = _point_pool(available)
+        futures = [pool.submit(work) for _ in range(helpers)]
+    try:
+        work()
+    finally:
+        # cancel() fails only for a task that has started; a cancelled one
+        # stays queued until a free helper discards it, so it is not awaited
+        started = [f for f in futures if not f.cancel()]
+        for f in started:
+            f.exception()  # waits for the task to end
+    for f in started:
+        f.result()
 
 
 @dataclass(frozen=True)
@@ -207,7 +309,14 @@ def product_quadrature(
     Gamma_k(gamma_ord) in the prefactor. The value at x = 1 is exactly 0.
     Every point is validated before any is evaluated, and a DomainError
     names the first one outside [1, T], or the first whose prefactor
-    (X - 1)^a overflows a double.
+    (X - 1)^a overflows a double. A DomainError also names the first point
+    whose value overflows; no floating-point warning is issued, whatever
+    the caller's np.errstate.
+
+    The points are evaluated in blocks of about _POINT_BLOCK mesh entries.
+    When there are at least two blocks, helper threads (one per further
+    core available to the process) take blocks alongside the calling
+    thread; the result is bit-identical to a single-threaded evaluation.
     """
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
@@ -240,7 +349,7 @@ def product_quadrature(
         raise DomainError(f"mesh must be 'uniform' or 'graded', got {mesh!r}")
     w = panel_weights(end, unit, a)
     gk = gamma_k_value if gamma_k_value is not None else k_gamma(params.k, params.gamma_ord).value
-    with np.errstate(over="ignore"):
+    with np.errstate(all="ignore"):
         scale = params.rho ** (-a) / (params.k * gk) * (X - 1.0) ** a
     overflow = ~np.isfinite(scale)
     if overflow.any():
@@ -251,20 +360,32 @@ def product_quadrature(
         )
     out = np.empty(pts.shape)
     step = max(1, _POINT_BLOCK // unit.size)
-    buf = np.empty((min(step, pts.size), unit.size))
-    for i in range(0, pts.size, step):
-        Xb = X[i : i + step]
-        s = buf[: Xb.size]
-        np.multiply((Xb - 1.0)[:, None], unit, out=s)
-        s += origin[i : i + step, None]
-        s **= 1.0 / params.rho
-        v = phi(s)
-        v *= w
-        # a row sum, not a matrix-vector product: each point's value does not
-        # depend on the other points in its block
-        np.sum(v, axis=1, out=out[i : i + step])
-    out *= scale
+
+    def block(i: int, buf: np.ndarray) -> None:
+        # errstate is per thread; overflow is reported after every block is done
+        with np.errstate(all="ignore"):
+            Xb = X[i : i + step]
+            s = buf[: Xb.size]
+            np.multiply((Xb - 1.0)[:, None], unit, out=s)
+            s += origin[i : i + step, None]
+            s **= 1.0 / params.rho
+            v = phi(s)
+            v *= w
+            # a row sum, not a matrix-vector product: each point's value does
+            # not depend on the other points in its block or on its thread
+            np.sum(v, axis=1, out=out[i : i + step])
+
+    _run_blocks(range(0, pts.size, step), block, (min(step, pts.size), unit.size))
+    with np.errstate(all="ignore"):
+        out *= scale
     out[pts == 1.0] = 0.0
+    overflow = ~np.isfinite(out)
+    if overflow.any():
+        bad = int(np.argmax(overflow))
+        raise DomainError(
+            f"the integral overflows a double at x = {pts[bad]} (the prefactor "
+            f"{scale[bad]} times the weighted sum of phi over the point's s-mesh)"
+        )
     return float(out[0]) if xs.ndim == 0 else out
 
 

@@ -496,6 +496,18 @@ def test_out_of_range_gamma_k_or_prefactor_exits_2(capsys, argv, fragment):
     assert fragment in payload["message"]
 
 
+def test_frac_int_overflowing_row_sum_exits_2(capsys):
+    # the prefactor is finite; the prefactor times the sum over phi = 1.7e308 is not
+    argv = ["frac-int", "--expr", "1.7e308", "--x", "2", "3"]
+    code = main(argv + ["--k", "0.5", "--rho", "0.5", "--gamma-ord", "0.5", "--T", "3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == ""
+    payload = _strict_json(captured.out)
+    assert (payload["status"], payload["error_type"]) == ("error", "domain")
+    assert payload["message"].startswith("the integral overflows a double at x = 2.0 ")
+
+
 @pytest.mark.parametrize("fmt", ["csv", "json-lines"])
 def test_frac_int_overflowing_integral_exits_2(tmp_path, capsys, fmt):
     # (X - 1)^(gamma_ord/k) = 9119^90 overflows at x = 1e4; at x = 2 it is in range
@@ -672,6 +684,33 @@ def test_mnc_demo_bytes_identical_across_threads():
     # a second single-thread run is byte-identical too
     again = subprocess.run(cmd, capture_output=True, env=_subprocess_env("1"), check=True)
     assert again.stdout == runs["1"].stdout
+
+
+# live threads after import, after each CLI stage, and after a pooled frac-int
+_THREAD_PROBE = """
+import contextlib, io, threading
+import hilfer_mnc
+from hilfer_mnc import cli, fractional
+
+counts = [threading.active_count()]
+x = [str(1.0 + j / 32) for j in range(65)]
+for argv in (["paper-example"], ["solve", "--paper-example"], ["frac-int", "--paper-example", "--expr", "x", "--x", *x]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(argv)
+    counts.append(threading.active_count())
+print(*counts, fractional._helper_count())
+"""
+
+
+def test_only_the_point_rule_starts_threads():
+    run = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE],
+        capture_output=True, text=True, env=_subprocess_env("1"), check=True,
+    )
+    *counts, helpers = map(int, run.stdout.split())
+    assert counts[:3] == [1, 1, 1]
+    # 65 points on the bundled 1024-panel mesh are 3 blocks: up to 2 helpers
+    assert 1 + min(helpers, 1) <= counts[3] <= 1 + min(helpers, 2)
 
 
 def test_closed_stdout_exits_quietly():

@@ -4,6 +4,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import subprocess
+import sys
+import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -383,3 +388,198 @@ def test_convergence_order_validation():
         measure_convergence_order(_P, phi, 3.0, [128, 256])
     with pytest.raises(DomainError):
         measure_convergence_order(_P, phi, 3.0, [256, 128, 512])
+
+
+# -- the pooled point rule ------------------------------------------------------
+
+
+@pytest.fixture
+def helper_threads(monkeypatch):
+    """Sets the point rule's helper count on a fresh pool, shut down afterwards."""
+    monkeypatch.setattr(fractional, "_pool", None)
+
+    def use(n: int) -> None:
+        monkeypatch.setattr(fractional, "_helper_count", lambda: n)
+
+    yield use
+    if fractional._pool is not None:
+        fractional._pool.shutdown()
+
+
+def _wavy(n: int = 4097) -> GridFunction:
+    nodes = uniform_nodes(_NEAR_ONE.T, n)
+    return GridFunction(nodes=nodes, values=np.cos(3.0 * nodes) - 0.4 * nodes)
+
+
+@pytest.mark.parametrize("mesh", ["uniform", "graded"])
+@pytest.mark.parametrize(
+    "points",
+    [None, 5, 14, 26, 256],
+    ids=["scalar", "1-block", "2-blocks", "partial-last-block", "256-points"],
+)
+def test_pooled_point_rule_is_bit_identical_to_serial(helper_threads, mesh, points):
+    # 4096 panels make blocks of 7 points
+    assert fractional._POINT_BLOCK // 4097 == 7
+    phi = _wavy()
+    rng = np.random.default_rng(11)
+    x = 2.2 if points is None else np.sort(rng.uniform(1.0, _NEAR_ONE.T, points))
+    helper_threads(0)
+    want = product_quadrature(_NEAR_ONE, phi, x, panels=4096, mesh=mesh)
+    assert fractional._pool is None
+    for helpers in (1, 3):
+        helper_threads(helpers)
+        got = product_quadrature(_NEAR_ONE, phi, x, panels=4096, mesh=mesh)
+        assert np.array_equal(got, want)
+        assert type(got) is type(want)
+    # a pool is made only for a call with at least two blocks
+    assert (fractional._pool is not None) == (points is not None and points > 7)
+
+
+def test_concurrent_calls_share_the_pool(helper_threads):
+    # 4 callers and 3 helpers on any number of cores, switching threads
+    # often: a block claimed twice or never would leave a wrong or unset value
+    helper_threads(3)
+    xs = np.linspace(1.0, _NEAR_ONE.T, 60)
+    base = _wavy()
+    phis = [GridFunction(nodes=base.nodes, values=base.values * c) for c in (1.0, -2.0, 0.5, 3.0)]
+    want = [product_quadrature(_NEAR_ONE, phi, xs, panels=4096) for phi in phis]
+    got: dict[tuple[int, int], np.ndarray] = {}
+
+    def call(j: int) -> None:
+        for rep in range(5):
+            got[j, rep] = product_quadrature(_NEAR_ONE, phis[j], xs, panels=4096)
+
+    threads = [threading.Thread(target=call, args=(j,)) for j in range(len(phis))]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert all(np.array_equal(got[j, rep], want[j]) for j in range(len(phis)) for rep in range(5))
+
+
+def test_a_busy_pool_does_not_delay_a_call(helper_threads):
+    # the only helper is held by another task: the caller does every block
+    # itself and returns without waiting for the helper
+    helper_threads(0)
+    xs = np.linspace(1.0, _NEAR_ONE.T, 60)
+    want = product_quadrature(_NEAR_ONE, _wavy(), xs, panels=4096)
+    helper_threads(1)
+    release = threading.Event()
+    blocker = fractional._point_pool(1).submit(release.wait, 60)
+    got = {}
+    call = threading.Thread(
+        target=lambda: got.update(v=product_quadrature(_NEAR_ONE, _wavy(), xs, panels=4096))
+    )
+    call.start()
+    call.join(timeout=30)
+    returned = not call.is_alive()
+    release.set()
+    blocker.result()
+    call.join()
+    assert returned
+    assert np.array_equal(got["v"], want)
+
+
+def test_an_error_in_any_block_propagates(helper_threads):
+    calls = []
+    lock = threading.Lock()
+
+    class FailingGrid(GridFunction):
+        """Raises on its fifth evaluation, on whichever thread makes it."""
+
+        def __call__(self, x):
+            with lock:
+                calls.append(threading.get_ident())
+                if len(calls) == 5:
+                    raise ValueError("fifth block")
+            return super().__call__(x)
+
+    helper_threads(3)
+    phi = FailingGrid(nodes=_wavy().nodes, values=_wavy().values)
+    with pytest.raises(ValueError, match="fifth block"):
+        product_quadrature(_NEAR_ONE, phi, np.linspace(1.0, 3.0, 100), panels=4096)
+    # 15 blocks: after the error each thread finishes at most the block it holds
+    assert len(calls) <= 5 + 3
+
+
+@pytest.mark.parametrize("helpers", [0, 3])
+def test_caller_errstate_does_not_change_values(helper_threads, helpers):
+    helper_threads(helpers)
+    phi = _wavy()
+    xs = np.random.default_rng(5).uniform(1.0, _NEAR_ONE.T, 256)
+    want = product_quadrature(_NEAR_ONE, phi, xs, panels=4096, mesh="graded")
+    with np.errstate(all="raise"):
+        got = product_quadrature(_NEAR_ONE, phi, xs, panels=4096, mesh="graded")
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("helpers", [0, 3])
+def test_overflowing_integral_raises_domain_error(helper_threads, helpers):
+    # a = 1: the unit weights sum to 1, so the row sums stay finite and the
+    # prefactor, above 1 from x = 1.12 on, carries the value past the double range
+    helper_threads(helpers)
+    params = FracParams(k=0.5, rho=0.5, gamma_ord=0.5, T=3.0)
+    nodes = uniform_nodes(params.T, 4097)
+    phi = GridFunction(nodes=nodes, values=np.full(nodes.shape, 1.7e308))
+    xs = np.linspace(1.0, 3.0, 40)  # 6 blocks of 7 points
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^the integral overflows a double at x = 1\.6153846153846154 "):
+            product_quadrature(params, phi, xs, panels=4096)
+        # a = 1/2: the unit weights sum to 2 and the row sums overflow
+        # themselves; the value at x = 1 stays 0
+        phi = GridFunction(nodes=uniform_nodes(_NEAR_ONE.T, 4097), values=phi.values)
+        xs = np.concatenate(([1.0, 1.0 + 1e-9], np.linspace(1.5, 3.0, 20)))
+        with pytest.raises(DomainError, match=r"^the integral overflows a double at x = 1\.000000001 "):
+            product_quadrature(_NEAR_ONE, phi, xs, panels=4096)
+
+
+_FORK_PROBE = """
+import os, sys, time
+import numpy as np
+from hilfer_mnc import fractional
+from hilfer_mnc.fractional import FracParams, GridFunction, product_quadrature, uniform_nodes
+
+fractional._helper_count = lambda: 2
+params = FracParams(k=0.6, rho=0.4, gamma_ord=0.3, T=3.0)
+nodes = uniform_nodes(3.0, 4097)
+phi = GridFunction(nodes=nodes, values=np.cos(nodes))
+xs = np.linspace(1.0, 3.0, 64)
+want = product_quadrature(params, phi, xs, panels=4096)
+inherited = fractional._pool
+assert inherited is not None
+pid = os.fork()
+if pid == 0:
+    same = np.array_equal(product_quadrature(params, phi, xs, panels=4096), want)
+    fresh = fractional._pool is not None and fractional._pool is not inherited
+    os._exit(0 if same and fresh else 1)
+deadline = time.monotonic() + 60
+while True:
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        print("child exit", os.waitstatus_to_exitcode(status))
+        break
+    if time.monotonic() > deadline:
+        os.kill(pid, 9)
+        os.waitpid(pid, 0)
+        print("child hung")
+        break
+    time.sleep(0.01)
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_pool_survives_fork():
+    # the child gets a pool of its own and finishes; the parent's helper
+    # threads do not exist in it
+    run = subprocess.run(
+        [sys.executable, "-c", _FORK_PROBE], capture_output=True, text=True, timeout=120
+    )
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "child exit 0"
