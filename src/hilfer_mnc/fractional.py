@@ -21,8 +21,10 @@ blocks shares them between the calling thread and helper threads from one
 process-wide pool of (cores available to the process - 1) threads, created
 on the first such call and dropped in a forked child. Each point's value is
 its own row sum, so the result is bit for bit the same for any number of
-threads. Only NumPy kernels run in the helpers; the functions a tracer may
-wrap (panel_weights, k_gamma) run on the calling thread.
+threads. The caller never waits long for a helper: once every block is
+taken, a block that a helper still holds after the caller's median block
+time is evaluated by the caller too. Only NumPy kernels and phi run in the helpers; the functions a
+tracer may wrap (panel_weights, k_gamma) run on the calling thread.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from __future__ import annotations
 import math
 import os
 import threading
+import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -43,8 +46,11 @@ if TYPE_CHECKING:
 
 DEFAULT_PANELS = 1024
 _GRADING_POWER = 2.0
-# entries of the (points x nodes) block the point rule samples phi into at once
-_POINT_BLOCK = 2**15
+# entries of the (points x nodes) block the point rule samples phi into at once.
+# Each block makes six NumPy calls, and a thread that returns from one while
+# another holds the GIL sleeps until it is woken; on a 2-core host 2**16
+# entries took about 15 such sleeps per 256-point call, 2**15 about 50.
+_POINT_BLOCK = 2**16
 
 # helper threads of the point rule; created on first use, see _point_pool
 _pool: ThreadPoolExecutor | None = None
@@ -87,52 +93,94 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_forget_pool)
 
 
-def _run_blocks(starts: range, block, shape: tuple[int, int]) -> None:
-    """Call block(start, buf) once for each start, on this thread and the helpers.
+def _run_blocks(starts: range, block, shape: tuple[int, int], out: np.ndarray) -> None:
+    """Write each block's values r = block(start, buf) to out[start : start + len(r)].
 
-    Every thread claims the next start under a lock and reuses one scratch
-    buffer buf of the given shape for all of its blocks. A helper that has
-    not started by the time this thread runs out of blocks is cancelled, so
-    a call never waits for a helper that could not get a core, nor for
-    another call's blocks. After an exception in any thread no thread
-    starts another block, and the exception propagates.
+    The blocks run on this thread and on the helpers, each thread under its
+    own np.errstate(all="ignore"). Every thread claims the next start under
+    a lock and reuses one scratch buffer buf of the given shape for all of
+    its blocks; the first thread to finish a block writes it, under the
+    lock. Once every start is claimed, this thread waits for a block that a
+    helper holds for as long as its own median block took (a block of its own
+    that stalled does not lengthen the wait), and then evaluates that block
+    itself. A helper that lost its core thus delays a call by about two
+    blocks, and one that never got a core is cancelled.
+    No helper is waited for: one that finishes a block after the call has
+    returned discards it. After an exception in any thread no thread starts
+    another block, and the call raises it.
     """
-    lock = threading.Lock()
-    pending = list(reversed(starts))
+    count = len(starts)
+    cond = threading.Condition()
+    unwritten = set(range(count))
+    claimed = 0
+    failure: BaseException | None = None
+    closed = False
 
-    def work() -> None:
-        buf = None
+    def write(k: int, values: np.ndarray) -> None:
+        # under cond: a block is written once, and never after the call returns
+        if not closed and k in unwritten:
+            out[starts[k] : starts[k] + values.size] = values
+            unwritten.discard(k)
+            cond.notify_all()
+
+    def helper() -> None:
+        nonlocal claimed, failure
         try:
-            while True:
-                with lock:
-                    if not pending:
-                        return
-                    i = pending.pop()
-                if buf is None:
-                    buf = np.empty(shape)
-                block(i, buf)
-        except BaseException:
-            # the first error ends the call: no thread starts another block
-            with lock:
-                pending.clear()
-            raise
+            buf = np.empty(shape)
+            with np.errstate(all="ignore"):
+                while True:
+                    with cond:
+                        if closed or failure is not None or claimed == count:
+                            return
+                        k = claimed
+                        claimed += 1
+                    values = block(starts[k], buf)
+                    with cond:
+                        write(k, values)
+        except BaseException as exc:
+            # no one reads the future: the caller raises the error instead
+            with cond:
+                if not closed and failure is None:
+                    failure = exc
+                    cond.notify_all()
 
     available = _helper_count()
-    helpers = min(available, len(starts) - 1)
+    helpers = min(available, count - 1)
     futures = []
     if helpers > 0:
         pool = _point_pool(available)
-        futures = [pool.submit(work) for _ in range(helpers)]
+        futures = [pool.submit(helper) for _ in range(helpers)]
+    buf = np.empty(shape)
+    times: list[float] = []  # this thread's block times
     try:
-        work()
+        with np.errstate(all="ignore"):
+            while True:
+                with cond:
+                    if failure is not None:
+                        raise failure
+                    if not unwritten:
+                        return
+                    if claimed < count:
+                        k = claimed
+                        claimed += 1
+                    else:
+                        # every block is claimed, and a helper holds block k
+                        k = min(unwritten)
+                        patience = sorted(times)[len(times) // 2] if times else 0.0
+                        if cond.wait_for(
+                            lambda: k not in unwritten or failure is not None, patience
+                        ):
+                            continue
+                t0 = time.perf_counter()
+                values = block(starts[k], buf)
+                times.append(time.perf_counter() - t0)
+                with cond:
+                    write(k, values)
     finally:
-        # cancel() fails only for a task that has started; a cancelled one
-        # stays queued until a free helper discards it, so it is not awaited
-        started = [f for f in futures if not f.cancel()]
-        for f in started:
-            f.exception()  # waits for the task to end
-    for f in started:
-        f.result()
+        with cond:
+            closed = True
+        for f in futures:
+            f.cancel()  # a task that has not started; one that has ends on its own
 
 
 @dataclass(frozen=True)
@@ -316,7 +364,8 @@ def product_quadrature(
     The points are evaluated in blocks of about _POINT_BLOCK mesh entries.
     When there are at least two blocks, helper threads (one per further
     core available to the process) take blocks alongside the calling
-    thread; the result is bit-identical to a single-threaded evaluation.
+    thread, which takes over any block a helper is slow to finish; the
+    result is bit-identical to a single-threaded evaluation.
     """
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
@@ -361,21 +410,19 @@ def product_quadrature(
     out = np.empty(pts.shape)
     step = max(1, _POINT_BLOCK // unit.size)
 
-    def block(i: int, buf: np.ndarray) -> None:
-        # errstate is per thread; overflow is reported after every block is done
-        with np.errstate(all="ignore"):
-            Xb = X[i : i + step]
-            s = buf[: Xb.size]
-            np.multiply((Xb - 1.0)[:, None], unit, out=s)
-            s += origin[i : i + step, None]
-            s **= 1.0 / params.rho
-            v = phi(s)
-            v *= w
-            # a row sum, not a matrix-vector product: each point's value does
-            # not depend on the other points in its block or on its thread
-            np.sum(v, axis=1, out=out[i : i + step])
+    def block(i: int, buf: np.ndarray) -> np.ndarray:
+        Xb = X[i : i + step]
+        s = buf[: Xb.size]
+        np.multiply((Xb - 1.0)[:, None], unit, out=s)
+        s += origin[i : i + step, None]
+        s **= 1.0 / params.rho
+        v = phi(s)
+        v *= w
+        # a row sum, not a matrix-vector product: each point's value does
+        # not depend on the other points in its block or on its thread
+        return np.add.reduce(v, axis=1)
 
-    _run_blocks(range(0, pts.size, step), block, (min(step, pts.size), unit.size))
+    _run_blocks(range(0, pts.size, step), block, (min(step, pts.size), unit.size), out)
     with np.errstate(all="ignore"):
         out *= scale
     out[pts == 1.0] = 0.0

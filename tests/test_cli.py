@@ -698,7 +698,8 @@ for argv in (["paper-example"], ["solve", "--paper-example"], ["frac-int", "--pa
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(argv)
     counts.append(threading.active_count())
-print(*counts, fractional._helper_count())
+blocks = -(-len(x) // (fractional._POINT_BLOCK // 1025))
+print(*counts, fractional._helper_count(), blocks)
 """
 
 
@@ -707,10 +708,11 @@ def test_only_the_point_rule_starts_threads():
         [sys.executable, "-c", _THREAD_PROBE],
         capture_output=True, text=True, env=_subprocess_env("1"), check=True,
     )
-    *counts, helpers = map(int, run.stdout.split())
+    *counts, helpers, blocks = map(int, run.stdout.split())
     assert counts[:3] == [1, 1, 1]
-    # 65 points on the bundled 1024-panel mesh are 3 blocks: up to 2 helpers
-    assert 1 + min(helpers, 1) <= counts[3] <= 1 + min(helpers, 2)
+    # 65 points on the bundled 1024-panel mesh: at most one helper per further block
+    assert blocks >= 2
+    assert 1 + min(helpers, 1) <= counts[3] <= 1 + min(helpers, blocks - 1)
 
 
 def test_closed_stdout_exits_quietly():

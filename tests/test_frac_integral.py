@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -31,6 +32,8 @@ from hilfer_mnc.special_functions import beta as beta_fn
 from hilfer_mnc.special_functions import k_gamma
 
 _P = FracParams(k=1.0 / 3.0, rho=1.0 / 3.0, gamma_ord=2.0 / 3.0, T=3.0)
+# points per block of the point rule on a 4096-panel mesh (4097 unit nodes)
+_BLOCK = fractional._POINT_BLOCK // 4097
 
 
 def _const(params: FracParams, c: float, n: int = 257) -> GridFunction:
@@ -213,14 +216,12 @@ def test_points_next_to_left_endpoint_stay_finite(mesh):
 
 @pytest.mark.parametrize("mesh", ["uniform", "graded"])
 def test_array_call_matches_scalar_calls(mesh):
-    # 4097 nodes make blocks of 7 points: 26 points fill three blocks and
-    # part of a fourth; unsorted, repeated, and x = 1 where the integrand is
-    # negative (the value must be +0.0, not -0.0)
-    assert fractional._POINT_BLOCK // 4097 == 7
+    # two full blocks and part of a third; unsorted, repeated, and x = 1
+    # where the integrand is negative (the value must be +0.0, not -0.0)
     nodes = uniform_nodes(_P.T, 513)
     phi = GridFunction(nodes=nodes, values=np.cos(2.0 * nodes) - 0.9)
     rng = np.random.default_rng(7)
-    xs = np.concatenate(([2.5, 1.0, 3.0], rng.uniform(1.0, 3.0, 20), [2.5, 1.0, 1.2]))
+    xs = np.concatenate(([2.5, 1.0, 3.0], rng.uniform(1.0, 3.0, 2 * _BLOCK), [2.5, 1.0, 1.2]))
     got = product_quadrature(_P, phi, xs, panels=4096, mesh=mesh)
     want = np.array([product_quadrature(_P, phi, float(x), panels=4096, mesh=mesh) for x in xs])
     assert got.shape == xs.shape
@@ -414,12 +415,10 @@ def _wavy(n: int = 4097) -> GridFunction:
 @pytest.mark.parametrize("mesh", ["uniform", "graded"])
 @pytest.mark.parametrize(
     "points",
-    [None, 5, 14, 26, 256],
+    [None, _BLOCK - 2, 2 * _BLOCK, 3 * _BLOCK + 5, 256],
     ids=["scalar", "1-block", "2-blocks", "partial-last-block", "256-points"],
 )
 def test_pooled_point_rule_is_bit_identical_to_serial(helper_threads, mesh, points):
-    # 4096 panels make blocks of 7 points
-    assert fractional._POINT_BLOCK // 4097 == 7
     phi = _wavy()
     rng = np.random.default_rng(11)
     x = 2.2 if points is None else np.sort(rng.uniform(1.0, _NEAR_ONE.T, points))
@@ -432,7 +431,7 @@ def test_pooled_point_rule_is_bit_identical_to_serial(helper_threads, mesh, poin
         assert np.array_equal(got, want)
         assert type(got) is type(want)
     # a pool is made only for a call with at least two blocks
-    assert (fractional._pool is not None) == (points is not None and points > 7)
+    assert (fractional._pool is not None) == (points is not None and points > _BLOCK)
 
 
 def test_concurrent_calls_share_the_pool(helper_threads):
@@ -486,6 +485,45 @@ def test_a_busy_pool_does_not_delay_a_call(helper_threads):
     assert np.array_equal(got["v"], want)
 
 
+def test_a_stalled_helper_does_not_delay_a_call(helper_threads):
+    # the helper stops inside its first block: the caller evaluates that
+    # block itself and returns, and the helper's late result is discarded
+    xs = np.linspace(1.0, _NEAR_ONE.T, 4 * _BLOCK)
+    helper_threads(0)
+    want = product_quadrature(_NEAR_ONE, _wavy(), xs, panels=4096)
+    caller = threading.get_ident()
+    stalled = threading.Event()
+    release = threading.Event()
+
+    class StallingGrid(GridFunction):
+        """Holds the first helper block until released; the caller's first
+        block waits until the helper is held."""
+
+        def __call__(self, x):
+            if threading.get_ident() != caller:
+                if not stalled.is_set():
+                    stalled.set()
+                    release.wait(10)
+            else:
+                stalled.wait(10)
+            return super().__call__(x)
+
+    helper_threads(1)
+    phi = StallingGrid(nodes=_wavy().nodes, values=_wavy().values)
+    try:
+        start = time.monotonic()
+        got = product_quadrature(_NEAR_ONE, phi, xs, panels=4096)
+        elapsed = time.monotonic() - start
+        kept = got.copy()
+    finally:
+        release.set()
+    fractional._pool.shutdown()  # the helper finishes its block
+    assert stalled.is_set()
+    assert elapsed < 5.0
+    assert np.array_equal(kept, want)
+    assert np.array_equal(got, want)
+
+
 def test_an_error_in_any_block_propagates(helper_threads):
     calls = []
     lock = threading.Lock()
@@ -503,8 +541,8 @@ def test_an_error_in_any_block_propagates(helper_threads):
     helper_threads(3)
     phi = FailingGrid(nodes=_wavy().nodes, values=_wavy().values)
     with pytest.raises(ValueError, match="fifth block"):
-        product_quadrature(_NEAR_ONE, phi, np.linspace(1.0, 3.0, 100), panels=4096)
-    # 15 blocks: after the error each thread finishes at most the block it holds
+        product_quadrature(_NEAR_ONE, phi, np.linspace(1.0, 3.0, 8 * _BLOCK), panels=4096)
+    # 8 blocks: after the error each thread finishes at most the block it holds
     assert len(calls) <= 5 + 3
 
 
@@ -527,7 +565,8 @@ def test_overflowing_integral_raises_domain_error(helper_threads, helpers):
     params = FracParams(k=0.5, rho=0.5, gamma_ord=0.5, T=3.0)
     nodes = uniform_nodes(params.T, 4097)
     phi = GridFunction(nodes=nodes, values=np.full(nodes.shape, 1.7e308))
-    xs = np.linspace(1.0, 3.0, 40)  # 6 blocks of 7 points
+    xs = np.linspace(1.0, 3.0, 40)  # more than one block
+    assert xs.size > _BLOCK
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(DomainError, match=r"^the integral overflows a double at x = 1\.6153846153846154 "):
