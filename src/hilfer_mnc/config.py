@@ -59,6 +59,20 @@ class RunConfig:
     mnc: MncConfig
     output: OutputConfig
 
+    def __post_init__(self) -> None:
+        # frac-int reads params and the override from the config, the operator
+        # and certify from each equation: the copies must agree
+        for i, eq in enumerate(self.equations):
+            if eq.params != self.params:
+                raise ConfigError(
+                    f"equations[{i}].params: {eq.params} differ from params {self.params}"
+                )
+            if eq.gamma_k_override != self.gamma_k_override:
+                raise ConfigError(
+                    f"equations[{i}].gamma_k_override: {eq.gamma_k_override} differs from "
+                    f"equations[0]'s {self.gamma_k_override}"
+                )
+
     @property
     def gamma_k_override(self) -> float | None:
         """The Gamma_k override, kept on the equations (parse_config gives all the same)."""

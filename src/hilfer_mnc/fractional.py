@@ -17,14 +17,13 @@ s-mesh 1 + (X - 1) sigma for every upper limit X, so its node weights are
 points, and a point next to x = 1 keeps a mesh of distinct nodes.
 
 The point rule evaluates its points in blocks. A call with at least two
-blocks shares them between the calling thread and helper threads from one
-process-wide pool of (cores available to the process - 1) threads, created
-on the first such call and dropped in a forked child. Each point's value is
-its own row sum, so the result is bit for bit the same for any number of
-threads. The caller never waits long for a helper: once every block is
-taken, a block that a helper still holds after the caller's median block
-time is evaluated by the caller too. Only NumPy kernels and phi run in the helpers; the functions a
-tracer may wrap (panel_weights, k_gamma) run on the calling thread.
+blocks starts helper threads for the call, one per further core available
+to the process (at most one per further block), shares the blocks between
+them and the calling thread, and joins them before it returns. Each point's
+value is its own row sum, so the result is bit for bit the same for any
+number of threads. Only NumPy kernels and phi run in the helpers; the
+functions a tracer may wrap (panel_weights, k_gamma) run on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -32,17 +31,12 @@ from __future__ import annotations
 import math
 import os
 import threading
-import time
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DomainError, require_positive_finite
 from .special_functions import k_gamma
-
-if TYPE_CHECKING:
-    from concurrent.futures import ThreadPoolExecutor
 
 DEFAULT_PANELS = 1024
 _GRADING_POWER = 2.0
@@ -51,10 +45,6 @@ _GRADING_POWER = 2.0
 # another holds the GIL sleeps until it is woken; on a 2-core host 2**16
 # entries took about 15 such sleeps per 256-point call, 2**15 about 50.
 _POINT_BLOCK = 2**16
-
-# helper threads of the point rule; created on first use, see _point_pool
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
 
 
 def _helper_count() -> int:
@@ -66,121 +56,46 @@ def _helper_count() -> int:
     return cpus - 1
 
 
-def _point_pool(helpers: int) -> ThreadPoolExecutor:
-    """The process's helper pool, created with room for `helpers` threads on the first call.
-
-    The pool starts its threads as tasks arrive, up to that number.
-    """
-    global _pool
-    # imported here: a process that never pools does not pay for the import
-    from concurrent.futures import ThreadPoolExecutor
-
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(helpers, thread_name_prefix="hilfer-point-rule")
-        return _pool
-
-
-def _forget_pool() -> None:
-    # a forked child has none of its parent's threads: a task submitted to the
-    # inherited pool would never run, and the child would evaluate every block alone
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
-if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
-
-
 def _run_blocks(starts: range, block, shape: tuple[int, int], out: np.ndarray) -> None:
     """Write each block's values r = block(start, buf) to out[start : start + len(r)].
 
-    The blocks run on this thread and on the helpers, each thread under its
-    own np.errstate(all="ignore"). Every thread claims the next start under
-    a lock and reuses one scratch buffer buf of the given shape for all of
-    its blocks; the first thread to finish a block writes it, under the
-    lock. Once every start is claimed, this thread waits for a block that a
-    helper holds for as long as its own median block took (a block of its own
-    that stalled does not lengthen the wait), and then evaluates that block
-    itself. A helper that lost its core thus delays a call by about two
-    blocks, and one that never got a core is cancelled.
-    No helper is waited for: one that finishes a block after the call has
-    returned discards it. After an exception in any thread no thread starts
-    another block, and the call raises it.
+    This thread and min(_helper_count(), len(starts) - 1) helper threads,
+    started for this call, claim the starts one at a time under a lock. Each
+    thread reuses one scratch buffer buf of the given shape, runs under its
+    own np.errstate(all="ignore") and writes its blocks' disjoint rows of out.
+    After an exception in any thread no thread claims another block. Every
+    helper is joined before the call returns or raises the first exception.
     """
-    count = len(starts)
-    cond = threading.Condition()
-    unwritten = set(range(count))
-    claimed = 0
-    failure: BaseException | None = None
-    closed = False
+    todo = iter(starts)
+    lock = threading.Lock()
+    errors: list[BaseException] = []
 
-    def write(k: int, values: np.ndarray) -> None:
-        # under cond: a block is written once, and never after the call returns
-        if not closed and k in unwritten:
-            out[starts[k] : starts[k] + values.size] = values
-            unwritten.discard(k)
-            cond.notify_all()
-
-    def helper() -> None:
-        nonlocal claimed, failure
+    def work() -> None:
         try:
             buf = np.empty(shape)
             with np.errstate(all="ignore"):
                 while True:
-                    with cond:
-                        if closed or failure is not None or claimed == count:
-                            return
-                        k = claimed
-                        claimed += 1
-                    values = block(starts[k], buf)
-                    with cond:
-                        write(k, values)
-        except BaseException as exc:
-            # no one reads the future: the caller raises the error instead
-            with cond:
-                if not closed and failure is None:
-                    failure = exc
-                    cond.notify_all()
-
-    available = _helper_count()
-    helpers = min(available, count - 1)
-    futures = []
-    if helpers > 0:
-        pool = _point_pool(available)
-        futures = [pool.submit(helper) for _ in range(helpers)]
-    buf = np.empty(shape)
-    times: list[float] = []  # this thread's block times
-    try:
-        with np.errstate(all="ignore"):
-            while True:
-                with cond:
-                    if failure is not None:
-                        raise failure
-                    if not unwritten:
+                    with lock:
+                        start = None if errors else next(todo, None)
+                    if start is None:
                         return
-                    if claimed < count:
-                        k = claimed
-                        claimed += 1
-                    else:
-                        # every block is claimed, and a helper holds block k
-                        k = min(unwritten)
-                        patience = sorted(times)[len(times) // 2] if times else 0.0
-                        if cond.wait_for(
-                            lambda: k not in unwritten or failure is not None, patience
-                        ):
-                            continue
-                t0 = time.perf_counter()
-                values = block(starts[k], buf)
-                times.append(time.perf_counter() - t0)
-                with cond:
-                    write(k, values)
-    finally:
-        with cond:
-            closed = True
-        for f in futures:
-            f.cancel()  # a task that has not started; one that has ends on its own
+                    values = block(start, buf)
+                    out[start : start + values.size] = values
+        except BaseException as exc:
+            with lock:
+                errors.append(exc)
+
+    helpers = [
+        threading.Thread(target=work, name="hilfer-point-rule")
+        for _ in range(min(_helper_count(), len(starts) - 1))
+    ]
+    for t in helpers:
+        t.start()
+    work()
+    for t in helpers:
+        t.join()
+    if errors:
+        raise errors[0]
 
 
 @dataclass(frozen=True)
@@ -363,9 +278,9 @@ def product_quadrature(
 
     The points are evaluated in blocks of about _POINT_BLOCK mesh entries.
     When there are at least two blocks, helper threads (one per further
-    core available to the process) take blocks alongside the calling
-    thread, which takes over any block a helper is slow to finish; the
-    result is bit-identical to a single-threaded evaluation.
+    core available to the process) are started for the call and take blocks
+    alongside the calling thread; all of them are joined before the call
+    returns, and the result is bit-identical to a single-threaded evaluation.
     """
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -17,6 +18,7 @@ from hilfer_mnc.config import (
 )
 from hilfer_mnc.errors import ConfigError
 from hilfer_mnc.expressions import evaluate
+from hilfer_mnc.fractional import FracParams
 
 
 def _base() -> dict:
@@ -94,6 +96,19 @@ def test_config_to_dict_round_trip_after_override():
     again = parse_config(config_to_dict(cfg))
     assert again == cfg
     assert again.equations[0].gamma_k_override == 2.4047
+
+
+def test_rejects_equations_that_disagree_on_the_gamma_k_override():
+    cfg = bundled_example()
+    alpha, beta = cfg.equations
+    with pytest.raises(ConfigError, match=r"^equations\[1\]\.gamma_k_override: 2\.4 differs"):
+        replace(cfg, equations=(alpha, replace(beta, gamma_k_override=2.4)))
+
+
+def test_rejects_params_that_differ_from_the_equations():
+    cfg = bundled_example()
+    with pytest.raises(ConfigError, match=r"^equations\[0\]\.params: .* differ from params"):
+        replace(cfg, params=FracParams(0.5, 0.5, 0.5, 4.0))
 
 
 def test_load_config_reads_file(tmp_path):

@@ -8,7 +8,6 @@ import os
 import subprocess
 import sys
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -391,20 +390,17 @@ def test_convergence_order_validation():
         measure_convergence_order(_P, phi, 3.0, [256, 128, 512])
 
 
-# -- the pooled point rule ------------------------------------------------------
+# -- the threaded point rule ----------------------------------------------------
 
 
 @pytest.fixture
 def helper_threads(monkeypatch):
-    """Sets the point rule's helper count on a fresh pool, shut down afterwards."""
-    monkeypatch.setattr(fractional, "_pool", None)
+    """Sets the point rule's helper count."""
 
     def use(n: int) -> None:
         monkeypatch.setattr(fractional, "_helper_count", lambda: n)
 
-    yield use
-    if fractional._pool is not None:
-        fractional._pool.shutdown()
+    return use
 
 
 def _wavy(n: int = 4097) -> GridFunction:
@@ -424,18 +420,43 @@ def test_pooled_point_rule_is_bit_identical_to_serial(helper_threads, mesh, poin
     x = 2.2 if points is None else np.sort(rng.uniform(1.0, _NEAR_ONE.T, points))
     helper_threads(0)
     want = product_quadrature(_NEAR_ONE, phi, x, panels=4096, mesh=mesh)
-    assert fractional._pool is None
     for helpers in (1, 3):
         helper_threads(helpers)
         got = product_quadrature(_NEAR_ONE, phi, x, panels=4096, mesh=mesh)
         assert np.array_equal(got, want)
         assert type(got) is type(want)
-    # a pool is made only for a call with at least two blocks
-    assert (fractional._pool is not None) == (points is not None and points > _BLOCK)
 
 
-def test_concurrent_calls_share_the_pool(helper_threads):
-    # 4 callers and 3 helpers on any number of cores, switching threads
+def test_helpers_run_blocks_and_are_joined_before_the_call_returns(helper_threads):
+    # the caller's blocks wait until a helper has sampled phi, so both threads
+    # take part whatever the scheduling; no helper outlives the call
+    caller = threading.get_ident()
+    callers = set()
+    helped = threading.Event()
+
+    class RecordingGrid(GridFunction):
+        def __call__(self, x):
+            callers.add(threading.get_ident())
+            if threading.get_ident() == caller:
+                helped.wait(10)
+            else:
+                helped.set()
+            return super().__call__(x)
+
+    xs = np.linspace(1.0, _NEAR_ONE.T, 4 * _BLOCK)
+    helper_threads(0)
+    want = product_quadrature(_NEAR_ONE, _wavy(), xs, panels=4096)
+    helper_threads(1)
+    phi = RecordingGrid(nodes=_wavy().nodes, values=_wavy().values)
+    before = threading.active_count()
+    got = product_quadrature(_NEAR_ONE, phi, xs, panels=4096)
+    assert threading.active_count() == before
+    assert len(callers) == 2
+    assert np.array_equal(got, want)
+
+
+def test_concurrent_calls_each_get_their_own_values(helper_threads):
+    # 4 callers with 3 helpers each on any number of cores, switching threads
     # often: a block claimed twice or never would leave a wrong or unset value
     helper_threads(3)
     xs = np.linspace(1.0, _NEAR_ONE.T, 60)
@@ -462,68 +483,6 @@ def test_concurrent_calls_share_the_pool(helper_threads):
     assert all(np.array_equal(got[j, rep], want[j]) for j in range(len(phis)) for rep in range(5))
 
 
-def test_a_busy_pool_does_not_delay_a_call(helper_threads):
-    # the only helper is held by another task: the caller does every block
-    # itself and returns without waiting for the helper
-    helper_threads(0)
-    xs = np.linspace(1.0, _NEAR_ONE.T, 60)
-    want = product_quadrature(_NEAR_ONE, _wavy(), xs, panels=4096)
-    helper_threads(1)
-    release = threading.Event()
-    blocker = fractional._point_pool(1).submit(release.wait, 60)
-    got = {}
-    call = threading.Thread(
-        target=lambda: got.update(v=product_quadrature(_NEAR_ONE, _wavy(), xs, panels=4096))
-    )
-    call.start()
-    call.join(timeout=30)
-    returned = not call.is_alive()
-    release.set()
-    blocker.result()
-    call.join()
-    assert returned
-    assert np.array_equal(got["v"], want)
-
-
-def test_a_stalled_helper_does_not_delay_a_call(helper_threads):
-    # the helper stops inside its first block: the caller evaluates that
-    # block itself and returns, and the helper's late result is discarded
-    xs = np.linspace(1.0, _NEAR_ONE.T, 4 * _BLOCK)
-    helper_threads(0)
-    want = product_quadrature(_NEAR_ONE, _wavy(), xs, panels=4096)
-    caller = threading.get_ident()
-    stalled = threading.Event()
-    release = threading.Event()
-
-    class StallingGrid(GridFunction):
-        """Holds the first helper block until released; the caller's first
-        block waits until the helper is held."""
-
-        def __call__(self, x):
-            if threading.get_ident() != caller:
-                if not stalled.is_set():
-                    stalled.set()
-                    release.wait(10)
-            else:
-                stalled.wait(10)
-            return super().__call__(x)
-
-    helper_threads(1)
-    phi = StallingGrid(nodes=_wavy().nodes, values=_wavy().values)
-    try:
-        start = time.monotonic()
-        got = product_quadrature(_NEAR_ONE, phi, xs, panels=4096)
-        elapsed = time.monotonic() - start
-        kept = got.copy()
-    finally:
-        release.set()
-    fractional._pool.shutdown()  # the helper finishes its block
-    assert stalled.is_set()
-    assert elapsed < 5.0
-    assert np.array_equal(kept, want)
-    assert np.array_equal(got, want)
-
-
 def test_an_error_in_any_block_propagates(helper_threads):
     calls = []
     lock = threading.Lock()
@@ -541,8 +500,8 @@ def test_an_error_in_any_block_propagates(helper_threads):
     helper_threads(3)
     phi = FailingGrid(nodes=_wavy().nodes, values=_wavy().values)
     with pytest.raises(ValueError, match="fifth block"):
-        product_quadrature(_NEAR_ONE, phi, np.linspace(1.0, 3.0, 8 * _BLOCK), panels=4096)
-    # 8 blocks: after the error each thread finishes at most the block it holds
+        product_quadrature(_NEAR_ONE, phi, np.linspace(1.0, 3.0, 16 * _BLOCK), panels=4096)
+    # 16 blocks: after the error each thread finishes at most the block it holds
     assert len(calls) <= 5 + 3
 
 
@@ -591,13 +550,9 @@ nodes = uniform_nodes(3.0, 4097)
 phi = GridFunction(nodes=nodes, values=np.cos(nodes))
 xs = np.linspace(1.0, 3.0, 64)
 want = product_quadrature(params, phi, xs, panels=4096)
-inherited = fractional._pool
-assert inherited is not None
 pid = os.fork()
 if pid == 0:
-    same = np.array_equal(product_quadrature(params, phi, xs, panels=4096), want)
-    fresh = fractional._pool is not None and fractional._pool is not inherited
-    os._exit(0 if same and fresh else 1)
+    os._exit(0 if np.array_equal(product_quadrature(params, phi, xs, panels=4096), want) else 1)
 deadline = time.monotonic() + 60
 while True:
     done, status = os.waitpid(pid, os.WNOHANG)
@@ -614,9 +569,8 @@ while True:
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
-def test_pool_survives_fork():
-    # the child gets a pool of its own and finishes; the parent's helper
-    # threads do not exist in it
+def test_a_child_forked_after_a_threaded_call_gets_the_same_values():
+    # the child starts helper threads of its own and finishes within 60 s
     run = subprocess.run(
         [sys.executable, "-c", _FORK_PROBE], capture_output=True, text=True, timeout=120
     )
