@@ -13,26 +13,34 @@ differences of (X - s)_+^(a+1) (the power slopes) against the differences
 of the integrand. Entries within one leaf of the diagonal are evaluated
 exactly on every application: the integrand differences are divided by the
 panel widths once, and each exact block takes the undivided panel
-differences of the powers (fractional.power_differences). Every far
-block is interpolated in s at Chebyshev points of its column cluster and in
-X at those of its row cluster, with nested bases on both sides (an
-H^2-matrix: Boerm, Efficient Numerical Methods for Non-local Operators, EMS
-2010). Those factors are built once per (nodes, rho, a) and cached; they
-hold O(n) floats, and one application costs near-linear time, on graded
-grids too.
+differences of the powers (fractional.power_differences). The regular
+blocks of that near band, a leaf against the previous leaf and itself, are
+evaluated a few leaves at a time, each chunk one power_differences call and
+one batched matmul, by the calling thread and helper threads started for
+the application (fractional._run_blocks, the point rule's block runner).
+Each chunk owns its leaves' rows, so the result is bit for bit the same
+for any number of threads, and every helper is joined before the
+application returns. Every far block is interpolated in s at Chebyshev
+points of its column cluster and in X at those of its row cluster, with
+nested bases on both sides (an H^2-matrix: Boerm, Efficient Numerical
+Methods for Non-local Operators, EMS 2010). Those factors are built once
+per (nodes, rho, a) and cached; they hold O(n) floats, and one application
+costs near-linear time, on graded grids too.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, require_positive_finite
 from .expressions import Expr, evaluate, parse
-from .fractional import FracParams, GridFunction, panel_weights, power_differences
+from .fractional import FracParams, GridFunction, _run_blocks, panel_weights, power_differences
 from .special_functions import k_gamma
 
 _MATRIX_MAX_NODES = 2049
@@ -44,6 +52,11 @@ _LEAF_ROWS = 64
 _CHEB_POINTS = 20
 _GAUSS_POINTS = 11
 _ADMISSIBLE = 1.5
+# mesh entries of the regular near-band blocks evaluated in one chunk: 4
+# leaves of 64 x 128, in a 0.5 MB scratch buffer per thread. On a 2-core
+# host a 4097-node solve took 1.2x the time with 2**14 (more, smaller NumPy
+# calls, each passing the GIL) and 0.98x with 2**16, for twice the buffer.
+_BAND_CHUNK = 2**15
 
 
 @dataclass(frozen=True)
@@ -181,20 +194,34 @@ class _H2Operator:
     c0..c1-1, that are evaluated through power_differences on every
     application: each leaf against the previous leaf and itself, and every
     far block that no level could interpolate, merged where they share their
-    rows and meet in panels. anterp maps a leaf's panel differences to its
-    moments, and interp a leaf's local values to its rows (zero-padded for
-    a partial last leaf).
+    rows and meet in panels. They are stored in two parts: band holds the
+    first rows r0 of the leaves whose one exact block is the regular
+    (r0, r0 + L, r0 - L, r0 + L - 1), L = _LEAF_ROWS, and rest every other
+    block. anterp maps a leaf's panel differences to its moments, and interp
+    a leaf's local values to its rows (zero-padded for a partial last leaf).
+    s is the mesh nodes**rho, and boundary the column (a+1) (s - s[0])^a
+    of the first integrand value.
     """
 
     levels: tuple[_Level, ...]
     anterp: np.ndarray
     interp: np.ndarray
-    exact: tuple[tuple[int, int, int, int], ...]
+    s: np.ndarray
+    boundary: np.ndarray
+    band: np.ndarray
+    rest: tuple[tuple[int, int, int, int], ...]
+
+    @property
+    def exact(self) -> tuple[tuple[int, int, int, int], ...]:
+        """Every exact block, in order: the regular band blocks and the rest."""
+        leaf = _LEAF_ROWS
+        regular = [(r0, r0 + leaf, r0 - leaf, r0 + leaf - 1) for r0 in self.band.tolist()]
+        return tuple(sorted(regular + list(self.rest)))
 
     @property
     def nbytes(self) -> int:
         """Bytes of the stored factors."""
-        arrays = [self.anterp, self.interp]
+        arrays = [self.anterp, self.interp, self.s, self.boundary, self.band]
         for lev in self.levels:
             arrays += [lev.points, lev.up, lev.targets, lev.sources, lev.kernels]
             if lev.spill is not None:
@@ -213,6 +240,23 @@ def _merged(blocks: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int
     return out
 
 
+def _split_band(exact: list[tuple[int, int, int, int]]) -> tuple[np.ndarray, tuple]:
+    """The first rows of the leaves whose only exact block is the regular one, and every other block.
+
+    Every exact block's rows are a whole leaf, or the partial last one, so
+    two blocks on one leaf have the same rows.
+    """
+    leaf = _LEAF_ROWS
+    on_rows = Counter(b[:2] for b in exact)
+    band = {
+        r0
+        for r0, r1, c0, c1 in exact
+        if (r1, c0, c1) == (r0 + leaf, r0 - leaf, r0 + leaf - 1) and on_rows[r0, r1] == 1
+    }
+    rest = tuple(b for b in exact if b[0] not in band)
+    return np.array(sorted(band), dtype=np.intp), rest
+
+
 @lru_cache(maxsize=4)
 def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operator:
     """Build the large-grid operator for one (nodes, rho, a).
@@ -228,6 +272,7 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
     same rows that meet in panels are merged into one.
     """
     s = np.frombuffer(nodes_bytes, dtype=float) ** rho
+    boundary = (a + 1.0) * (s - s[0]) ** a
     leaf, p = _LEAF_ROWS, _CHEB_POINTS
     exact = [
         (r0, min(r0 + leaf, n), max(r0 - leaf, 0), min(r0 + leaf, n) - 1)
@@ -237,7 +282,9 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
     while 2 * leaf << len(sizes) < n:
         sizes.append(leaf << len(sizes))
     if not sizes:
-        return _H2Operator((), np.empty((0, leaf, p)), np.empty((0, p, leaf)), tuple(exact))
+        return _H2Operator(
+            (), np.empty((0, leaf, p)), np.empty((0, p, leaf)), s, boundary, *_split_band(exact)
+        )
     counts = [n // b + (n % b > p) for b in sizes]
     points = [
         np.array([_chebyshev_points(s[k * b], s[min((k + 1) * b, n - 1)]) for k in range(c)])
@@ -298,33 +345,60 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
     for k in range(interp.shape[0]):
         rows = s[k * leaf : min((k + 1) * leaf, n)]
         interp[k, :, : rows.size] = _lagrange_matrix(points[0][k], rows).T
-    return _H2Operator(tuple(levels), anterp, interp, tuple(exact))
+    return _H2Operator(tuple(levels), anterp, interp, s, boundary, *_split_band(exact))
 
 
-def _h2_sums(op: _H2Operator, s: np.ndarray, a: float, dg: np.ndarray) -> np.ndarray:
+def _h2_sums(op: _H2Operator, a: float, dg: np.ndarray) -> np.ndarray:
     """Row sums sum_j d_j(s[i]) * dg[:, j] at every node i, through op.
 
     d_j(X) = ((X - s_(j+1))_+^(a+1) - (X - s_j)_+^(a+1)) / (s_(j+1) - s_j)
-    is the power slope of panel j, and dg has shape (m, n - 1). For X beyond
-    panel j, d_j(X) is -(a+1) times the mean of (X - s)^a over the panel,
-    and interpolating (X - s)^a in s at a column cluster's points sigma_q
-    turns its panels into the moments M_q = sum_j <l_q>_j dg_j. Moments go
-    up the tree, each far block maps them to local values at its row
-    cluster's points, and local values come down the tree to the rows.
+    is the power slope of panel j, s = op.s, and dg has shape (m, n - 1).
+    For X beyond panel j, d_j(X) is -(a+1) times the mean of (X - s)^a over
+    the panel, and interpolating (X - s)^a in s at a column cluster's points
+    sigma_q turns its panels into the moments M_q = sum_j <l_q>_j dg_j.
+    Moments go up the tree, each far block maps them to local values at its
+    row cluster's points, and local values come down the tree to the rows.
 
     The exact blocks take the integrand differences divided by the panel
     widths, c = dg / diff(s), computed once; each block then costs one
-    subtract, one masked power, one difference and one product.
+    subtract, one masked power, one difference and one product. The regular
+    band blocks go first, in chunks of leaves that the caller and the
+    helper threads of fractional._run_blocks take in turn: each chunk is
+    one power_differences call on a stack of blocks and one batched matmul,
+    its limits and coefficients are windows of s and c, and it writes the
+    rows of its leaves, which no other exact block touches. After the join
+    the caller adds the other exact blocks and the far field.
     """
+    s = op.s
     m, n = dg.shape[0], s.shape[0]
     out = np.zeros((m, n))
     c = dg / np.diff(s)
-    # one workspace for every exact block, evaluated in row chunks that fit
-    # it: a near-band leaf block at once, or at least one row
-    cap = max(_LEAF_ROWS * (2 * _LEAF_ROWS + 1), n + 1)
+    leaf = _LEAF_ROWS
+    if op.band.size:
+        # the block of the leaf at r0 has limits s[r0 : r0 + L], mesh
+        # s[r0 - L : r0 + L] and coefficients c[:, r0 - L : r0 + L - 1]
+        meshes = sliding_window_view(s, 2 * leaf)
+        coefs = sliding_window_view(c, 2 * leaf - 1, axis=1).transpose(1, 0, 2)
+        per = max(1, _BAND_CHUNK // (2 * leaf * leaf))
+
+        def chunk(i: int, buf: np.ndarray) -> None:
+            starts = op.band[i : i + per]
+            mesh = meshes[starts - leaf]
+            size = starts.size * leaf * 2 * leaf
+            w = buf[:size].reshape(starts.size, leaf, 2 * leaf)
+            d = buf[size : 2 * size - starts.size * leaf].reshape(starts.size, leaf, 2 * leaf - 1)
+            power_differences(mesh[:, leaf:], mesh, a, w, d)
+            values = np.matmul(coefs[starts - leaf], d.transpose(0, 2, 1))
+            for r0, v in zip(starts.tolist(), values):
+                out[:, r0 : r0 + leaf] = v
+
+        _run_blocks(range(0, op.band.size, per), chunk, (per * leaf * (4 * leaf - 1),))
+    # one workspace for every other exact block, evaluated in row chunks that
+    # fit it: a leaf block at once, or at least one row
+    cap = max(leaf * (2 * leaf + 1), n + 1)
     w_buf = np.empty(cap)
     d_buf = np.empty(cap)
-    for r0, r1, c0, c1 in op.exact:
+    for r0, r1, c0, c1 in op.rest:
         cols = c1 - c0 + 1
         step = max(1, cap // cols)
         for i0 in range(r0, r1, step):
@@ -334,7 +408,7 @@ def _h2_sums(op: _H2Operator, s: np.ndarray, a: float, dg: np.ndarray) -> np.nda
             out[:, i0:i1] += c[:, c0:c1] @ power_differences(s[i0:i1], s[c0 : c1 + 1], a, w, d).T
     if not op.levels:
         return out
-    leaf, p = _LEAF_ROWS, _CHEB_POINTS
+    p = _CHEB_POINTS
     full = op.anterp.shape[0]
     moments = [np.matmul(dg[:, : full * leaf].reshape(m, full, leaf).transpose(1, 0, 2), op.anterp)]
     for lev, parent in zip(op.levels, op.levels[1:]):
@@ -375,10 +449,9 @@ def _integral_values(params: FracParams, nodes: np.ndarray, g: np.ndarray, gk: f
     if n <= _MATRIX_MAX_NODES:
         w = _weight_matrix(params.rho, a, nodes.tobytes(), n)
         return pref * (g @ w.T)
-    s = nodes**params.rho
     op = _h2_operator(params.rho, a, nodes.tobytes(), n)
-    total = _h2_sums(op, s, a, g[:, :-1] - g[:, 1:])
-    total += (a + 1.0) * (s - s[0]) ** a * g[:, :1]
+    total = _h2_sums(op, a, g[:, :-1] - g[:, 1:])
+    total += op.boundary * g[:, :1]
     return (pref / (a * (a + 1.0))) * total
 
 

@@ -16,14 +16,16 @@ s-mesh 1 + (X - 1) sigma for every upper limit X, so its node weights are
 (X - 1)^a times the unit mesh's: one weight vector serves any number of
 points, and a point next to x = 1 keeps a mesh of distinct nodes.
 
-The point rule evaluates its points in blocks. A call with at least two
-blocks starts helper threads for the call, one per further core available
-to the process (at most one per further block), shares the blocks between
-them and the calling thread, and joins them before it returns. Each point's
-value is its own row sum, so the result is bit for bit the same for any
-number of threads. Only NumPy kernels and phi run in the helpers; the
-functions a tracer may wrap (panel_weights, k_gamma) run on the calling
-thread.
+The point rule evaluates its points in blocks, through _run_blocks, the
+block runner it shares with the large-grid operator's near band
+(equations._h2_sums). A call with at least two blocks starts helper threads
+for the call, one per further core available to the process (at most one
+per further block), shares the blocks between them and the calling thread,
+and joins them before it returns. Each block writes its own rows of the
+result, and each point's value is its own row sum, so the result is bit for
+bit the same for any number of threads. Only NumPy kernels and phi run in
+the helpers; the functions a tracer may wrap (panel_weights, k_gamma) run
+on the calling thread.
 """
 
 from __future__ import annotations
@@ -56,15 +58,16 @@ def _helper_count() -> int:
     return cpus - 1
 
 
-def _run_blocks(starts: range, block, shape: tuple[int, int], out: np.ndarray) -> None:
-    """Write each block's values r = block(start, buf) to out[start : start + len(r)].
+def _run_blocks(starts: range, block, shape: tuple[int, ...]) -> None:
+    """Call block(start, buf) for every start; each call writes its own rows of the caller's output.
 
     This thread and min(_helper_count(), len(starts) - 1) helper threads,
     started for this call, claim the starts one at a time under a lock. Each
-    thread reuses one scratch buffer buf of the given shape, runs under its
-    own np.errstate(all="ignore") and writes its blocks' disjoint rows of out.
-    After an exception in any thread no thread claims another block. Every
-    helper is joined before the call returns or raises the first exception.
+    thread reuses one scratch buffer buf of the given shape and runs under
+    its own np.errstate(all="ignore"); blocks must write disjoint rows, so
+    the output does not depend on which thread ran which block. After an
+    exception in any thread no thread claims another block. Every helper is
+    joined before the call returns or raises the first exception.
     """
     todo = iter(starts)
     lock = threading.Lock()
@@ -79,14 +82,13 @@ def _run_blocks(starts: range, block, shape: tuple[int, int], out: np.ndarray) -
                         start = None if errors else next(todo, None)
                     if start is None:
                         return
-                    values = block(start, buf)
-                    out[start : start + values.size] = values
+                    block(start, buf)
         except BaseException as exc:
             with lock:
                 errors.append(exc)
 
     helpers = [
-        threading.Thread(target=work, name="hilfer-point-rule")
+        threading.Thread(target=work, name="hilfer-blocks")
         for _ in range(min(_helper_count(), len(starts) - 1))
     ]
     for t in helpers:
@@ -197,17 +199,20 @@ def uniform_nodes(T: float, n: int) -> np.ndarray:
 def power_differences(X: np.ndarray, s: np.ndarray, a: float, w: np.ndarray, d: np.ndarray) -> np.ndarray:
     """Panel differences of (X - s)_+^(a+1) along the mesh, one row per limit.
 
-    d[r, j] = (X[r] - s[j+1])_+^(a+1) - (X[r] - s[j])_+^(a+1) for a 1-D
-    array of limits X. w, of shape (len(X), len(s)), is scratch and is left
-    holding the powers; d, of shape (len(X), len(s) - 1), is filled and
-    returned. Every row of d vanishes from the first panel that starts at or
-    beyond its limit.
+    d[..., r, j] = (X[..., r] - s[..., j+1])_+^(a+1) - (X[..., r] - s[..., j])_+^(a+1)
+    for limits X of shape (..., rows) and meshes s of shape (..., cols)
+    whose leading axes broadcast: with 1-D X and s, one matrix; with one row
+    of X and s per leading index, a stack of independent blocks, each
+    computed entry by entry as it would be on its own. w, of shape
+    (..., rows, cols), is scratch and is left holding the powers; d, of
+    shape (..., rows, cols - 1), is filled and returned. Every row of d
+    vanishes from the first panel that starts at or beyond its limit.
     """
-    np.subtract(X[:, None], s, out=w)
+    np.subtract(X[..., :, None], s[..., None, :], out=w)
     np.maximum(w, 0.0, out=w)
     # the SIMD pow falls back to a slow path on zero lanes, and 0^(a+1) is 0
     np.power(w, a + 1.0, out=w, where=w > 0.0)
-    np.subtract(w[:, 1:], w[:, :-1], out=d)
+    np.subtract(w[..., 1:], w[..., :-1], out=d)
     return d
 
 
@@ -325,7 +330,7 @@ def product_quadrature(
     out = np.empty(pts.shape)
     step = max(1, _POINT_BLOCK // unit.size)
 
-    def block(i: int, buf: np.ndarray) -> np.ndarray:
+    def block(i: int, buf: np.ndarray) -> None:
         Xb = X[i : i + step]
         s = buf[: Xb.size]
         np.multiply((Xb - 1.0)[:, None], unit, out=s)
@@ -335,9 +340,9 @@ def product_quadrature(
         v *= w
         # a row sum, not a matrix-vector product: each point's value does
         # not depend on the other points in its block or on its thread
-        return np.add.reduce(v, axis=1)
+        np.add.reduce(v, axis=1, out=out[i : i + step])
 
-    _run_blocks(range(0, pts.size, step), block, (min(step, pts.size), unit.size), out)
+    _run_blocks(range(0, pts.size, step), block, (min(step, pts.size), unit.size))
     with np.errstate(all="ignore"):
         out *= scale
     out[pts == 1.0] = 0.0

@@ -686,33 +686,56 @@ def test_mnc_demo_bytes_identical_across_threads():
     assert again.stdout == runs["1"].stdout
 
 
-# live threads after import, after each CLI stage, and after a threaded frac-int
+# live threads after import and after each CLI stage, and the threads each
+# stage started, with one helper thread per call: a 4097-node solve replays
+# the large-grid operator, whose near band the helpers share
 _THREAD_PROBE = """
 import contextlib, io, threading
 import hilfer_mnc
 from hilfer_mnc import cli, fractional
 
+fractional._helper_count = lambda: 1
+started = []
+start = threading.Thread.start
+
+def counted(self):
+    started.append(self.name)
+    start(self)
+
+threading.Thread.start = counted
 counts = [threading.active_count()]
+starts = []
 x = [str(1.0 + j / 32) for j in range(65)]
-for argv in (["paper-example"], ["solve", "--paper-example"], ["frac-int", "--paper-example", "--expr", "x", "--x", *x]):
+for argv in (
+    ["paper-example"],
+    ["solve", "--paper-example"],
+    ["solve", "--paper-example", "--nodes", "4097"],
+    ["frac-int", "--paper-example", "--expr", "x", "--x", *x],
+):
+    started.clear()
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(argv)
     counts.append(threading.active_count())
+    starts.append(len(started))
 blocks = -(-len(x) // (fractional._POINT_BLOCK // 1025))
-print(*counts, blocks)
+print(*counts, *starts, blocks)
 """
 
 
-def test_only_the_point_rule_starts_threads():
+def test_every_thread_a_stage_starts_ends_with_it():
     run = subprocess.run(
         [sys.executable, "-c", _THREAD_PROBE],
         capture_output=True, text=True, env=_subprocess_env("1"), check=True,
     )
-    *counts, blocks = map(int, run.stdout.split())
-    # 65 points on the bundled 1024-panel mesh take at least two blocks, and
-    # the point rule joins its helpers before it returns
+    values = list(map(int, run.stdout.split()))
+    counts, starts, blocks = values[:5], values[5:9], values[9]
+    # the 129-node stages start no thread; the 4097-node solve starts one
+    # helper per operator application, and 65 points on the bundled
+    # 1024-panel mesh take at least two blocks, so frac-int starts one;
+    # every call joins its helpers before it returns
     assert blocks >= 2
-    assert counts == [1, 1, 1, 1]
+    assert starts[:2] == [0, 0] and starts[2] >= 2 and starts[3] == 1
+    assert counts == [1, 1, 1, 1, 1]
 
 
 def test_closed_stdout_exits_quietly():

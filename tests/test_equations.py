@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import itertools
+import threading
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 import hilfer_mnc.equations as eqmod
+from hilfer_mnc import fractional
 from hilfer_mnc.config import bundled_example, parse_config
 from hilfer_mnc.equations import (
     EquationSpec,
@@ -239,6 +241,77 @@ def test_streaming_path_refines_blocks_that_are_close(monkeypatch):
         errs = _rule_errors(params, nodes, g, (dense, got), np.arange(1, n))
         dense_err, fast_err = errs.max(axis=1)
         assert fast_err <= max(3.0 * dense_err, 1e-14), grid
+
+
+def test_exact_entries_per_application_are_unchanged(monkeypatch):
+    # the near band's regular blocks are evaluated in chunks of leaves, and
+    # only leaves whose one exact block is the regular one are batched: a
+    # leaf whose band block was merged with a farther exact block (graded
+    # grids) must not be evaluated again in a chunk
+    params = _rule_params(*_RULE_CASES[0])
+    entries = _count_exact_entries(monkeypatch)
+    want = {
+        (4097, "uniform"): 520_192,
+        (4097, "u^2"): 524_288,
+        (4097, "u^4"): 552_960,
+        (1025, "uniform"): 126_976,
+        (1025, "u^2"): 131_072,
+        (1025, "u^4"): 155_648,
+    }
+    monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
+    for (n, grid), count in want.items():
+        u = np.linspace(0.0, 1.0, n)
+        nodes = {"uniform": uniform_nodes(3.0, n), "u^2": 1.0 + 2.0 * u**2, "u^4": 1.0 + 2.0 * u**4}[grid]
+        entries.clear()
+        eqmod._integral_values(params, nodes, np.ones((1, n)), 1.0)
+        assert sum(entries) == count, (n, grid)
+
+
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("grid", ["uniform", "random", "graded"])
+def test_large_grid_operator_is_bit_identical_for_any_helper_count(monkeypatch, grid, m):
+    # the caller and the helper threads take the band's chunks in turn, each
+    # chunk writes its own rows, and every helper is joined before the call
+    # returns
+    n = 4097
+    params = _rule_params(*_RULE_CASES[1])
+    nodes = _test_grids(params.T, n, np.random.default_rng(7))[grid]
+    g = np.vstack([np.cos(3.0 * nodes), np.random.default_rng(8).uniform(-0.5, 0.5, (2, n))])[:m]
+    monkeypatch.setattr(fractional, "_helper_count", lambda: 0)
+    want = eqmod._integral_values(params, nodes, g, 1.0)
+    before = threading.active_count()
+    for helpers in (1, 3):
+        monkeypatch.setattr(fractional, "_helper_count", lambda: helpers)
+        got = eqmod._integral_values(params, nodes, g, 1.0)
+        assert threading.active_count() == before
+        assert np.array_equal(got, want), helpers
+
+
+def test_large_grid_helpers_take_band_chunks(monkeypatch):
+    # the caller's first chunk waits until a helper has evaluated one, so
+    # both threads take part whatever the scheduling
+    caller = threading.get_ident()
+    threads = set()
+    helped = threading.Event()
+
+    def recording(X, s, a, w, d):
+        if threading.get_ident() != caller:
+            helped.set()
+        elif not threads:
+            helped.wait(10)
+        threads.add(threading.get_ident())
+        return power_differences(X, s, a, w, d)
+
+    n = 4097
+    nodes = uniform_nodes(3.0, n)
+    g = np.cos(3.0 * nodes)[None, :]
+    monkeypatch.setattr(fractional, "_helper_count", lambda: 0)
+    want = eqmod._integral_values(_ALPHA.params, nodes, g, 1.0)
+    monkeypatch.setattr(fractional, "_helper_count", lambda: 1)
+    monkeypatch.setattr(eqmod, "power_differences", recording)
+    got = eqmod._integral_values(_ALPHA.params, nodes, g, 1.0)
+    assert helped.is_set() and len(threads) == 2
+    assert np.array_equal(got, want)
 
 
 def test_streaming_path_cost_is_near_linear(monkeypatch):
