@@ -10,6 +10,7 @@ from .equations import (
     apply_operator_batch,
     check_zero_conditions,
     estimate_lipschitz,
+    near_band,
 )
 from .errors import (
     ConfigError,
@@ -87,6 +88,7 @@ __all__ = [
     "mnc_axiom_checks",
     "mnc_estimate",
     "modulus_of_continuity",
+    "near_band",
     "parse",
     "parse_config",
     "product_quadrature",

@@ -5,27 +5,31 @@ I is the fractional integral of the integrand G(t, alpha(t)). Everything is
 sampled on alpha's own node set, so repeated application (Picard, Darbo) is
 a map on a fixed finite-dimensional space.
 
-The per-node integrals use the product-integration rule on the
-grid-induced mesh s = nodes**rho. For moderate grids its node weights form a
+The per-node integrals use the product-integration rule on the grid-induced
+mesh s = nodes**rho. For moderate grids its node weights form a
 lower-triangular matrix that is cached and applied as a matmul. Large grids
 never form it: summation by parts writes the rule with the first divided
 differences of (X - s)_+^(a+1) (the power slopes) against the differences
 of the integrand. Entries within one leaf of the diagonal are evaluated
-exactly on every application: the integrand differences are divided by the
-panel widths once, and each exact block takes the undivided panel
-differences of the powers (fractional.power_differences). The regular
-blocks of that near band, a leaf against the previous leaf and itself, are
-evaluated a few leaves at a time, each chunk one power_differences call and
-one batched matmul, by the calling thread and helper threads started for
-the application (fractional._run_blocks, the point rule's block runner).
-Each chunk owns its leaves' rows, so the result is bit for bit the same
-for any number of threads, and every helper is joined before the
-application returns. Every far block is interpolated in s at Chebyshev
-points of its column cluster and in X at those of its row cluster, with
-nested bases on both sides (an H^2-matrix: Boerm, Efficient Numerical
-Methods for Non-local Operators, EMS 2010). Those factors are built once
-per (nodes, rho, a) and cached; they hold O(n) floats, and one application
-costs near-linear time, on graded grids too.
+exactly: the integrand differences are divided by the panel widths once per
+application, and each exact block takes the undivided panel differences of
+the powers (fractional.power_differences). The regular blocks of that near
+band, a leaf against the previous leaf and itself, depend on (nodes, rho,
+a) only. near_band evaluates them into one array, a few leaves at a time,
+by the calling thread and helper threads started for the call
+(fractional._run_blocks, the point rule's block runner); each chunk fills
+its own leaves' blocks, so the array is bit for bit the same for any number
+of threads, and every helper is joined before near_band returns. A loop
+that applies the operator many times on one grid (Picard in solver.solve,
+Darbo in mnc.darbo_iterate) builds the band once and passes it to every
+application; an application given no band builds its own. Every far block
+is interpolated in s at Chebyshev points of its column cluster and in X at
+those of its row cluster, with nested bases on both sides (an H^2-matrix:
+Boerm, Efficient Numerical Methods for Non-local Operators, EMS 2010).
+Those factors are built once per (nodes, rho, a) and cached; they hold O(n)
+floats, and one application costs near-linear time, on graded grids too.
+The band is not cached: at 4097 nodes it takes 4.1 MB, more than all the
+factors.
 """
 
 from __future__ import annotations
@@ -53,10 +57,11 @@ _CHEB_POINTS = 20
 _GAUSS_POINTS = 11
 _ADMISSIBLE = 1.5
 # mesh entries of the regular near-band blocks evaluated in one chunk: 4
-# leaves of 64 x 128, in a 0.5 MB scratch buffer per thread. On a 2-core
+# leaves of 64 x 128, in a 0.25 MB scratch buffer per thread. On a 2-core
 # host a 4097-node solve took 1.2x the time with 2**14 (more, smaller NumPy
 # calls, each passing the GIL) and 0.98x with 2**16, for twice the buffer.
 _BAND_CHUNK = 2**15
+_BAND_LEAVES = max(1, _BAND_CHUNK // (2 * _LEAF_ROWS * _LEAF_ROWS))
 
 
 @dataclass(frozen=True)
@@ -348,7 +353,44 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
     return _H2Operator(tuple(levels), anterp, interp, s, boundary, *_split_band(exact))
 
 
-def _h2_sums(op: _H2Operator, a: float, dg: np.ndarray) -> np.ndarray:
+@dataclass(frozen=True)
+class NearBand:
+    """The regular near-band blocks of one large grid, built by near_band.
+
+    key is the (rho, a, node bytes) the band was built for. blocks[i] holds
+    the panel differences of (X - s)_+^(a+1) of the leaf that starts at row
+    r0 = op.band[i] of the grid's _H2Operator: its L = _LEAF_ROWS limits
+    s[r0 : r0 + L] against the mesh s[r0 - L : r0 + L], shape (L, 2L - 1).
+    """
+
+    key: tuple[float, float, bytes]
+    blocks: np.ndarray
+
+
+def _band_blocks(op: _H2Operator, a: float) -> np.ndarray:
+    """The panel differences of every regular near-band block of op, shape (band leaves, L, 2L - 1).
+
+    The leaves are taken _BAND_LEAVES at a time, by this thread and the
+    helper threads of fractional._run_blocks: each chunk is one
+    power_differences call on a stack of blocks, whose meshes are windows
+    of s, and it fills its own leaves' blocks. Every helper is joined
+    before this returns.
+    """
+    leaf, per = _LEAF_ROWS, _BAND_LEAVES
+    blocks = np.empty((op.band.size, leaf, 2 * leaf - 1))
+    if not op.band.size:
+        return blocks
+    meshes = sliding_window_view(op.s, 2 * leaf)
+
+    def chunk(i: int, buf: np.ndarray) -> None:
+        mesh = meshes[op.band[i : i + per] - leaf]
+        power_differences(mesh[:, leaf:], mesh, a, buf[: mesh.shape[0]], blocks[i : i + per])
+
+    _run_blocks(range(0, op.band.size, per), chunk, (per, leaf, 2 * leaf))
+    return blocks
+
+
+def _h2_sums(op: _H2Operator, a: float, dg: np.ndarray, blocks: np.ndarray) -> np.ndarray:
     """Row sums sum_j d_j(s[i]) * dg[:, j] at every node i, through op.
 
     d_j(X) = ((X - s_(j+1))_+^(a+1) - (X - s_j)_+^(a+1)) / (s_(j+1) - s_j)
@@ -360,39 +402,26 @@ def _h2_sums(op: _H2Operator, a: float, dg: np.ndarray) -> np.ndarray:
     row cluster's points, and local values come down the tree to the rows.
 
     The exact blocks take the integrand differences divided by the panel
-    widths, c = dg / diff(s), computed once; each block then costs one
-    subtract, one masked power, one difference and one product. The regular
-    band blocks go first, in chunks of leaves that the caller and the
-    helper threads of fractional._run_blocks take in turn: each chunk is
-    one power_differences call on a stack of blocks and one batched matmul,
-    its limits and coefficients are windows of s and c, and it writes the
-    rows of its leaves, which no other exact block touches. After the join
-    the caller adds the other exact blocks and the far field.
+    widths, c = dg / diff(s), computed once. blocks holds the regular band
+    blocks' panel differences (_band_blocks); they are multiplied
+    _BAND_LEAVES leaves at a time, one batched matmul per chunk whose
+    coefficients are windows of c, and each leaf's product is its rows,
+    which no other exact block touches. Every other exact block costs one
+    subtract, one masked power, one difference and one product.
     """
     s = op.s
     m, n = dg.shape[0], s.shape[0]
     out = np.zeros((m, n))
     c = dg / np.diff(s)
-    leaf = _LEAF_ROWS
+    leaf, per = _LEAF_ROWS, _BAND_LEAVES
     if op.band.size:
-        # the block of the leaf at r0 has limits s[r0 : r0 + L], mesh
-        # s[r0 - L : r0 + L] and coefficients c[:, r0 - L : r0 + L - 1]
-        meshes = sliding_window_view(s, 2 * leaf)
+        # the block of the leaf at r0 has coefficients c[:, r0 - L : r0 + L - 1]
         coefs = sliding_window_view(c, 2 * leaf - 1, axis=1).transpose(1, 0, 2)
-        per = max(1, _BAND_CHUNK // (2 * leaf * leaf))
-
-        def chunk(i: int, buf: np.ndarray) -> None:
+        for i in range(0, op.band.size, per):
             starts = op.band[i : i + per]
-            mesh = meshes[starts - leaf]
-            size = starts.size * leaf * 2 * leaf
-            w = buf[:size].reshape(starts.size, leaf, 2 * leaf)
-            d = buf[size : 2 * size - starts.size * leaf].reshape(starts.size, leaf, 2 * leaf - 1)
-            power_differences(mesh[:, leaf:], mesh, a, w, d)
-            values = np.matmul(coefs[starts - leaf], d.transpose(0, 2, 1))
+            values = np.matmul(coefs[starts - leaf], blocks[i : i + per].transpose(0, 2, 1))
             for r0, v in zip(starts.tolist(), values):
                 out[:, r0 : r0 + leaf] = v
-
-        _run_blocks(range(0, op.band.size, per), chunk, (per * leaf * (4 * leaf - 1),))
     # one workspace for every other exact block, evaluated in row chunks that
     # fit it: a leaf block at once, or at least one row
     cap = max(leaf * (2 * leaf + 1), n + 1)
@@ -426,13 +455,15 @@ def _h2_sums(op: _H2Operator, a: float, dg: np.ndarray) -> np.ndarray:
             k, r0, r1, mat = lev.spill
             out[:, r0:r1] += here[k] @ mat
         local = here
-    rows = np.matmul(local, op.interp).transpose(1, 0, 2).reshape(m, -1)
+    rows = np.matmul(local, op.interp).transpose(1, 0, 2).reshape(m, op.interp.shape[0] * leaf)
     span = min(n, rows.shape[1])
     out[:, :span] += rows[:, :span]
     return out
 
 
-def _integral_values(params: FracParams, nodes: np.ndarray, g: np.ndarray, gk: float) -> np.ndarray:
+def _integral_values(
+    params: FracParams, nodes: np.ndarray, g: np.ndarray, gk: float, band: NearBand | None = None
+) -> np.ndarray:
     """Fractional integral of the grid integrand g at every node, batched.
 
     g has shape (m, n): m integrands sampled on the same n nodes. Returns
@@ -441,18 +472,55 @@ def _integral_values(params: FracParams, nodes: np.ndarray, g: np.ndarray, gk: f
 
         a (a+1) I(X) = (a+1) (X - s_0)^a g_0 - sum_j d_j(X) (g_{j+1} - g_j),
 
-    with d_j(X) the power slopes, through the cached _H2Operator of the grid.
+    with d_j(X) the power slopes, through the cached _H2Operator of the grid
+    and the near band: the given one, or one built for this call. A band
+    built for other nodes, rho or a raises DomainError.
     """
     n = nodes.shape[0]
     a = params.exponent
+    key = (params.rho, a, nodes.tobytes())
+    if band is not None and band.key != key:
+        raise DomainError("the near band was built for other nodes, rho or a")
     pref = params.rho ** (-a) / (params.k * gk)
     if n <= _MATRIX_MAX_NODES:
-        w = _weight_matrix(params.rho, a, nodes.tobytes(), n)
+        w = _weight_matrix(*key, n)
         return pref * (g @ w.T)
-    op = _h2_operator(params.rho, a, nodes.tobytes(), n)
-    total = _h2_sums(op, a, g[:, :-1] - g[:, 1:])
+    op = _h2_operator(*key, n)
+    blocks = _band_blocks(op, a) if band is None else band.blocks
+    total = _h2_sums(op, a, g[:, :-1] - g[:, 1:], blocks)
     total += op.boundary * g[:, :1]
     return (pref / (a * (a + 1.0))) * total
+
+
+def near_band(eq: EquationSpec, nodes: np.ndarray) -> NearBand | None:
+    """The near band of eq's operator on nodes, to pass to every application of one loop.
+
+    Above _MATRIX_MAX_NODES each application multiplies the regular
+    near-band blocks, which depend on (nodes, rho, a) only, and builds them
+    first unless it is given them. A caller that applies the operator many
+    times on one grid builds them once here and passes the result as band
+    to apply_operator_batch or apply_operator; the images are bit for bit
+    the same. Returns None on the dense path and on a grid with no regular
+    band leaf. The band is not cached: it lives as long as the caller keeps
+    it, and takes 4.1 MB at 4097 nodes.
+    """
+    _check_domain(eq, nodes)
+    n = nodes.shape[0]
+    if n <= _MATRIX_MAX_NODES:
+        return None
+    key = (eq.params.rho, eq.params.exponent, nodes.tobytes())
+    op = _h2_operator(*key, n)
+    if not op.band.size:
+        return None
+    return NearBand(key, _band_blocks(op, eq.params.exponent))
+
+
+def _check_domain(eq: EquationSpec, nodes: np.ndarray) -> None:
+    """Raise DomainError unless the grid ends at the equation's T."""
+    if abs(nodes[-1] - eq.params.T) > 1e-12 * max(1.0, eq.params.T):
+        raise DomainError(
+            f"grid ends at {nodes[-1]}, equation domain is [1, {eq.params.T}]"
+        )
 
 
 def _as_grid(expr: Expr, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -470,30 +538,30 @@ def _as_grid(expr: Expr, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
     return grid
 
 
-def apply_operator_batch(eq: EquationSpec, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
+def apply_operator_batch(
+    eq: EquationSpec, nodes: np.ndarray, values: np.ndarray, *, band: NearBand | None = None
+) -> np.ndarray:
     """Operator images of many grid functions at once.
 
     values has shape (m, n), one row per function on the shared nodes. An
-    image that overflows raises DomainError.
+    image that overflows raises DomainError. band is near_band(eq, nodes),
+    or None to build it for this call alone.
     """
-    if abs(nodes[-1] - eq.params.T) > 1e-12 * max(1.0, eq.params.T):
-        raise DomainError(
-            f"grid ends at {nodes[-1]}, equation domain is [1, {eq.params.T}]"
-        )
+    _check_domain(eq, nodes)
     f_vals = _as_grid(eq.f.expr, nodes, values)
     psi_vals = _as_grid(eq.psi.expr, nodes, values)
     g_vals = _as_grid(eq.g.expr, nodes, values)
     with np.errstate(over="ignore", invalid="ignore"):
-        i_vals = _integral_values(eq.params, nodes, g_vals, eq.gamma_k_value())
+        i_vals = _integral_values(eq.params, nodes, g_vals, eq.gamma_k_value(), band)
         out = f_vals + psi_vals * i_vals
     if not np.isfinite(out).all():
         raise DomainError("operator image is not finite")
     return out
 
 
-def apply_operator(eq: EquationSpec, alpha: GridFunction) -> GridFunction:
-    """One application of the operator, sampled on alpha's node set."""
-    out = apply_operator_batch(eq, alpha.nodes, alpha.values[None, :])
+def apply_operator(eq: EquationSpec, alpha: GridFunction, *, band: NearBand | None = None) -> GridFunction:
+    """One application of the operator, sampled on alpha's node set; band as for apply_operator_batch."""
+    out = apply_operator_batch(eq, alpha.nodes, alpha.values[None, :], band=band)
     return GridFunction(nodes=alpha.nodes, values=out[0])
 
 

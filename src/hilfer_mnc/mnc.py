@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .equations import EquationSpec, apply_operator_batch
+from .equations import EquationSpec, apply_operator_batch, near_band
 from .errors import DomainError
 from .fractional import GridFunction, checked_grid
 
@@ -340,7 +340,9 @@ def darbo_iterate(
 
     The seed and the deltas are validated once, by the seed's estimate;
     every later ensemble is a plain matrix on the seed's nodes, whose
-    finiteness the operator call has already checked.
+    finiteness the operator call has already checked. Above 2049 nodes
+    the operator's near band is built once for the call
+    (equations.near_band) and passed to every step.
     """
     if p_max < 1:
         raise DomainError(f"p_max must be >= 1, got {p_max}")
@@ -349,8 +351,9 @@ def darbo_iterate(
     rng = np.random.default_rng(rng_seed)
     trace = [mnc_estimate(seed, deltas)]
     nodes, values = seed.nodes, seed.values
+    band = near_band(op, nodes)
     for _ in range(p_max):
-        values = apply_operator_batch(op, nodes, values)
+        values = apply_operator_batch(op, nodes, values, band=band)
         if convex_samples > 0:
             weights = rng.dirichlet(np.ones(values.shape[0]), size=convex_samples)
             values = np.vstack([values, weights @ values])

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import EquationSpec, apply_operator
+from .equations import EquationSpec, apply_operator, near_band
 from .errors import DomainError, require_positive_finite
 from .fractional import GridFunction
 
@@ -69,6 +69,10 @@ def solve(
     bounds hold on that ball only) but the iteration still runs. The
     certificate bounds the Darbo factor, not the Lipschitz constant, so it
     does not by itself guarantee that the iteration contracts.
+
+    Above 2049 nodes the operator's near band is built once for the call
+    (equations.near_band) and passed to every application; it is released
+    when the call returns.
     """
     require_positive_finite("tol", tol)
     if max_iter < 1:
@@ -78,18 +82,19 @@ def solve(
             f"seed norm {alpha0.sup_norm:.6g} exceeds the certified radius {r0:.6g}",
             stacklevel=2,
         )
+    band = near_band(eq, alpha0.nodes)
     cur = alpha0
     distances: list[float] = []
     norms = [alpha0.sup_norm]
     for _ in range(max_iter):
-        nxt = apply_operator(eq, cur)
+        nxt = apply_operator(eq, cur, band=band)
         step = float(np.max(np.abs(nxt.values - cur.values)))
         distances.append(step)
         norms.append(nxt.sup_norm)
         cur = nxt
         if step <= tol:
             break
-    extra = apply_operator(eq, cur)
+    extra = apply_operator(eq, cur, band=band)
     residual = float(np.max(np.abs(extra.values - cur.values)))
     return SolveReport(
         iterations=len(distances),

@@ -687,8 +687,8 @@ def test_mnc_demo_bytes_identical_across_threads():
 
 
 # live threads after import and after each CLI stage, and the threads each
-# stage started, with one helper thread per call: a 4097-node solve replays
-# the large-grid operator, whose near band the helpers share
+# stage started, with one helper thread per call: a 4097-node solve builds
+# the large-grid operator's near band, whose chunks the helpers share
 _THREAD_PROBE = """
 import contextlib, io, threading
 import hilfer_mnc
@@ -729,12 +729,13 @@ def test_every_thread_a_stage_starts_ends_with_it():
     )
     values = list(map(int, run.stdout.split()))
     counts, starts, blocks = values[:5], values[5:9], values[9]
-    # the 129-node stages start no thread; the 4097-node solve starts one
-    # helper per operator application, and 65 points on the bundled
-    # 1024-panel mesh take at least two blocks, so frac-int starts one;
-    # every call joins its helpers before it returns
+    # the 129-node stages start no thread; the 4097-node solve of the two
+    # bundled equations starts one helper per solved equation, to build its
+    # near band once, and 65 points on the bundled 1024-panel mesh take at
+    # least two blocks, so frac-int starts one; every call joins its helpers
+    # before it returns
     assert blocks >= 2
-    assert starts[:2] == [0, 0] and starts[2] >= 2 and starts[3] == 1
+    assert starts[:2] == [0, 0] and starts[2] == 2 and starts[3] == 1
     assert counts == [1, 1, 1, 1, 1]
 
 

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import itertools
 import threading
+import weakref
+from dataclasses import replace
 from functools import lru_cache
 
 import numpy as np
 import pytest
 
 import hilfer_mnc.equations as eqmod
+import hilfer_mnc.solver as solver_mod
 from hilfer_mnc import fractional
 from hilfer_mnc.config import bundled_example, parse_config
 from hilfer_mnc.equations import (
@@ -19,6 +22,7 @@ from hilfer_mnc.equations import (
     apply_operator_batch,
     check_zero_conditions,
     estimate_lipschitz,
+    near_band,
 )
 from hilfer_mnc.errors import DomainError
 from hilfer_mnc.fractional import FracParams, GridFunction, power_differences, uniform_nodes
@@ -271,20 +275,23 @@ def test_exact_entries_per_application_are_unchanged(monkeypatch):
 @pytest.mark.parametrize("grid", ["uniform", "random", "graded"])
 def test_large_grid_operator_is_bit_identical_for_any_helper_count(monkeypatch, grid, m):
     # the caller and the helper threads take the band's chunks in turn, each
-    # chunk writes its own rows, and every helper is joined before the call
-    # returns
+    # chunk fills its own leaves' blocks, and every helper is joined before
+    # the call returns; a band built by near_band gives the same bits
     n = 4097
     params = _rule_params(*_RULE_CASES[1])
+    eq = EquationSpec(params=params, f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g)
     nodes = _test_grids(params.T, n, np.random.default_rng(7))[grid]
     g = np.vstack([np.cos(3.0 * nodes), np.random.default_rng(8).uniform(-0.5, 0.5, (2, n))])[:m]
     monkeypatch.setattr(fractional, "_helper_count", lambda: 0)
     want = eqmod._integral_values(params, nodes, g, 1.0)
     before = threading.active_count()
-    for helpers in (1, 3):
+    for helpers in (0, 1, 3):
         monkeypatch.setattr(fractional, "_helper_count", lambda: helpers)
         got = eqmod._integral_values(params, nodes, g, 1.0)
+        band = near_band(eq, nodes)
         assert threading.active_count() == before
         assert np.array_equal(got, want), helpers
+        assert np.array_equal(eqmod._integral_values(params, nodes, g, 1.0, band), want), helpers
 
 
 def test_large_grid_helpers_take_band_chunks(monkeypatch):
@@ -370,6 +377,79 @@ def test_large_grid_operator_is_built_once_per_solve(monkeypatch):
     report = solve(eq, start, tol=1e-10)
     assert report.converged and report.iterations >= 20
     assert builds == [(eq.params.rho, eq.params.exponent)]
+
+
+def _forced_solve_input() -> tuple[EquationSpec, GridFunction]:
+    eq = parse_config(_FORCED).equations[0]
+    nodes = uniform_nodes(3.0, 4097)
+    return eq, GridFunction(nodes=nodes, values=0.3 * np.cos(3.0 * nodes))
+
+
+def test_solve_with_band_matches_applications_without_one():
+    # solve passes one near band to every application; a loop of
+    # applications that each build their own gives the same bits
+    eq, start = _forced_solve_input()
+    report = solve(eq, start, tol=1e-10)
+    cur, steps = start, []
+    for _ in range(report.iterations):
+        nxt = apply_operator(eq, cur)
+        steps.append(float(np.max(np.abs(nxt.values - cur.values))))
+        cur = nxt
+    assert np.array_equal(report.solution.values, cur.values)
+    assert np.array_equal(report.sup_distances, steps)
+
+
+def test_solve_evaluates_the_near_band_once(monkeypatch):
+    # at 4097 uniform nodes the 63 regular band leaves take 63 x 64 x 127
+    # entries, built once per solve; every application still evaluates the
+    # other exact blocks, the first leaf against itself (64 x 63) and the
+    # one-row last leaf (1 x 4096). The band is released when solve returns.
+    bands = []
+
+    def recorded(eq, nodes):
+        band = near_band(eq, nodes)
+        bands.append(weakref.ref(band))
+        return band
+
+    monkeypatch.setattr(solver_mod, "near_band", recorded)
+    eq, start = _forced_solve_input()
+    entries = _count_exact_entries(monkeypatch)
+    report = solve(eq, start, tol=1e-10)
+    assert report.iterations >= 20
+    assert sum(entries) == 63 * 64 * 127 + (report.iterations + 1) * (64 * 63 + 4096)
+    assert len(bands) == 1 and bands[0]() is None
+
+
+def test_band_for_other_nodes_rho_or_a_is_refused(monkeypatch):
+    eq, start = _forced_solve_input()
+    band = near_band(eq, start.nodes)
+    assert band.blocks.shape == (63, 64, 127)
+    shifted = start.nodes.copy()
+    shifted[1:-1] += 1e-6
+    others = [
+        (eq, shifted),
+        (replace(eq, params=replace(eq.params, rho=0.4)), start.nodes),
+        (replace(eq, params=replace(eq.params, gamma_ord=0.5)), start.nodes),
+        (eq, uniform_nodes(3.0, 129)),
+    ]
+    for other, grid in others:
+        with pytest.raises(DomainError, match="near band was built for other"):
+            apply_operator_batch(other, grid, np.zeros((1, grid.size)), band=band)
+    # the dense path, and a large-grid path with no regular band leaf, need no band
+    assert near_band(eq, uniform_nodes(3.0, 129)) is None
+    monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
+    assert near_band(eq, uniform_nodes(3.0, 65)) is None
+
+
+@pytest.mark.parametrize("n", [65, 4097])
+def test_operator_of_no_rows_is_empty(monkeypatch, n):
+    # on the dense path, and on the large-grid path with and without a band
+    nodes = uniform_nodes(3.0, n)
+    assert apply_operator_batch(_ALPHA, nodes, np.zeros((0, n))).shape == (0, n)
+    monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
+    band = near_band(_ALPHA, nodes)
+    for given in (None, band):
+        assert apply_operator_batch(_ALPHA, nodes, np.zeros((0, n)), band=given).shape == (0, n)
 
 
 def test_large_grid_operator_stores_linear_memory():

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hilfer_mnc.mnc as mnc_mod
 from hilfer_mnc.config import bundled_example
 from hilfer_mnc.equations import EquationSpec, Nonlinearity, apply_operator
 from hilfer_mnc.errors import DomainError
@@ -418,6 +419,38 @@ def test_darbo_matches_row_by_row_reference():
     for got, want in zip(trace, reference):
         np.testing.assert_allclose(got.moduli, want.moduli, rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(got.mu0, want.mu0, rtol=1e-12, atol=0.0)
+
+
+def test_darbo_passes_one_near_band_to_every_step(monkeypatch):
+    # above 2049 nodes darbo_iterate builds the operator's near band once
+    # and gives it to every step; the trace is the same, bit for bit, as
+    # steps that each build their own
+    cfg = bundled_example()
+    eq = cfg.equations[0]
+    n, p_max, samples, rng_seed = 4097, 3, 2, 5
+    nodes = uniform_nodes(3.0, n)
+    seed_values = np.random.default_rng(4).uniform(-0.1, 0.1, size=(3, n))
+    bands = []
+    batch = mnc_mod.apply_operator_batch
+
+    def recorded(op, grid, values, *, band=None):
+        bands.append(band)
+        return batch(op, grid, values, band=band)
+
+    monkeypatch.setattr(mnc_mod, "apply_operator_batch", recorded)
+    trace = darbo_iterate(
+        eq, FunctionEnsemble(nodes, seed_values), p_max, samples, cfg.mnc.deltas, rng_seed
+    )
+    assert len(bands) == p_max and bands[0] is not None
+    assert all(band is bands[0] for band in bands)
+    draws = np.random.default_rng(rng_seed)
+    values = seed_values
+    for got in trace[1:]:
+        images = batch(eq, nodes, values)
+        weights = draws.dirichlet(np.ones(images.shape[0]), size=samples)
+        values = np.vstack([images, weights @ images])
+        want = mnc_estimate(FunctionEnsemble(nodes, values), cfg.mnc.deltas)
+        assert np.array_equal(got.moduli, want.moduli) and got.mu0 == want.mu0
 
 
 def test_darbo_halving_operator_halves_measure():
