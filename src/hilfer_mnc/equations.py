@@ -10,41 +10,35 @@ mesh s = nodes**rho. For moderate grids its node weights form a
 lower-triangular matrix that is cached and applied as a matmul. Large grids
 never form it: summation by parts writes the rule with the first divided
 differences of (X - s)_+^(a+1) (the power slopes) against the differences
-of the integrand. Entries within one leaf of the diagonal are evaluated
-exactly: the integrand differences are divided by the panel widths once per
-application, and each exact block takes the undivided panel differences of
-the powers (fractional.power_differences). The regular blocks of that near
-band, a leaf against the previous leaf and itself, depend on (nodes, rho,
-a) only. near_band evaluates them into one array, a few leaves at a time,
-by the calling thread and helper threads started for the call
-(fractional._run_blocks, the point rule's block runner); each chunk fills
-its own leaves' blocks, so the array is bit for bit the same for any number
-of threads, and every helper is joined before near_band returns. A loop
-that applies the operator many times on one grid (Picard in solver.solve,
-Darbo in mnc.darbo_iterate) builds the band once and passes it to every
-application; an application given no band builds its own. Every far block
-is interpolated in s at Chebyshev points of its column cluster and in X at
-those of its row cluster, with nested bases on both sides (an H^2-matrix:
-Boerm, Efficient Numerical Methods for Non-local Operators, EMS 2010).
-Those factors are built once per (nodes, rho, a) and cached; they hold O(n)
-floats, and one application costs near-linear time, on graded grids too.
-The band is not cached: at 4097 nodes it takes 4.1 MB, more than all the
-factors.
+of the integrand. The entries within one leaf of the diagonal, and the far
+blocks no level could interpolate, form the near band and are evaluated
+exactly. Each band block holds the undivided panel differences of the
+powers (fractional.power_differences) and depends on (nodes, rho, a) only;
+near_band evaluates every block on the calling thread. An application
+divides the integrand differences by the panel widths once and multiplies
+each block with one matmul. A loop that applies the operator many times on
+one grid (Picard in solver.solve, Darbo in mnc.darbo_iterate) builds the
+band once and passes it to every application; an application given no
+band builds its own. Every far block is interpolated in s at Chebyshev
+points of its column cluster and in X at those of its row cluster, with
+nested bases on both sides (an H^2-matrix: Boerm, Efficient Numerical
+Methods for Non-local Operators, EMS 2010). Those factors are built once
+per (nodes, rho, a) and cached; they hold O(n) floats, and one application
+costs near-linear time, on graded grids too. The band is not cached: at
+4097 nodes it takes 4.2 MB, more than all the factors.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import DomainError, require_positive_finite
 from .expressions import Expr, evaluate, parse
-from .fractional import FracParams, GridFunction, _run_blocks, panel_weights, power_differences
+from .fractional import FracParams, GridFunction, panel_weights, power_differences
 from .special_functions import k_gamma
 
 _MATRIX_MAX_NODES = 2049
@@ -56,12 +50,6 @@ _LEAF_ROWS = 64
 _CHEB_POINTS = 20
 _GAUSS_POINTS = 11
 _ADMISSIBLE = 1.5
-# mesh entries of the regular near-band blocks evaluated in one chunk: 4
-# leaves of 64 x 128, in a 0.25 MB scratch buffer per thread. On a 2-core
-# host a 4097-node solve took 1.2x the time with 2**14 (more, smaller NumPy
-# calls, each passing the GIL) and 0.98x with 2**16, for twice the buffer.
-_BAND_CHUNK = 2**15
-_BAND_LEAVES = max(1, _BAND_CHUNK // (2 * _LEAF_ROWS * _LEAF_ROWS))
 
 
 @dataclass(frozen=True)
@@ -196,16 +184,13 @@ class _H2Operator:
     """The large-grid product rule, summed by parts, as an H^2-matrix.
 
     exact lists the blocks (r0, r1, c0, c1), rows r0..r1-1 against panels
-    c0..c1-1, that are evaluated through power_differences on every
-    application: each leaf against the previous leaf and itself, and every
-    far block that no level could interpolate, merged where they share their
-    rows and meet in panels. They are stored in two parts: band holds the
-    first rows r0 of the leaves whose one exact block is the regular
-    (r0, r0 + L, r0 - L, r0 + L - 1), L = _LEAF_ROWS, and rest every other
-    block. anterp maps a leaf's panel differences to its moments, and interp
-    a leaf's local values to its rows (zero-padded for a partial last leaf).
-    s is the mesh nodes**rho, and boundary the column (a+1) (s - s[0])^a
-    of the first integrand value.
+    c0..c1-1, that are evaluated through power_differences, in order: each
+    leaf against the previous leaf and itself, and every far block that no
+    level could interpolate, merged where they share their rows and meet in
+    panels. anterp maps a leaf's panel differences to its moments, and
+    interp a leaf's local values to its rows (zero-padded for a partial last
+    leaf). s is the mesh nodes**rho, and boundary the column (a+1) (s -
+    s[0])^a of the first integrand value.
     """
 
     levels: tuple[_Level, ...]
@@ -213,20 +198,12 @@ class _H2Operator:
     interp: np.ndarray
     s: np.ndarray
     boundary: np.ndarray
-    band: np.ndarray
-    rest: tuple[tuple[int, int, int, int], ...]
-
-    @property
-    def exact(self) -> tuple[tuple[int, int, int, int], ...]:
-        """Every exact block, in order: the regular band blocks and the rest."""
-        leaf = _LEAF_ROWS
-        regular = [(r0, r0 + leaf, r0 - leaf, r0 + leaf - 1) for r0 in self.band.tolist()]
-        return tuple(sorted(regular + list(self.rest)))
+    exact: tuple[tuple[int, int, int, int], ...]
 
     @property
     def nbytes(self) -> int:
         """Bytes of the stored factors."""
-        arrays = [self.anterp, self.interp, self.s, self.boundary, self.band]
+        arrays = [self.anterp, self.interp, self.s, self.boundary]
         for lev in self.levels:
             arrays += [lev.points, lev.up, lev.targets, lev.sources, lev.kernels]
             if lev.spill is not None:
@@ -234,7 +211,7 @@ class _H2Operator:
         return sum(x.nbytes for x in arrays)
 
 
-def _merged(blocks: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int, int]]:
+def _merged(blocks: list[tuple[int, int, int, int]]) -> tuple[tuple[int, int, int, int], ...]:
     """Blocks (r0, r1, c0, c1) with every run on the same rows and adjacent panels joined."""
     out: list[tuple[int, int, int, int]] = []
     for r0, r1, c0, c1 in sorted(blocks):
@@ -242,24 +219,7 @@ def _merged(blocks: list[tuple[int, int, int, int]]) -> list[tuple[int, int, int
             out[-1] = (r0, r1, out[-1][2], c1)
         else:
             out.append((r0, r1, c0, c1))
-    return out
-
-
-def _split_band(exact: list[tuple[int, int, int, int]]) -> tuple[np.ndarray, tuple]:
-    """The first rows of the leaves whose only exact block is the regular one, and every other block.
-
-    Every exact block's rows are a whole leaf, or the partial last one, so
-    two blocks on one leaf have the same rows.
-    """
-    leaf = _LEAF_ROWS
-    on_rows = Counter(b[:2] for b in exact)
-    band = {
-        r0
-        for r0, r1, c0, c1 in exact
-        if (r1, c0, c1) == (r0 + leaf, r0 - leaf, r0 + leaf - 1) and on_rows[r0, r1] == 1
-    }
-    rest = tuple(b for b in exact if b[0] not in band)
-    return np.array(sorted(band), dtype=np.intp), rest
+    return tuple(out)
 
 
 @lru_cache(maxsize=4)
@@ -288,7 +248,7 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
         sizes.append(leaf << len(sizes))
     if not sizes:
         return _H2Operator(
-            (), np.empty((0, leaf, p)), np.empty((0, p, leaf)), s, boundary, *_split_band(exact)
+            (), np.empty((0, leaf, p)), np.empty((0, p, leaf)), s, boundary, _merged(exact)
         )
     counts = [n // b + (n % b > p) for b in sizes]
     points = [
@@ -350,47 +310,42 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
     for k in range(interp.shape[0]):
         rows = s[k * leaf : min((k + 1) * leaf, n)]
         interp[k, :, : rows.size] = _lagrange_matrix(points[0][k], rows).T
-    return _H2Operator(tuple(levels), anterp, interp, s, boundary, *_split_band(exact))
+    return _H2Operator(tuple(levels), anterp, interp, s, boundary, exact)
 
 
 @dataclass(frozen=True)
 class NearBand:
-    """The regular near-band blocks of one large grid, built by near_band.
+    """The exact blocks of one large grid's operator, built by near_band.
 
     key is the (rho, a, node bytes) the band was built for. blocks[i] holds
-    the panel differences of (X - s)_+^(a+1) of the leaf that starts at row
-    r0 = op.band[i] of the grid's _H2Operator: its L = _LEAF_ROWS limits
-    s[r0 : r0 + L] against the mesh s[r0 - L : r0 + L], shape (L, 2L - 1).
+    the panel differences of (X - s)_+^(a+1) of the block (r0, r1, c0, c1)
+    = op.exact[i] of the grid's _H2Operator: its limits s[r0:r1] against
+    the mesh s[c0 : c1 + 1], shape (r1 - r0, c1 - c0).
     """
 
     key: tuple[float, float, bytes]
-    blocks: np.ndarray
+    blocks: tuple[np.ndarray, ...]
 
 
-def _band_blocks(op: _H2Operator, a: float) -> np.ndarray:
-    """The panel differences of every regular near-band block of op, shape (band leaves, L, 2L - 1).
-
-    The leaves are taken _BAND_LEAVES at a time, by this thread and the
-    helper threads of fractional._run_blocks: each chunk is one
-    power_differences call on a stack of blocks, whose meshes are windows
-    of s, and it fills its own leaves' blocks. Every helper is joined
-    before this returns.
-    """
-    leaf, per = _LEAF_ROWS, _BAND_LEAVES
-    blocks = np.empty((op.band.size, leaf, 2 * leaf - 1))
-    if not op.band.size:
-        return blocks
-    meshes = sliding_window_view(op.s, 2 * leaf)
-
-    def chunk(i: int, buf: np.ndarray) -> None:
-        mesh = meshes[op.band[i : i + per] - leaf]
-        power_differences(mesh[:, leaf:], mesh, a, buf[: mesh.shape[0]], blocks[i : i + per])
-
-    _run_blocks(range(0, op.band.size, per), chunk, (per, leaf, 2 * leaf))
-    return blocks
+def _band_blocks(op: _H2Operator, a: float) -> tuple[np.ndarray, ...]:
+    """The panel differences of every exact block of op, in op.exact order, on the calling thread."""
+    s = op.s
+    work = np.empty(max((r1 - r0) * (c1 - c0 + 1) for r0, r1, c0, c1 in op.exact))
+    # the blocks are views of one allocation: with glibc's default malloc
+    # thresholds, 65 separate 64 kB blocks are trimmed from the heap when a
+    # band is freed and faulted in again by the next build, which then took
+    # 8.0-9.1 ms against 5.5-7.5 ms at 4097 nodes (2-core x86-64 host)
+    flat = np.empty(sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in op.exact))
+    blocks = []
+    for r0, r1, c0, c1 in op.exact:
+        rows, cols = r1 - r0, c1 - c0
+        w = work[: rows * (cols + 1)].reshape(rows, cols + 1)
+        d, flat = flat[: rows * cols].reshape(rows, cols), flat[rows * cols :]
+        blocks.append(power_differences(s[r0:r1], s[c0 : c1 + 1], a, w, d))
+    return tuple(blocks)
 
 
-def _h2_sums(op: _H2Operator, a: float, dg: np.ndarray, blocks: np.ndarray) -> np.ndarray:
+def _h2_sums(op: _H2Operator, dg: np.ndarray, blocks: tuple[np.ndarray, ...]) -> np.ndarray:
     """Row sums sum_j d_j(s[i]) * dg[:, j] at every node i, through op.
 
     d_j(X) = ((X - s_(j+1))_+^(a+1) - (X - s_j)_+^(a+1)) / (s_(j+1) - s_j)
@@ -401,43 +356,20 @@ def _h2_sums(op: _H2Operator, a: float, dg: np.ndarray, blocks: np.ndarray) -> n
     Moments go up the tree, each far block maps them to local values at its
     row cluster's points, and local values come down the tree to the rows.
 
-    The exact blocks take the integrand differences divided by the panel
-    widths, c = dg / diff(s), computed once. blocks holds the regular band
-    blocks' panel differences (_band_blocks); they are multiplied
-    _BAND_LEAVES leaves at a time, one batched matmul per chunk whose
-    coefficients are windows of c, and each leaf's product is its rows,
-    which no other exact block touches. Every other exact block costs one
-    subtract, one masked power, one difference and one product.
+    blocks holds the panel differences of op.exact (_band_blocks). The
+    exact blocks take the integrand differences divided by the panel
+    widths, c = dg / diff(s), computed once, and each block adds one
+    product c[:, c0:c1] @ d.T to its rows.
     """
     s = op.s
     m, n = dg.shape[0], s.shape[0]
     out = np.zeros((m, n))
     c = dg / np.diff(s)
-    leaf, per = _LEAF_ROWS, _BAND_LEAVES
-    if op.band.size:
-        # the block of the leaf at r0 has coefficients c[:, r0 - L : r0 + L - 1]
-        coefs = sliding_window_view(c, 2 * leaf - 1, axis=1).transpose(1, 0, 2)
-        for i in range(0, op.band.size, per):
-            starts = op.band[i : i + per]
-            values = np.matmul(coefs[starts - leaf], blocks[i : i + per].transpose(0, 2, 1))
-            for r0, v in zip(starts.tolist(), values):
-                out[:, r0 : r0 + leaf] = v
-    # one workspace for every other exact block, evaluated in row chunks that
-    # fit it: a leaf block at once, or at least one row
-    cap = max(leaf * (2 * leaf + 1), n + 1)
-    w_buf = np.empty(cap)
-    d_buf = np.empty(cap)
-    for r0, r1, c0, c1 in op.rest:
-        cols = c1 - c0 + 1
-        step = max(1, cap // cols)
-        for i0 in range(r0, r1, step):
-            i1 = min(i0 + step, r1)
-            w = w_buf[: (i1 - i0) * cols].reshape(i1 - i0, cols)
-            d = d_buf[: (i1 - i0) * (cols - 1)].reshape(i1 - i0, cols - 1)
-            out[:, i0:i1] += c[:, c0:c1] @ power_differences(s[i0:i1], s[c0 : c1 + 1], a, w, d).T
+    for (r0, r1, c0, c1), d in zip(op.exact, blocks):
+        out[:, r0:r1] += c[:, c0:c1] @ d.T
     if not op.levels:
         return out
-    p = _CHEB_POINTS
+    leaf, p = _LEAF_ROWS, _CHEB_POINTS
     full = op.anterp.shape[0]
     moments = [np.matmul(dg[:, : full * leaf].reshape(m, full, leaf).transpose(1, 0, 2), op.anterp)]
     for lev, parent in zip(op.levels, op.levels[1:]):
@@ -487,7 +419,7 @@ def _integral_values(
         return pref * (g @ w.T)
     op = _h2_operator(*key, n)
     blocks = _band_blocks(op, a) if band is None else band.blocks
-    total = _h2_sums(op, a, g[:, :-1] - g[:, 1:], blocks)
+    total = _h2_sums(op, g[:, :-1] - g[:, 1:], blocks)
     total += op.boundary * g[:, :1]
     return (pref / (a * (a + 1.0))) * total
 
@@ -495,24 +427,21 @@ def _integral_values(
 def near_band(eq: EquationSpec, nodes: np.ndarray) -> NearBand | None:
     """The near band of eq's operator on nodes, to pass to every application of one loop.
 
-    Above _MATRIX_MAX_NODES each application multiplies the regular
-    near-band blocks, which depend on (nodes, rho, a) only, and builds them
-    first unless it is given them. A caller that applies the operator many
-    times on one grid builds them once here and passes the result as band
-    to apply_operator_batch or apply_operator; the images are bit for bit
-    the same. Returns None on the dense path and on a grid with no regular
-    band leaf. The band is not cached: it lives as long as the caller keeps
-    it, and takes 4.1 MB at 4097 nodes.
+    Above _MATRIX_MAX_NODES each application multiplies the exact blocks
+    of the operator, which depend on (nodes, rho, a) only, and evaluates
+    them first unless it is given them. A caller that applies the operator
+    many times on one grid evaluates them once here, on the calling thread,
+    and passes the result as band to apply_operator_batch or
+    apply_operator; the images are bit for bit the same. Returns None on
+    the dense path. The band is not cached: it lives as long as the caller
+    keeps it, and takes 4.2 MB at 4097 nodes.
     """
     _check_domain(eq, nodes)
     n = nodes.shape[0]
     if n <= _MATRIX_MAX_NODES:
         return None
     key = (eq.params.rho, eq.params.exponent, nodes.tobytes())
-    op = _h2_operator(*key, n)
-    if not op.band.size:
-        return None
-    return NearBand(key, _band_blocks(op, eq.params.exponent))
+    return NearBand(key, _band_blocks(_h2_operator(*key, n), eq.params.exponent))
 
 
 def _check_domain(eq: EquationSpec, nodes: np.ndarray) -> None:
@@ -543,11 +472,15 @@ def apply_operator_batch(
 ) -> np.ndarray:
     """Operator images of many grid functions at once.
 
-    values has shape (m, n), one row per function on the shared nodes. An
-    image that overflows raises DomainError. band is near_band(eq, nodes),
-    or None to build it for this call alone.
+    values has shape (m, n), one row per function on the n shared nodes;
+    any other shape raises DomainError, as does an image that overflows.
+    band is near_band(eq, nodes), or None to build it for this call alone.
     """
     _check_domain(eq, nodes)
+    if values.ndim != 2 or values.shape[1] != nodes.shape[0]:
+        raise DomainError(
+            f"values must be an (m, {nodes.shape[0]}) matrix on the nodes, got shape {values.shape}"
+        )
     f_vals = _as_grid(eq.f.expr, nodes, values)
     psi_vals = _as_grid(eq.psi.expr, nodes, values)
     g_vals = _as_grid(eq.g.expr, nodes, values)

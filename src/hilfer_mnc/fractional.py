@@ -17,11 +17,10 @@ s-mesh 1 + (X - 1) sigma for every upper limit X, so its node weights are
 points, and a point next to x = 1 keeps a mesh of distinct nodes.
 
 The point rule evaluates its points in blocks, through _run_blocks, the
-block runner it shares with the build of the large-grid operator's near
-band (equations._band_blocks). A call with at least two blocks starts
-helper threads for the call, one per further core available to the
-process (at most one per further block), shares the blocks between them
-and the calling thread, and joins them before it returns. Each block
+one place in the package that starts threads. A call with at least two
+blocks starts helper threads for the call, one per further core available
+to the process (at most one per further block), shares the blocks between
+them and the calling thread, and joins them before it returns. Each block
 writes its own rows of the result, and each point's value is its own row
 sum, so the result is bit for bit the same for any number of threads.
 Only NumPy kernels and phi run in the helpers; the functions a tracer may
@@ -64,9 +63,8 @@ def _run_blocks(starts: range, block, shape: tuple[int, ...]) -> None:
     This thread and min(_helper_count(), len(starts) - 1) helper threads,
     started for this call, claim the starts one at a time under a lock. Each
     thread reuses one scratch buffer buf of the given shape and runs under
-    its own np.errstate(all="ignore"). Blocks must write disjoint parts (the
-    point rule's blocks rows of its result, the near band's chunks their
-    leaves' blocks of the band, in equations._band_blocks), so the output
+    its own np.errstate(all="ignore"). Blocks must write disjoint parts of
+    the output (each of the point rule's blocks its own rows), so the output
     does not depend on which thread ran which block. After an exception in
     any thread no thread claims another block. Every helper is joined
     before the call returns or raises the first exception.

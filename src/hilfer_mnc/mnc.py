@@ -341,8 +341,9 @@ def darbo_iterate(
     The seed and the deltas are validated once, by the seed's estimate;
     every later ensemble is a plain matrix on the seed's nodes, whose
     finiteness the operator call has already checked. Above 2049 nodes
-    the operator's near band is built once for the call
-    (equations.near_band) and passed to every step.
+    the operator's near band, every block it evaluates exactly, is built
+    once for the call on the calling thread (equations.near_band) and
+    passed to every step.
     """
     if p_max < 1:
         raise DomainError(f"p_max must be >= 1, got {p_max}")

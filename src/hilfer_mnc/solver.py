@@ -70,9 +70,10 @@ def solve(
     certificate bounds the Darbo factor, not the Lipschitz constant, so it
     does not by itself guarantee that the iteration contracts.
 
-    Above 2049 nodes the operator's near band is built once for the call
-    (equations.near_band) and passed to every application; it is released
-    when the call returns.
+    Above 2049 nodes the operator's near band, every block it evaluates
+    exactly, is built once for the call on the calling thread
+    (equations.near_band) and passed to every application, which then
+    evaluates no block again; the band is released when the call returns.
     """
     require_positive_finite("tol", tol)
     if max_iter < 1:

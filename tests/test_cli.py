@@ -688,7 +688,7 @@ def test_mnc_demo_bytes_identical_across_threads():
 
 # live threads after import and after each CLI stage, and the threads each
 # stage started, with one helper thread per call: a 4097-node solve builds
-# the large-grid operator's near band, whose chunks the helpers share
+# the large-grid operator's near band on the calling thread
 _THREAD_PROBE = """
 import contextlib, io, threading
 import hilfer_mnc
@@ -729,13 +729,12 @@ def test_every_thread_a_stage_starts_ends_with_it():
     )
     values = list(map(int, run.stdout.split()))
     counts, starts, blocks = values[:5], values[5:9], values[9]
-    # the 129-node stages start no thread; the 4097-node solve of the two
-    # bundled equations starts one helper per solved equation, to build its
-    # near band once, and 65 points on the bundled 1024-panel mesh take at
-    # least two blocks, so frac-int starts one; every call joins its helpers
-    # before it returns
+    # only the point rule starts threads: the 129-node stages and the
+    # 4097-node solve start none, and 65 points on the bundled 1024-panel
+    # mesh take at least two blocks, so frac-int starts one; every call
+    # joins its helpers before it returns
     assert blocks >= 2
-    assert starts[:2] == [0, 0] and starts[2] == 2 and starts[3] == 1
+    assert starts == [0, 0, 0, 1]
     assert counts == [1, 1, 1, 1, 1]
 
 

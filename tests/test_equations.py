@@ -248,11 +248,11 @@ def test_streaming_path_refines_blocks_that_are_close(monkeypatch):
 
 
 def test_exact_entries_per_application_are_unchanged(monkeypatch):
-    # the near band's regular blocks are evaluated in chunks of leaves, and
-    # only leaves whose one exact block is the regular one are batched: a
-    # leaf whose band block was merged with a farther exact block (graded
-    # grids) must not be evaluated again in a chunk
+    # the near band holds every exact block, merged ones included (graded
+    # grids), so it evaluates the same entries as an application that builds
+    # its own, and an application given the band evaluates none
     params = _rule_params(*_RULE_CASES[0])
+    eq = EquationSpec(params=params, f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g)
     entries = _count_exact_entries(monkeypatch)
     want = {
         (4097, "uniform"): 520_192,
@@ -269,56 +269,33 @@ def test_exact_entries_per_application_are_unchanged(monkeypatch):
         entries.clear()
         eqmod._integral_values(params, nodes, np.ones((1, n)), 1.0)
         assert sum(entries) == count, (n, grid)
+        band = near_band(eq, nodes)
+        assert sum(b.size for b in band.blocks) == count, (n, grid)
+        entries.clear()
+        eqmod._integral_values(params, nodes, np.ones((1, n)), 1.0, band)
+        assert entries == [], (n, grid)
 
 
 @pytest.mark.parametrize("m", [1, 3])
 @pytest.mark.parametrize("grid", ["uniform", "random", "graded"])
 def test_large_grid_operator_is_bit_identical_for_any_helper_count(monkeypatch, grid, m):
-    # the caller and the helper threads take the band's chunks in turn, each
-    # chunk fills its own leaves' blocks, and every helper is joined before
-    # the call returns; a band built by near_band gives the same bits
+    # a band given to the application and the band it builds for itself
+    # give the same bits; the band is built on the calling thread, so the
+    # helper count the point rule would use changes nothing and no thread
+    # is started
     n = 4097
     params = _rule_params(*_RULE_CASES[1])
     eq = EquationSpec(params=params, f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g)
     nodes = _test_grids(params.T, n, np.random.default_rng(7))[grid]
     g = np.vstack([np.cos(3.0 * nodes), np.random.default_rng(8).uniform(-0.5, 0.5, (2, n))])[:m]
-    monkeypatch.setattr(fractional, "_helper_count", lambda: 0)
     want = eqmod._integral_values(params, nodes, g, 1.0)
-    before = threading.active_count()
+    started = []
+    monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
     for helpers in (0, 1, 3):
         monkeypatch.setattr(fractional, "_helper_count", lambda: helpers)
-        got = eqmod._integral_values(params, nodes, g, 1.0)
         band = near_band(eq, nodes)
-        assert threading.active_count() == before
-        assert np.array_equal(got, want), helpers
+        assert started == [], helpers
         assert np.array_equal(eqmod._integral_values(params, nodes, g, 1.0, band), want), helpers
-
-
-def test_large_grid_helpers_take_band_chunks(monkeypatch):
-    # the caller's first chunk waits until a helper has evaluated one, so
-    # both threads take part whatever the scheduling
-    caller = threading.get_ident()
-    threads = set()
-    helped = threading.Event()
-
-    def recording(X, s, a, w, d):
-        if threading.get_ident() != caller:
-            helped.set()
-        elif not threads:
-            helped.wait(10)
-        threads.add(threading.get_ident())
-        return power_differences(X, s, a, w, d)
-
-    n = 4097
-    nodes = uniform_nodes(3.0, n)
-    g = np.cos(3.0 * nodes)[None, :]
-    monkeypatch.setattr(fractional, "_helper_count", lambda: 0)
-    want = eqmod._integral_values(_ALPHA.params, nodes, g, 1.0)
-    monkeypatch.setattr(fractional, "_helper_count", lambda: 1)
-    monkeypatch.setattr(eqmod, "power_differences", recording)
-    got = eqmod._integral_values(_ALPHA.params, nodes, g, 1.0)
-    assert helped.is_set() and len(threads) == 2
-    assert np.array_equal(got, want)
 
 
 def test_streaming_path_cost_is_near_linear(monkeypatch):
@@ -400,10 +377,11 @@ def test_solve_with_band_matches_applications_without_one():
 
 
 def test_solve_evaluates_the_near_band_once(monkeypatch):
-    # at 4097 uniform nodes the 63 regular band leaves take 63 x 64 x 127
-    # entries, built once per solve; every application still evaluates the
-    # other exact blocks, the first leaf against itself (64 x 63) and the
-    # one-row last leaf (1 x 4096). The band is released when solve returns.
+    # at 4097 uniform nodes the band's 65 exact blocks take 520,192 entries:
+    # the first leaf against itself (64 x 63), 63 leaves against the
+    # previous leaf and themselves (64 x 127 each) and the one-row last leaf
+    # (1 x 4096). They are built once per solve, and no application
+    # evaluates any. The band is released when solve returns.
     bands = []
 
     def recorded(eq, nodes):
@@ -416,14 +394,14 @@ def test_solve_evaluates_the_near_band_once(monkeypatch):
     entries = _count_exact_entries(monkeypatch)
     report = solve(eq, start, tol=1e-10)
     assert report.iterations >= 20
-    assert sum(entries) == 63 * 64 * 127 + (report.iterations + 1) * (64 * 63 + 4096)
+    assert sum(entries) == 64 * 63 + 63 * 64 * 127 + 4096 == 520_192
     assert len(bands) == 1 and bands[0]() is None
 
 
 def test_band_for_other_nodes_rho_or_a_is_refused(monkeypatch):
     eq, start = _forced_solve_input()
     band = near_band(eq, start.nodes)
-    assert band.blocks.shape == (63, 64, 127)
+    assert len(band.blocks) == 65
     shifted = start.nodes.copy()
     shifted[1:-1] += 1e-6
     others = [
@@ -435,10 +413,11 @@ def test_band_for_other_nodes_rho_or_a_is_refused(monkeypatch):
     for other, grid in others:
         with pytest.raises(DomainError, match="near band was built for other"):
             apply_operator_batch(other, grid, np.zeros((1, grid.size)), band=band)
-    # the dense path, and a large-grid path with no regular band leaf, need no band
+    # only the dense path needs no band: a 65-node large grid has two leaves
     assert near_band(eq, uniform_nodes(3.0, 129)) is None
     monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
-    assert near_band(eq, uniform_nodes(3.0, 65)) is None
+    small = near_band(eq, uniform_nodes(3.0, 65))
+    assert [b.shape for b in small.blocks] == [(64, 63), (1, 64)]
 
 
 @pytest.mark.parametrize("n", [65, 4097])
@@ -520,6 +499,16 @@ def test_operator_rejects_wrong_domain():
     nodes = np.linspace(1.0, 2.0, 65)
     with pytest.raises(DomainError):
         apply_operator_batch(_ALPHA, nodes, np.zeros((1, 65)))
+
+
+@pytest.mark.parametrize("n", [129, 4097])
+def test_operator_batch_rejects_values_that_are_not_a_matrix_on_the_nodes(n):
+    # 1-D values, a column-count mismatch and a stack of matrices are
+    # refused by name on the dense and the large-grid path alike
+    nodes = uniform_nodes(3.0, n)
+    for values in (np.zeros(n), np.zeros((2, n - 1)), np.zeros((1, 1, n))):
+        with pytest.raises(DomainError, match=rf"values must be an \(m, {n}\) matrix"):
+            apply_operator_batch(_ALPHA, nodes, values)
 
 
 def test_estimate_lipschitz_lower_bounds_declared():
