@@ -14,9 +14,11 @@ of the integrand. The entries within one leaf of the diagonal, and the far
 blocks no level could interpolate, form the near band and are evaluated
 exactly. Each band block holds the undivided panel differences of the
 powers (fractional.power_differences) and depends on (nodes, rho, a) only;
-near_band evaluates every block on the calling thread. An application
-divides the integrand differences by the panel widths once and multiplies
-each block with one matmul. A loop that applies the operator many times on
+near_band evaluates every block on the calling thread. Consecutive blocks
+of one shape, each one leaf below and right of the last, form a run, and
+the band stores each run as one stack. An application divides the
+integrand differences by the panel widths once and multiplies each run
+with one batched matmul. A loop that applies the operator many times on
 one grid (Picard in solver.solve, Darbo in mnc.darbo_iterate) builds the
 band once and passes it to every application; an application given no
 band builds its own. Every far block is interpolated in s at Chebyshev
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -74,6 +76,8 @@ class EquationSpec:
 
     gamma_k_override substitutes a fixed constant for Gamma_k(gamma_ord)
     everywhere this equation's operator and certificates use it.
+    Otherwise gamma_k_value computes Gamma_k on its first call and keeps
+    it: every application of the operator reads it.
     """
 
     params: FracParams
@@ -86,10 +90,14 @@ class EquationSpec:
         if self.gamma_k_override is not None:
             require_positive_finite("gamma_k_override", self.gamma_k_override)
 
+    @cached_property
+    def _gamma_k(self) -> float:
+        return k_gamma(self.params.k, self.params.gamma_ord).value
+
     def gamma_k_value(self) -> float:
         if self.gamma_k_override is not None:
             return self.gamma_k_override
-        return k_gamma(self.params.k, self.params.gamma_ord).value
+        return self._gamma_k
 
 
 @lru_cache(maxsize=4)
@@ -187,10 +195,11 @@ class _H2Operator:
     c0..c1-1, that are evaluated through power_differences, in order: each
     leaf against the previous leaf and itself, and every far block that no
     level could interpolate, merged where they share their rows and meet in
-    panels. anterp maps a leaf's panel differences to its moments, and
-    interp a leaf's local values to its rows (zero-padded for a partial last
-    leaf). s is the mesh nodes**rho, and boundary the column (a+1) (s -
-    s[0])^a of the first integrand value.
+    panels. runs partitions exact into (first, count): the blocks
+    exact[first : first + count] (_runs). anterp maps a leaf's panel
+    differences to its moments, and interp a leaf's local values to its rows
+    (zero-padded for a partial last leaf). s is the mesh nodes**rho, and
+    boundary the column (a+1) (s - s[0])^a of the first integrand value.
     """
 
     levels: tuple[_Level, ...]
@@ -199,6 +208,7 @@ class _H2Operator:
     s: np.ndarray
     boundary: np.ndarray
     exact: tuple[tuple[int, int, int, int], ...]
+    runs: tuple[tuple[int, int], ...]
 
     @property
     def nbytes(self) -> int:
@@ -222,6 +232,24 @@ def _merged(blocks: list[tuple[int, int, int, int]]) -> tuple[tuple[int, int, in
     return tuple(out)
 
 
+def _runs(exact: tuple[tuple[int, int, int, int], ...]) -> tuple[tuple[int, int], ...]:
+    """(first, count) of each maximal run of blocks, in order, that one batched matmul can take.
+
+    A block joins the run of the block before it when it is that block
+    moved one leaf down in rows and one leaf right in panels, and has one
+    leaf of rows: the run's rows then tile out[:, r0 : r0 + count * leaf],
+    and its panels are windows of the integrand one leaf apart.
+    """
+    leaf = _LEAF_ROWS
+    runs: list[tuple[int, int]] = []
+    for i, (r0, r1, c0, c1) in enumerate(exact):
+        if i and r1 - r0 == leaf and exact[i - 1] == (r0 - leaf, r1 - leaf, c0 - leaf, c1 - leaf):
+            runs[-1] = (runs[-1][0], runs[-1][1] + 1)
+        else:
+            runs.append((i, 1))
+    return tuple(runs)
+
+
 @lru_cache(maxsize=4)
 def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operator:
     """Build the large-grid operator for one (nodes, rho, a).
@@ -234,7 +262,8 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
     (Fong & Darve's black-box FMM, J. Comput. Phys. 228 (2009) 8712); one
     that is not is split into its child blocks, and evaluated exactly at
     leaf level or when its rows are too few for points. Exact blocks on the
-    same rows that meet in panels are merged into one.
+    same rows that meet in panels are merged into one, and the merged
+    blocks are grouped into runs (_runs).
     """
     s = np.frombuffer(nodes_bytes, dtype=float) ** rho
     boundary = (a + 1.0) * (s - s[0]) ** a
@@ -247,8 +276,9 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
     while 2 * leaf << len(sizes) < n:
         sizes.append(leaf << len(sizes))
     if not sizes:
+        exact = _merged(exact)
         return _H2Operator(
-            (), np.empty((0, leaf, p)), np.empty((0, p, leaf)), s, boundary, _merged(exact)
+            (), np.empty((0, leaf, p)), np.empty((0, p, leaf)), s, boundary, exact, _runs(exact)
         )
     counts = [n // b + (n % b > p) for b in sizes]
     points = [
@@ -310,42 +340,59 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
     for k in range(interp.shape[0]):
         rows = s[k * leaf : min((k + 1) * leaf, n)]
         interp[k, :, : rows.size] = _lagrange_matrix(points[0][k], rows).T
-    return _H2Operator(tuple(levels), anterp, interp, s, boundary, exact)
+    return _H2Operator(tuple(levels), anterp, interp, s, boundary, exact, _runs(exact))
 
 
 @dataclass(frozen=True)
 class NearBand:
     """The exact blocks of one large grid's operator, built by near_band.
 
-    key is the (rho, a, node bytes) the band was built for. blocks[i] holds
-    the panel differences of (X - s)_+^(a+1) of the block (r0, r1, c0, c1)
-    = op.exact[i] of the grid's _H2Operator: its limits s[r0:r1] against
-    the mesh s[c0 : c1 + 1], shape (r1 - r0, c1 - c0).
+    key is the (rho, a, node bytes) the band was built for. The block
+    (r0, r1, c0, c1) = op.exact[i] of the grid's _H2Operator holds the
+    panel differences of (X - s)_+^(a+1) of its limits s[r0:r1] against the
+    mesh s[c0 : c1 + 1]. stacks[j] holds run op.runs[j] = (first, count)
+    as one C-contiguous (count, c1 - c0, r1 - r0) array, each block
+    transposed; blocks lists every block as an (r1 - r0, c1 - c0) view of
+    its stack, in op.exact order.
     """
 
     key: tuple[float, float, bytes]
-    blocks: tuple[np.ndarray, ...]
+    stacks: tuple[np.ndarray, ...]
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        return tuple(block.T for stack in self.stacks for block in stack)
 
 
-def _band_blocks(op: _H2Operator, a: float) -> tuple[np.ndarray, ...]:
-    """The panel differences of every exact block of op, in op.exact order, on the calling thread."""
+def _band_stacks(op: _H2Operator, a: float) -> tuple[np.ndarray, ...]:
+    """The panel differences of every exact block of op, one stack per run, on the calling thread.
+
+    Each block is evaluated row-major into scratch and copied transposed
+    into its run's stack (see NearBand): power_differences writing into a
+    transposed view built the band about 1.5 ms slower at 4097 nodes.
+    """
     s = op.s
     work = np.empty(max((r1 - r0) * (c1 - c0 + 1) for r0, r1, c0, c1 in op.exact))
-    # the blocks are views of one allocation: with glibc's default malloc
+    scratch = np.empty(max((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in op.exact))
+    # the stacks are views of one allocation: with glibc's default malloc
     # thresholds, 65 separate 64 kB blocks are trimmed from the heap when a
     # band is freed and faulted in again by the next build, which then took
     # 8.0-9.1 ms against 5.5-7.5 ms at 4097 nodes (2-core x86-64 host)
     flat = np.empty(sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in op.exact))
-    blocks = []
-    for r0, r1, c0, c1 in op.exact:
+    stacks = []
+    for first, count in op.runs:
+        r0, r1, c0, c1 = op.exact[first]
         rows, cols = r1 - r0, c1 - c0
         w = work[: rows * (cols + 1)].reshape(rows, cols + 1)
-        d, flat = flat[: rows * cols].reshape(rows, cols), flat[rows * cols :]
-        blocks.append(power_differences(s[r0:r1], s[c0 : c1 + 1], a, w, d))
-    return tuple(blocks)
+        d = scratch[: rows * cols].reshape(rows, cols)
+        stack, flat = flat[: count * rows * cols].reshape(count, cols, rows), flat[count * rows * cols :]
+        for block, (r0, r1, c0, c1) in zip(stack, op.exact[first : first + count]):
+            block[...] = power_differences(s[r0:r1], s[c0 : c1 + 1], a, w, d).T
+        stacks.append(stack)
+    return tuple(stacks)
 
 
-def _h2_sums(op: _H2Operator, dg: np.ndarray, blocks: tuple[np.ndarray, ...]) -> np.ndarray:
+def _h2_sums(op: _H2Operator, dg: np.ndarray, stacks: tuple[np.ndarray, ...]) -> np.ndarray:
     """Row sums sum_j d_j(s[i]) * dg[:, j] at every node i, through op.
 
     d_j(X) = ((X - s_(j+1))_+^(a+1) - (X - s_j)_+^(a+1)) / (s_(j+1) - s_j)
@@ -356,17 +403,36 @@ def _h2_sums(op: _H2Operator, dg: np.ndarray, blocks: tuple[np.ndarray, ...]) ->
     Moments go up the tree, each far block maps them to local values at its
     row cluster's points, and local values come down the tree to the rows.
 
-    blocks holds the panel differences of op.exact (_band_blocks). The
-    exact blocks take the integrand differences divided by the panel
-    widths, c = dg / diff(s), computed once, and each block adds one
-    product c[:, c0:c1] @ d.T to its rows.
+    stacks holds the panel differences of op.exact, one stack per run of
+    op.runs (_band_stacks). The exact blocks take the integrand differences
+    divided by the panel widths, c = dg / diff(s), computed once. Each run
+    of count blocks of shape (rows, cols) multiplies the (count, m, cols)
+    window view of c that starts at its first block's panels and steps one
+    leaf, by its (count, cols, rows) stack, in one matmul. The matmul
+    writes block t's (m, rows) product to columns t * rows onwards of one
+    (m, count * rows) array, which then adds to out[:, r0 : r0 + count *
+    rows] as one (m, count * rows) sum: adding a (count, m, rows) product
+    through a transposed view made the 63-block run of 4097 nodes take
+    13.6-15.1 ms against 10.5-10.8 ms at m = 240 (2-core x86-64 host, one
+    BLAS thread). A run of one block is the same call.
     """
     s = op.s
     m, n = dg.shape[0], s.shape[0]
     out = np.zeros((m, n))
+    if m == 0:
+        # an empty c is a buffer of no bytes, which holds no window at an offset
+        return out
     c = dg / np.diff(s)
-    for (r0, r1, c0, c1), d in zip(op.exact, blocks):
-        out[:, r0:r1] += c[:, c0:c1] @ d.T
+    step = (_LEAF_ROWS * c.itemsize, c.strides[0], c.itemsize)
+    for (first, count), stack in zip(op.runs, stacks):
+        r0, r1, c0, c1 = op.exact[first]
+        rows, cols = r1 - r0, c1 - c0
+        # a view of c's buffer, bounds-checked against it: np.ndarray builds
+        # it in about 1 us, np.lib.stride_tricks.as_strided in 5-20 us
+        window = np.ndarray((count, m, cols), c.dtype, c, c0 * c.itemsize, step)
+        prod = np.empty((m, count * rows))
+        np.matmul(window, stack, out=prod.reshape(m, count, rows).transpose(1, 0, 2))
+        out[:, r0 : r0 + count * rows] += prod
     if not op.levels:
         return out
     leaf, p = _LEAF_ROWS, _CHEB_POINTS
@@ -418,8 +484,8 @@ def _integral_values(
         w = _weight_matrix(*key, n)
         return pref * (g @ w.T)
     op = _h2_operator(*key, n)
-    blocks = _band_blocks(op, a) if band is None else band.blocks
-    total = _h2_sums(op, g[:, :-1] - g[:, 1:], blocks)
+    stacks = _band_stacks(op, a) if band is None else band.stacks
+    total = _h2_sums(op, g[:, :-1] - g[:, 1:], stacks)
     total += op.boundary * g[:, :1]
     return (pref / (a * (a + 1.0))) * total
 
@@ -441,7 +507,7 @@ def near_band(eq: EquationSpec, nodes: np.ndarray) -> NearBand | None:
     if n <= _MATRIX_MAX_NODES:
         return None
     key = (eq.params.rho, eq.params.exponent, nodes.tobytes())
-    return NearBand(key, _band_blocks(_h2_operator(*key, n), eq.params.exponent))
+    return NearBand(key, _band_stacks(_h2_operator(*key, n), eq.params.exponent))
 
 
 def _check_domain(eq: EquationSpec, nodes: np.ndarray) -> None:

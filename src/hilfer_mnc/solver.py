@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .equations import EquationSpec, apply_operator, near_band
+from . import equations
+from .equations import EquationSpec, near_band
 from .errors import DomainError, require_positive_finite
 from .fractional import GridFunction
 
@@ -70,6 +71,9 @@ def solve(
     certificate bounds the Darbo factor, not the Lipschitz constant, so it
     does not by itself guarantee that the iteration contracts.
 
+    The seed is the one validated GridFunction going in, and the solution
+    the one coming out: the iterates in between are plain (1, n) arrays,
+    each the image of the last under equations.apply_operator_batch.
     Above 2049 nodes the operator's near band, every block it evaluates
     exactly, is built once for the call on the calling thread
     (equations.near_band) and passed to every application, which then
@@ -83,26 +87,29 @@ def solve(
             f"seed norm {alpha0.sup_norm:.6g} exceeds the certified radius {r0:.6g}",
             stacklevel=2,
         )
-    band = near_band(eq, alpha0.nodes)
-    cur = alpha0
+    # apply_operator_batch is looked up on the module at every call, so a
+    # wrapper set on equations.apply_operator_batch sees each application
+    nodes = alpha0.nodes
+    band = near_band(eq, nodes)
+    cur = alpha0.values[None, :]
     distances: list[float] = []
     norms = [alpha0.sup_norm]
     for _ in range(max_iter):
-        nxt = apply_operator(eq, cur, band=band)
-        step = float(np.max(np.abs(nxt.values - cur.values)))
+        nxt = equations.apply_operator_batch(eq, nodes, cur, band=band)
+        step = float(np.max(np.abs(nxt - cur)))
         distances.append(step)
-        norms.append(nxt.sup_norm)
+        norms.append(float(np.max(np.abs(nxt))))
         cur = nxt
         if step <= tol:
             break
-    extra = apply_operator(eq, cur, band=band)
-    residual = float(np.max(np.abs(extra.values - cur.values)))
+    extra = equations.apply_operator_batch(eq, nodes, cur, band=band)
+    residual = float(np.max(np.abs(extra - cur)))
     return SolveReport(
         iterations=len(distances),
         sup_distances=np.array(distances),
         residual=residual,
         measured_rate=_measured_rate(distances),
-        solution=cur,
+        solution=GridFunction(nodes=nodes, values=cur[0]),
         converged=residual <= tol,
         sup_norms=np.array(norms),
     )

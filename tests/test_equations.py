@@ -27,6 +27,7 @@ from hilfer_mnc.equations import (
 from hilfer_mnc.errors import DomainError
 from hilfer_mnc.fractional import FracParams, GridFunction, power_differences, uniform_nodes
 from hilfer_mnc.solver import solve
+from hilfer_mnc.special_functions import k_gamma
 
 _CFG = bundled_example()
 _ALPHA = _CFG.equations[0]
@@ -324,6 +325,95 @@ def test_large_grid_exact_blocks_are_merged():
             assert c1 < d0 or d1 < c0
 
 
+def _run_test_grids(n: int) -> dict:
+    u = np.linspace(0.0, 1.0, n)
+    grids = _test_grids(3.0, n, np.random.default_rng(7))
+    return {
+        "uniform": grids["uniform"],
+        "random": grids["random"],
+        "u^2": 1.0 + 2.0 * u**2,
+        "u^4": 1.0 + 2.0 * u**4,
+    }
+
+
+@pytest.mark.parametrize("n", [2050, 4097, 8193])
+def test_runs_partition_the_exact_blocks(n):
+    # each run is a stretch of op.exact, in order; a run of more than one
+    # block holds blocks of one shape, each one leaf below and right of the
+    # last, with one leaf of rows
+    leaf = eqmod._LEAF_ROWS
+    counts = {}
+    for grid, nodes in _run_test_grids(n).items():
+        op = eqmod._h2_operator(0.4, 0.5, nodes.tobytes(), n)
+        assert [i for first, count in op.runs for i in range(first, first + count)] == list(
+            range(len(op.exact))
+        ), grid
+        for first, count in op.runs:
+            blocks = op.exact[first : first + count]
+            for (r0, r1, c0, c1), (q0, q1, d0, d1) in zip(blocks, blocks[1:]):
+                assert (q0, q1, d0, d1) == (r0 + leaf, r1 + leaf, c0 + leaf, c1 + leaf), grid
+                assert r1 - r0 == leaf, grid
+        # maximal: no run could take the first block of the next one
+        for (first, count), (nxt, _) in zip(op.runs, op.runs[1:]):
+            r0, r1, c0, c1 = op.exact[first + count - 1]
+            q0, q1, d0, d1 = op.exact[nxt]
+            assert (q0, q1, d0, d1) != (r0 + leaf, r1 + leaf, c0 + leaf, c1 + leaf) or q1 - q0 != leaf
+        counts[grid] = len(op.runs)
+    eqmod._h2_operator.cache_clear()
+    # the first leaf, the regular leaves and the short last leaf; graded
+    # grids split the first few leaves off
+    assert (counts["uniform"], counts["u^2"], counts["u^4"]) == (3, 5, 7)
+
+
+def _per_block_values(params, nodes, g, band) -> np.ndarray:
+    """_integral_values (Gamma_k = 1) with the near band multiplied block by block."""
+    n, a = nodes.size, params.exponent
+    op = eqmod._h2_operator(params.rho, a, nodes.tobytes(), n)
+    dg = g[:, :-1] - g[:, 1:]
+    c = dg / np.diff(op.s)
+    total = np.zeros(g.shape)
+    for (r0, r1, c0, c1), d in zip(op.exact, band.blocks):
+        total[:, r0:r1] += c[:, c0:c1] @ d.T
+    total += eqmod._h2_sums(replace(op, runs=()), dg, ())
+    total += op.boundary * g[:, :1]
+    return (params.rho ** (-a) / (params.k * (a * (a + 1.0)))) * total
+
+
+@pytest.mark.parametrize("n", [2050, 4097, 8193])
+def test_run_product_matches_a_per_block_loop(n):
+    params = _rule_params(*_RULE_CASES[1])
+    eq = EquationSpec(params=params, f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g)
+    rng = np.random.default_rng(n)
+    for grid, nodes in _run_test_grids(n).items():
+        band = near_band(eq, nodes)
+        for m in (0, 1, 3, 30):
+            g = np.vstack([np.cos(3.0 * nodes), rng.uniform(-0.5, 0.5, (29, n))])[:m]
+            got = eqmod._integral_values(params, nodes, g, 1.0, band)
+            want = _per_block_values(params, nodes, g, band)
+            assert got.shape == want.shape == (m, n)
+            if m:
+                assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max(), (grid, m)
+    eqmod._h2_operator.cache_clear()
+
+
+def test_application_multiplies_each_run_once(monkeypatch):
+    # 4097 uniform nodes: three runs (first leaf, 63 regular leaves, one-row
+    # last leaf), so three band matmuls per application, not 65
+    eq, start = _forced_solve_input()
+    band = near_band(eq, start.nodes)
+    assert len(band.stacks) == 3 and len(band.blocks) == 65
+    calls = []
+    matmul = np.matmul
+
+    def counted(x, y, *args, **kwargs):
+        calls.append(any(y is stack for stack in band.stacks))
+        return matmul(x, y, *args, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    apply_operator_batch(eq, start.nodes, start.values[None, :], band=band)
+    assert sum(calls) == 3
+
+
 _FORCED = {
     "params": {"k": 1.0 / 3.0, "rho": 1.0 / 3.0, "gamma_ord": 2.0 / 3.0, "T": 3.0},
     "equations": [
@@ -396,6 +486,34 @@ def test_solve_evaluates_the_near_band_once(monkeypatch):
     assert report.iterations >= 20
     assert sum(entries) == 64 * 63 + 63 * 64 * 127 + 4096 == 520_192
     assert len(bands) == 1 and bands[0]() is None
+
+
+def test_solve_computes_gamma_k_once(monkeypatch):
+    # every application reads Gamma_k; the equation computes it once
+    calls = []
+
+    def counted(k, z):
+        calls.append((k, z))
+        return k_gamma(k, z)
+
+    monkeypatch.setattr(eqmod, "k_gamma", counted)
+    eq, start = _forced_solve_input()
+    report = solve(eq, start, tol=1e-10)
+    assert report.iterations >= 20
+    assert len(calls) <= 1
+    assert eq.gamma_k_value() == k_gamma(eq.params.k, eq.params.gamma_ord).value
+
+
+def test_gamma_k_failure_is_not_kept(monkeypatch):
+    # an equation whose Gamma_k cannot be computed raises on every call
+    def failing(k, z):
+        raise DomainError("Gamma_k out of range")
+
+    monkeypatch.setattr(eqmod, "k_gamma", failing)
+    eq, _ = _forced_solve_input()
+    for _ in range(2):
+        with pytest.raises(DomainError, match="Gamma_k out of range"):
+            eq.gamma_k_value()
 
 
 def test_band_for_other_nodes_rho_or_a_is_refused(monkeypatch):
