@@ -7,7 +7,10 @@ runs the three stages on it; mnc-demo reuses the check stage's certificate
 of its equation instead of certifying it again.
 
 Each `main` call builds a parser holding only the arguments of the
-subcommand it names.
+subcommand it names. A subcommand that reads a config builds one effective
+RunConfig per call: the config source, then --gamma-k-override and the
+flags that override config fields. Its stages and --dump-config read only
+that config.
 
 Exit codes: 0 success, 1 stdout closed by its reader before the output
 ended, 2 configuration or domain error (a non-finite number such as
@@ -27,11 +30,14 @@ import json
 import math
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
 from .config import (
     BUNDLED_R0,
+    OutputConfig,
+    QuadratureConfig,
     RunConfig,
     bundled_example,
     dump_config,
@@ -45,7 +51,7 @@ from .errors import (
     NonconvergenceError,
     ParseError,
 )
-from .expressions import evaluate, parse
+from .expressions import Bin, Call, Expr, Neg, Var, evaluate, parse
 from .fractional import FracParams, GridFunction, hilfer_integral, uniform_nodes
 from .mnc import (
     FunctionEnsemble,
@@ -62,6 +68,14 @@ _DEFAULT_SEED_VALUE = 0.5
 # mallopt(3) parameter numbers, from glibc's <malloc.h>
 _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
+# config fields a flag overrides: section -> {field: argparse dest}
+_OVERRIDE_FLAGS = {
+    "solver": {"tol": "tol", "max_iter": "max_iter", "nodes": "nodes"},
+    "quadrature": {"panels": "panels", "mesh": "mesh"},
+    "output": {"path": "out"},
+}
+# frac-int's order parameters (argparse dests), the alternative to a config source
+_INLINE_PARAMS = ("k", "rho", "gamma_ord", "t")
 
 
 def _print_payload(payload: dict) -> None:
@@ -119,15 +133,40 @@ def _table_path(base: str | None, name: str, multi: bool) -> str | None:
     return f"{stem}_{name}{ext or '.csv'}"
 
 
+def _overridden(args: argparse.Namespace, name: str, section):
+    """The config section called name, with each field its flag in args sets."""
+    changes = {
+        field: value
+        for field, dest in _OVERRIDE_FLAGS[name].items()
+        if (value := getattr(args, dest, None)) is not None
+    }
+    return replace(section, **changes)
+
+
 def _load(args: argparse.Namespace) -> RunConfig:
-    if getattr(args, "paper_example", False):
-        cfg = bundled_example()
-    elif getattr(args, "config", None):
-        cfg = load_config(args.config)
-    else:
+    """The effective config: its source, then --gamma-k-override and the override flags."""
+    config = getattr(args, "config", None)
+    if not (args.paper_example or config):
         raise ConfigError("pass --config PATH or --paper-example")
-    cfg = cfg.with_gamma_k_override(getattr(args, "gamma_k_override", None))
-    return cfg
+    if any(getattr(args, dest, None) is not None for dest in _INLINE_PARAMS):
+        raise ConfigError("pass --config/--paper-example or --k --rho --gamma-ord --T, not both")
+    cfg = bundled_example() if args.paper_example else load_config(config)
+    cfg = cfg.with_gamma_k_override(args.gamma_k_override)
+    return replace(cfg, **{name: _overridden(args, name, getattr(cfg, name)) for name in _OVERRIDE_FLAGS})
+
+
+def _reads_a(expr: Expr) -> bool:
+    """Whether the variable a occurs anywhere in expr."""
+    match expr:
+        case Var(name=name):
+            return name == "a"
+        case Neg(operand=e):
+            return _reads_a(e)
+        case Bin(left=left, right=right):
+            return _reads_a(left) or _reads_a(right)
+        case Call(args=operands):
+            return any(_reads_a(e) for e in operands)
+    return False
 
 
 def _cert_payload(name: str, cert: RadiusCertificate, r0: float | None) -> dict:
@@ -169,49 +208,34 @@ def _cmd_gamma_k(args: argparse.Namespace) -> int:
 def _cmd_frac_int(args: argparse.Namespace) -> int:
     if args.paper_example or args.config:
         cfg = _load(args)
-        params = cfg.params
-        panels = args.panels if args.panels is not None else cfg.quadrature.panels
-        mesh = args.mesh if args.mesh is not None else cfg.quadrature.mesh
-        out_path = args.out if args.out is not None else cfg.output.path
-        fmt = cfg.output.format
-        gk = cfg.gamma_k_override
-        if args.dump_config:
-            print(dump_config(cfg))
-            return 0
+        params, quadrature, output, gk = cfg.params, cfg.quadrature, cfg.output, cfg.gamma_k_override
     else:
-        missing = [n for n in ("k", "rho", "gamma_ord", "T") if getattr(args, n.lower(), None) is None]
-        if missing:
-            raise ConfigError(
-                "pass --config/--paper-example or all of --k --rho --gamma-ord --T"
-            )
+        if any(getattr(args, dest) is None for dest in _INLINE_PARAMS):
+            raise ConfigError("pass --config/--paper-example or all of --k --rho --gamma-ord --T")
         params = FracParams(k=args.k, rho=args.rho, gamma_ord=args.gamma_ord, T=args.t)
-        panels = args.panels if args.panels is not None else 1024
-        mesh = args.mesh if args.mesh is not None else "uniform"
-        out_path = args.out
-        fmt = "csv"
+        quadrature = _overridden(args, "quadrature", QuadratureConfig())
+        output = _overridden(args, "output", OutputConfig())
         gk = args.gamma_k_override
     expr = parse(args.expr)
+    if _reads_a(expr):
+        raise DomainError("--expr: the integrand is a function of x alone, but it reads the variable a")
     nodes = uniform_nodes(params.T, args.phi_nodes)
     values = np.broadcast_to(
         np.asarray(evaluate(expr, nodes, np.zeros_like(nodes)), dtype=float), nodes.shape
     )
     phi = GridFunction(nodes=nodes, values=values)
     points = np.array(args.x, dtype=float)
-    integrals = hilfer_integral(params, phi, points, panels=panels, mesh=mesh, gamma_k_value=gk)
+    integrals = hilfer_integral(
+        params, phi, points, panels=quadrature.panels, mesh=quadrature.mesh, gamma_k_value=gk
+    )
     rows = [[x, val] for x, val in zip(points.tolist(), integrals.tolist())]
-    _emit_rows(["x", "value"], rows, fmt, out_path, label="frac-int")
+    _emit_rows(["x", "value"], rows, output.format, output.path, label="frac-int")
     return 0
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    if args.dump_config:
-        print(dump_config(cfg))
-        return 0
-    r0 = args.r0
-    if r0 is None and args.paper_example:
-        r0 = BUNDLED_R0
-    return _check_stage(cfg, r0, args.probes)[0]
+    r0 = BUNDLED_R0 if args.r0 is None and args.paper_example else args.r0
+    return _check_stage(_load(args), r0, args.probes)[0]
 
 
 def _check_stage(cfg: RunConfig, r0: float | None, probes: int) -> tuple[int, list[RadiusCertificate]]:
@@ -246,31 +270,18 @@ def _check_stage(cfg: RunConfig, r0: float | None, probes: int) -> tuple[int, li
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    if args.dump_config:
-        print(dump_config(cfg))
-        return 0
-    return _solve_stage(
-        cfg,
-        seed_value=args.seed_value,
-        tol=args.tol if args.tol is not None else cfg.solver.tol,
-        max_iter=args.max_iter if args.max_iter is not None else cfg.solver.max_iter,
-        n_nodes=args.nodes if args.nodes is not None else cfg.solver.nodes,
-        out_path=args.out if args.out is not None else cfg.output.path,
-    )
+    return _solve_stage(_load(args), args.seed_value)
 
 
-def _solve_stage(
-    cfg: RunConfig, seed_value: float, tol: float, max_iter: int, n_nodes: int, out_path: str | None
-) -> int:
+def _solve_stage(cfg: RunConfig, seed_value: float) -> int:
     """Picard-solve every equation from a constant seed; print tables and summary."""
-    nodes = uniform_nodes(cfg.params.T, n_nodes)
+    nodes = uniform_nodes(cfg.params.T, cfg.solver.nodes)
     seed = GridFunction(nodes=nodes, values=np.full(nodes.shape, seed_value))
     multi = len(cfg.equations) > 1
     summary = []
     all_converged = True
     for name, eq in zip(cfg.names, cfg.equations):
-        report = picard_solve(eq, seed, tol=tol, max_iter=max_iter)
+        report = picard_solve(eq, seed, tol=cfg.solver.tol, max_iter=cfg.solver.max_iter)
         rows = []
         dist = report.sup_distances
         for p in range(1, report.iterations + 1):
@@ -281,7 +292,7 @@ def _solve_stage(
             ["p", "step_sup", "residual", "sup_norm"],
             rows,
             cfg.output.format,
-            _table_path(out_path, name, multi),
+            _table_path(cfg.output.path, name, multi),
             label=f"solve {name}",
         )
         summary.append(
@@ -298,8 +309,8 @@ def _solve_stage(
     _print_payload(
         {
             "equations": summary,
-            "nodes": n_nodes,
-            "tol": tol,
+            "nodes": cfg.solver.nodes,
+            "tol": cfg.solver.tol,
             "status": "ok" if all_converged else "nonconverged",
         }
     )
@@ -320,19 +331,13 @@ def _seed_ensemble(eq: EquationSpec, n_nodes: int, members: int, amplitude: floa
 
 def _cmd_mnc_demo(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    if args.dump_config:
-        print(dump_config(cfg))
-        return 0
     name = cfg.names[0] if args.equation is None else args.equation
     if name not in cfg.names:
         raise ConfigError(f"unknown equation {name!r}; have {list(cfg.names)}")
-    out_path = args.out if args.out is not None else cfg.output.path
-    return _mnc_stage(cfg, name, out_path)
+    return _mnc_stage(cfg, name)
 
 
-def _mnc_stage(
-    cfg: RunConfig, name: str, out_path: str | None, cert: RadiusCertificate | None = None
-) -> int:
+def _mnc_stage(cfg: RunConfig, name: str, cert: RadiusCertificate | None = None) -> int:
     """Sampled Darbo trace of the named equation, checked against its certificate.
 
     cert is the equation's certificate when an earlier stage already
@@ -360,7 +365,9 @@ def _mnc_stage(
         if p > 0 and trace[p - 1].mu0 > 1e-15:
             ratio = est.mu0 / trace[p - 1].mu0
         rows.append([p, est.mu0, est.hausdorff, ratio])
-    _emit_rows(["p", "mu0", "hausdorff", "ratio"], rows, cfg.output.format, out_path, label=f"mnc-demo {name}")
+    _emit_rows(
+        ["p", "mu0", "hausdorff", "ratio"], rows, cfg.output.format, cfg.output.path, label=f"mnc-demo {name}"
+    )
     factor = cert.factor_at(amplitude)
     diagnostic_only = not (cert.passes and 0.0 < factor < 1.0)
     step3_pass = None
@@ -398,20 +405,10 @@ def _cmd_paper_example(args: argparse.Namespace) -> int:
     mnc-demo stage reuses the first equation's certificate instead of
     certifying it again.
     """
-    cfg = bundled_example().with_gamma_k_override(args.gamma_k_override)
-    if args.dump_config:
-        print(dump_config(cfg))
-        return 0
+    cfg = _load(args)
     rc_check, certs = _check_stage(cfg, BUNDLED_R0, probes=DEFAULT_PROBES)
-    rc_solve = _solve_stage(
-        cfg,
-        seed_value=_DEFAULT_SEED_VALUE,
-        tol=cfg.solver.tol,
-        max_iter=cfg.solver.max_iter,
-        n_nodes=cfg.solver.nodes,
-        out_path=cfg.output.path,
-    )
-    rc_mnc = _mnc_stage(cfg, cfg.names[0], cfg.output.path, cert=certs[0])
+    rc_solve = _solve_stage(cfg, _DEFAULT_SEED_VALUE)
+    rc_mnc = _mnc_stage(cfg, cfg.names[0], cert=certs[0])
     return rc_check or rc_solve or rc_mnc
 
 
@@ -471,7 +468,7 @@ def _mnc_demo_args(m: argparse.ArgumentParser) -> None:
 def _paper_example_args(pe: argparse.ArgumentParser) -> None:
     pe.add_argument("--gamma-k-override", type=float, default=None)
     pe.add_argument("--dump-config", action="store_true")
-    pe.set_defaults(func=_cmd_paper_example)
+    pe.set_defaults(func=_cmd_paper_example, paper_example=True)
 
 
 # name, help line, and the function adding the subcommand's arguments
@@ -551,6 +548,9 @@ def main(argv: list[str] | None = None) -> int:
 
 def _dispatch(args: argparse.Namespace) -> int:
     try:
+        if getattr(args, "dump_config", False):
+            print(dump_config(_load(args)))
+            return 0
         return args.func(args)
     except ConfigError as exc:
         _print_payload({"status": "error", "error_type": "config", "message": str(exc)})

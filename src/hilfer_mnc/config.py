@@ -10,12 +10,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .equations import EquationSpec, Nonlinearity
 from .errors import ConfigError, DomainError, ParseError
 from .expressions import parse, to_string
 from .fractional import DEFAULT_PANELS, FracParams
+from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 # reference radius of the bundled scenario's certificate
 BUNDLED_R0 = 0.83
@@ -23,8 +24,8 @@ BUNDLED_R0 = 0.83
 
 @dataclass(frozen=True)
 class SolverConfig:
-    tol: float = 1e-10
-    max_iter: int = 200
+    tol: float = DEFAULT_TOL
+    max_iter: int = DEFAULT_MAX_ITER
     nodes: int = 257
 
 
@@ -112,6 +113,14 @@ def _int(value, path: str) -> int:
     return value
 
 
+def _section(data: dict, name: str, cls) -> dict:
+    """data[name] as a mapping of cls's fields, with cls's defaults for missing keys."""
+    sd = data.get(name, {})
+    if not isinstance(sd, dict):
+        raise ConfigError(f"{name}: expected an object")
+    return {f.name: sd.get(f.name, f.default) for f in fields(cls)}
+
+
 def _nonlinearity(data, path: str) -> Nonlinearity:
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: expected an object")
@@ -182,13 +191,11 @@ def parse_config(data: dict) -> RunConfig:
     if len(set(names)) != len(names):
         raise ConfigError("equations: names must be distinct")
 
-    sd = data.get("solver", {})
-    if not isinstance(sd, dict):
-        raise ConfigError("solver: expected an object")
+    sd = _section(data, "solver", SolverConfig)
     solver = SolverConfig(
-        tol=_num(sd.get("tol", 1e-10), "solver.tol"),
-        max_iter=_int(sd.get("max_iter", 200), "solver.max_iter"),
-        nodes=_int(sd.get("nodes", 257), "solver.nodes"),
+        tol=_num(sd["tol"], "solver.tol"),
+        max_iter=_int(sd["max_iter"], "solver.max_iter"),
+        nodes=_int(sd["nodes"], "solver.nodes"),
     )
     if not solver.tol > 0.0:
         raise ConfigError(f"solver.tol: must be positive, got {solver.tol}")
@@ -197,42 +204,32 @@ def parse_config(data: dict) -> RunConfig:
     if solver.nodes < 2:
         raise ConfigError(f"solver.nodes: must be >= 2, got {solver.nodes}")
 
-    qd = data.get("quadrature", {})
-    if not isinstance(qd, dict):
-        raise ConfigError("quadrature: expected an object")
-    quadrature = QuadratureConfig(
-        panels=_int(qd.get("panels", DEFAULT_PANELS), "quadrature.panels"),
-        mesh=qd.get("mesh", "uniform"),
-    )
+    qd = _section(data, "quadrature", QuadratureConfig)
+    quadrature = QuadratureConfig(panels=_int(qd["panels"], "quadrature.panels"), mesh=qd["mesh"])
     if quadrature.panels < 1:
         raise ConfigError(f"quadrature.panels: must be >= 1, got {quadrature.panels}")
     if quadrature.mesh not in ("uniform", "graded"):
         raise ConfigError(f"quadrature.mesh: must be 'uniform' or 'graded', got {quadrature.mesh!r}")
 
-    md = data.get("mnc", {})
-    if not isinstance(md, dict):
-        raise ConfigError("mnc: expected an object")
-    deltas_raw = md.get("deltas", list(MncConfig().deltas))
-    if not isinstance(deltas_raw, list) or len(deltas_raw) < 3:
+    md = _section(data, "mnc", MncConfig)
+    deltas_raw = md["deltas"]
+    if not isinstance(deltas_raw, (list, tuple)) or len(deltas_raw) < 3:
         raise ConfigError("mnc.deltas: expected a list of at least 3 values")
     deltas = tuple(_num(v, f"mnc.deltas[{j}]") for j, v in enumerate(deltas_raw))
     if any(d <= 0.0 for d in deltas) or any(b >= a for a, b in zip(deltas, deltas[1:])):
         raise ConfigError("mnc.deltas: must be positive and strictly decreasing")
     mnc = MncConfig(
         deltas=deltas,
-        ensemble=_int(md.get("ensemble", 30), "mnc.ensemble"),
-        p_max=_int(md.get("p_max", 8), "mnc.p_max"),
-        rng_seed=_int(md.get("rng_seed", 42), "mnc.rng_seed"),
+        ensemble=_int(md["ensemble"], "mnc.ensemble"),
+        p_max=_int(md["p_max"], "mnc.p_max"),
+        rng_seed=_int(md["rng_seed"], "mnc.rng_seed"),
     )
     if mnc.ensemble < 1:
         raise ConfigError(f"mnc.ensemble: must be >= 1, got {mnc.ensemble}")
     if mnc.p_max < 1:
         raise ConfigError(f"mnc.p_max: must be >= 1, got {mnc.p_max}")
 
-    od = data.get("output", {})
-    if not isinstance(od, dict):
-        raise ConfigError("output: expected an object")
-    output = OutputConfig(format=od.get("format", "csv"), path=od.get("path"))
+    output = OutputConfig(**_section(data, "output", OutputConfig))
     if output.format not in ("csv", "json-lines"):
         raise ConfigError(f"output.format: must be 'csv' or 'json-lines', got {output.format!r}")
     if output.path is not None and not isinstance(output.path, str):
@@ -267,34 +264,15 @@ def load_config(path: str) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Mapping form of a RunConfig; parse_config(config_to_dict(c)) is equivalent to c."""
-    p = cfg.params
-    return {
-        "params": {"k": p.k, "rho": p.rho, "gamma_ord": p.gamma_ord, "T": p.T},
-        "equations": [
-            {
-                "name": name,
-                "f": _nl_dict(eq.f),
-                "psi": _nl_dict(eq.psi),
-                "g": _nl_dict(eq.g),
-            }
-            for name, eq in zip(cfg.names, cfg.equations)
-        ],
-        "solver": {
-            "tol": cfg.solver.tol,
-            "max_iter": cfg.solver.max_iter,
-            "nodes": cfg.solver.nodes,
-        },
-        "quadrature": {"panels": cfg.quadrature.panels, "mesh": cfg.quadrature.mesh},
-        "gamma_k_override": cfg.gamma_k_override,
-        "kernel_factor_override": cfg.kernel_factor_override,
-        "mnc": {
-            "deltas": list(cfg.mnc.deltas),
-            "ensemble": cfg.mnc.ensemble,
-            "p_max": cfg.mnc.p_max,
-            "rng_seed": cfg.mnc.rng_seed,
-        },
-        "output": {"format": cfg.output.format, "path": cfg.output.path},
-    }
+    data = {name: asdict(getattr(cfg, name)) for name in ("params", "solver", "quadrature", "mnc", "output")}
+    data["mnc"]["deltas"] = list(cfg.mnc.deltas)
+    data["equations"] = [
+        {"name": name, **{part: _nl_dict(getattr(eq, part)) for part in ("f", "psi", "g")}}
+        for name, eq in zip(cfg.names, cfg.equations)
+    ]
+    data["gamma_k_override"] = cfg.gamma_k_override
+    data["kernel_factor_override"] = cfg.kernel_factor_override
+    return data
 
 
 def _nl_dict(n: Nonlinearity) -> dict:
@@ -302,7 +280,14 @@ def _nl_dict(n: Nonlinearity) -> dict:
 
 
 def dump_config(cfg: RunConfig) -> str:
-    return json.dumps(config_to_dict(cfg), indent=2, sort_keys=True)
+    """cfg as JSON text that load_config reads back into an equivalent config.
+
+    A field set past parse_config's checks (a flag such as a non-finite
+    tol) raises the ConfigError parse_config gives, naming its JSON path.
+    """
+    data = config_to_dict(cfg)
+    parse_config(data)
+    return json.dumps(data, indent=2, sort_keys=True)
 
 
 def bundled_example() -> RunConfig:

@@ -404,6 +404,127 @@ def test_missing_config_source_exits_2(capsys):
     assert json.loads(out)["error_type"] == "config"
 
 
+@pytest.mark.parametrize(
+    "argv, section, field, value",
+    [
+        (["solve", "--tol", "1e-6"], "solver", "tol", 1e-6),
+        (["solve", "--max-iter", "50"], "solver", "max_iter", 50),
+        (["solve", "--nodes", "4097"], "solver", "nodes", 4097),
+        (["frac-int", "--expr", "1", "--x", "2", "--panels", "2048"], "quadrature", "panels", 2048),
+        (["frac-int", "--expr", "1", "--x", "2", "--mesh", "graded"], "quadrature", "mesh", "graded"),
+        (["solve", "--out", "t.csv"], "output", "path", "t.csv"),
+        (["check", "--out", "t.csv"], "output", "path", "t.csv"),
+        (["mnc-demo", "--out", "t.csv"], "output", "path", "t.csv"),
+        (["frac-int", "--expr", "1", "--x", "2", "--out", "t.csv"], "output", "path", "t.csv"),
+    ],
+    ids=["tol", "max-iter", "nodes", "panels", "mesh", "solve-out", "check-out", "mnc-demo-out",
+         "frac-int-out"],
+)
+def test_dump_config_reflects_each_override_flag(capsys, argv, section, field, value):
+    code, out = _run([*argv, "--paper-example", "--dump-config"], capsys)
+    assert code == 0
+    data = _strict_json(out)
+    assert data[section][field] == value
+    data[section][field] = getattr(getattr(bundled_example(), section), field)
+    assert parse_config(data) == bundled_example()
+
+
+# per command: flags a dump carries, and CLI-only arguments a re-run must repeat
+_RERUN_CASES = {
+    "solve": (["--nodes", "65", "--tol", "1e-6", "--max-iter", "50"], ["--seed-value", "0.3"]),
+    "check": (["--gamma-k-override", "2.4047"], ["--r0", "0.5", "--probes", "21"]),
+    "mnc-demo": (["--gamma-k-override", "2.4047"], ["--equation", "beta"]),
+    "frac-int": (["--panels", "512", "--mesh", "graded"],
+                 ["--expr", "sin(x)", "--x", "1.5", "2.5", "--phi-nodes", "513"]),
+}
+
+
+@pytest.mark.parametrize("command", list(_RERUN_CASES))
+def test_dump_then_config_rerun_is_byte_identical(tmp_path, capsys, command):
+    flags, cli_only = _RERUN_CASES[command]
+    tables = tmp_path / "tables"
+    tables.mkdir()
+    flags = [*flags, "--out", str(tables / "t.csv")]
+
+    def outputs(argv):
+        for old in tables.iterdir():
+            old.unlink()
+        code = main(argv)
+        return code, capsys.readouterr().out, {f.name: f.read_bytes() for f in tables.iterdir()}
+
+    direct = outputs([command, "--paper-example", *flags, *cli_only])
+    code, dumped = _run([command, "--paper-example", *flags, *cli_only, "--dump-config"], capsys)
+    assert code == 0
+    config = tmp_path / "dumped.json"
+    config.write_text(dumped, encoding="utf-8")
+    rerun = outputs([command, "--config", str(config), *cli_only])
+    assert rerun == direct
+    assert bool(direct[2]) == (command != "check")
+
+
+@pytest.mark.parametrize("flag", [["--k", "0.9"], ["--rho", "0.9"], ["--gamma-ord", "0.5"], ["--T", "3"]])
+@pytest.mark.parametrize("dump", [[], ["--dump-config"]], ids=["run", "dump"])
+def test_frac_int_refuses_a_config_source_with_inline_params(capsys, flag, dump):
+    code, out = _run(["frac-int", "--paper-example", *flag, "--expr", "1", "--x", "2", *dump], capsys)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error_type"] == "config"
+    assert "not both" in payload["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check"],
+        ["solve", "--nodes", "65"],
+        ["mnc-demo"],
+        ["frac-int", "--expr", "x", "--x", "2", "--k", "0.5", "--rho", "0.5", "--gamma-ord", "0.5",
+         "--T", "3"],
+    ],
+    ids=["check", "solve", "mnc-demo", "frac-int"],
+)
+def test_dump_config_without_a_config_source_exits_2(capsys, argv):
+    code, out = _run([*argv, "--dump-config"], capsys)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error_type"] == "config"
+    assert payload["message"] == "pass --config PATH or --paper-example"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve", "--tol", "inf"], "solver.tol: expected a finite number, got inf"),
+        (["solve", "--tol", "-1"], "solver.tol: must be positive, got -1.0"),
+        (["solve", "--max-iter", "0"], "solver.max_iter: must be >= 1, got 0"),
+        (["solve", "--nodes", "1"], "solver.nodes: must be >= 2, got 1"),
+        (["frac-int", "--expr", "1", "--x", "2", "--panels", "0"], "quadrature.panels: must be >= 1, got 0"),
+    ],
+    ids=["tol-inf", "tol-negative", "max-iter", "nodes", "panels"],
+)
+def test_dump_config_refuses_what_parse_config_refuses(capsys, argv, message):
+    code, out = _run([*argv, "--paper-example", "--dump-config"], capsys)
+    assert code == 2
+    payload = _strict_json(out)
+    assert (payload["status"], payload["error_type"]) == ("error", "config")
+    assert payload["message"] == message
+
+
+@pytest.mark.parametrize("expr", ["a", "a^0", "sin(x*a)", "max(x, -a)", "x+0*a"])
+@pytest.mark.parametrize(
+    "source",
+    [["--paper-example"], ["--k", "0.5", "--rho", "0.5", "--gamma-ord", "0.5", "--T", "3"]],
+    ids=["config", "inline"],
+)
+def test_frac_int_refuses_an_integrand_that_reads_a(capsys, expr, source):
+    # a^0 is 1 even at a = nan, so only a walk of the tree catches it
+    code, out = _run(["frac-int", *source, "--expr", expr, "--x", "2"], capsys)
+    assert code == 2
+    payload = json.loads(out)
+    assert payload["error_type"] == "domain"
+    assert "variable a" in payload["message"]
+
+
 def test_invalid_json_config_exits_2(tmp_path, capsys):
     p = tmp_path / "broken.json"
     p.write_text("{not json", encoding="utf-8")
