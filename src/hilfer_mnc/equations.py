@@ -21,13 +21,16 @@ integrand differences by the panel widths once and multiplies each run
 with one batched matmul. A loop that applies the operator many times on
 one grid (Picard in solver.solve, Darbo in mnc.darbo_iterate) builds the
 band once and passes it to every application; an application given no
-band builds its own. Every far block is interpolated in s at Chebyshev
-points of its column cluster and in X at those of its row cluster, with
-nested bases on both sides (an H^2-matrix: Boerm, Efficient Numerical
-Methods for Non-local Operators, EMS 2010). Those factors are built once
-per (nodes, rho, a) and cached; they hold O(n) floats, and one application
-costs near-linear time, on graded grids too. The band is not cached: at
-4097 nodes it takes 4.2 MB, more than all the factors.
+band builds its own. The band is bound to the loop's equation and nodes
+array: it also holds the grid's operator, looked up once, and f, psi and
+g with every part in x alone evaluated on the nodes, so an application
+given it does per-row work only. Every far block is interpolated in s at
+Chebyshev points of its column cluster and in X at those of its row
+cluster, with nested bases on both sides (an H^2-matrix: Boerm, Efficient
+Numerical Methods for Non-local Operators, EMS 2010). Those factors are
+built once per (nodes, rho, a) and cached; they hold O(n) floats, and one
+application costs near-linear time, on graded grids too. The band is not
+cached: at 4097 nodes it takes 4.2 MB, more than all the factors.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from .errors import DomainError, require_positive_finite
-from .expressions import Expr, evaluate, parse
+from .expressions import Expr, _bind, evaluate, parse
 from .fractional import FracParams, GridFunction, panel_weights, power_differences
 from .special_functions import k_gamma
 
@@ -185,6 +188,8 @@ class _Level:
     # (cluster, r0, r1, matrix): rows r0..r1-1 form a child too small for
     # points, and take that cluster's local values through the matrix
     spill: tuple[int, int, int, np.ndarray] | None
+    # (clusters,): the index of each cluster's parent, k // 2
+    parents: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -198,14 +203,16 @@ class _H2Operator:
     panels. runs partitions exact into (first, count): the blocks
     exact[first : first + count] (_runs). anterp maps a leaf's panel
     differences to its moments, and interp a leaf's local values to its rows
-    (zero-padded for a partial last leaf). s is the mesh nodes**rho, and
-    boundary the column (a+1) (s - s[0])^a of the first integrand value.
+    (zero-padded for a partial last leaf). s is the mesh nodes**rho, widths
+    its panel widths diff(s), and boundary the column (a+1) (s - s[0])^a of
+    the first integrand value.
     """
 
     levels: tuple[_Level, ...]
     anterp: np.ndarray
     interp: np.ndarray
     s: np.ndarray
+    widths: np.ndarray
     boundary: np.ndarray
     exact: tuple[tuple[int, int, int, int], ...]
     runs: tuple[tuple[int, int], ...]
@@ -213,9 +220,9 @@ class _H2Operator:
     @property
     def nbytes(self) -> int:
         """Bytes of the stored factors."""
-        arrays = [self.anterp, self.interp, self.s, self.boundary]
+        arrays = [self.anterp, self.interp, self.s, self.widths, self.boundary]
         for lev in self.levels:
-            arrays += [lev.points, lev.up, lev.targets, lev.sources, lev.kernels]
+            arrays += [lev.points, lev.up, lev.targets, lev.sources, lev.kernels, lev.parents]
             if lev.spill is not None:
                 arrays.append(lev.spill[3])
         return sum(x.nbytes for x in arrays)
@@ -266,6 +273,7 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
     blocks are grouped into runs (_runs).
     """
     s = np.frombuffer(nodes_bytes, dtype=float) ** rho
+    widths = np.diff(s)
     boundary = (a + 1.0) * (s - s[0]) ** a
     leaf, p = _LEAF_ROWS, _CHEB_POINTS
     exact = [
@@ -278,7 +286,7 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
     if not sizes:
         exact = _merged(exact)
         return _H2Operator(
-            (), np.empty((0, leaf, p)), np.empty((0, p, leaf)), s, boundary, exact, _runs(exact)
+            (), np.empty((0, leaf, p)), np.empty((0, p, leaf)), s, widths, boundary, exact, _runs(exact)
         )
     counts = [n // b + (n % b > p) for b in sizes]
     points = [
@@ -327,7 +335,8 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
         kernels = pts[targets][:, None, :] - pts[sources][:, :, None]
         kernels **= a
         kernels *= -(a + 1.0)
-        levels.append(_Level((n - 1) // b, pts, up, targets, sources, kernels, spill))
+        parents = np.arange(len(pts)) // 2
+        levels.append(_Level((n - 1) // b, pts, up, targets, sources, kernels, spill, parents))
 
     g_nodes, g_weights = _gauss_legendre(_GAUSS_POINTS)
     anterp = np.empty((levels[0].full, leaf, p))
@@ -340,24 +349,33 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
     for k in range(interp.shape[0]):
         rows = s[k * leaf : min((k + 1) * leaf, n)]
         interp[k, :, : rows.size] = _lagrange_matrix(points[0][k], rows).T
-    return _H2Operator(tuple(levels), anterp, interp, s, boundary, exact, _runs(exact))
+    return _H2Operator(tuple(levels), anterp, interp, s, widths, boundary, exact, _runs(exact))
 
 
 @dataclass(frozen=True)
 class NearBand:
-    """The exact blocks of one large grid's operator, built by near_band.
+    """One large grid's operator bound to one equation and one nodes array, built by near_band.
 
-    key is the (rho, a, node bytes) the band was built for. The block
-    (r0, r1, c0, c1) = op.exact[i] of the grid's _H2Operator holds the
-    panel differences of (X - s)_+^(a+1) of its limits s[r0:r1] against the
-    mesh s[c0 : c1 + 1]. stacks[j] holds run op.runs[j] = (first, count)
-    as one C-contiguous (count, c1 - c0, r1 - r0) array, each block
-    transposed; blocks lists every block as an (r1 - r0, c1 - c0) view of
-    its stack, in op.exact order.
+    eq and nodes are the objects the band was built for, and key their
+    (rho, a, node bytes). op is the grid's cached _H2Operator. Its block
+    (r0, r1, c0, c1) = op.exact[i] holds the panel differences of
+    (X - s)_+^(a+1) of its limits s[r0:r1] against the mesh s[c0 : c1 + 1].
+    stacks[j] holds run op.runs[j] = (first, count) as one C-contiguous
+    (count, c1 - c0, r1 - r0) array, each block transposed; blocks lists
+    every block as an (r1 - r0, c1 - c0) view of its stack, in op.exact
+    order. f, psi and g are eq's expressions with every subtree that reads
+    x but not a replaced by its read-only value on nodes
+    (expressions._bind).
     """
 
     key: tuple[float, float, bytes]
     stacks: tuple[np.ndarray, ...]
+    eq: EquationSpec
+    nodes: np.ndarray
+    op: _H2Operator
+    f: Expr
+    psi: Expr
+    g: Expr
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
@@ -405,7 +423,7 @@ def _h2_sums(op: _H2Operator, dg: np.ndarray, stacks: tuple[np.ndarray, ...]) ->
 
     stacks holds the panel differences of op.exact, one stack per run of
     op.runs (_band_stacks). The exact blocks take the integrand differences
-    divided by the panel widths, c = dg / diff(s), computed once. Each run
+    divided by the panel widths, c = dg / op.widths, computed once. Each run
     of count blocks of shape (rows, cols) multiplies the (count, m, cols)
     window view of c that starts at its first block's panels and steps one
     leaf, by its (count, cols, rows) stack, in one matmul. The matmul
@@ -416,13 +434,12 @@ def _h2_sums(op: _H2Operator, dg: np.ndarray, stacks: tuple[np.ndarray, ...]) ->
     13.6-15.1 ms against 10.5-10.8 ms at m = 240 (2-core x86-64 host, one
     BLAS thread). A run of one block is the same call.
     """
-    s = op.s
-    m, n = dg.shape[0], s.shape[0]
+    m, n = dg.shape[0], op.s.shape[0]
     out = np.zeros((m, n))
     if m == 0:
         # an empty c is a buffer of no bytes, which holds no window at an offset
         return out
-    c = dg / np.diff(s)
+    c = dg / op.widths
     step = (_LEAF_ROWS * c.itemsize, c.strides[0], c.itemsize)
     for (first, count), stack in zip(op.runs, stacks):
         r0, r1, c0, c1 = op.exact[first]
@@ -443,11 +460,10 @@ def _h2_sums(op: _H2Operator, dg: np.ndarray, stacks: tuple[np.ndarray, ...]) ->
         moments.append(children.reshape(parent.full, 2, m, p).sum(axis=1))
     local = None
     for lev, mom in zip(reversed(op.levels), reversed(moments)):
-        clusters = lev.points.shape[0]
         if local is None:
-            here = np.zeros((clusters, m, p))
+            here = np.zeros((lev.points.shape[0], m, p))
         else:
-            here = np.matmul(local[np.arange(clusters) // 2], lev.up.transpose(0, 2, 1))
+            here = np.matmul(local[lev.parents], lev.up.transpose(0, 2, 1))
         np.add.at(here, lev.targets, np.matmul(mom[lev.sources], lev.kernels))
         if lev.spill is not None:
             k, r0, r1, mat = lev.spill
@@ -472,42 +488,53 @@ def _integral_values(
 
     with d_j(X) the power slopes, through the cached _H2Operator of the grid
     and the near band: the given one, or one built for this call. A band
-    built for other nodes, rho or a raises DomainError.
+    built for these very nodes and params objects brings the operator with
+    it; any other band is checked by its key, and one built for other
+    nodes, rho or a raises DomainError.
     """
     n = nodes.shape[0]
     a = params.exponent
-    key = (params.rho, a, nodes.tobytes())
-    if band is not None and band.key != key:
-        raise DomainError("the near band was built for other nodes, rho or a")
     pref = params.rho ** (-a) / (params.k * gk)
-    if n <= _MATRIX_MAX_NODES:
-        w = _weight_matrix(*key, n)
-        return pref * (g @ w.T)
-    op = _h2_operator(*key, n)
-    stacks = _band_stacks(op, a) if band is None else band.stacks
+    if band is not None and band.nodes is nodes and band.eq.params is params:
+        op, stacks = band.op, band.stacks
+    else:
+        key = (params.rho, a, nodes.tobytes())
+        if band is not None and band.key != key:
+            raise DomainError("the near band was built for other nodes, rho or a")
+        if n <= _MATRIX_MAX_NODES:
+            w = _weight_matrix(*key, n)
+            return pref * (g @ w.T)
+        op = _h2_operator(*key, n)
+        stacks = _band_stacks(op, a) if band is None else band.stacks
     total = _h2_sums(op, g[:, :-1] - g[:, 1:], stacks)
     total += op.boundary * g[:, :1]
-    return (pref / (a * (a + 1.0))) * total
+    total *= pref / (a * (a + 1.0))
+    return total
 
 
 def near_band(eq: EquationSpec, nodes: np.ndarray) -> NearBand | None:
-    """The near band of eq's operator on nodes, to pass to every application of one loop.
+    """eq's operator bound to nodes, to pass to every application of one loop.
 
     Above _MATRIX_MAX_NODES each application multiplies the exact blocks
     of the operator, which depend on (nodes, rho, a) only, and evaluates
-    them first unless it is given them. A caller that applies the operator
-    many times on one grid evaluates them once here, on the calling thread,
-    and passes the result as band to apply_operator_batch or
-    apply_operator; the images are bit for bit the same. Returns None on
-    the dense path. The band is not cached: it lives as long as the caller
-    keeps it, and takes 4.2 MB at 4097 nodes.
+    them first unless it is given them; it also looks the operator up by
+    the node bytes, and evaluates the parts of f, psi and g in x alone. A
+    caller that applies the operator many times on one grid does all of
+    that once here, on the calling thread, and passes the result as band
+    to apply_operator_batch or apply_operator; the images, and any error
+    raised, are bit for bit the same. The nodes array must not be written
+    while the band is in use. Returns None on the dense path. The band is
+    not cached: it lives as long as the caller keeps it, and takes 4.2 MB
+    at 4097 nodes.
     """
     _check_domain(eq, nodes)
     n = nodes.shape[0]
     if n <= _MATRIX_MAX_NODES:
         return None
     key = (eq.params.rho, eq.params.exponent, nodes.tobytes())
-    return NearBand(key, _band_stacks(_h2_operator(*key, n), eq.params.exponent))
+    op = _h2_operator(*key, n)
+    exprs = (_bind(nl.expr, nodes) for nl in (eq.f, eq.psi, eq.g))
+    return NearBand(key, _band_stacks(op, eq.params.exponent), eq, nodes, op, *exprs)
 
 
 def _check_domain(eq: EquationSpec, nodes: np.ndarray) -> None:
@@ -541,18 +568,24 @@ def apply_operator_batch(
     values has shape (m, n), one row per function on the n shared nodes;
     any other shape raises DomainError, as does an image that overflows.
     band is near_band(eq, nodes), or None to build it for this call alone.
+    A band built for this eq and this nodes array, checked by identity,
+    brings the bound f, psi and g and the operator; any other band brings
+    its blocks only, after a check of its key.
     """
     _check_domain(eq, nodes)
     if values.ndim != 2 or values.shape[1] != nodes.shape[0]:
         raise DomainError(
             f"values must be an (m, {nodes.shape[0]}) matrix on the nodes, got shape {values.shape}"
         )
-    f_vals = _as_grid(eq.f.expr, nodes, values)
-    psi_vals = _as_grid(eq.psi.expr, nodes, values)
-    g_vals = _as_grid(eq.g.expr, nodes, values)
+    if band is not None and band.eq is eq and band.nodes is nodes:
+        exprs = (band.f, band.psi, band.g)
+    else:
+        exprs = (eq.f.expr, eq.psi.expr, eq.g.expr)
+    f_vals, psi_vals, g_vals = (_as_grid(e, nodes, values) for e in exprs)
     with np.errstate(over="ignore", invalid="ignore"):
-        i_vals = _integral_values(eq.params, nodes, g_vals, eq.gamma_k_value(), band)
-        out = f_vals + psi_vals * i_vals
+        out = _integral_values(eq.params, nodes, g_vals, eq.gamma_k_value(), band)
+        out *= psi_vals
+        out += f_vals
     if not np.isfinite(out).all():
         raise DomainError("operator image is not finite")
     return out

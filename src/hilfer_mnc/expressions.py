@@ -55,6 +55,14 @@ class Call:
 
 Expr = Union[Lit, Var, Neg, Bin, Call]
 
+
+@dataclass(frozen=True, eq=False)
+class _Nodes:
+    """A subtree in x alone, replaced by _bind with its read-only value on the bound nodes."""
+
+    value: np.ndarray
+
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<ws>\s+)
@@ -197,8 +205,56 @@ def evaluate(expr: Expr, x, a):
     return res
 
 
+def _variables(expr: Expr) -> set[str]:
+    """The names of the variables expr reads."""
+    match expr:
+        case Var(name=n):
+            return {n}
+        case Neg(operand=e):
+            return _variables(e)
+        case Bin(left=l, right=r):
+            return _variables(l) | _variables(r)
+        case Call(args=args):
+            return set().union(*map(_variables, args))
+    return set()
+
+
+def _bind(expr: Expr, x: np.ndarray) -> Expr:
+    """expr with every largest subtree that reads x but not a replaced by its value on x.
+
+    evaluate(_bind(expr, x), x, a) equals evaluate(expr, x, a) bit for bit,
+    and raises the same error: each bound value is computed here once, as
+    evaluate would compute it, and is read-only. A subtree whose evaluation
+    raises stays in the tree, so it raises at the same point of every
+    evaluation as before. Subtrees of literals alone stay as they are.
+    """
+    names = _variables(expr)
+    if names == {"x"}:
+        try:
+            with np.errstate(all="ignore"):
+                # the subtree reads no a, so x stands in for it; a view, so
+                # that locking it leaves x writeable when the subtree is x
+                value = np.asarray(_eval(expr, x, x), dtype=float).view()
+        except EvaluationError:
+            return expr
+        value.flags.writeable = False
+        return _Nodes(value)
+    if "a" not in names:
+        return expr
+    match expr:
+        case Neg(operand=e):
+            return Neg(_bind(e, x))
+        case Bin(op=op, left=l, right=r):
+            return Bin(op, _bind(l, x), _bind(r, x))
+        case Call(fn=fn, args=args):
+            return Call(fn, tuple(_bind(e, x) for e in args))
+    return expr
+
+
 def _eval(expr: Expr, xv: np.ndarray, av: np.ndarray):
     match expr:
+        case _Nodes(value=v):
+            return v
         case Lit(value=v):
             return v
         case Var(name="x"):

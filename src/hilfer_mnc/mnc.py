@@ -343,7 +343,9 @@ def darbo_iterate(
     finiteness the operator call has already checked. Above 2049 nodes
     the operator's near band, every block it evaluates exactly, is built
     once for the call on the calling thread (equations.near_band) and
-    passed to every step.
+    passed to every step. It is bound to op and the seed's nodes, so it
+    also carries the grid's operator and the parts of f, psi and g in x
+    alone, evaluated once for all steps.
     """
     if p_max < 1:
         raise DomainError(f"p_max must be >= 1, got {p_max}")

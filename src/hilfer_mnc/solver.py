@@ -77,7 +77,11 @@ def solve(
     Above 2049 nodes the operator's near band, every block it evaluates
     exactly, is built once for the call on the calling thread
     (equations.near_band) and passed to every application, which then
-    evaluates no block again; the band is released when the call returns.
+    evaluates no block again. The band is bound to eq and the seed's
+    nodes: it carries the grid's operator and the parts of f, psi and g in
+    x alone, evaluated once, so the applications do not look the operator
+    up or evaluate those parts again. It is released when the call
+    returns.
     """
     require_positive_finite("tol", tol)
     if max_iter < 1:

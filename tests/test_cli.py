@@ -736,6 +736,14 @@ def test_successive_calls_do_not_accumulate_points(capsys):
     assert len(lines) == 3 and lines[2].startswith("2.5,")
 
 
+def test_parser_is_built_once_per_command():
+    # the successive-call tests above run on these shared parsers
+    solve = cli.build_parser(["solve", "--paper-example"])
+    assert cli.build_parser(["solve", "--nodes", "33"]) is solve
+    assert cli.build_parser(["check", "--paper-example"]) is not solve
+    assert cli.build_parser(["--help"]) is cli.build_parser(["no-such-command"])
+
+
 def _counting(monkeypatch, module, name: str, counts: dict) -> None:
     fn = getattr(module, name)
 

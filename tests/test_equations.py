@@ -538,6 +538,53 @@ def test_band_for_other_nodes_rho_or_a_is_refused(monkeypatch):
     assert [b.shape for b in small.blocks] == [(64, 63), (1, 64)]
 
 
+def test_band_of_another_equation_gives_this_equations_images():
+    # a band bound to one equation lends its blocks to another on the same
+    # nodes, rho and a, whose own f, psi and g are evaluated
+    eq, start = _forced_solve_input()
+    band = near_band(eq, start.nodes)
+    values = np.vstack([start.values, 0.2 * np.sin(5.0 * start.nodes)])
+    other = replace(
+        eq,
+        f=Nonlinearity.from_string("0.1*cos(x)+a/7", 1.0 / 7.0),
+        g=Nonlinearity.from_string("a*x/(2+exp(x))", 0.5),
+    )
+    # the same params object, and an equal copy of it
+    for other_eq in (other, replace(other, params=replace(eq.params))):
+        want = apply_operator_batch(other_eq, start.nodes, values)
+        got = apply_operator_batch(other_eq, start.nodes, values, band=band)
+        assert np.array_equal(got, want)
+        assert not np.array_equal(got, apply_operator_batch(eq, start.nodes, values, band=band))
+    # the same equation on an equal copy of the nodes: checked by key, not bound
+    copy = start.nodes.copy()
+    assert np.array_equal(
+        apply_operator_batch(eq, copy, values, band=band), apply_operator_batch(eq, copy, values)
+    )
+
+
+def test_solve_binds_the_equation_to_its_grid_once(monkeypatch):
+    # near_band evaluates f's sin(x) and looks the operator up once per
+    # solve; the applications evaluate neither again
+    sines, lookups = [], []
+    sin, lookup = np.sin, eqmod._h2_operator
+
+    def counted_sin(*args, **kwargs):
+        sines.append(np.shape(args[0]))
+        return sin(*args, **kwargs)
+
+    def counted_lookup(*key):
+        lookups.append(key[:2])
+        return lookup(*key)
+
+    eq, start = _forced_solve_input()
+    monkeypatch.setattr(np, "sin", counted_sin)
+    monkeypatch.setattr(eqmod, "_h2_operator", counted_lookup)
+    report = solve(eq, start, tol=1e-10)
+    assert report.iterations >= 20
+    assert sines == [start.nodes.shape]
+    assert lookups == [(eq.params.rho, eq.params.exponent)]
+
+
 @pytest.mark.parametrize("n", [65, 4097])
 def test_operator_of_no_rows_is_empty(monkeypatch, n):
     # on the dense path, and on the large-grid path with and without a band

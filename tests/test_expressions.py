@@ -10,7 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilfer_mnc.errors import EvaluationError, ParseError
-from hilfer_mnc.expressions import Bin, Call, Lit, Neg, Var, evaluate, parse, to_string
+from hilfer_mnc.expressions import Bin, Call, Lit, Neg, Var, _bind, _Nodes, evaluate, parse, to_string
+from hilfer_mnc.fractional import uniform_nodes
 
 
 def _ev(src: str, x=2.0, a=-3.0):
@@ -163,3 +164,74 @@ def test_bundled_nonlinearities_against_hand_formulas():
         assert _ev("abs(a)", x, a) == pytest.approx(abs(a), abs=1e-15)
         assert _ev("a/(3+log(x))", x, a) == pytest.approx(a / (3.0 + math.log(x)), abs=1e-15)
         assert _ev("a/(2+x)", x, a) == pytest.approx(a / (2.0 + x), abs=1e-15)
+
+
+# 4097 nodes hold x = 2.0 (node 2048) and x = 3.0 exactly
+_BIND_NODES = uniform_nodes(3.0, 4097)
+
+
+def _outcome(tree, a):
+    """evaluate on the bind nodes, or the class and message of what it raised."""
+    try:
+        return evaluate(tree, _BIND_NODES, a)
+    except EvaluationError as exc:
+        return type(exc), str(exc)
+
+
+def _bound_values(tree):
+    """The values _bind put in tree."""
+    match tree:
+        case _Nodes(value=v):
+            yield v
+        case Neg(operand=e):
+            yield from _bound_values(e)
+        case Bin(left=l, right=r):
+            yield from _bound_values(l)
+            yield from _bound_values(r)
+        case Call(args=args):
+            for e in args:
+                yield from _bound_values(e)
+
+
+def _assert_binding_changes_nothing(tree, a) -> None:
+    bound = _bind(tree, _BIND_NODES)
+    want, got = _outcome(tree, a), _outcome(bound, a)
+    if isinstance(want, tuple):
+        assert got == want
+    else:
+        assert not isinstance(got, tuple) and np.array_equal(got, want)
+    for value in _bound_values(bound):
+        assert not value.flags.writeable
+        assert value.shape == _BIND_NODES.shape
+
+
+@settings(max_examples=200, deadline=None)
+@given(tree=_tree, seed=st.integers(0, 2**32 - 1))
+def test_binding_to_the_nodes_changes_no_value_and_no_error(tree, seed):
+    # the subtrees in x alone are evaluated once on the nodes; every
+    # evaluation of the bound tree gives the same bits, or the same error
+    a = np.random.default_rng(seed).uniform(-2.0, 2.0, (3, _BIND_NODES.size))
+    _assert_binding_changes_nothing(tree, a)
+
+
+def test_binding_keeps_the_first_error():
+    a = np.random.default_rng(0).uniform(0.5, 1.5, (2, _BIND_NODES.size))
+    a[1, 7] = -0.25
+    # the a-error comes first; log(x-3) raises on its own and stays in the tree
+    tree = parse("sqrt(a)+log(x-3)")
+    assert _bind(tree, _BIND_NODES) == tree
+    assert _outcome(tree, a) == (EvaluationError, "sqrt of a negative value")
+    assert _outcome(tree, np.abs(a)) == (EvaluationError, "log of a nonpositive value")
+    # x - 2 is bound and vanishes at node 2048
+    assert _outcome(parse("a/(x-2)"), a) == (EvaluationError, "division by zero")
+    # 0 * inf is bound as NaN, and the sum is refused
+    assert _outcome(parse("0*exp(800*x)+a"), a) == (
+        EvaluationError,
+        "expression produced a non-finite value",
+    )
+    for src in ("sqrt(a)+log(x-3)", "a/(x-2)", "0*exp(800*x)+a", "0.2*sin(x)+abs(a)/6"):
+        for rows in (a, np.abs(a)):
+            _assert_binding_changes_nothing(parse(src), rows)
+    bound = _bind(parse("0.2*sin(x)+abs(a)/6"), _BIND_NODES)
+    assert isinstance(bound.left, _Nodes)
+    assert np.array_equal(bound.left.value, 0.2 * np.sin(_BIND_NODES))
