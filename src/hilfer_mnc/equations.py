@@ -6,9 +6,13 @@ sampled on alpha's own node set, so repeated application (Picard, Darbo) is
 a map on a fixed finite-dimensional space.
 
 The per-node integrals use the product-integration rule on the grid-induced
-mesh s = nodes**rho. For moderate grids its node weights form a
-lower-triangular matrix that is cached and applied as a matmul. Large grids
-never form it: summation by parts writes the rule with the first divided
+mesh s = nodes**rho. near_band(eq, nodes) binds an equation to one grid
+once: it checks the grid, evaluates every part of f, psi and g in x alone
+on the nodes, and holds the grid's operator. Every application goes
+through such a band, the one a loop passes it or one built for the call.
+For moderate grids the operator is the lower-triangular matrix of the
+rule's node weights, cached and applied as a matmul. Large grids never
+form it: summation by parts writes the rule with the first divided
 differences of (X - s)_+^(a+1) (the power slopes) against the differences
 of the integrand. The entries within one leaf of the diagonal, and the far
 blocks no level could interpolate, form the near band and are evaluated
@@ -20,16 +24,13 @@ the band stores each run as one stack. An application divides the
 integrand differences by the panel widths once and multiplies each run
 with one batched matmul. A loop that applies the operator many times on
 one grid (Picard in solver.solve, Darbo in mnc.darbo_iterate) builds the
-band once and passes it to every application; an application given no
-band builds its own. The band is bound to the loop's equation and nodes
-array: it also holds the grid's operator, looked up once, and f, psi and
-g with every part in x alone evaluated on the nodes, so an application
-given it does per-row work only. Every far block is interpolated in s at
-Chebyshev points of its column cluster and in X at those of its row
-cluster, with nested bases on both sides (an H^2-matrix: Boerm, Efficient
-Numerical Methods for Non-local Operators, EMS 2010). Those factors are
-built once per (nodes, rho, a) and cached; they hold O(n) floats, and one
-application costs near-linear time, on graded grids too. The band is not
+band once and passes it to every application, which then does per-row
+work only. Every far block is interpolated in s at Chebyshev points of
+its column cluster and in X at those of its row cluster, with nested
+bases on both sides (an H^2-matrix: Boerm, Efficient Numerical Methods
+for Non-local Operators, EMS 2010). Those factors are built once per
+(nodes, rho, a) and cached; they hold O(n) floats, and one application
+costs near-linear time, on graded grids too. The band is not
 cached: at 4097 nodes it takes 4.2 MB, more than all the factors.
 """
 
@@ -43,7 +44,7 @@ import numpy as np
 
 from .errors import DomainError, require_positive_finite
 from .expressions import Expr, _bind, evaluate, parse
-from .fractional import FracParams, GridFunction, panel_weights, power_differences
+from .fractional import FracParams, GridFunction, check_nodes, panel_weights, power_differences
 from .special_functions import k_gamma
 
 _MATRIX_MAX_NODES = 2049
@@ -354,28 +355,28 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
 
 @dataclass(frozen=True)
 class NearBand:
-    """One large grid's operator bound to one equation and one nodes array, built by near_band.
+    """One grid's operator bound to one equation and one nodes array, built by near_band.
 
-    eq and nodes are the objects the band was built for, and key their
-    (rho, a, node bytes). op is the grid's cached _H2Operator. Its block
-    (r0, r1, c0, c1) = op.exact[i] holds the panel differences of
-    (X - s)_+^(a+1) of its limits s[r0:r1] against the mesh s[c0 : c1 + 1].
-    stacks[j] holds run op.runs[j] = (first, count) as one C-contiguous
-    (count, c1 - c0, r1 - r0) array, each block transposed; blocks lists
-    every block as an (r1 - r0, c1 - c0) view of its stack, in op.exact
-    order. f, psi and g are eq's expressions with every subtree that reads
-    x but not a replaced by its read-only value on nodes
-    (expressions._bind).
+    eq and nodes are the objects the band was built for. f, psi and g are
+    eq's expressions with every subtree that reads x but not a replaced by
+    its read-only value on nodes (expressions._bind). op is the grid's
+    cached operator: the dense weight matrix (_weight_matrix) up to
+    _MATRIX_MAX_NODES nodes, the all-near-band case with no stacks, and
+    the _H2Operator above, whose block (r0, r1, c0, c1) = op.exact[i] holds
+    the panel differences of (X - s)_+^(a+1) of its limits s[r0:r1]
+    against the mesh s[c0 : c1 + 1]. stacks[j] holds run op.runs[j] =
+    (first, count) as one C-contiguous (count, c1 - c0, r1 - r0) array,
+    each block transposed; blocks lists every block as an (r1 - r0,
+    c1 - c0) view of its stack, in op.exact order.
     """
 
-    key: tuple[float, float, bytes]
-    stacks: tuple[np.ndarray, ...]
     eq: EquationSpec
     nodes: np.ndarray
-    op: _H2Operator
     f: Expr
     psi: Expr
     g: Expr
+    op: np.ndarray | _H2Operator
+    stacks: tuple[np.ndarray, ...] = ()
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
@@ -475,74 +476,64 @@ def _h2_sums(op: _H2Operator, dg: np.ndarray, stacks: tuple[np.ndarray, ...]) ->
     return out
 
 
-def _integral_values(
-    params: FracParams, nodes: np.ndarray, g: np.ndarray, gk: float, band: NearBand | None = None
-) -> np.ndarray:
-    """Fractional integral of the grid integrand g at every node, batched.
+def _integral_values(band: NearBand, g: np.ndarray) -> np.ndarray:
+    """Fractional integral of the grid integrand g at every node of band, batched.
 
-    g has shape (m, n): m integrands sampled on the same n nodes. Returns
-    the (m, n) matrix of integral values. Above _MATRIX_MAX_NODES the rule
-    is summed by parts in its exact form
+    g has shape (m, n): m integrands sampled on the band's n nodes. Returns
+    the (m, n) matrix of integral values, with Gamma_k read from band.eq
+    now. The dense weight matrix applies as one matmul. The _H2Operator
+    sums the rule by parts in its exact form
 
         a (a+1) I(X) = (a+1) (X - s_0)^a g_0 - sum_j d_j(X) (g_{j+1} - g_j),
 
-    with d_j(X) the power slopes, through the cached _H2Operator of the grid
-    and the near band: the given one, or one built for this call. A band
-    built for these very nodes and params objects brings the operator with
-    it; any other band is checked by its key, and one built for other
-    nodes, rho or a raises DomainError.
+    with d_j(X) the power slopes, through the band's stacks.
     """
-    n = nodes.shape[0]
+    params = band.eq.params
     a = params.exponent
-    pref = params.rho ** (-a) / (params.k * gk)
-    if band is not None and band.nodes is nodes and band.eq.params is params:
-        op, stacks = band.op, band.stacks
-    else:
-        key = (params.rho, a, nodes.tobytes())
-        if band is not None and band.key != key:
-            raise DomainError("the near band was built for other nodes, rho or a")
-        if n <= _MATRIX_MAX_NODES:
-            w = _weight_matrix(*key, n)
-            return pref * (g @ w.T)
-        op = _h2_operator(*key, n)
-        stacks = _band_stacks(op, a) if band is None else band.stacks
-    total = _h2_sums(op, g[:, :-1] - g[:, 1:], stacks)
+    pref = params.rho ** (-a) / (params.k * band.eq.gamma_k_value())
+    op = band.op
+    if isinstance(op, np.ndarray):
+        return pref * (g @ op.T)
+    total = _h2_sums(op, g[:, :-1] - g[:, 1:], band.stacks)
     total += op.boundary * g[:, :1]
     total *= pref / (a * (a + 1.0))
     return total
 
 
-def near_band(eq: EquationSpec, nodes: np.ndarray) -> NearBand | None:
+def near_band(eq: EquationSpec, nodes: np.ndarray) -> NearBand:
     """eq's operator bound to nodes, to pass to every application of one loop.
 
-    Above _MATRIX_MAX_NODES each application multiplies the exact blocks
-    of the operator, which depend on (nodes, rho, a) only, and evaluates
-    them first unless it is given them; it also looks the operator up by
-    the node bytes, and evaluates the parts of f, psi and g in x alone. A
-    caller that applies the operator many times on one grid does all of
-    that once here, on the calling thread, and passes the result as band
-    to apply_operator_batch or apply_operator; the images, and any error
-    raised, are bit for bit the same. The nodes array must not be written
-    while the band is in use. Returns None on the dense path. The band is
-    not cached: it lives as long as the caller keeps it, and takes 4.2 MB
-    at 4097 nodes.
+    Raises DomainError unless nodes is a grid on eq's domain: a 1-D float64
+    array (the operator cache reads its bytes as float64) of at least two
+    nodes, starting at 1, strictly increasing (checked as by
+    fractional.checked_grid) and ending at T. Then it does once what each
+    application on the grid needs: it evaluates the parts of f, psi and g
+    in x alone on the nodes, looks the grid's operator up by the node
+    bytes and, above _MATRIX_MAX_NODES, evaluates the exact blocks, on the
+    calling thread. The build issues no floating-point warning: an overflow
+    in it shows as a non-finite image in the application. A caller that applies
+    the operator many times on one grid passes the band to
+    apply_operator_batch or apply_operator; an application given no band
+    builds one, and the images, and any error raised, are bit for bit the
+    same. The nodes array must not be written while the band is in use.
+    The band is not cached: it lives as long as the caller keeps it, and
+    takes 4.2 MB at 4097 nodes.
     """
-    _check_domain(eq, nodes)
-    n = nodes.shape[0]
-    if n <= _MATRIX_MAX_NODES:
-        return None
-    key = (eq.params.rho, eq.params.exponent, nodes.tobytes())
-    op = _h2_operator(*key, n)
-    exprs = (_bind(nl.expr, nodes) for nl in (eq.f, eq.psi, eq.g))
-    return NearBand(key, _band_stacks(op, eq.params.exponent), eq, nodes, op, *exprs)
-
-
-def _check_domain(eq: EquationSpec, nodes: np.ndarray) -> None:
-    """Raise DomainError unless the grid ends at the equation's T."""
-    if abs(nodes[-1] - eq.params.T) > 1e-12 * max(1.0, eq.params.T):
+    if nodes.ndim != 1 or nodes.dtype != np.float64:
         raise DomainError(
-            f"grid ends at {nodes[-1]}, equation domain is [1, {eq.params.T}]"
+            f"nodes must be a one-dimensional float64 array, got {nodes.dtype} {nodes.shape}"
         )
+    check_nodes(nodes)
+    if abs(nodes[-1] - eq.params.T) > 1e-12 * max(1.0, eq.params.T):
+        raise DomainError(f"grid ends at {nodes[-1]}, equation domain is [1, {eq.params.T}]")
+    exprs = [_bind(nl.expr, nodes) for nl in (eq.f, eq.psi, eq.g)]
+    n, a = nodes.shape[0], eq.params.exponent
+    key = (eq.params.rho, a, nodes.tobytes(), n)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if n <= _MATRIX_MAX_NODES:
+            return NearBand(eq, nodes, *exprs, _weight_matrix(*key))
+        op = _h2_operator(*key)
+        return NearBand(eq, nodes, *exprs, op, _band_stacks(op, a))
 
 
 def _as_grid(expr: Expr, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -567,23 +558,22 @@ def apply_operator_batch(
 
     values has shape (m, n), one row per function on the n shared nodes;
     any other shape raises DomainError, as does an image that overflows.
-    band is near_band(eq, nodes), or None to build it for this call alone.
-    A band built for this eq and this nodes array, checked by identity,
-    brings the bound f, psi and g and the operator; any other band brings
-    its blocks only, after a check of its key.
+    band is near_band(eq, nodes), built for this eq and this nodes array
+    (checked by identity: any other band raises DomainError), or None to
+    build it for this call alone. The image is f + psi * I with the band's
+    f, psi and g and I its operator's integral of g.
     """
-    _check_domain(eq, nodes)
+    if band is None:
+        band = near_band(eq, nodes)
+    elif band.eq is not eq or band.nodes is not nodes:
+        raise DomainError("the near band was built for another equation or nodes array")
     if values.ndim != 2 or values.shape[1] != nodes.shape[0]:
         raise DomainError(
             f"values must be an (m, {nodes.shape[0]}) matrix on the nodes, got shape {values.shape}"
         )
-    if band is not None and band.eq is eq and band.nodes is nodes:
-        exprs = (band.f, band.psi, band.g)
-    else:
-        exprs = (eq.f.expr, eq.psi.expr, eq.g.expr)
-    f_vals, psi_vals, g_vals = (_as_grid(e, nodes, values) for e in exprs)
+    f_vals, psi_vals, g_vals = (_as_grid(e, nodes, values) for e in (band.f, band.psi, band.g))
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _integral_values(eq.params, nodes, g_vals, eq.gamma_k_value(), band)
+        out = _integral_values(band, g_vals)
         out *= psi_vals
         out += f_vals
     if not np.isfinite(out).all():

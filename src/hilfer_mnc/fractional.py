@@ -134,6 +134,16 @@ class FracParams:
         return self.gamma_ord / self.k
 
 
+def check_nodes(nodes: np.ndarray) -> None:
+    """Raise DomainError unless the 1-D float nodes are at least two, start at 1 and increase strictly."""
+    if nodes.shape[0] < 2:
+        raise DomainError("a grid function needs at least two nodes")
+    if nodes[0] != 1.0:
+        raise DomainError(f"domain must start at 1, got {nodes[0]}")
+    if not np.all(np.diff(nodes) > 0.0):
+        raise DomainError("nodes must be strictly increasing")
+
+
 def checked_grid(nodes, values, rows: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """Float arrays of a node set and the values sampled on it, validated.
 
@@ -155,12 +165,7 @@ def checked_grid(nodes, values, rows: bool = False) -> tuple[np.ndarray, np.ndar
         raise DomainError(
             f"length mismatch: {nodes.shape[0]} nodes, {values.shape[-1]} values"
         )
-    if nodes.shape[0] < 2:
-        raise DomainError("a grid function needs at least two nodes")
-    if nodes[0] != 1.0:
-        raise DomainError(f"domain must start at 1, got {nodes[0]}")
-    if not np.all(np.diff(nodes) > 0.0):
-        raise DomainError("nodes must be strictly increasing")
+    check_nodes(nodes)
     if not np.all(np.isfinite(values)):
         raise DomainError("values must be finite")
     return nodes, values

@@ -340,11 +340,11 @@ def darbo_iterate(
 
     The seed and the deltas are validated once, by the seed's estimate;
     every later ensemble is a plain matrix on the seed's nodes, whose
-    finiteness the operator call has already checked. Above 2049 nodes
-    the operator's near band, every block it evaluates exactly, is built
-    once for the call on the calling thread (equations.near_band) and
-    passed to every step. It is bound to op and the seed's nodes, so it
-    also carries the grid's operator and the parts of f, psi and g in x
+    finiteness the operator call has already checked. The operator bound
+    to op and the seed's nodes (equations.near_band) is built once for the
+    call on the calling thread and passed to every step: it carries the
+    grid's operator (the weight matrix, or above 2049 nodes every
+    near-band block evaluated exactly) and the parts of f, psi and g in x
     alone, evaluated once for all steps.
     """
     if p_max < 1:

@@ -74,14 +74,12 @@ def solve(
     The seed is the one validated GridFunction going in, and the solution
     the one coming out: the iterates in between are plain (1, n) arrays,
     each the image of the last under equations.apply_operator_batch.
-    Above 2049 nodes the operator's near band, every block it evaluates
-    exactly, is built once for the call on the calling thread
-    (equations.near_band) and passed to every application, which then
-    evaluates no block again. The band is bound to eq and the seed's
-    nodes: it carries the grid's operator and the parts of f, psi and g in
-    x alone, evaluated once, so the applications do not look the operator
-    up or evaluate those parts again. It is released when the call
-    returns.
+    The operator bound to eq and the seed's nodes (equations.near_band)
+    is built once for the call on the calling thread and passed to every
+    application: it carries the grid's operator (the weight matrix, or
+    above 2049 nodes every near-band block evaluated exactly) and the
+    parts of f, psi and g in x alone, evaluated once, so the applications
+    do per-row work only. It is released when the call returns.
     """
     require_positive_finite("tol", tol)
     if max_iter < 1:

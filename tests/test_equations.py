@@ -24,7 +24,7 @@ from hilfer_mnc.equations import (
     estimate_lipschitz,
     near_band,
 )
-from hilfer_mnc.errors import DomainError
+from hilfer_mnc.errors import DomainError, EvaluationError
 from hilfer_mnc.fractional import FracParams, GridFunction, power_differences, uniform_nodes
 from hilfer_mnc.solver import solve
 from hilfer_mnc.special_functions import k_gamma
@@ -126,6 +126,19 @@ def _rule_params(a: float, rho: float, T: float) -> FracParams:
     return FracParams(k=0.45, rho=rho, gamma_ord=0.45 * a, T=T)
 
 
+def _rule_eq(params: FracParams, gk: float = 1.0) -> EquationSpec:
+    """An equation on params whose Gamma_k is gk."""
+    return EquationSpec(params=params, f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g, gamma_k_override=gk)
+
+
+def _integral(params: FracParams, nodes: np.ndarray, g: np.ndarray, gk: float = 1.0, band=None):
+    """The operator's integral of g with Gamma_k = gk, through band or near_band(_rule_eq(...), nodes)."""
+    if band is None:
+        band = near_band(_rule_eq(params, gk), nodes)
+    assert band.eq.params == params and band.eq.gamma_k_value() == gk and band.nodes is nodes
+    return eqmod._integral_values(band, g)
+
+
 def _longdouble_rule(params: FracParams, nodes: np.ndarray, g: np.ndarray, rows) -> np.ndarray:
     """The product rule with Gamma_k = 1 at the selected rows, in extended precision.
 
@@ -180,9 +193,9 @@ def test_streaming_path_matches_matrix_path(monkeypatch):
                 [rng.uniform(-0.5, 0.5, size=(2, n)), np.cos(nodes), np.exp(-nodes / T)]
             )
             monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 2049)
-            dense = eqmod._integral_values(params, nodes, g, 1.0)
+            dense = _integral(params, nodes, g)
             monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
-            fast = eqmod._integral_values(params, nodes, g, 1.0)
+            fast = _integral(params, nodes, g)
             assert np.all(fast[:, 0] == 0.0)
             errs = _rule_errors(params, nodes, g, (dense, fast), np.arange(1, n))
             for kind, sel in (("random", slice(0, 2)), ("smooth", slice(2, 4))):
@@ -200,7 +213,7 @@ def test_streaming_path_partial_last_cluster(monkeypatch, n):
     params = _rule_params(*_RULE_CASES[0])
     nodes = uniform_nodes(params.T, n)
     g = np.stack([np.cos(nodes), 1.0 + np.sqrt(nodes)])
-    got = eqmod._integral_values(params, nodes, g, 1.0)
+    got = _integral(params, nodes, g)
     # every row of the last two leaves and a stride of the rest
     rows = np.unique(np.concatenate([np.arange(1, n, 37), np.arange(max(1, n - 130), n)]))
     assert _rule_errors(params, nodes, g, [got], rows).max() <= 1e-13
@@ -233,16 +246,16 @@ def test_streaming_path_refines_blocks_that_are_close(monkeypatch):
     }
     monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
     entries = _count_exact_entries(monkeypatch)
-    eqmod._integral_values(params, uniform_nodes(params.T, n), g, 1.0)
+    _integral(params, uniform_nodes(params.T, n), g)
     on_uniform = sum(entries)
     assert on_uniform > 0
     for grid, nodes in graded.items():
         monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
         entries.clear()
-        got = eqmod._integral_values(params, nodes, g, 1.0)
+        got = _integral(params, nodes, g)
         assert 0 < sum(entries) <= 2 * on_uniform, grid
         monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 2049)
-        dense = eqmod._integral_values(params, nodes, g, 1.0)
+        dense = _integral(params, nodes, g)
         errs = _rule_errors(params, nodes, g, (dense, got), np.arange(1, n))
         dense_err, fast_err = errs.max(axis=1)
         assert fast_err <= max(3.0 * dense_err, 1e-14), grid
@@ -253,7 +266,7 @@ def test_exact_entries_per_application_are_unchanged(monkeypatch):
     # grids), so it evaluates the same entries as an application that builds
     # its own, and an application given the band evaluates none
     params = _rule_params(*_RULE_CASES[0])
-    eq = EquationSpec(params=params, f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g)
+    eq = _rule_eq(params)
     entries = _count_exact_entries(monkeypatch)
     want = {
         (4097, "uniform"): 520_192,
@@ -268,12 +281,12 @@ def test_exact_entries_per_application_are_unchanged(monkeypatch):
         u = np.linspace(0.0, 1.0, n)
         nodes = {"uniform": uniform_nodes(3.0, n), "u^2": 1.0 + 2.0 * u**2, "u^4": 1.0 + 2.0 * u**4}[grid]
         entries.clear()
-        eqmod._integral_values(params, nodes, np.ones((1, n)), 1.0)
+        _integral(params, nodes, np.ones((1, n)))
         assert sum(entries) == count, (n, grid)
         band = near_band(eq, nodes)
         assert sum(b.size for b in band.blocks) == count, (n, grid)
         entries.clear()
-        eqmod._integral_values(params, nodes, np.ones((1, n)), 1.0, band)
+        _integral(params, nodes, np.ones((1, n)), band=band)
         assert entries == [], (n, grid)
 
 
@@ -286,17 +299,17 @@ def test_large_grid_operator_is_bit_identical_for_any_helper_count(monkeypatch, 
     # is started
     n = 4097
     params = _rule_params(*_RULE_CASES[1])
-    eq = EquationSpec(params=params, f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g)
+    eq = _rule_eq(params)
     nodes = _test_grids(params.T, n, np.random.default_rng(7))[grid]
     g = np.vstack([np.cos(3.0 * nodes), np.random.default_rng(8).uniform(-0.5, 0.5, (2, n))])[:m]
-    want = eqmod._integral_values(params, nodes, g, 1.0)
+    want = _integral(params, nodes, g)
     started = []
     monkeypatch.setattr(threading.Thread, "start", lambda self: started.append(self))
     for helpers in (0, 1, 3):
         monkeypatch.setattr(fractional, "_helper_count", lambda: helpers)
         band = near_band(eq, nodes)
         assert started == [], helpers
-        assert np.array_equal(eqmod._integral_values(params, nodes, g, 1.0, band), want), helpers
+        assert np.array_equal(_integral(params, nodes, g, band=band), want), helpers
 
 
 def test_streaming_path_cost_is_near_linear(monkeypatch):
@@ -305,7 +318,7 @@ def test_streaming_path_cost_is_near_linear(monkeypatch):
     total = []
     for n in (4097, 16385):
         entries.clear()
-        eqmod._integral_values(_ALPHA.params, uniform_nodes(3.0, n), np.ones((1, n)), 1.0)
+        _integral(_ALPHA.params, uniform_nodes(3.0, n), np.ones((1, n)))
         total.append(sum(entries))
     assert 0 < total[0] and total[1] <= 6 * total[0]
 
@@ -382,13 +395,13 @@ def _per_block_values(params, nodes, g, band) -> np.ndarray:
 @pytest.mark.parametrize("n", [2050, 4097, 8193])
 def test_run_product_matches_a_per_block_loop(n):
     params = _rule_params(*_RULE_CASES[1])
-    eq = EquationSpec(params=params, f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g)
+    eq = _rule_eq(params)
     rng = np.random.default_rng(n)
     for grid, nodes in _run_test_grids(n).items():
         band = near_band(eq, nodes)
         for m in (0, 1, 3, 30):
             g = np.vstack([np.cos(3.0 * nodes), rng.uniform(-0.5, 0.5, (29, n))])[:m]
-            got = eqmod._integral_values(params, nodes, g, 1.0, band)
+            got = _integral(params, nodes, g, band=band)
             want = _per_block_values(params, nodes, g, band)
             assert got.shape == want.shape == (m, n)
             if m:
@@ -516,50 +529,90 @@ def test_gamma_k_failure_is_not_kept(monkeypatch):
             eq.gamma_k_value()
 
 
-def test_band_for_other_nodes_rho_or_a_is_refused(monkeypatch):
-    eq, start = _forced_solve_input()
-    band = near_band(eq, start.nodes)
-    assert len(band.blocks) == 65
-    shifted = start.nodes.copy()
+@pytest.mark.parametrize("n", [129, 4097])
+def test_band_of_another_equation_or_nodes_array_is_refused(n):
+    # an application uses only the band built for its own equation and
+    # nodes array, on the dense and the large-grid path alike: not one of
+    # another equation on the same params and nodes (whose blocks would be
+    # equal), nor one for an equal copy of the nodes, other nodes, rho or a
+    eq = parse_config(_FORCED).equations[0]
+    nodes = uniform_nodes(3.0, n)
+    band = near_band(eq, nodes)
+    shifted = nodes.copy()
     shifted[1:-1] += 1e-6
+    other = replace(eq, f=Nonlinearity.from_string("0.1*cos(x)+a/7", 1.0 / 7.0))
     others = [
+        (other, nodes),
+        (replace(other, params=replace(eq.params)), nodes),
+        (replace(eq), nodes),
+        (eq, nodes.copy()),
         (eq, shifted),
-        (replace(eq, params=replace(eq.params, rho=0.4)), start.nodes),
-        (replace(eq, params=replace(eq.params, gamma_ord=0.5)), start.nodes),
-        (eq, uniform_nodes(3.0, 129)),
+        (replace(eq, params=replace(eq.params, rho=0.4)), nodes),
+        (replace(eq, params=replace(eq.params, gamma_ord=0.5)), nodes),
+        (eq, uniform_nodes(3.0, 65)),
     ]
-    for other, grid in others:
-        with pytest.raises(DomainError, match="near band was built for other"):
-            apply_operator_batch(other, grid, np.zeros((1, grid.size)), band=band)
-    # only the dense path needs no band: a 65-node large grid has two leaves
-    assert near_band(eq, uniform_nodes(3.0, 129)) is None
+    for other_eq, grid in others:
+        with pytest.raises(DomainError, match="near band was built for another equation or nodes array"):
+            apply_operator_batch(other_eq, grid, np.zeros((1, grid.size)), band=band)
+
+
+def test_band_holds_the_dense_matrix_or_the_exact_blocks(monkeypatch):
+    # the dense matrix is the all-near-band case, with no stacks; a 65-node
+    # large grid has two leaves
+    eq = parse_config(_FORCED).equations[0]
+    dense = near_band(eq, uniform_nodes(3.0, 129))
+    assert isinstance(dense.op, np.ndarray) and dense.blocks == ()
+    assert len(near_band(eq, uniform_nodes(3.0, 4097)).blocks) == 65
     monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
     small = near_band(eq, uniform_nodes(3.0, 65))
     assert [b.shape for b in small.blocks] == [(64, 63), (1, 64)]
 
 
-def test_band_of_another_equation_gives_this_equations_images():
-    # a band bound to one equation lends its blocks to another on the same
-    # nodes, rho and a, whose own f, psi and g are evaluated
-    eq, start = _forced_solve_input()
-    band = near_band(eq, start.nodes)
-    values = np.vstack([start.values, 0.2 * np.sin(5.0 * start.nodes)])
-    other = replace(
-        eq,
-        f=Nonlinearity.from_string("0.1*cos(x)+a/7", 1.0 / 7.0),
-        g=Nonlinearity.from_string("a*x/(2+exp(x))", 0.5),
-    )
-    # the same params object, and an equal copy of it
-    for other_eq in (other, replace(other, params=replace(eq.params))):
-        want = apply_operator_batch(other_eq, start.nodes, values)
-        got = apply_operator_batch(other_eq, start.nodes, values, band=band)
-        assert np.array_equal(got, want)
-        assert not np.array_equal(got, apply_operator_batch(eq, start.nodes, values, band=band))
-    # the same equation on an equal copy of the nodes: checked by key, not bound
-    copy = start.nodes.copy()
+def test_dense_path_application_with_band_matches_one_without():
+    # at 129 nodes the band binds f, psi and g and the weight matrix too: an
+    # application given it gives the bits of one that builds its own, and a
+    # part in x alone that fails on the nodes fails in the application with
+    # the same message either way
+    eq = parse_config(_FORCED).equations[0]
+    nodes = uniform_nodes(3.0, 129)
+    values = np.vstack([0.3 * np.cos(3.0 * nodes), 0.2 * np.sin(5.0 * nodes)])
+    band = near_band(eq, nodes)
     assert np.array_equal(
-        apply_operator_batch(eq, copy, values, band=band), apply_operator_batch(eq, copy, values)
+        apply_operator_batch(eq, nodes, values, band=band), apply_operator_batch(eq, nodes, values)
     )
+    for part, expr in (("g", "a/(x-2)"), ("f", "abs(a)/6+log(x-3)")):
+        failing = replace(eq, **{part: Nonlinearity.from_string(expr, 1.0)})
+        messages = []
+        for given in (near_band(failing, nodes), None):
+            with pytest.raises(EvaluationError) as err:
+                apply_operator_batch(failing, nodes, values, band=given)
+            messages.append(str(err.value))
+        assert messages[0] == messages[1] in ("division by zero", "log of a nonpositive value"), part
+
+
+# T = 3: nodes that are not a grid on [1, 3], each refused by name
+_BAD_GRIDS = {
+    "not increasing": ([1.0, 2.5, 2.0, 3.0], "strictly increasing"),
+    "not starting at 1": ([0.5, 1.5, 2.0, 3.0], "must start at 1"),
+    "not ending at T": ([1.0, 1.5, 2.0], "grid ends at 2.0"),
+    "one node": ([1.0], "at least two nodes"),
+    "not one-dimensional": ([[1.0, 3.0]], "one-dimensional"),
+    "integer": ([1, 2, 3], "float64 array, got int"),
+}
+
+
+@pytest.mark.parametrize("limit", [2049, 2])
+@pytest.mark.parametrize("grid", list(_BAD_GRIDS))
+def test_operator_rejects_a_nodes_array_that_is_not_a_grid_on_the_domain(monkeypatch, grid, limit):
+    # near_band checks the grid, so an application given no band refuses it
+    # too, on the dense path and (with the dense limit moved down) the
+    # large-grid path
+    monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", limit)
+    nodes, message = np.array(_BAD_GRIDS[grid][0]), _BAD_GRIDS[grid][1]
+    with pytest.raises(DomainError, match=message):
+        near_band(_ALPHA, nodes)
+    with pytest.raises(DomainError, match=message):
+        apply_operator_batch(_ALPHA, nodes, np.zeros((1, nodes.shape[-1])))
 
 
 def test_solve_binds_the_equation_to_its_grid_once(monkeypatch):
@@ -619,7 +672,7 @@ def test_large_grid_operator_is_cached_per_rho_and_a(monkeypatch):
     cases = [_rule_params(2.0, 1.0 / 3.0, 3.0), _rule_params(0.5, 1.0 / 3.0, 3.0), _rule_params(2.0, 0.7, 3.0)]
     eqmod._h2_operator.cache_clear()
     for params in cases + cases:
-        got = eqmod._integral_values(params, nodes, g, 1.0)
+        got = _integral(params, nodes, g)
         assert _rule_errors(params, nodes, g, [got], rows).max() <= 1e-13
     info = eqmod._h2_operator.cache_info()
     assert (info.misses, info.hits) == (3, 3)
@@ -634,7 +687,7 @@ def test_streaming_path_integrates_linear_in_s_to_rounding():
         a, rho = params.exponent, params.rho
         w = nodes**rho - 1.0
         gk = 1.25
-        got = eqmod._integral_values(params, nodes, (0.5 + 2.0 * w)[None, :], gk)[0]
+        got = _integral(params, nodes, (0.5 + 2.0 * w)[None, :], gk)[0]
         pref = rho ** (-a) / (params.k * gk)
         exact = pref * (0.5 * w**a / a + 2.0 * w ** (a + 1.0) / (a * (a + 1.0)))
         assert got[0] == 0.0
@@ -658,6 +711,20 @@ def test_operator_overflow_raises_domain_error(monkeypatch):
     monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
     with pytest.raises(DomainError, match="operator image is not finite"):
         apply_operator_batch(spec("1.7e308*cos(100*x)"), nodes, np.zeros((2, 65)))
+
+
+@pytest.mark.parametrize("n", [129, 4097])
+def test_operator_whose_weights_overflow_raises_domain_error(n):
+    # a = gamma_ord / k = 600: (X - s)^(a+1) overflows while near_band builds
+    # the operator, before any application; that shows as a non-finite
+    # image, with no RuntimeWarning (an error under the test configuration)
+    params = FracParams(k=0.0015, rho=0.99, gamma_ord=0.9, T=100.0)
+    eq = replace(_ALPHA, params=params)
+    nodes = uniform_nodes(params.T, n)
+    band = near_band(eq, nodes)
+    for given in (band, None):
+        with pytest.raises(DomainError, match="operator image is not finite"):
+            apply_operator_batch(eq, nodes, np.full((1, n), 0.5), band=given)
 
 
 def test_operator_rejects_wrong_domain():
