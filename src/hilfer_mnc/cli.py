@@ -36,7 +36,6 @@ from functools import lru_cache
 import numpy as np
 
 from .config import (
-    BUNDLED_R0,
     OutputConfig,
     QuadratureConfig,
     RunConfig,
@@ -74,6 +73,7 @@ _OVERRIDE_FLAGS = {
     "solver": {"tol": "tol", "max_iter": "max_iter", "nodes": "nodes"},
     "quadrature": {"panels": "panels", "mesh": "mesh"},
     "output": {"path": "out"},
+    "certificate": {"r0": "r0"},
 }
 # frac-int's order parameters (argparse dests), the alternative to a config source
 _INLINE_PARAMS = ("k", "rho", "gamma_ord", "t")
@@ -235,16 +235,16 @@ def _cmd_frac_int(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    r0 = BUNDLED_R0 if args.r0 is None and args.paper_example else args.r0
-    return _check_stage(_load(args), r0, args.probes)[0]
+    return _check_stage(_load(args), args.probes)[0]
 
 
-def _check_stage(cfg: RunConfig, r0: float | None, probes: int) -> tuple[int, list[RadiusCertificate]]:
-    """Certify every equation and print the check payload.
+def _check_stage(cfg: RunConfig, probes: int) -> tuple[int, list[RadiusCertificate]]:
+    """Certify every equation, test the radius certificate.r0 when set, and print the check payload.
 
     Returns the exit code and the certificates, one per equation in config
     order, so a later stage can reuse them.
     """
+    r0 = cfg.certificate.r0
     certs = [
         certify(eq, kernel_factor_override=cfg.kernel_factor_override, probes=probes)
         for eq in cfg.equations
@@ -407,7 +407,7 @@ def _cmd_paper_example(args: argparse.Namespace) -> int:
     certifying it again.
     """
     cfg = _load(args)
-    rc_check, certs = _check_stage(cfg, BUNDLED_R0, probes=DEFAULT_PROBES)
+    rc_check, certs = _check_stage(cfg, probes=DEFAULT_PROBES)
     rc_solve = _solve_stage(cfg, _DEFAULT_SEED_VALUE)
     rc_mnc = _mnc_stage(cfg, cfg.names[0], cert=certs[0])
     return rc_check or rc_solve or rc_mnc
@@ -446,7 +446,7 @@ def _frac_int_args(f: argparse.ArgumentParser) -> None:
 
 def _check_args(c: argparse.ArgumentParser) -> None:
     _add_config_args(c)
-    c.add_argument("--r0", type=float, default=None, help="radius to test for admissibility")
+    c.add_argument("--r0", type=float, default=None, help="radius to test for admissibility (certificate.r0)")
     c.add_argument("--probes", type=int, default=DEFAULT_PROBES, help="Lipschitz validation budget")
     c.set_defaults(func=_cmd_check)
 

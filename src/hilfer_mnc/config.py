@@ -50,6 +50,12 @@ class OutputConfig:
 
 
 @dataclass(frozen=True)
+class CertificateConfig:
+    # the radius `check` tests for admissibility; None tests none
+    r0: float | None = None
+
+
+@dataclass(frozen=True)
 class RunConfig:
     params: FracParams
     equations: tuple[EquationSpec, ...]
@@ -59,6 +65,7 @@ class RunConfig:
     kernel_factor_override: float | None
     mnc: MncConfig
     output: OutputConfig
+    certificate: CertificateConfig = CertificateConfig()
 
     def __post_init__(self) -> None:
         # frac-int reads params and the override from the config, the operator
@@ -235,6 +242,14 @@ def parse_config(data: dict) -> RunConfig:
     if output.path is not None and not isinstance(output.path, str):
         raise ConfigError("output.path: expected a string or null")
 
+    cd = _section(data, "certificate", CertificateConfig)
+    r0 = cd["r0"]
+    if r0 is not None:
+        r0 = _num(r0, "certificate.r0")
+        if r0 < 0.0:
+            raise ConfigError(f"certificate.r0: must be >= 0, got {r0}")
+    certificate = CertificateConfig(r0=r0)
+
     return RunConfig(
         params=params,
         equations=tuple(equations),
@@ -244,6 +259,7 @@ def parse_config(data: dict) -> RunConfig:
         kernel_factor_override=kern,
         mnc=mnc,
         output=output,
+        certificate=certificate,
     )
 
 
@@ -264,7 +280,8 @@ def load_config(path: str) -> RunConfig:
 
 def config_to_dict(cfg: RunConfig) -> dict:
     """Mapping form of a RunConfig; parse_config(config_to_dict(c)) is equivalent to c."""
-    data = {name: asdict(getattr(cfg, name)) for name in ("params", "solver", "quadrature", "mnc", "output")}
+    sections = ("params", "solver", "quadrature", "mnc", "output", "certificate")
+    data = {name: asdict(getattr(cfg, name)) for name in sections}
     data["mnc"]["deltas"] = list(cfg.mnc.deltas)
     data["equations"] = [
         {"name": name, **{part: _nl_dict(getattr(eq, part)) for part in ("f", "psi", "g")}}
@@ -327,5 +344,6 @@ def bundled_example() -> RunConfig:
                 "rng_seed": 42,
             },
             "output": {"format": "csv", "path": None},
+            "certificate": {"r0": BUNDLED_R0},
         }
     )

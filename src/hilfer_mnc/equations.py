@@ -31,7 +31,9 @@ bases on both sides (an H^2-matrix: Boerm, Efficient Numerical Methods
 for Non-local Operators, EMS 2010). Those factors are built once per
 (nodes, rho, a) and cached; they hold O(n) floats, and one application
 costs near-linear time, on graded grids too. The band is not
-cached: at 4097 nodes it takes 4.2 MB, more than all the factors.
+cached: at 4097 nodes it takes 4.2 MB, more than all the factors. The
+kernel writes each band block in place in its stack, and an application
+maps the far blocks of all levels with one batched matmul.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import accumulate
 
 import numpy as np
 
@@ -181,11 +184,6 @@ class _Level:
     # (clusters, p, p): the parent's Lagrange polynomials at each cluster's
     # points; moments go up as M @ up, local values come down as F @ up.T
     up: np.ndarray
-    # far blocks: row cluster targets[i] takes the moments of column cluster
-    # sources[i] through kernels[i][q, p] = -(a+1) (X_p - sigma_q)^a
-    targets: np.ndarray
-    sources: np.ndarray
-    kernels: np.ndarray
     # (cluster, r0, r1, matrix): rows r0..r1-1 form a child too small for
     # points, and take that cluster's local values through the matrix
     spill: tuple[int, int, int, np.ndarray] | None
@@ -207,6 +205,12 @@ class _H2Operator:
     (zero-padded for a partial last leaf). s is the mesh nodes**rho, widths
     its panel widths diff(s), and boundary the column (a+1) (s - s[0])^a of
     the first integrand value.
+
+    The far blocks of all levels are stored together: block i takes the
+    moments of column cluster sources[i] to the local values of row
+    cluster targets[i] through kernels[i][q, p] = -(a+1) (X_p - sigma_q)^a,
+    the clusters of all levels numbered as one list, level 0 first. No
+    target repeats within a stretch of slots (_slots).
     """
 
     levels: tuple[_Level, ...]
@@ -217,13 +221,18 @@ class _H2Operator:
     boundary: np.ndarray
     exact: tuple[tuple[int, int, int, int], ...]
     runs: tuple[tuple[int, int], ...]
+    targets: np.ndarray
+    sources: np.ndarray
+    kernels: np.ndarray
+    slots: tuple[tuple[int, int], ...]
 
     @property
     def nbytes(self) -> int:
         """Bytes of the stored factors."""
         arrays = [self.anterp, self.interp, self.s, self.widths, self.boundary]
+        arrays += [self.targets, self.sources, self.kernels]
         for lev in self.levels:
-            arrays += [lev.points, lev.up, lev.targets, lev.sources, lev.kernels, lev.parents]
+            arrays += [lev.points, lev.up, lev.parents]
             if lev.spill is not None:
                 arrays.append(lev.spill[3])
         return sum(x.nbytes for x in arrays)
@@ -258,6 +267,24 @@ def _runs(exact: tuple[tuple[int, int, int, int], ...]) -> tuple[tuple[int, int]
     return tuple(runs)
 
 
+def _slots(targets: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
+    """An order of the far blocks, and the stretches (lo, hi) of it in which no target repeats.
+
+    Stretch j holds the j-th block of every target that has more than j,
+    and the blocks of one target keep their order, so adding the stretches
+    one after another sums each target's blocks as np.add.at would.
+    """
+    seen: dict[int, int] = {}
+    rank = []
+    for target in targets.tolist():
+        rank.append(seen.get(target, 0))
+        seen[target] = rank[-1] + 1
+    # sorted is stable, so each stretch keeps the blocks' order
+    order = sorted(range(len(rank)), key=rank.__getitem__)
+    ends = list(accumulate(rank.count(j) for j in range(max(rank, default=-1) + 1)))
+    return np.array(order, dtype=np.intp), tuple(zip([0] + ends[:-1], ends))
+
+
 @lru_cache(maxsize=4)
 def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operator:
     """Build the large-grid operator for one (nodes, rho, a).
@@ -286,8 +313,10 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
         sizes.append(leaf << len(sizes))
     if not sizes:
         exact = _merged(exact)
+        empty = np.empty(0, dtype=np.intp)
         return _H2Operator(
-            (), np.empty((0, leaf, p)), np.empty((0, p, leaf)), s, widths, boundary, exact, _runs(exact)
+            (), np.empty((0, leaf, p)), np.empty((0, p, leaf)), s, widths, boundary, exact, _runs(exact),
+            empty, empty, np.empty((0, p, p)), (),
         )
     counts = [n // b + (n % b > p) for b in sizes]
     points = [
@@ -320,7 +349,11 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
                 place(lvl, k, c)
 
     exact = _merged(exact)
-    levels = []
+    levels, targets, sources, columns = [], [], [], []
+    # where each level's moments (one per full cluster) and local values
+    # (one per cluster) start in the lists of all levels
+    moment_at = list(accumulate([(n - 1) // b for b in sizes], initial=0))
+    local_at = list(accumulate(counts, initial=0))
     for lvl, (b, pts) in enumerate(zip(sizes, points)):
         if lvl + 1 < len(sizes):
             parents = points[lvl + 1]
@@ -332,12 +365,19 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
         if lvl and small * sizes[lvl - 1] < n and small // 2 < len(pts):
             r0 = small * sizes[lvl - 1]
             spill = (small // 2, r0, n, _lagrange_matrix(pts[small // 2], s[r0:n]).T.copy())
-        targets, sources = np.array(pairs[lvl], dtype=np.intp).reshape(-1, 2).T
-        kernels = pts[targets][:, None, :] - pts[sources][:, :, None]
-        kernels **= a
-        kernels *= -(a + 1.0)
+        tgt, src = np.array(pairs[lvl], dtype=np.intp).reshape(-1, 2).T
+        targets.append(tgt + local_at[lvl])
+        sources.append(src + moment_at[lvl])
+        columns.append(src + local_at[lvl])
         parents = np.arange(len(pts)) // 2
-        levels.append(_Level((n - 1) // b, pts, up, targets, sources, kernels, spill, parents))
+        levels.append(_Level((n - 1) // b, pts, up, spill, parents))
+    order, slots = _slots(np.concatenate(targets))
+    targets, sources, columns = (np.concatenate(x)[order] for x in (targets, sources, columns))
+    # the points of every cluster, numbered as the local values are
+    cheb = np.concatenate(points)
+    kernels = cheb[targets][:, None, :] - cheb[columns][:, :, None]
+    kernels **= a
+    kernels *= -(a + 1.0)
 
     g_nodes, g_weights = _gauss_legendre(_GAUSS_POINTS)
     anterp = np.empty((levels[0].full, leaf, p))
@@ -350,7 +390,10 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
     for k in range(interp.shape[0]):
         rows = s[k * leaf : min((k + 1) * leaf, n)]
         interp[k, :, : rows.size] = _lagrange_matrix(points[0][k], rows).T
-    return _H2Operator(tuple(levels), anterp, interp, s, widths, boundary, exact, _runs(exact))
+    return _H2Operator(
+        tuple(levels), anterp, interp, s, widths, boundary, exact, _runs(exact),
+        targets, sources, kernels, slots,
+    )
 
 
 @dataclass(frozen=True)
@@ -366,8 +409,9 @@ class NearBand:
     the panel differences of (X - s)_+^(a+1) of its limits s[r0:r1]
     against the mesh s[c0 : c1 + 1]. stacks[j] holds run op.runs[j] =
     (first, count) as one C-contiguous (count, c1 - c0, r1 - r0) array,
-    each block transposed; blocks lists every block as an (r1 - r0,
-    c1 - c0) view of its stack, in op.exact order.
+    each block in power_differences' (panels, limits) layout; blocks lists
+    every block as an (r1 - r0, c1 - c0) view of its stack, in op.exact
+    order.
     """
 
     eq: EquationSpec
@@ -386,13 +430,12 @@ class NearBand:
 def _band_stacks(op: _H2Operator, a: float) -> tuple[np.ndarray, ...]:
     """The panel differences of every exact block of op, one stack per run, on the calling thread.
 
-    Each block is evaluated row-major into scratch and copied transposed
-    into its run's stack (see NearBand): power_differences writing into a
-    transposed view built the band about 1.5 ms slower at 4097 nodes.
+    power_differences writes each block straight into its run's stack, in
+    the (panels, rows) layout the stack keeps (see NearBand), with one
+    buffer for the powers shared by every block.
     """
     s = op.s
     work = np.empty(max((r1 - r0) * (c1 - c0 + 1) for r0, r1, c0, c1 in op.exact))
-    scratch = np.empty(max((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in op.exact))
     # the stacks are views of one allocation: with glibc's default malloc
     # thresholds, 65 separate 64 kB blocks are trimmed from the heap when a
     # band is freed and faulted in again by the next build, which then took
@@ -402,25 +445,23 @@ def _band_stacks(op: _H2Operator, a: float) -> tuple[np.ndarray, ...]:
     for first, count in op.runs:
         r0, r1, c0, c1 = op.exact[first]
         rows, cols = r1 - r0, c1 - c0
-        w = work[: rows * (cols + 1)].reshape(rows, cols + 1)
-        d = scratch[: rows * cols].reshape(rows, cols)
+        w = work[: rows * (cols + 1)].reshape(cols + 1, rows)
         stack, flat = flat[: count * rows * cols].reshape(count, cols, rows), flat[count * rows * cols :]
         for block, (r0, r1, c0, c1) in zip(stack, op.exact[first : first + count]):
-            block[...] = power_differences(s[r0:r1], s[c0 : c1 + 1], a, w, d).T
+            power_differences(s[r0:r1], s[c0 : c1 + 1], a, w, block)
         stacks.append(stack)
     return tuple(stacks)
 
 
-def _h2_sums(op: _H2Operator, dg: np.ndarray, stacks: tuple[np.ndarray, ...]) -> np.ndarray:
-    """Row sums sum_j d_j(s[i]) * dg[:, j] at every node i, through op.
+def _h2_sums(
+    op: _H2Operator, dg: np.ndarray, stacks: tuple[np.ndarray, ...], out: np.ndarray | None = None
+) -> np.ndarray:
+    """Row sums sum_j d_j(s[i]) * dg[:, j] at every node i, through op, added to out.
 
     d_j(X) = ((X - s_(j+1))_+^(a+1) - (X - s_j)_+^(a+1)) / (s_(j+1) - s_j)
     is the power slope of panel j, s = op.s, and dg has shape (m, n - 1).
-    For X beyond panel j, d_j(X) is -(a+1) times the mean of (X - s)^a over
-    the panel, and interpolating (X - s)^a in s at a column cluster's points
-    sigma_q turns its panels into the moments M_q = sum_j <l_q>_j dg_j.
-    Moments go up the tree, each far block maps them to local values at its
-    row cluster's points, and local values come down the tree to the rows.
+    out, an (m, n) array, takes the sums and is returned; when None the
+    sums go into a zero array.
 
     stacks holds the panel differences of op.exact, one stack per run of
     op.runs (_band_stacks). The exact blocks take the integrand differences
@@ -434,9 +475,23 @@ def _h2_sums(op: _H2Operator, dg: np.ndarray, stacks: tuple[np.ndarray, ...]) ->
     through a transposed view made the 63-block run of 4097 nodes take
     13.6-15.1 ms against 10.5-10.8 ms at m = 240 (2-core x86-64 host, one
     BLAS thread). A run of one block is the same call.
+
+    The far field: for X beyond panel j, d_j(X) is -(a+1) times the mean
+    of (X - s)^a over the panel, and interpolating (X - s)^a in s at a
+    column cluster's points sigma_q turns its panels into the moments
+    M_q = sum_j <l_q>_j dg_j. The moments of all levels are held in one
+    (clusters, m, p) array, level 0 first, and so are the local values.
+    The up pass fills each level's moments from its children's (one
+    strided sum of the two children's products). One batched matmul maps
+    the moments of every far block, and each stretch of op.slots adds its
+    products to their distinct row clusters by one fancy-index sum: an
+    unbuffered np.add.at made a 4097-node application 1.13x as long at
+    m = 1 and 1.19x at m = 240. The down pass adds each parent's local
+    values to its children's, and level 0 interpolates them to the rows.
     """
     m, n = dg.shape[0], op.s.shape[0]
-    out = np.zeros((m, n))
+    if out is None:
+        out = np.zeros((m, n))
     if m == 0:
         # an empty c is a buffer of no bytes, which holds no window at an offset
         return out
@@ -454,23 +509,29 @@ def _h2_sums(op: _H2Operator, dg: np.ndarray, stacks: tuple[np.ndarray, ...]) ->
     if not op.levels:
         return out
     leaf, p = _LEAF_ROWS, _CHEB_POINTS
+    moments = np.empty((sum(lev.full for lev in op.levels), m, p))
     full = op.anterp.shape[0]
-    moments = [np.matmul(dg[:, : full * leaf].reshape(m, full, leaf).transpose(1, 0, 2), op.anterp)]
+    np.matmul(dg[:, : full * leaf].reshape(m, full, leaf).transpose(1, 0, 2), op.anterp, out=moments[:full])
+    start = 0
     for lev, parent in zip(op.levels, op.levels[1:]):
-        children = np.matmul(moments[-1][: 2 * parent.full], lev.up[: 2 * parent.full])
-        moments.append(children.reshape(parent.full, 2, m, p).sum(axis=1))
-    local = None
-    for lev, mom in zip(reversed(op.levels), reversed(moments)):
-        if local is None:
-            here = np.zeros((lev.points.shape[0], m, p))
-        else:
-            here = np.matmul(local[lev.parents], lev.up.transpose(0, 2, 1))
-        np.add.at(here, lev.targets, np.matmul(mom[lev.sources], lev.kernels))
+        children = np.matmul(moments[start : start + 2 * parent.full], lev.up[: 2 * parent.full])
+        start += lev.full
+        np.add(children[0::2], children[1::2], out=moments[start : start + parent.full])
+    local = np.zeros((sum(lev.points.shape[0] for lev in op.levels), m, p))
+    far = np.matmul(moments[op.sources], op.kernels)
+    for lo, hi in op.slots:
+        local[op.targets[lo:hi]] += far[lo:hi]
+    end, above = local.shape[0], None
+    for lev in reversed(op.levels):
+        here = local[end - lev.points.shape[0] : end]
+        end -= lev.points.shape[0]
+        if above is not None:
+            here += np.matmul(above[lev.parents], lev.up.transpose(0, 2, 1))
         if lev.spill is not None:
             k, r0, r1, mat = lev.spill
             out[:, r0:r1] += here[k] @ mat
-        local = here
-    rows = np.matmul(local, op.interp).transpose(1, 0, 2).reshape(m, op.interp.shape[0] * leaf)
+        above = here
+    rows = np.matmul(above, op.interp).transpose(1, 0, 2).reshape(m, op.interp.shape[0] * leaf)
     span = min(n, rows.shape[1])
     out[:, :span] += rows[:, :span]
     return out
@@ -486,7 +547,8 @@ def _integral_values(band: NearBand, g: np.ndarray) -> np.ndarray:
 
         a (a+1) I(X) = (a+1) (X - s_0)^a g_0 - sum_j d_j(X) (g_{j+1} - g_j),
 
-    with d_j(X) the power slopes, through the band's stacks.
+    with d_j(X) the power slopes, through the band's stacks; the boundary
+    term starts the sum.
     """
     params = band.eq.params
     a = params.exponent
@@ -494,8 +556,8 @@ def _integral_values(band: NearBand, g: np.ndarray) -> np.ndarray:
     op = band.op
     if isinstance(op, np.ndarray):
         return pref * (g @ op.T)
-    total = _h2_sums(op, g[:, :-1] - g[:, 1:], band.stacks)
-    total += op.boundary * g[:, :1]
+    # the boundary column starts the sum, so it costs no pass of its own
+    total = _h2_sums(op, g[:, :-1] - g[:, 1:], band.stacks, op.boundary * g[:, :1])
     total *= pref / (a * (a + 1.0))
     return total
 

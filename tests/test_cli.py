@@ -155,6 +155,24 @@ def test_check_without_override_fails_bundled_radius(capsys):
         assert rec["gamma_k_overridden"] is False
 
 
+@pytest.mark.parametrize("flags", [[], ["--r0", "0.5"], ["--gamma-k-override", "2.4047"]])
+def test_check_dump_then_config_rerun_tests_the_same_radius(tmp_path, capsys, flags):
+    # the radius is the config field certificate.r0 (0.83 in the bundled
+    # scenario, --r0 overrides it), so the dump carries it and a --config
+    # run of the dump prints the direct run's payload with its exit code
+    direct = _run(["check", "--paper-example", *flags], capsys)
+    code, dumped = _run(["check", "--paper-example", *flags, "--dump-config"], capsys)
+    assert code == 0
+    r0 = float(flags[1]) if flags[:1] == ["--r0"] else 0.83
+    assert json.loads(dumped)["certificate"] == {"r0": r0}
+    assert json.loads(direct[1])["r0"] == r0
+    config = tmp_path / "dumped.json"
+    config.write_text(dumped, encoding="utf-8")
+    assert _run(["check", "--config", str(config)], capsys) == direct
+    if not flags:
+        assert direct[0] == 3
+
+
 def test_check_with_override_passes(capsys):
     code, out = _run(["check", "--paper-example", "--gamma-k-override", "2.4047"], capsys)
     assert code == 0

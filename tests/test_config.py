@@ -155,6 +155,31 @@ def test_rejects_bad_mesh():
         parse_config(data)
 
 
+def test_certificate_radius_is_a_config_field():
+    # the bundled scenario certifies 0.83; a config without the section, or
+    # with r0 null, certifies no radius
+    assert bundled_example().certificate.r0 == BUNDLED_R0
+    data = _base()
+    assert data["certificate"] == {"r0": BUNDLED_R0}
+    del data["certificate"]
+    assert parse_config(data).certificate.r0 is None
+    data["certificate"] = {"r0": None}
+    assert parse_config(data).certificate.r0 is None
+    data["certificate"] = {"r0": 0.5}
+    assert parse_config(data).certificate.r0 == 0.5
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [(-0.1, "must be >= 0, got -0.1"), ("0.8", "expected a number"), (1e999, "expected a finite number")],
+)
+def test_rejects_bad_certificate_radius(value, message):
+    data = _base()
+    data["certificate"]["r0"] = value
+    with pytest.raises(ConfigError, match=rf"^certificate\.r0: {message}"):
+        parse_config(data)
+
+
 def test_rejects_three_equations():
     data = _base()
     data["equations"].append(data["equations"][0] | {"name": "gamma"})

@@ -409,6 +409,81 @@ def test_run_product_matches_a_per_block_loop(n):
     eqmod._h2_operator.cache_clear()
 
 
+def _per_level_far_field(op, dg: np.ndarray) -> np.ndarray:
+    """The far field of _h2_sums computed level by level: moments and local
+    values in one array per level, one far-block product and one np.add.at
+    per level, and the children's moments summed pairwise by a reshape."""
+    m, n = dg.shape[0], op.s.shape[0]
+    out = np.zeros((m, n))
+    if m == 0 or not op.levels:
+        return out
+    leaf, p = eqmod._LEAF_ROWS, eqmod._CHEB_POINTS
+    full = op.anterp.shape[0]
+    moments = [np.matmul(dg[:, : full * leaf].reshape(m, full, leaf).transpose(1, 0, 2), op.anterp)]
+    for lev, parent in zip(op.levels, op.levels[1:]):
+        children = np.matmul(moments[-1][: 2 * parent.full], lev.up[: 2 * parent.full])
+        moments.append(children.reshape(parent.full, 2, m, p).sum(axis=1))
+    moment_at = np.cumsum([0] + [lev.full for lev in op.levels])
+    local_at = np.cumsum([0] + [lev.points.shape[0] for lev in op.levels])
+    local = None
+    for lvl in reversed(range(len(op.levels))):
+        lev = op.levels[lvl]
+        if local is None:
+            here = np.zeros((lev.points.shape[0], m, p))
+        else:
+            here = np.matmul(local[lev.parents], lev.up.transpose(0, 2, 1))
+        mine = (op.targets >= local_at[lvl]) & (op.targets < local_at[lvl + 1])
+        sources = op.sources[mine] - moment_at[lvl]
+        assert np.all((sources >= 0) & (sources < lev.full))
+        far = np.matmul(moments[lvl][sources], op.kernels[mine])
+        np.add.at(here, op.targets[mine] - local_at[lvl], far)
+        if lev.spill is not None:
+            k, r0, r1, mat = lev.spill
+            out[:, r0:r1] += here[k] @ mat
+        local = here
+    rows = np.matmul(local, op.interp).transpose(1, 0, 2).reshape(m, op.interp.shape[0] * leaf)
+    span = min(n, rows.shape[1])
+    out[:, :span] += rows[:, :span]
+    return out
+
+
+@pytest.mark.parametrize("n", [2050, 4097, 4160, 16385])
+def test_far_field_matches_a_per_level_loop(n):
+    # all levels' far blocks in one product and their local values summed
+    # into one array give the per-level loop's values to rounding: at most
+    # 1.5e-15 of the largest entry over these grids, sizes and batches and
+    # all four rule cases when the bound was set. At 16385 nodes the u^4
+    # grid is left out: its second node rounds to 1
+    params = _rule_params(*_RULE_CASES[0])
+    rng = np.random.default_rng(n)
+    for grid, nodes in _run_test_grids(n).items():
+        if grid == "u^4" and nodes[1] == 1.0:
+            continue
+        op = eqmod._h2_operator(params.rho, params.exponent, nodes.tobytes(), n)
+        far = replace(op, runs=())
+        for m in (0, 1, 3):
+            g = np.vstack([np.cos(3.0 * nodes), rng.uniform(-0.5, 0.5, (2, n))])[:m]
+            dg = g[:, :-1] - g[:, 1:]
+            got = eqmod._h2_sums(far, dg, ())
+            want = _per_level_far_field(op, dg)
+            assert got.shape == want.shape == (m, n)
+            if m:
+                assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max(), (grid, m)
+    eqmod._h2_operator.cache_clear()
+
+
+def test_far_block_stretches_have_distinct_targets():
+    # each stretch of op.slots adds its products by one fancy-index sum, so
+    # no target may repeat in it; the stretches cover every far block
+    n = 4097
+    for grid, nodes in _run_test_grids(n).items():
+        op = eqmod._h2_operator(1.0 / 3.0, 2.0, nodes.tobytes(), n)
+        assert op.slots[0][0] == 0 and op.slots[-1][1] == op.targets.size, grid
+        for (lo, hi), (nxt, _) in zip(op.slots, op.slots[1:] + ((op.targets.size, 0),)):
+            assert hi == nxt and np.unique(op.targets[lo:hi]).size == hi - lo, grid
+    eqmod._h2_operator.cache_clear()
+
+
 def test_application_multiplies_each_run_once(monkeypatch):
     # 4097 uniform nodes: three runs (first leaf, 63 regular leaves, one-row
     # last leaf), so three band matmuls per application, not 65
@@ -650,8 +725,8 @@ def test_operator_of_no_rows_is_empty(monkeypatch, n):
 
 
 def test_large_grid_operator_stores_linear_memory():
-    # nested bases store O(n p) floats: 2.3 MB at 4097 nodes, not the
-    # 10.8 MB of one interpolation matrix per far block
+    # nested bases store O(n p) floats: 2.4 MB at 4097 nodes (2,376,944
+    # bytes), not the 10.8 MB of one interpolation matrix per far block
     stored = []
     for n in (4097, 16385):
         nodes = uniform_nodes(3.0, n)

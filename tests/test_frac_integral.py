@@ -336,10 +336,21 @@ def test_panel_weights_rows_match_scalar_calls():
             assert row.sum() == pytest.approx((X - 1.0) ** a / a, rel=1e-12)
 
 
+def _product_power(w: np.ndarray, e: float) -> np.ndarray:
+    """w ** e for e in {2, 3, 4} as the product formula power_differences uses."""
+    return {2.0: lambda: w * w, 3.0: lambda: w * w * w, 4.0: lambda: (w * w) * (w * w)}[e]()
+
+
 def test_power_differences_skip_zeros_bit_for_bit():
-    # pow is skipped where X - s clamps to zero; the differences must equal
-    # the plain formula's, which raises every clamped entry to the power too
+    # results are in the (panels, limits) layout. For a + 1 other than 2, 3
+    # and 4, pow is skipped where X - s clamps to zero, and the differences
+    # must equal the plain formula's, which raises every clamped entry to the
+    # power too. For a + 1 in {2, 3, 4} they are the product formula's, bit
+    # for bit, and each power is within its multiplications' roundings of
+    # the exact one: one for w*w, two for w*w*w, three for (w*w)*(w*w)
     rng = np.random.default_rng(17)
+    unit = np.finfo(float).eps / 2.0
+    exponents = set()
     for _ in range(200):
         cols = int(rng.integers(2, 300))
         s = np.cumsum(rng.uniform(0.01, 1.0, cols)) + rng.uniform(-2.0, 2.0)
@@ -352,13 +363,37 @@ def test_power_differences_skip_zeros_bit_for_bit():
             ]
         )
         rng.shuffle(limits)
-        a = float(rng.choice([0.05, 0.5, 1.0, 2.0, 3.7, rng.uniform(0.01, 5.0)]))
-        w = np.maximum(limits[:, None] - s, 0.0) ** (a + 1.0)
-        want = w[:, 1:] - w[:, :-1]
-        work = np.full(limits.size * cols, np.nan).reshape(limits.size, cols)
-        got = fractional.power_differences(limits, s, a, work, np.empty((limits.size, cols - 1)))
+        a = float(rng.choice([0.05, 0.5, 1.0, 2.0, 3.0, 3.7, rng.uniform(0.01, 5.0)]))
+        clamped = np.maximum(limits - s[:, None], 0.0)
+        if a + 1.0 in (2.0, 3.0, 4.0):
+            w = _product_power(clamped, a + 1.0)
+            exact = clamped.astype(np.longdouble) ** np.longdouble(a + 1.0)
+            roundings = a + 0.01
+            assert np.all(np.abs(w - exact) <= roundings * unit * exact)
+        else:
+            w = clamped ** (a + 1.0)
+        exponents.add(a + 1.0)
+        want = w[1:] - w[:-1]
+        work = np.full(cols * limits.size, np.nan).reshape(cols, limits.size)
+        got = fractional.power_differences(limits, s, a, work, np.empty((cols - 1, limits.size)))
         assert np.array_equal(got, want)
         assert np.array_equal(work, w)
+    assert {2.0, 3.0, 4.0} < exponents
+
+
+def test_power_differences_cubes_by_multiplication():
+    # a + 1 = 3, the kernel of every bundled scenario: the powers are w*w*w,
+    # which on this data differs from np.power in some entries
+    rng = np.random.default_rng(5)
+    s = np.cumsum(rng.uniform(0.01, 0.1, 129)) + 1.0
+    limits = rng.uniform(s[0], s[-1], 64)
+    clamped = np.maximum(limits - s[:, None], 0.0)
+    cubes = clamped * clamped * clamped
+    assert not np.array_equal(cubes, clamped**3.0)
+    work = np.empty((s.size, limits.size))
+    got = fractional.power_differences(limits, s, 2.0, work, np.empty((s.size - 1, limits.size)))
+    assert np.array_equal(work, cubes)
+    assert np.array_equal(got, cubes[1:] - cubes[:-1])
 
 
 def test_convergence_order_smooth():
