@@ -51,7 +51,7 @@ from .errors import (
     NonconvergenceError,
     ParseError,
 )
-from .expressions import Bin, Call, Expr, Neg, Var, evaluate, parse
+from .expressions import _variables, evaluate, parse
 from .fractional import FracParams, GridFunction, hilfer_integral, uniform_nodes
 from .mnc import (
     FunctionEnsemble,
@@ -156,20 +156,6 @@ def _load(args: argparse.Namespace) -> RunConfig:
     return replace(cfg, **{name: _overridden(args, name, getattr(cfg, name)) for name in _OVERRIDE_FLAGS})
 
 
-def _reads_a(expr: Expr) -> bool:
-    """Whether the variable a occurs anywhere in expr."""
-    match expr:
-        case Var(name=name):
-            return name == "a"
-        case Neg(operand=e):
-            return _reads_a(e)
-        case Bin(left=left, right=right):
-            return _reads_a(left) or _reads_a(right)
-        case Call(args=operands):
-            return any(_reads_a(e) for e in operands)
-    return False
-
-
 def _cert_payload(name: str, cert: RadiusCertificate, r0: float | None) -> dict:
     rec = {
         "name": name,
@@ -218,7 +204,7 @@ def _cmd_frac_int(args: argparse.Namespace) -> int:
         output = _overridden(args, "output", OutputConfig())
         gk = args.gamma_k_override
     expr = parse(args.expr)
-    if _reads_a(expr):
+    if "a" in _variables(expr):
         raise DomainError("--expr: the integrand is a function of x alone, but it reads the variable a")
     nodes = uniform_nodes(params.T, args.phi_nodes)
     values = np.broadcast_to(

@@ -204,11 +204,12 @@ def test_streaming_path_matches_matrix_path(monkeypatch):
                 assert fast_err <= bound, (n, a, rho, T, grid, kind, fast_err, dense_err)
 
 
-@pytest.mark.parametrize("n", [65, 130, 340, 341, 360, 4097])
+@pytest.mark.parametrize("n", [65, 130, 340, 341, 360, 4097, 4100])
 def test_streaming_path_partial_last_cluster(monkeypatch, n):
-    # 65 and 4097 end in a one-row cluster, 130 in a two-row one; the last
-    # level-0 cluster of 340 has exactly _CHEB_POINTS rows (exact), of 341
-    # one more (interpolated), of 360 it is a partial interpolated cluster
+    # 65 and 4097 nodes fill whole leaves of panels; 130, 340, 341, 360 and
+    # 4100 continue the mesh past T by 63, 45, 44, 25 and 61 panels to a
+    # whole last leaf, and the 65 leaves of 4100 end in a partial cluster
+    # on every level above them
     monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
     params = _rule_params(*_RULE_CASES[0])
     nodes = uniform_nodes(params.T, n)
@@ -217,6 +218,28 @@ def test_streaming_path_partial_last_cluster(monkeypatch, n):
     # every row of the last two leaves and a stride of the rest
     rows = np.unique(np.concatenate([np.arange(1, n, 37), np.arange(max(1, n - 130), n)]))
     assert _rule_errors(params, nodes, g, [got], rows).max() <= 1e-13
+
+
+def test_streaming_path_last_row_is_accurate_on_rough_integrands():
+    # 4097 nodes fill 64 leaves of panels and the last row shares the last
+    # panel's leaf, so its far panels are interpolated as for every other
+    # row. Evaluated exactly against all 4096 panels, this integrand's last
+    # row errs by up to 1.4e-9 of |W| @ |g| on the u^2 grid and 1.1e-2 on u^4
+    n = 4097
+    u = np.linspace(0.0, 1.0, n)
+    g = np.random.default_rng(41).uniform(-0.5, 0.5, size=(1, n))
+    for a, rho, T in _RULE_CASES:
+        params = _rule_params(a, rho, T)
+        grids = {
+            "uniform": (uniform_nodes(T, n), 1e-11),
+            "u^2": (1.0 + (T - 1.0) * u**2, 1e-11),
+            "u^4": (1.0 + (T - 1.0) * u**4, 1e-4),
+        }
+        for grid, (nodes, bound) in grids.items():
+            got = _integral(params, nodes, g)
+            err = _rule_errors(params, nodes, g, [got], [n - 1]).max()
+            assert err <= bound, (a, rho, T, grid, err)
+    eqmod._h2_operator.cache_clear()
 
 
 def _count_exact_entries(monkeypatch) -> list:
@@ -324,18 +347,21 @@ def test_streaming_path_cost_is_near_linear(monkeypatch):
 
 
 def test_large_grid_exact_blocks_are_merged():
-    # 4097 nodes end in a one-row leaf whose far blocks no level can
-    # interpolate; with its near block they form one block, so every leaf
-    # has one exact block, and no two blocks on the same rows meet in panels
+    # 4097 nodes fill 64 leaves of panels, and row i shares the leaf of
+    # panel i - 1; on the uniform grid every far block is interpolated, so
+    # each leaf has one exact block, against the previous leaf and itself.
+    # On no grid do two blocks on the same rows meet in panels: the u^4
+    # grid's exact far blocks are merged with their leaf's near block
     n = 4097
-    nodes = uniform_nodes(3.0, n)
-    exact = eqmod._h2_operator(1.0 / 3.0, 2.0, nodes.tobytes(), n).exact
+    for grid, nodes in _run_test_grids(n).items():
+        exact = eqmod._h2_operator(1.0 / 3.0, 2.0, nodes.tobytes(), n).exact
+        if grid == "uniform":
+            assert len(exact) == (n - 1) // eqmod._LEAF_ROWS == 64
+            assert exact[-1] == (n - 64, n, n - 129, n - 1)
+        for (r0, r1, c0, c1), (q0, q1, d0, d1) in itertools.combinations(exact, 2):
+            if (r0, r1) == (q0, q1):
+                assert c1 < d0 or d1 < c0, grid
     eqmod._h2_operator.cache_clear()
-    assert len(exact) == -(-n // eqmod._LEAF_ROWS) == 65
-    assert exact[-1] == (n - 1, n, 0, n - 1)
-    for (r0, r1, c0, c1), (q0, q1, d0, d1) in itertools.combinations(exact, 2):
-        if (r0, r1) == (q0, q1):
-            assert c1 < d0 or d1 < c0
 
 
 def _run_test_grids(n: int) -> dict:
@@ -373,23 +399,30 @@ def test_runs_partition_the_exact_blocks(n):
             assert (q0, q1, d0, d1) != (r0 + leaf, r1 + leaf, c0 + leaf, c1 + leaf) or q1 - q0 != leaf
         counts[grid] = len(op.runs)
     eqmod._h2_operator.cache_clear()
-    # the first leaf, the regular leaves and the short last leaf; graded
-    # grids split the first few leaves off
-    assert (counts["uniform"], counts["u^2"], counts["u^4"]) == (3, 5, 7)
+    # the first leaf and the regular leaves; graded grids split the first
+    # few leaves off
+    assert (counts["uniform"], counts["u^2"], counts["u^4"]) == (2, 4, 6)
+
+
+def _continued_differences(op, g: np.ndarray) -> np.ndarray:
+    """g[:, j] - g[:, j + 1] on every panel of op's mesh continued past T: zero there."""
+    dg = np.zeros((g.shape[0], op.widths.size))
+    dg[:, : g.shape[1] - 1] = g[:, :-1] - g[:, 1:]
+    return dg
 
 
 def _per_block_values(params, nodes, g, band) -> np.ndarray:
     """_integral_values (Gamma_k = 1) with the near band multiplied block by block."""
     n, a = nodes.size, params.exponent
     op = eqmod._h2_operator(params.rho, a, nodes.tobytes(), n)
-    dg = g[:, :-1] - g[:, 1:]
+    dg = _continued_differences(op, g)
     c = dg / np.diff(op.s)
-    total = np.zeros(g.shape)
+    total = np.zeros((g.shape[0], op.s.size))
     for (r0, r1, c0, c1), d in zip(op.exact, band.blocks):
         total[:, r0:r1] += c[:, c0:c1] @ d.T
     total += eqmod._h2_sums(replace(op, runs=()), dg, ())
     total += op.boundary * g[:, :1]
-    return (params.rho ** (-a) / (params.k * (a * (a + 1.0)))) * total
+    return (params.rho ** (-a) / (params.k * (a * (a + 1.0)))) * total[:, :n]
 
 
 @pytest.mark.parametrize("n", [2050, 4097, 8193])
@@ -413,37 +446,33 @@ def _per_level_far_field(op, dg: np.ndarray) -> np.ndarray:
     """The far field of _h2_sums computed level by level: moments and local
     values in one array per level, one far-block product and one np.add.at
     per level, and the children's moments summed pairwise by a reshape."""
-    m, n = dg.shape[0], op.s.shape[0]
-    out = np.zeros((m, n))
-    if m == 0 or not op.levels:
+    m = dg.shape[0]
+    out = np.zeros((m, op.s.size))
+    if m == 0:
         return out
     leaf, p = eqmod._LEAF_ROWS, eqmod._CHEB_POINTS
-    full = op.anterp.shape[0]
-    moments = [np.matmul(dg[:, : full * leaf].reshape(m, full, leaf).transpose(1, 0, 2), op.anterp)]
-    for lev, parent in zip(op.levels, op.levels[1:]):
-        children = np.matmul(moments[-1][: 2 * parent.full], lev.up[: 2 * parent.full])
-        moments.append(children.reshape(parent.full, 2, m, p).sum(axis=1))
-    moment_at = np.cumsum([0] + [lev.full for lev in op.levels])
-    local_at = np.cumsum([0] + [lev.points.shape[0] for lev in op.levels])
+    leaves = op.anterp.shape[0]
+    # level l has ceil(leaves / 2^l) clusters, the first leaves >> l of them full
+    counts = [-(-leaves >> lvl) for lvl in range(len(op.up) + 1)]
+    at = np.cumsum([0] + counts)
+    moments = [np.matmul(dg.reshape(m, leaves, leaf).transpose(1, 0, 2), op.anterp)]
+    for lvl, up in enumerate(op.up):
+        full = leaves >> (lvl + 1)
+        children = np.matmul(moments[-1][: 2 * full], up[: 2 * full])
+        moments.append(children.reshape(full, 2, m, p).sum(axis=1))
     local = None
-    for lvl in reversed(range(len(op.levels))):
-        lev = op.levels[lvl]
+    for lvl in reversed(range(len(counts))):
         if local is None:
-            here = np.zeros((lev.points.shape[0], m, p))
+            here = np.zeros((counts[lvl], m, p))
         else:
-            here = np.matmul(local[lev.parents], lev.up.transpose(0, 2, 1))
-        mine = (op.targets >= local_at[lvl]) & (op.targets < local_at[lvl + 1])
-        sources = op.sources[mine] - moment_at[lvl]
-        assert np.all((sources >= 0) & (sources < lev.full))
+            here = np.matmul(local[np.arange(counts[lvl]) // 2], op.up[lvl].transpose(0, 2, 1))
+        mine = (op.targets >= at[lvl]) & (op.targets < at[lvl + 1])
+        sources = op.sources[mine] - at[lvl]
+        assert np.all((sources >= 0) & (sources < leaves >> lvl))
         far = np.matmul(moments[lvl][sources], op.kernels[mine])
-        np.add.at(here, op.targets[mine] - local_at[lvl], far)
-        if lev.spill is not None:
-            k, r0, r1, mat = lev.spill
-            out[:, r0:r1] += here[k] @ mat
+        np.add.at(here, op.targets[mine] - at[lvl], far)
         local = here
-    rows = np.matmul(local, op.interp).transpose(1, 0, 2).reshape(m, op.interp.shape[0] * leaf)
-    span = min(n, rows.shape[1])
-    out[:, :span] += rows[:, :span]
+    out[:, 1:] += np.matmul(local, op.interp).transpose(1, 0, 2).reshape(m, leaves * leaf)
     return out
 
 
@@ -463,10 +492,10 @@ def test_far_field_matches_a_per_level_loop(n):
         far = replace(op, runs=())
         for m in (0, 1, 3):
             g = np.vstack([np.cos(3.0 * nodes), rng.uniform(-0.5, 0.5, (2, n))])[:m]
-            dg = g[:, :-1] - g[:, 1:]
+            dg = _continued_differences(op, g)
             got = eqmod._h2_sums(far, dg, ())
             want = _per_level_far_field(op, dg)
-            assert got.shape == want.shape == (m, n)
+            assert got.shape == want.shape == (m, op.s.size)
             if m:
                 assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max(), (grid, m)
     eqmod._h2_operator.cache_clear()
@@ -485,11 +514,11 @@ def test_far_block_stretches_have_distinct_targets():
 
 
 def test_application_multiplies_each_run_once(monkeypatch):
-    # 4097 uniform nodes: three runs (first leaf, 63 regular leaves, one-row
-    # last leaf), so three band matmuls per application, not 65
+    # 4097 uniform nodes: two runs (the first leaf and 63 regular leaves),
+    # so two band matmuls per application, not 64
     eq, start = _forced_solve_input()
     band = near_band(eq, start.nodes)
-    assert len(band.stacks) == 3 and len(band.blocks) == 65
+    assert len(band.stacks) == 2 and len(band.blocks) == 64
     calls = []
     matmul = np.matmul
 
@@ -499,7 +528,7 @@ def test_application_multiplies_each_run_once(monkeypatch):
 
     monkeypatch.setattr(np, "matmul", counted)
     apply_operator_batch(eq, start.nodes, start.values[None, :], band=band)
-    assert sum(calls) == 3
+    assert sum(calls) == 2
 
 
 _FORCED = {
@@ -555,11 +584,11 @@ def test_solve_with_band_matches_applications_without_one():
 
 
 def test_solve_evaluates_the_near_band_once(monkeypatch):
-    # at 4097 uniform nodes the band's 65 exact blocks take 520,192 entries:
-    # the first leaf against itself (64 x 63), 63 leaves against the
-    # previous leaf and themselves (64 x 127 each) and the one-row last leaf
-    # (1 x 4096). They are built once per solve, and no application
-    # evaluates any. The band is released when solve returns.
+    # at 4097 uniform nodes the band's 64 exact blocks take 520,192 entries:
+    # the first leaf against itself (64 x 64) and 63 leaves against the
+    # previous leaf and themselves (64 x 128 each). They are built once per
+    # solve, and no application evaluates any. The band is released when
+    # solve returns.
     bands = []
 
     def recorded(eq, nodes):
@@ -572,7 +601,7 @@ def test_solve_evaluates_the_near_band_once(monkeypatch):
     entries = _count_exact_entries(monkeypatch)
     report = solve(eq, start, tol=1e-10)
     assert report.iterations >= 20
-    assert sum(entries) == 64 * 63 + 63 * 64 * 127 + 4096 == 520_192
+    assert sum(entries) == 64 * 64 + 63 * 64 * 128 == 520_192
     assert len(bands) == 1 and bands[0]() is None
 
 
@@ -633,14 +662,14 @@ def test_band_of_another_equation_or_nodes_array_is_refused(n):
 
 def test_band_holds_the_dense_matrix_or_the_exact_blocks(monkeypatch):
     # the dense matrix is the all-near-band case, with no stacks; a 65-node
-    # large grid has two leaves
+    # large grid has one leaf
     eq = parse_config(_FORCED).equations[0]
     dense = near_band(eq, uniform_nodes(3.0, 129))
     assert isinstance(dense.op, np.ndarray) and dense.blocks == ()
-    assert len(near_band(eq, uniform_nodes(3.0, 4097)).blocks) == 65
+    assert len(near_band(eq, uniform_nodes(3.0, 4097)).blocks) == 64
     monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
     small = near_band(eq, uniform_nodes(3.0, 65))
-    assert [b.shape for b in small.blocks] == [(64, 63), (1, 64)]
+    assert [b.shape for b in small.blocks] == [(64, 64)]
 
 
 def test_dense_path_application_with_band_matches_one_without():
@@ -725,7 +754,7 @@ def test_operator_of_no_rows_is_empty(monkeypatch, n):
 
 
 def test_large_grid_operator_stores_linear_memory():
-    # nested bases store O(n p) floats: 2.4 MB at 4097 nodes (2,376,944
+    # nested bases store O(n p) floats: 2.3 MB at 4097 nodes (2,342,976
     # bytes), not the 10.8 MB of one interpolation matrix per far block
     stored = []
     for n in (4097, 16385):
