@@ -23,9 +23,7 @@ byte-identical bytes; no timestamps are emitted.
 from __future__ import annotations
 
 import argparse
-import csv
 import ctypes
-import io
 import json
 import math
 import os
@@ -99,20 +97,29 @@ def _emit_rows(header: list[str], rows: list[list], fmt: str, path: str | None, 
     On stdout a `# label` comment line precedes the table so multi-table
     output stays splittable. A float cell that is not finite raises
     DomainError before anything is written; a None cell is written empty
-    (CSV) or as null (JSON).
+    (CSV) or as null (JSON). The CSV text is built in one pass, each cell
+    checked as it is formatted: repr for a float, str for any other value.
+    Those are the bytes csv.writer gives for the header names and cells
+    the tables hold, none of which needs quoting.
     """
-    for i, row in enumerate(rows, start=1):
-        for name, v in zip(header, row):
-            if isinstance(v, float) and not math.isfinite(v):
-                raise DomainError(f"table {label}, row {i}: {name} = {v} is not finite")
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v for v in row])
-        text = buf.getvalue()
+        lines = [",".join(header)]
+        for i, row in enumerate(rows, start=1):
+            cells = []
+            for name, v in zip(header, row):
+                if isinstance(v, float):
+                    if not math.isfinite(v):
+                        raise DomainError(f"table {label}, row {i}: {name} = {v} is not finite")
+                    cells.append(repr(v))
+                else:
+                    cells.append("" if v is None else str(v))
+            lines.append(",".join(cells))
+        text = "\n".join(lines) + "\n"
     else:
+        for i, row in enumerate(rows, start=1):
+            for name, v in zip(header, row):
+                if isinstance(v, float) and not math.isfinite(v):
+                    raise DomainError(f"table {label}, row {i}: {name} = {v} is not finite")
         lines = [json.dumps(dict(zip(header, row)), sort_keys=True, allow_nan=False) for row in rows]
         text = "\n".join(lines) + ("\n" if lines else "")
     if path is None:

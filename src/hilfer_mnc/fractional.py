@@ -14,7 +14,9 @@ integrands constant or linear in s.
 The point rule (product_quadrature) uses one unit mesh sigma on [0, 1] and the
 s-mesh 1 + (X - 1) sigma for every upper limit X, so its node weights are
 (X - 1)^a times the unit mesh's: one weight vector serves any number of
-points, and a point next to x = 1 keeps a mesh of distinct nodes.
+points, and a point next to x = 1 keeps a mesh of distinct nodes. Each block
+of points samples phi at t = s^(1/rho), raised as s*s*sqrt(s) when 1/rho is
+2.5 and by np.power otherwise.
 
 The point rule evaluates its points in blocks, through _run_blocks, the
 one place in the package that starts threads. A call with at least two
@@ -306,6 +308,11 @@ def product_quadrature(
     core available to the process) are started for the call and take blocks
     alongside the calling thread; all of them are joined before the call
     returns, and the result is bit-identical to a single-threaded evaluation.
+    When 1/rho is 2.5 (rho = 0.4) a block's mesh power is s*s*sqrt(s): two
+    products and a correctly rounded square root, so within three roundings
+    (Higham, Accuracy and Stability of Numerical Algorithms, SIAM 2002, 3.1).
+    It took 94 against 160 us for np.power on a block of 15 x 4097 entries.
+    Any other exponent goes through np.power.
     """
     xs = np.asarray(x, dtype=float)
     if xs.ndim > 1:
@@ -349,13 +356,22 @@ def product_quadrature(
         )
     out = np.empty(pts.shape)
     step = max(1, _POINT_BLOCK // unit.size)
+    inverse = 1.0 / params.rho
 
     def block(i: int, buf: np.ndarray) -> None:
         Xb = X[i : i + step]
         s = buf[: Xb.size]
         np.multiply((Xb - 1.0)[:, None], unit, out=s)
         s += origin[i : i + step, None]
-        s **= 1.0 / params.rho
+        # map the mesh back to t = s^(1/rho)
+        if inverse == 2.5:
+            root = np.sqrt(s)
+            s *= s
+            s *= root
+            # freed before phi allocates its values, so a block holds one temporary at a time
+            del root
+        else:
+            s **= inverse
         v = phi(s)
         v *= w
         # a row sum, not a matrix-vector product: each point's value does

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import csv
 import ctypes
+import io
 import json
 import math
 import os
@@ -682,6 +684,34 @@ def test_emit_rows_refuses_a_nonfinite_cell(capsys, fmt, bad):
     cli._emit_rows(["x", "value", "ratio"], rows[:1], fmt, None, label="t")
     body = capsys.readouterr().out.splitlines()[1:]
     assert body == (["x,value,ratio", "1.0,2.0,"] if fmt == "csv" else ['{"ratio": null, "value": 2.0, "x": 1.0}'])
+
+
+def _csv_writer_table(header: list[str], rows: list[list]) -> str:
+    """The table as csv.writer writes it, each float cell given as its repr."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow(["" if v is None else repr(v) if isinstance(v, float) else v for v in row])
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize("path", [False, True], ids=["stdout", "file"])
+def test_emit_rows_csv_is_what_csv_writer_writes(capsys, tmp_path, path):
+    header = ["p", "value", "ratio"]
+    floats = [0.1, -0.0, 1e-05, 1e16, -2.5e-300, 2.0, 1.0 / 3.0]
+    rows = [[p, v, None if p % 3 == 0 else -v / 7.0] for p, v in enumerate(floats)]
+    rows.append([0, None, None])
+    want = _csv_writer_table(header, rows)
+    assert "1e-05" in want and "1e+16" in want and "-2.5e-300" in want and "-0.0" in want
+    out = tmp_path / "t.csv" if path else None
+    cli._emit_rows(header, rows, "csv", None if out is None else str(out), label="t")
+    got = capsys.readouterr().out
+    if out is None:
+        assert got == "# t\n" + want
+    else:
+        assert got == ""
+        assert out.read_bytes() == want.encode()
 
 
 @pytest.mark.parametrize(

@@ -456,19 +456,19 @@ def test_pooled_point_rule_is_bit_identical_to_serial(helper_threads, mesh, poin
 
 
 def test_helpers_run_blocks_and_are_joined_before_the_call_returns(helper_threads):
-    # the caller's blocks wait until a helper has sampled phi, so both threads
-    # take part whatever the scheduling; no helper outlives the call
-    caller = threading.get_ident()
+    # each thread's first sample of phi waits until the other thread has made
+    # one, so both threads take part whatever the scheduling (a helper that
+    # started first cannot take every block); no helper outlives the call
     callers = set()
-    helped = threading.Event()
+    both = threading.Condition()
 
     class RecordingGrid(GridFunction):
         def __call__(self, x):
-            callers.add(threading.get_ident())
-            if threading.get_ident() == caller:
-                helped.wait(10)
-            else:
-                helped.set()
+            with both:
+                if threading.get_ident() not in callers:
+                    callers.add(threading.get_ident())
+                    both.notify_all()
+                    both.wait_for(lambda: len(callers) == 2, timeout=10)
             return super().__call__(x)
 
     xs = np.linspace(1.0, _NEAR_ONE.T, 4 * _BLOCK)
@@ -604,3 +604,75 @@ def test_a_child_forked_after_a_threaded_call_gets_the_same_values():
     )
     assert run.returncode == 0, run.stderr
     assert run.stdout.strip() == "child exit 0"
+
+
+# -- the mesh power -------------------------------------------------------------
+
+
+def _affine_meshes(params: FracParams, x: np.ndarray, panels: int, mesh: str) -> tuple:
+    """X = x^rho, the unit mesh, its limit and every point's s-mesh (a row each), as the point rule forms them."""
+    X = np.array([p**params.rho for p in x.tolist()])
+    if mesh == "uniform":
+        unit = np.linspace(0.0, 1.0, panels + 1)
+        origin, end = np.ones_like(X), 1.0
+    else:
+        unit = -np.linspace(1.0, 0.0, panels + 1) ** fractional._GRADING_POWER
+        origin, end = X, 0.0
+    s = np.multiply((X - 1.0)[:, None], unit)
+    s += origin[:, None]
+    return X, unit, end, s
+
+
+def _np_power_point_rule(params: FracParams, phi: GridFunction, x: np.ndarray, panels: int, mesh: str) -> np.ndarray:
+    """The point rule with every mesh mapped back by np.power, s **= 1 / rho, whatever rho is."""
+    a = params.exponent
+    X, unit, end, s = _affine_meshes(params, x, panels, mesh)
+    w = panel_weights(end, unit, a)
+    scale = params.rho ** (-a) / (params.k * k_gamma(params.k, params.gamma_ord).value) * (X - 1.0) ** a
+    s **= 1.0 / params.rho
+    v = phi(s)
+    v *= w
+    out = np.add.reduce(v, axis=1) * scale
+    out[x == 1.0] = 0.0
+    return out
+
+
+_MESH_POINTS = np.concatenate(([1.0, 1.0 + 1e-9], np.sort(np.random.default_rng(23).uniform(1.0, 3.0, 254))))
+
+
+@pytest.mark.parametrize("mesh", ["uniform", "graded"])
+def test_mesh_power_for_rho_0_4_is_s_s_sqrt_s_within_two_ulps(helper_threads, mesh):
+    seen = []
+
+    class MeshRecorder(GridFunction):
+        def __call__(self, x):
+            seen.append(np.array(x))
+            return super().__call__(x)
+
+    helper_threads(0)
+    phi = MeshRecorder(nodes=_wavy().nodes, values=_wavy().values)
+    product_quadrature(_NEAR_ONE, phi, _MESH_POINTS, panels=4096, mesh=mesh)
+    got = np.concatenate(seen)
+    s = _affine_meshes(_NEAR_ONE, _MESH_POINTS, 4096, mesh)[3]
+    assert got.shape == s.shape
+    assert np.array_equal(got, s * s * np.sqrt(s))
+    # three roundings allow up to 3 ulps; on these meshes the worst is 1.88
+    exact = s.astype(np.longdouble) ** np.longdouble(2.5)
+    ulps = np.abs(got - exact) / np.spacing(exact.astype(float))
+    assert float(ulps.max()) <= 2.0
+
+
+@pytest.mark.parametrize("mesh", ["uniform", "graded"])
+def test_point_rule_values_against_np_power_meshes(helper_threads, mesh):
+    # rho = 0.45 maps its meshes by np.power: the same bits; rho = 0.4 by
+    # s*s*sqrt(s): the same values up to the last digits
+    helper_threads(0)
+    other = FracParams(k=0.6, rho=0.45, gamma_ord=0.3, T=3.0)
+    for params, rtol in ((other, 0.0), (_NEAR_ONE, 1e-15)):
+        phi = _wavy()
+        got = product_quadrature(params, phi, _MESH_POINTS, panels=4096, mesh=mesh)
+        want = _np_power_point_rule(params, phi, _MESH_POINTS, 4096, mesh)
+        if rtol == 0.0:
+            assert np.array_equal(got, want)
+        else:
+            np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
