@@ -10,14 +10,15 @@ mesh s = nodes**rho. near_band(eq, nodes) binds an equation to one grid
 once: it checks the grid, evaluates every part of f, psi and g in x alone
 on the nodes, and holds the grid's operator. Every application goes
 through such a band, the one a loop passes it or one built for the call.
-For moderate grids the operator is the lower-triangular matrix of the
-rule's node weights, cached and applied as a matmul. Large grids never
-form it: summation by parts writes the rule with the first divided
-differences of (X - s)_+^(a+1) (the power slopes) against the differences
-of the integrand. The entries within one leaf of the diagonal, and the far
-blocks no level could interpolate, form the near band and are evaluated
-exactly. Each band block holds the undivided panel differences of the
-powers (fractional.power_differences) and depends on (nodes, rho, a) only;
+Summed by parts, the rule takes the first divided differences of
+(X - s)_+^(a+1) (the power slopes) against the integrand's differences,
+and a boundary term against its first value (fractional.panel_weights).
+For moderate grids the operator is the lower-triangular matrix of these,
+cached and applied as a matmul; large grids never form it. The entries
+within one leaf of the diagonal, and the far blocks no level could
+interpolate, form the near band and are evaluated exactly. Each band
+block holds the undivided panel differences of the powers
+(fractional.power_differences) and depends on (nodes, rho, a) only;
 near_band evaluates every block on the calling thread. Consecutive blocks
 of one shape, each one leaf below and right of the last, form a run, and
 the band stores each run as one stack. An application divides the
@@ -112,18 +113,19 @@ class EquationSpec:
 
 @lru_cache(maxsize=4)
 def _weight_matrix(rho: float, a: float, nodes_bytes: bytes, n: int) -> np.ndarray:
-    """Lower-triangular node-weight matrix W with I = prefactor * (W @ g).
+    """The dense operator C, lower-triangular: a (a+1) I = C @ [g_0, g_0 - g_1, g_1 - g_2, ...].
 
-    Row j carries the weights of the product rule for upper limit
-    X = nodes[j]**rho over the grid-induced s-mesh; row 0 is zero.
+    Row j is panel_weights at X = nodes[j]**rho over the grid-induced
+    s-mesh: the boundary term, then the near band's entries over the panel
+    widths. Row 0 is zero.
     """
     nodes = np.frombuffer(nodes_bytes, dtype=float)
     s = nodes**rho
-    w = np.zeros((n, n))
+    c = np.zeros((n, n))
     work = np.empty(2 * n)
     for j in range(1, n):
-        w[j, : j + 1] = panel_weights(s[j], s[: j + 1], a, work)
-    return w
+        c[j, : j + 1] = panel_weights(s[j], s[: j + 1], a, work)
+    return c
 
 
 def _chebyshev_points(lo: float, hi: float) -> np.ndarray:
@@ -373,7 +375,7 @@ class NearBand:
     eq and nodes are the objects the band was built for. f, psi and g are
     eq's expressions with every subtree that reads x but not a replaced by
     its read-only value on nodes (expressions._bind). op is the grid's
-    cached operator: the dense weight matrix (_weight_matrix) up to
+    cached operator: the dense matrix C (_weight_matrix) up to
     _MATRIX_MAX_NODES nodes, the all-near-band case with no stacks, and
     the _H2Operator above, whose block (r0, r1, c0, c1) = op.exact[i] holds
     the panel differences of (X - s)_+^(a+1) of its limits s[r0:r1]
@@ -507,28 +509,28 @@ def _integral_values(band: NearBand, g: np.ndarray) -> np.ndarray:
 
     g has shape (m, n): m integrands sampled on the band's n nodes. Returns
     the (m, n) matrix of integral values, with Gamma_k read from band.eq
-    now. The dense weight matrix applies as one matmul. The _H2Operator
-    sums the rule by parts in its exact form
+    now. Both operators apply the rule summed by parts,
 
-        a (a+1) I(X) = (a+1) (X - s_0)^a g_0 - sum_j d_j(X) (g_{j+1} - g_j),
+        a (a+1) I(X) = (a+1) (X - s_0)^a g_0 + sum_j d_j(X) (g_j - g_{j+1}),
 
-    with d_j(X) the power slopes, through the band's stacks; the boundary
-    term starts the sum. The sum runs on the mesh continued past T, with
-    zero differences there, and the rows past T are dropped.
+    to one differenced integrand: g_0, the panel differences, and zeros on
+    the H^2 mesh past T, whose rows are dropped. The dense matrix takes it
+    in one matmul; the _H2Operator starts its sum with the boundary term.
     """
     params = band.eq.params
     a = params.exponent
     pref = params.rho ** (-a) / (params.k * band.eq.gamma_k_value())
     op = band.op
-    if isinstance(op, np.ndarray):
-        return pref * (g @ op.T)
     m, n = g.shape
-    # the differences on the continued mesh, zero past T
-    dg = np.empty((m, op.widths.shape[0]))
-    np.subtract(g[:, :-1], g[:, 1:], out=dg[:, : n - 1])
-    dg[:, n - 1 :] = 0.0
-    # the boundary column starts the sum, so it costs no pass of its own
-    total = _h2_sums(op, dg, band.stacks, op.boundary * g[:, :1])[:, :n]
+    dense = isinstance(op, np.ndarray)
+    dg = np.empty((m, n if dense else op.s.shape[0]))
+    dg[:, 0] = g[:, 0]
+    np.subtract(g[:, :-1], g[:, 1:], out=dg[:, 1:n])
+    if dense:
+        total = dg @ op.T
+    else:
+        dg[:, n:] = 0.0
+        total = _h2_sums(op, dg[:, 1:], band.stacks, op.boundary * dg[:, :1])[:, :n]
     total *= pref / (a * (a + 1.0))
     return total
 

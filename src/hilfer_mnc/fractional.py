@@ -236,46 +236,43 @@ def power_differences(X: np.ndarray, s: np.ndarray, a: float, w: np.ndarray, d: 
     return d
 
 
-def panel_weights(
-    X: float | np.ndarray, s: np.ndarray, a: float, work: np.ndarray | None = None
-) -> np.ndarray:
-    """Node weights W of the product rule: int_{s[0]}^X (X - s)^(a-1) p(s) ds = W @ p(s).
+def panel_weights(X: float, s: np.ndarray, a: float, work: np.ndarray | None = None) -> np.ndarray:
+    """Weights C of the product rule on the differenced integrand, summed by parts.
 
-    p is the piecewise-linear interpolant of its values at the mesh s. With
-    G(w) = w^(a+1) / (a (a+1)) the kernel is G''(X - s), so integrating each
-    hat function by parts twice makes its weight the second divided
-    difference of G(X - s) at the node's neighbours: the first divided
-    differences of (X - s)_+^(a+1) are power_differences divided by the
-    panel widths, and each weight is the difference of its two neighbouring
-    ones. The first node adds the boundary term G'(X - s[0]) = (X - s[0])^a
-    / a to its first divided difference. X - s is clamped at 0 before the
-    power, so G(X - s) vanishes from X on and every node after the first
-    one at or beyond X weighs 0.
-
-    X may be a scalar (returns shape (len(s),)) or an array of upper limits
-    (returns one row per limit). work, when given, is a float64 buffer of at
-    least 2 * rows * len(s) elements; the result is then a view into it.
-    For an array of limits the rows are a transposed view of the
-    (nodes, limits) layout power_differences computes in.
-    The weights are nonnegative for any a > 0.
+    With p the piecewise-linear interpolant of its values at the mesh s,
+    a (a+1) int_{s[0]}^X (X - s)^(a-1) p(s) ds = C @ [p_0, p_0 - p_1, p_1 - p_2, ...].
+    C[0] = (a+1) (X - s[0])_+^a, and C[j + 1] is the slope of (X - s)_+^(a+1)
+    over panel j, power_differences over the panel width: 0 from the first
+    panel that starts at or beyond X. The slopes meet integrand differences,
+    which are small where the panels are, so nothing cancels on graded
+    meshes. work, when given, is a float64 buffer of at least 2 * len(s)
+    elements; the result is then a view into it.
     """
-    limits = np.atleast_1d(np.asarray(X, dtype=float))
-    rows, cols = limits.shape[0], s.shape[0]
-    size = rows * cols
+    cols = s.shape[0]
     if work is None:
-        work = np.empty(2 * size)
-    w = work[:size].reshape(cols, rows)
-    d = work[size : 2 * size - rows].reshape(cols - 1, rows)
-    power_differences(limits, s, a, w, d)
-    d /= np.diff(s)[:, None]
-    # from here on w holds the weights scaled by a (a+1)
-    np.add((a + 1.0) * np.maximum(limits - s[0], 0.0) ** a, d[0], out=w[0])
-    np.subtract(d[1:], d[:-1], out=w[1:-1])
-    np.negative(d[-1], out=w[-1])
+        work = np.empty(2 * cols)
+    limit, c = np.array([X], dtype=float), work[cols : 2 * cols]
+    power_differences(limit, s, a, work[:cols].reshape(cols, 1), c[1:].reshape(cols - 1, 1))
+    c[1:] /= np.diff(s)
+    c[:1] = (a + 1.0) * np.maximum(limit - s[0], 0.0) ** a
+    return c
+
+
+def _node_weights(X: float, s: np.ndarray, a: float) -> np.ndarray:
+    """Node weights W of the point rule: int_{s[0]}^X (X - s)^(a-1) p(s) ds = W @ p(s).
+
+    Each is the difference of its panels' slopes in panel_weights (the first
+    node's plus the boundary term) over a (a+1), clamped at 0. On the point
+    rule's meshes, uniform or graded as u^2, the slopes do not cancel.
+    """
+    c = panel_weights(X, s, a)
+    w = np.empty_like(c)
+    np.add(c[:1], c[1:2], out=w[:1])
+    np.subtract(c[2:], c[1:-1], out=w[1:-1])
+    np.negative(c[-1:], out=w[-1:])
     w /= a * (a + 1.0)
-    # the divided differences cancel on fine meshes; clamp the rounding dust
     np.maximum(w, 0.0, out=w)
-    return w[:, 0] if np.ndim(X) == 0 else w.T
+    return w
 
 
 def product_quadrature(
@@ -343,7 +340,7 @@ def product_quadrature(
         origin, end = X, 0.0
     else:
         raise DomainError(f"mesh must be 'uniform' or 'graded', got {mesh!r}")
-    w = panel_weights(end, unit, a)
+    w = _node_weights(end, unit, a)
     gk = gamma_k_value if gamma_k_value is not None else k_gamma(params.k, params.gamma_ord).value
     with np.errstate(all="ignore"):
         scale = params.rho ** (-a) / (params.k * gk) * (X - 1.0) ** a

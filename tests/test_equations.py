@@ -672,6 +672,45 @@ def test_band_holds_the_dense_matrix_or_the_exact_blocks(monkeypatch):
     assert [b.shape for b in small.blocks] == [(64, 64)]
 
 
+@pytest.mark.parametrize("a", [2.0, 0.5])
+def test_dense_matrix_holds_the_near_band_slopes(monkeypatch, a):
+    # one rule on every grid: a 65-node large grid is one leaf, whose band
+    # block over the panel widths is the dense matrix's slope columns, and
+    # whose boundary column is the dense matrix's first, bit for bit (a = 2
+    # cubes by multiplication, a = 0.5 raises by np.power)
+    params = _rule_params(a, 1.0 / 3.0, 3.0)
+    u = np.linspace(0.0, 1.0, 65)
+    for nodes in (uniform_nodes(3.0, 65), 1.0 + 2.0 * u**4):
+        monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 2049)
+        dense = near_band(_rule_eq(params), nodes).op
+        monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
+        band = near_band(_rule_eq(params), nodes)
+        (block,) = band.blocks
+        assert np.array_equal(block / band.op.widths, dense[1:, 1:])
+        assert np.array_equal(band.op.boundary, dense[:, 0])
+
+
+def test_dense_path_is_exact_on_graded_grids():
+    # the rule integrates g = 1 and g = s - s_0 exactly. On grids graded
+    # toward t = 1 the panels near x = 1 are 1e-11 to 1e-14 wide, where node
+    # weights formed as second differences of (X - s)^(a+1) cancel (errors
+    # up to 1.4e-3); the slopes against the integrand differences do not
+    rows = {}
+    for q, n, a in itertools.product((3, 4), (129, 1025, 2049), (2.0, 0.3)):
+        params = _rule_params(a, 1.0 / 3.0, 3.0)
+        nodes = 1.0 + 2.0 * np.linspace(0.0, 1.0, n) ** q
+        s = nodes**params.rho
+        got = _integral(params, nodes, np.vstack([np.ones(n), s - s[0]]))[:, 1:]
+        # the closed forms on the program's own mesh, with Gamma_k = 1
+        x = s[1:].astype(np.longdouble) - np.longdouble(s[0])
+        al = np.longdouble(a)
+        pref = np.longdouble(params.rho) ** -al / np.longdouble(params.k)
+        want = pref * np.vstack([x**al / al, x ** (al + 1) / (al * (al + 1))])
+        rows[q, n, a] = float(np.max(np.abs(got - want) / want))
+    eqmod._weight_matrix.cache_clear()
+    assert max(rows.values()) <= 4e-15, rows
+
+
 def test_dense_path_application_with_band_matches_one_without():
     # at 129 nodes the band binds f, psi and g and the weight matrix too: an
     # application given it gives the bits of one that builds its own, and a

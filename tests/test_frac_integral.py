@@ -305,35 +305,45 @@ def test_point_rule_matches_extended_precision():
     a=st.floats(min_value=0.05, max_value=4.0),
     span=st.floats(min_value=0.1, max_value=2.0),
 )
-def test_panel_weights_are_nonnegative(a, span):
+def test_point_rule_node_weights_are_nonnegative(a, span):
+    # the point rule's node weights, derived from panel_weights' slopes, are
+    # nonnegative, and their clamp drops no more than rounding: they still
+    # sum to int_1^X (X - s)^(a-1) ds = (X-1)^a / a
     s = 1.0 + span * np.linspace(0.0, 1.0, 17)
-    w = panel_weights(float(s[-1]), s.copy(), a)
+    w = fractional._node_weights(float(s[-1]), s.copy(), a)
     assert np.all(w >= 0.0)
+    assert w.sum() == pytest.approx(span**a / a, rel=1e-12)
 
 
 def test_panel_weights_reproduce_plain_moment():
-    # sum of all weights equals int_1^X (X - s)^(a-1) ds = (X-1)^a / a
+    # p == 1 has no differences, so its integral is the boundary entry over
+    # a (a+1): int_1^X (X - s)^(a-1) ds = (X-1)^a / a. p = s - 1 adds the
+    # slopes: a (a+1) int_1^X (X - s)^(a-1) (s - 1) ds = (X-1)^(a+1)
     a = 1.7
     s = 1.0 + 0.8 * np.linspace(0.0, 1.0, 33)
-    w = panel_weights(float(s[-1]), s.copy(), a)
-    assert w.sum() == pytest.approx(0.8**a / a, rel=1e-12)
+    linear = np.concatenate(([0.0], -np.diff(s)))
+    for X in (float(s[-1]), float(s[20]), 0.5 * float(s[9] + s[10])):
+        c = panel_weights(X, s, a)
+        assert c[0] / (a * (a + 1.0)) == pytest.approx((X - 1.0) ** a / a, rel=1e-14)
+        assert c @ linear == pytest.approx((X - 1.0) ** (a + 1.0), rel=1e-13)
 
 
-def test_panel_weights_rows_match_scalar_calls():
-    # an array of upper limits gives the scalar calls' rows bit for bit, and
-    # every node after the first one at or beyond a limit weighs nothing
+def test_panel_weights_are_the_near_band_slopes():
+    # entry j + 1 is power_differences over panel j's width, bit for bit, a
+    # stale work buffer gives the same bits, and every panel that starts at
+    # or beyond X weighs nothing
     s = 1.0 + 0.9 * np.linspace(0.0, 1.0, 41) ** 1.5
     limits = np.append(s[[1, 2, 7, 19, 40]], 0.5 * (s[25] + s[26]))
     for a in (0.5, 1.0, 2.0, 3.3):
-        want = np.stack([panel_weights(X, s, a) for X in limits])
-        stale = np.full(2 * limits.size * s.size + 7, np.nan)
-        with_work = np.stack([panel_weights(X, s, a, stale).copy() for X in limits])
-        assert np.array_equal(with_work, want)
-        assert np.array_equal(panel_weights(limits, s, a), want)
-        assert np.array_equal(panel_weights(limits, s, a, stale), want)
-        for row, X in zip(want, limits):
-            assert np.all(row[np.searchsorted(s, X) + 1 :] == 0.0)
-            assert row.sum() == pytest.approx((X - 1.0) ** a / a, rel=1e-12)
+        w, d = np.empty((s.size, limits.size)), np.empty((s.size - 1, limits.size))
+        slopes = fractional.power_differences(limits, s, a, w, d) / np.diff(s)[:, None]
+        stale = np.full(2 * s.size + 7, np.nan)
+        for X, want in zip(limits, slopes.T):
+            c = panel_weights(X, s, a)
+            assert np.array_equal(c[1:], want)
+            assert np.array_equal(panel_weights(X, s, a, stale), c)
+            ahead = np.searchsorted(s, X) + 1
+            assert np.all(c[1:ahead] < 0.0) and np.all(c[ahead:] == 0.0)
 
 
 def test_power_differences_skip_zeros_bit_for_bit():
@@ -623,11 +633,30 @@ def _affine_meshes(params: FracParams, x: np.ndarray, panels: int, mesh: str) ->
     return X, unit, end, s
 
 
+def _second_difference_weights(X: float, s: np.ndarray, a: float) -> np.ndarray:
+    """The point rule's node weights, written out: second divided differences of (X - s)_+^(a+1).
+
+    Each weight is the difference of its two panels' slopes, the first
+    node's plus the boundary term (a+1) (X - s[0])^a, over a (a+1), clamped
+    at 0: the point rule's bits, kept here apart from fractional._node_weights.
+    """
+    limits = np.array([X])
+    w, d = np.empty((s.size, 1)), np.empty((s.size - 1, 1))
+    fractional.power_differences(limits, s, a, w, d)
+    d /= np.diff(s)[:, None]
+    np.add((a + 1.0) * np.maximum(limits - s[0], 0.0) ** a, d[0], out=w[0])
+    np.subtract(d[1:], d[:-1], out=w[1:-1])
+    np.negative(d[-1], out=w[-1])
+    w /= a * (a + 1.0)
+    np.maximum(w, 0.0, out=w)
+    return w[:, 0]
+
+
 def _np_power_point_rule(params: FracParams, phi: GridFunction, x: np.ndarray, panels: int, mesh: str) -> np.ndarray:
     """The point rule with every mesh mapped back by np.power, s **= 1 / rho, whatever rho is."""
     a = params.exponent
     X, unit, end, s = _affine_meshes(params, x, panels, mesh)
-    w = panel_weights(end, unit, a)
+    w = _second_difference_weights(end, unit, a)
     scale = params.rho ** (-a) / (params.k * k_gamma(params.k, params.gamma_ord).value) * (X - 1.0) ** a
     s **= 1.0 / params.rho
     v = phi(s)
