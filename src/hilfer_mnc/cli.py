@@ -30,6 +30,7 @@ import os
 import sys
 from dataclasses import replace
 from functools import lru_cache
+from pathlib import Path
 
 import numpy as np
 
@@ -498,6 +499,8 @@ def _parser(command: str | None) -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="hilfer-mnc",
         description="fractional integral equations: quadrature, certificates, Picard, MNC demos",
+        epilog="The command runs numpy's bundled OpenBLAS on one thread, so its output does not "
+        "depend on OPENBLAS_NUM_THREADS; the library API leaves the BLAS thread count alone.",
     )
     sub = p.add_subparsers(dest="command", required=True)
     for name, help_line, add_args in _COMMANDS:
@@ -534,8 +537,39 @@ def _keep_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, 16 << 20)
 
 
+# numpy 2 wheels bundle scipy-openblas, numpy 1 wheels openblas64_
+_BLAS_SET_THREADS = ("scipy_openblas_set_num_threads64_", "openblas_set_num_threads64_", "openblas_set_num_threads")
+
+
+@lru_cache(maxsize=None)
+def _one_blas_thread() -> None:
+    """Run the OpenBLAS bundled with numpy on one thread, once per process.
+
+    On the dense path (up to 2049 nodes) a BLAS on more than one thread may
+    round the operator matmul differently, so the printed digits depended
+    on OPENBLAS_NUM_THREADS. numpy's wheels bundle the library in
+    numpy.libs next to the package; where no library there has the
+    set-threads symbol (another numpy build), the BLAS is left as it is.
+    The policy is process-wide, so only the entry point sets it: the
+    library API leaves the BLAS alone.
+    """
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        try:
+            handle = ctypes.CDLL(str(lib))
+        except OSError:
+            continue
+        for symbol in _BLAS_SET_THREADS:
+            setter = getattr(handle, symbol, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = (ctypes.c_int,), None
+                setter(1)
+                return
+
+
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_heap()
+    _one_blas_thread()
     if argv is None:
         argv = sys.argv[1:]
     args = build_parser(argv).parse_args(argv)

@@ -37,7 +37,8 @@ the rows past T are computed and dropped. Those factors are built once per
 costs near-linear time, on graded grids too. The band is not
 cached: at 4097 nodes it takes 4.2 MB, more than all the factors. The
 kernel writes each band block in place in its stack, and an application
-maps the far blocks of all levels in a few batched matmuls (_slots).
+maps the far field in one batched matmul per level and pass, and per group
+of far blocks.
 """
 
 from __future__ import annotations
@@ -192,7 +193,8 @@ class _H2Operator:
     one set of Chebyshev points on its interval serves both. With leaves =
     len(anterp), level l has _clusters(leaves, l) clusters, of which the
     first leaves >> l hold all their panels; every cluster has at least
-    one leaf of rows.
+    one leaf of rows. The clusters of all levels are numbered as one list:
+    level l's are offsets[l] .. offsets[l + 1] - 1.
 
     exact lists the blocks (r0, r1, c0, c1), rows r0..r1-1 against panels
     c0..c1-1, that are evaluated through power_differences, in order: each
@@ -201,18 +203,20 @@ class _H2Operator:
     panels. runs partitions exact into (first, count): the blocks
     exact[first : first + count] (_runs). anterp maps a leaf's panel
     differences to its moments, and interp a leaf's local values to its
-    rows. up[l][k] holds the Lagrange polynomials of the points of cluster
-    k // 2 of level l + 1 at the points of cluster k of level l: moments go
-    up as M @ up, local values come down as F @ up.T.
+    rows. pairs[l][k] (2p, p) stacks U_2k over U_2k+1, the Lagrange
+    polynomials of the points of cluster k of level l + 1 at those of its
+    two children (a zero block for the missing child of a partial last
+    cluster): moments go up as [M_2k, M_2k+1] @ pairs[l][k], local values
+    come down as F @ pairs[l][k].T.
 
-    The far blocks of all levels are stored together: block i takes the
-    moments of column cluster sources[i] to the local values of row
-    cluster targets[i] through kernels[i][q, p] = -(a+1) (X_p - sigma_q)^a,
-    the clusters of all levels numbered as one list, level 0 first. No
-    target repeats within a stretch of slots (_slots).
+    The row clusters with c far blocks form one group: group g's
+    targets[g] (T,) are its row clusters, sources[g] (T, c) their column
+    clusters in order, and kernels[g] (T, c p, p) stacks each target's c
+    kernels in that order, kernel[q, p] = -(a+1) (X_p - sigma_q)^a. No
+    row cluster is in two groups.
     """
 
-    up: tuple[np.ndarray, ...]
+    pairs: tuple[np.ndarray, ...]
     anterp: np.ndarray
     interp: np.ndarray
     s: np.ndarray
@@ -220,16 +224,16 @@ class _H2Operator:
     boundary: np.ndarray
     exact: tuple[tuple[int, int, int, int], ...]
     runs: tuple[tuple[int, int], ...]
-    targets: np.ndarray
-    sources: np.ndarray
-    kernels: np.ndarray
-    slots: tuple[tuple[int, int], ...]
+    offsets: tuple[int, ...]
+    targets: tuple[np.ndarray, ...]
+    sources: tuple[np.ndarray, ...]
+    kernels: tuple[np.ndarray, ...]
 
     @property
     def nbytes(self) -> int:
-        """Bytes of the stored factors."""
+        """Bytes of the stored factors: the arrays above, the far groups' indices included."""
         arrays = [self.anterp, self.interp, self.s, self.widths, self.boundary]
-        arrays += [self.targets, self.sources, self.kernels, *self.up]
+        arrays += [*self.pairs, *self.targets, *self.sources, *self.kernels]
         return sum(x.nbytes for x in arrays)
 
 
@@ -262,25 +266,6 @@ def _runs(exact: tuple[tuple[int, int, int, int], ...]) -> tuple[tuple[int, int]
     return tuple(runs)
 
 
-def _slots(targets: np.ndarray) -> tuple[np.ndarray, tuple[tuple[int, int], ...]]:
-    """An order of the far blocks, and the stretches (lo, hi) of it in which no target repeats.
-
-    Stretch j holds the j-th block of every target that has more than j,
-    and the blocks of one target keep their order, so adding the stretches
-    one after another sums each target's blocks in the order np.add.at
-    would.
-    """
-    seen: dict[int, int] = {}
-    rank = []
-    for target in targets.tolist():
-        rank.append(seen.get(target, 0))
-        seen[target] = rank[-1] + 1
-    # sorted is stable, so each stretch keeps the blocks' order
-    order = sorted(range(len(rank)), key=rank.__getitem__)
-    ends = list(accumulate(rank.count(j) for j in range(max(rank, default=-1) + 1)))
-    return np.array(order, dtype=np.intp), tuple(zip([0] + ends[:-1], ends))
-
-
 @lru_cache(maxsize=4)
 def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operator:
     """Build the large-grid operator for one (nodes, rho, a).
@@ -294,7 +279,8 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
     Darve's black-box FMM, J. Comput. Phys. 228 (2009) 8712); one that is
     not is split into its child blocks, and evaluated exactly at leaf
     level. Exact blocks on the same rows that meet in panels are merged
-    into one, and the merged blocks are grouped into runs (_runs).
+    into one, and the merged blocks are grouped into runs (_runs). The
+    interpolated blocks are grouped by row cluster (see _H2Operator).
     """
     leaf, p = _LEAF_ROWS, _CHEB_POINTS
     leaves = -(-(n - 1) // leaf)
@@ -319,7 +305,8 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
     ]
     # each leaf's rows against the previous leaf's panels and its own
     exact = [(r0, r0 + leaf, max(r0 - 1 - leaf, 0), r0 - 1 + leaf) for r0 in range(1, end, leaf)]
-    pairs = []
+    # far blocks (row cluster, column cluster)
+    blocks = []
 
     def place(lvl: int, k: int, c: int) -> None:
         if k >= counts[lvl]:
@@ -327,7 +314,7 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
             return
         (lo, hi), (c_lo, c_hi) = span(lvl, k), span(lvl, c)
         if max(hi - lo, c_hi - c_lo) <= _ADMISSIBLE * (lo - c_hi):
-            pairs.append((at[lvl] + k, at[lvl] + c))
+            blocks.append((at[lvl] + k, at[lvl] + c))
         elif lvl == 0:
             exact.append((k * leaf + 1, (k + 1) * leaf + 1, c * leaf, (c + 1) * leaf))
         else:
@@ -341,17 +328,22 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
                 place(lvl, k, c)
 
     exact = _merged(exact)
-    targets, sources = np.array(sorted(pairs), dtype=np.intp).reshape(-1, 2).T
-    order, slots = _slots(targets)
-    targets, sources = targets[order], sources[order]
+    far: dict[int, list[int]] = {}
+    for target, source in sorted(blocks):
+        far.setdefault(target, []).append(source)
     cheb = np.concatenate(points)
-    kernels = cheb[targets][:, None, :] - cheb[sources][:, :, None]
-    kernels **= a
-    kernels *= -(a + 1.0)
-    up = tuple(
-        np.array([_lagrange_matrix(points[lvl + 1][k // 2], pts) for k, pts in enumerate(points[lvl])])
-        for lvl in range(levels - 1)
-    )
+    targets, sources, kernels = [], [], []
+    for c in sorted({len(row) for row in far.values()}):
+        targets.append(np.array([target for target, row in far.items() if len(row) == c], dtype=np.intp))
+        sources.append(np.array([far[target] for target in targets[-1].tolist()], dtype=np.intp))
+        kernel = cheb[targets[-1]][:, None, None, :] - cheb[sources[-1]][:, :, :, None]
+        kernel **= a
+        kernel *= -(a + 1.0)
+        kernels.append(kernel.reshape(-1, c * p, p))
+    pairs = [np.zeros((count, 2 * p, p)) for count in counts[1:]]
+    for lvl, pair in enumerate(pairs):
+        for k, pts in enumerate(points[lvl]):
+            pair.reshape(-1, p, p)[k] = _lagrange_matrix(points[lvl + 1][k // 2], pts)
 
     g_nodes, g_weights = _gauss_legendre(_GAUSS_POINTS)
     anterp = np.empty((leaves, leaf, p))
@@ -364,7 +356,8 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
         # the leaf's rows are the right ends of its panels
         interp[k] = _lagrange_matrix(points[0][k], mesh[1:]).T
     return _H2Operator(
-        up, anterp, interp, s, widths, boundary, exact, _runs(exact), targets, sources, kernels, slots
+        tuple(pairs), anterp, interp, s, widths, boundary, exact, _runs(exact), tuple(at),
+        tuple(targets), tuple(sources), tuple(kernels),
     )
 
 
@@ -454,17 +447,17 @@ def _h2_sums(
     of (X - s)^a over the panel, and interpolating (X - s)^a in s at a
     column cluster's points sigma_q turns its panels into the moments
     M_q = sum_j <l_q>_j dg_j. The moments of all levels are held in one
-    (clusters, m, p) array, level 0 first, and so are the local values,
-    under the same numbering. The up pass fills each level's moments from
-    its children's (one strided sum of the two children's products). Each
-    stretch of op.slots maps the moments of its far blocks, of every
-    level, in one batched matmul and adds the products to their distinct
-    row clusters by one fancy-index sum: an unbuffered np.add.at made a
-    4097-node application 1.13x as long at m = 1 and 1.19x at m = 240, and
-    one matmul over every stretch made a 4097-node mnc-demo (batches of up
-    to 270 rows) peak 8.5 MB higher in traced allocations. The down pass
-    then adds each parent's local values to its children's, after their
-    far products, and each leaf interpolates them to its rows.
+    (m, clusters, p) array, numbered as in op.offsets, and so are the local
+    values: each row holds a parent's two children side by side. The up
+    pass maps each level's full children, viewed as (parents, m, 2p), by
+    op.pairs in one matmul. Each far group maps its gathered (T, m, c p)
+    source moments by its kernels in one matmul and assigns the products
+    to its targets. The down pass adds each level's parents' local values,
+    by the transposed pairs in one matmul, to their children's, and each
+    leaf interpolates its own to its rows. In whole 4097-node applications
+    at m = 1 the three took 36, 60 and 40 us, against 52-58, 68-75 and
+    61-73 us for a transfer per child, stretches of fancy-index sums and a
+    gather of each child's parent (2-core x86-64 host, one BLAS thread).
     """
     m = dg.shape[0]
     if out is None:
@@ -484,23 +477,29 @@ def _h2_sums(
         np.matmul(window, stack, out=prod.reshape(m, count, rows).transpose(1, 0, 2))
         out[:, r0 : r0 + count * rows] += prod
     leaf, p = _LEAF_ROWS, _CHEB_POINTS
-    leaves = op.anterp.shape[0]
-    counts = [_clusters(leaves, lvl) for lvl in range(len(op.up) + 1)]
-    at = list(accumulate(counts, initial=0))
-    # a partial last cluster is never a source, so its moments stay unset
-    moments = np.empty((at[-1], m, p))
-    np.matmul(dg.reshape(m, leaves, leaf).transpose(1, 0, 2), op.anterp, out=moments[:leaves])
-    for lvl, up in enumerate(op.up):
+    leaves, at = op.anterp.shape[0], op.offsets
+    # a partial last cluster is never a source, so its moments stay unset;
+    # the (clusters, m, p) views hold one (m, p) matrix per cluster
+    moments, local = np.empty((m, at[-1], p)), np.zeros((m, at[-1], p))
+    cluster_moments, cluster_local = moments.transpose(1, 0, 2), local.transpose(1, 0, 2)
+    np.matmul(dg.reshape(m, leaves, leaf).transpose(1, 0, 2), op.anterp, out=cluster_moments[:leaves])
+    for lvl, pairs in enumerate(op.pairs):
         full = leaves >> (lvl + 1)
-        children = np.matmul(moments[at[lvl] : at[lvl] + 2 * full], up[: 2 * full])
-        np.add(children[0::2], children[1::2], out=moments[at[lvl + 1] : at[lvl + 1] + full])
-    local = np.zeros((at[-1], m, p))
-    for lo, hi in op.slots:
-        local[op.targets[lo:hi]] += np.matmul(moments[op.sources[lo:hi]], op.kernels[lo:hi])
-    for lvl in reversed(range(len(op.up))):
-        parents = at[lvl + 1] + np.arange(counts[lvl]) // 2
-        local[at[lvl] : at[lvl + 1]] += np.matmul(local[parents], op.up[lvl].transpose(0, 2, 1))
-    out[:, 1:] += np.matmul(local[:leaves], op.interp).transpose(1, 0, 2).reshape(m, leaves * leaf)
+        children = moments[:, at[lvl] : at[lvl] + 2 * full].reshape(m, full, 2 * p).transpose(1, 0, 2)
+        parents = cluster_moments[at[lvl + 1] : at[lvl + 1] + full]
+        np.matmul(children, pairs[:full], out=parents)
+    for targets, sources, kernels in zip(op.targets, op.sources, op.kernels):
+        gathered = np.take(moments, sources, axis=1).reshape(m, targets.size, -1)
+        local[:, targets] = np.matmul(gathered.transpose(1, 0, 2), kernels).transpose(1, 0, 2)
+    for lvl in reversed(range(len(op.pairs))):
+        pairs = op.pairs[lvl]
+        down = np.empty((m, pairs.shape[0], 2 * p))
+        parents = cluster_local[at[lvl + 1] : at[lvl + 2]]
+        np.matmul(parents, pairs.transpose(0, 2, 1), out=down.transpose(1, 0, 2))
+        local[:, at[lvl] : at[lvl + 1]] += down.reshape(m, -1, p)[:, : at[lvl + 1] - at[lvl]]
+    values = np.empty((m, leaves, leaf))
+    np.matmul(cluster_local[:leaves], op.interp, out=values.transpose(1, 0, 2))
+    out[:, 1:] += values.reshape(m, leaves * leaf)
     return out
 
 
@@ -524,11 +523,16 @@ def _integral_values(band: NearBand, g: np.ndarray) -> np.ndarray:
     m, n = g.shape
     dense = isinstance(op, np.ndarray)
     dg = np.empty((m, n if dense else op.s.shape[0]))
-    dg[:, 0] = g[:, 0]
-    np.subtract(g[:, :-1], g[:, 1:], out=dg[:, 1:n])
     if dense:
+        # one flat subtraction, then g_0 over column 0: 22.8 against 42.6 us
+        # row by row at m = 240, n = 129 (2-core x86-64 host)
+        flat = g.reshape(-1)
+        np.subtract(flat[:-1], flat[1:], out=dg.reshape(-1)[1:])
+        dg[:, 0] = g[:, 0]
         total = dg @ op.T
     else:
+        dg[:, 0] = g[:, 0]
+        np.subtract(g[:, :-1], g[:, 1:], out=dg[:, 1:n])
         dg[:, n:] = 0.0
         total = _h2_sums(op, dg[:, 1:], band.stacks, op.boundary * dg[:, :1])[:, :n]
     total *= pref / (a * (a + 1.0))

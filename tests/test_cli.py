@@ -863,6 +863,44 @@ def test_mnc_demo_bytes_identical_across_threads():
     assert again.stdout == runs["1"].stdout
 
 
+# the bundled OpenBLAS's thread count after import, after a library solve,
+# and after one CLI command; "none" where numpy bundles no such library
+_BLAS_PROBE = """
+import contextlib, ctypes, io, pathlib
+import numpy as np
+import hilfer_mnc
+from hilfer_mnc import cli
+
+libs = pathlib.Path(np.__file__).resolve().parent.parent / "numpy.libs"
+libs = [ctypes.CDLL(str(lib)) for lib in sorted(libs.glob("*openblas*"))]
+getters = [lib.scipy_openblas_get_num_threads64_ for lib in libs if hasattr(lib, "scipy_openblas_get_num_threads64_")]
+def threads():
+    return getters[0]() if getters else "none"
+seen = [threads()]
+eq = hilfer_mnc.bundled_example().equations[0]
+nodes = hilfer_mnc.uniform_nodes(eq.params.T, 65)
+hilfer_mnc.solve(eq, hilfer_mnc.GridFunction(nodes=nodes, values=np.zeros(65)), tol=1e-8)
+seen.append(threads())
+with contextlib.redirect_stdout(io.StringIO()):
+    cli.main(["gamma-k", "0.5", "1.5"])
+seen.append(threads())
+print(*seen)
+"""
+
+
+def test_cli_runs_the_bundled_blas_on_one_thread():
+    # with OPENBLAS_NUM_THREADS=2 the library API leaves the BLAS on its two
+    # threads, and the CLI's main sets one, silently
+    env = _subprocess_env("2")
+    probe = subprocess.run([sys.executable, "-c", _BLAS_PROBE], capture_output=True, text=True, env=env, check=True)
+    assert probe.stderr == ""
+    imported, solved, after_cli = probe.stdout.split()
+    if imported in ("none", "1"):
+        pytest.skip("no bundled OpenBLAS with a thread-count getter, or one core: nothing to pin")
+    assert imported == solved == "2"
+    assert after_cli == "1"
+
+
 # live threads after import and after each CLI stage, and the threads each
 # stage started, with one helper thread per call: a 4097-node solve builds
 # the large-grid operator's near band on the calling thread

@@ -443,9 +443,10 @@ def test_run_product_matches_a_per_block_loop(n):
 
 
 def _per_level_far_field(op, dg: np.ndarray) -> np.ndarray:
-    """The far field of _h2_sums computed level by level: moments and local
-    values in one array per level, one far-block product and one np.add.at
-    per level, and the children's moments summed pairwise by a reshape."""
+    """The far field of _h2_sums computed level by level and cluster by
+    cluster: moments and local values in one array per level, each child's
+    transfer sliced out of op.pairs, and each far block's kernel sliced out
+    of its group's stack and its product added on its own."""
     m = dg.shape[0]
     out = np.zeros((m, op.s.size))
     if m == 0:
@@ -453,24 +454,37 @@ def _per_level_far_field(op, dg: np.ndarray) -> np.ndarray:
     leaf, p = eqmod._LEAF_ROWS, eqmod._CHEB_POINTS
     leaves = op.anterp.shape[0]
     # level l has ceil(leaves / 2^l) clusters, the first leaves >> l of them full
-    counts = [-(-leaves >> lvl) for lvl in range(len(op.up) + 1)]
+    counts = [-(-leaves >> lvl) for lvl in range(len(op.pairs) + 1)]
     at = np.cumsum([0] + counts)
+
+    def transfer(lvl: int, k: int) -> np.ndarray:
+        """The transfer of child k of level lvl to its parent."""
+        return op.pairs[lvl][k // 2, (k % 2) * p : (k % 2 + 1) * p]
+
+    blocks = [
+        (target, source, kernels[i, j * p : (j + 1) * p])
+        for targets, sources, kernels in zip(op.targets, op.sources, op.kernels)
+        for i, target in enumerate(targets.tolist())
+        for j, source in enumerate(sources[i].tolist())
+    ]
     moments = [np.matmul(dg.reshape(m, leaves, leaf).transpose(1, 0, 2), op.anterp)]
-    for lvl, up in enumerate(op.up):
-        full = leaves >> (lvl + 1)
-        children = np.matmul(moments[-1][: 2 * full], up[: 2 * full])
-        moments.append(children.reshape(full, 2, m, p).sum(axis=1))
+    for lvl in range(len(op.pairs)):
+        below = moments[-1]
+        moments.append(
+            np.array([below[k] @ transfer(lvl, k) for k in range(2 * (leaves >> (lvl + 1)))])
+            .reshape(-1, 2, m, p)
+            .sum(axis=1)
+        )
     local = None
     for lvl in reversed(range(len(counts))):
-        if local is None:
-            here = np.zeros((counts[lvl], m, p))
-        else:
-            here = np.matmul(local[np.arange(counts[lvl]) // 2], op.up[lvl].transpose(0, 2, 1))
-        mine = (op.targets >= at[lvl]) & (op.targets < at[lvl + 1])
-        sources = op.sources[mine] - at[lvl]
-        assert np.all((sources >= 0) & (sources < leaves >> lvl))
-        far = np.matmul(moments[lvl][sources], op.kernels[mine])
-        np.add.at(here, op.targets[mine] - at[lvl], far)
+        here = np.zeros((counts[lvl], m, p))
+        if local is not None:
+            for k in range(counts[lvl]):
+                here[k] = local[k // 2] @ transfer(lvl, k).T
+        for target, source, kernel in blocks:
+            if at[lvl] <= target < at[lvl + 1]:
+                assert at[lvl] <= source < at[lvl] + (leaves >> lvl)
+                here[target - at[lvl]] += moments[lvl][source - at[lvl]] @ kernel
         local = here
     out[:, 1:] += np.matmul(local, op.interp).transpose(1, 0, 2).reshape(m, leaves * leaf)
     return out
@@ -478,11 +492,12 @@ def _per_level_far_field(op, dg: np.ndarray) -> np.ndarray:
 
 @pytest.mark.parametrize("n", [2050, 4097, 4160, 16385])
 def test_far_field_matches_a_per_level_loop(n):
-    # all levels' far blocks in one product and their local values summed
-    # into one array give the per-level loop's values to rounding: at most
-    # 1.5e-15 of the largest entry over these grids, sizes and batches and
-    # all four rule cases when the bound was set. At 16385 nodes the u^4
-    # grid is left out: its second node rounds to 1
+    # one product per level for each pass and one per group of far blocks,
+    # over one array of all levels, give the per-level, per-block loop's
+    # values to rounding: at most 1.5e-15 of the largest entry over these
+    # grids, sizes and batches and all four rule cases when the bound was
+    # set. At 16385 nodes the u^4 grid is left out: its second node rounds
+    # to 1
     params = _rule_params(*_RULE_CASES[0])
     rng = np.random.default_rng(n)
     for grid, nodes in _run_test_grids(n).items():
@@ -501,15 +516,66 @@ def test_far_field_matches_a_per_level_loop(n):
     eqmod._h2_operator.cache_clear()
 
 
-def test_far_block_stretches_have_distinct_targets():
-    # each stretch of op.slots adds its products by one fancy-index sum, so
-    # no target may repeat in it; the stretches cover every far block
-    n = 4097
+def _admissible_far_blocks(op) -> list:
+    """(row cluster, column cluster) of every interpolated far block, the
+    clusters of all levels numbered as one list, found by the admissibility
+    pass that _h2_operator documents: row cluster k meets columns k - 2
+    (even k) or k - 3 and k - 2 (odd k), and a block whose clusters are both
+    at most _ADMISSIBLE times as wide as their gap is interpolated, any
+    other split into its child blocks down to leaf level."""
+    leaf = eqmod._LEAF_ROWS
+    leaves = op.anterp.shape[0]
+    counts = [-(-leaves >> lvl) for lvl in range(len(op.pairs) + 1)]
+    at = np.cumsum([0] + counts).tolist()
+
+    def span(lvl, k):
+        b = leaf << lvl
+        return op.s[k * b], op.s[min((k + 1) * b, leaves * leaf)]
+
+    found = []
+
+    def place(lvl, k, c):
+        if k >= counts[lvl]:
+            return
+        (lo, hi), (c_lo, c_hi) = span(lvl, k), span(lvl, c)
+        if max(hi - lo, c_hi - c_lo) <= eqmod._ADMISSIBLE * (lo - c_hi):
+            found.append((at[lvl] + k, at[lvl] + c))
+        elif lvl:
+            for kk, cc in itertools.product((2 * k, 2 * k + 1), (2 * c, 2 * c + 1)):
+                place(lvl - 1, kk, cc)
+
+    for lvl, count in enumerate(counts):
+        for k in range(2, count):
+            for c in range(k - 2 - k % 2, k - 1):
+                place(lvl, k, c)
+    return found
+
+
+def test_far_blocks_are_grouped_by_row_cluster():
+    # each group maps the far blocks of its row clusters in one matmul and
+    # assigns the products, so the groups must partition the far blocks, no
+    # row cluster may be a target twice, and each target's row of sources
+    # (and its stacked kernels) must follow its column clusters in order
+    n, p = 4097, eqmod._CHEB_POINTS
     for grid, nodes in _run_test_grids(n).items():
         op = eqmod._h2_operator(1.0 / 3.0, 2.0, nodes.tobytes(), n)
-        assert op.slots[0][0] == 0 and op.slots[-1][1] == op.targets.size, grid
-        for (lo, hi), (nxt, _) in zip(op.slots, op.slots[1:] + ((op.targets.size, 0),)):
-            assert hi == nxt and np.unique(op.targets[lo:hi]).size == hi - lo, grid
+        got = [
+            (target, source)
+            for targets, sources in zip(op.targets, op.sources)
+            for target, row in zip(targets.tolist(), sources.tolist())
+            for source in row
+        ]
+        assert sorted(got) == sorted(_admissible_far_blocks(op)) and len(set(got)) == len(got), grid
+        every = np.concatenate(op.targets)
+        assert np.unique(every).size == every.size, grid
+        widths = [sources.shape[1] for sources in op.sources]
+        assert len(set(widths)) == len(widths), grid
+        for targets, sources, kernels in zip(op.targets, op.sources, op.kernels):
+            assert sources.shape[0] == targets.size and np.all(np.diff(sources, axis=1) > 0), grid
+            assert kernels.shape == (targets.size, sources.shape[1] * p, p), grid
+        if grid == "uniform":
+            sizes = [(sources.shape[1], targets.size) for targets, sources in zip(op.targets, op.sources)]
+            assert sizes == [(1, 57), (2, 57)]
     eqmod._h2_operator.cache_clear()
 
 
@@ -709,6 +775,25 @@ def test_dense_path_is_exact_on_graded_grids():
         rows[q, n, a] = float(np.max(np.abs(got - want) / want))
     eqmod._weight_matrix.cache_clear()
     assert max(rows.values()) <= 4e-15, rows
+
+
+@pytest.mark.parametrize("n", [65, 129])
+def test_dense_differences_in_one_flat_subtraction_are_bit_identical(n):
+    # the dense path differences every row in one flat subtraction and then
+    # overwrites column 0 with g_0; the row-by-row 2-D subtraction gives the
+    # same bits
+    params = _rule_params(*_RULE_CASES[1])
+    band = near_band(_rule_eq(params, 1.7), uniform_nodes(params.T, n))
+    a = params.exponent
+    rng = np.random.default_rng(n)
+    for m in (1, 30):
+        g = rng.uniform(-1.0, 1.0, (m, n))
+        dg = np.empty((m, n))
+        dg[:, 0] = g[:, 0]
+        np.subtract(g[:, :-1], g[:, 1:], out=dg[:, 1:])
+        want = dg @ band.op.T
+        want *= params.rho ** (-a) / (params.k * 1.7) / (a * (a + 1.0))
+        assert np.array_equal(eqmod._integral_values(band, g), want), m
 
 
 def test_dense_path_application_with_band_matches_one_without():
