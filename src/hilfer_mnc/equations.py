@@ -15,30 +15,33 @@ Summed by parts, the rule takes the first divided differences of
 and a boundary term against its first value (fractional.panel_weights).
 For moderate grids the operator is the lower-triangular matrix of these,
 cached and applied as a matmul; large grids never form it. The entries
-within one leaf of the diagonal, and the far blocks no level could
-interpolate, form the near band and are evaluated exactly. Each band
-block holds the undivided panel differences of the powers
-(fractional.power_differences) and depends on (nodes, rho, a) only;
-near_band evaluates every block on the calling thread. Consecutive blocks
-of one shape, each one leaf below and right of the last, form a run, and
-the band stores each run as one stack. An application divides the
-integrand differences by the panel widths once and multiplies each run
-with one batched matmul. A loop that applies the operator many times on
-one grid (Picard in solver.solve, Darbo in mnc.darbo_iterate) builds the
-band once and passes it to every application, which then does per-row
-work only. Every far block is interpolated in s at Chebyshev points of
-its column cluster and in X at those of its row cluster, with nested
-bases on both sides (an H^2-matrix: Boerm, Efficient Numerical Methods
-for Non-local Operators, EMS 2010). Row i shares the cluster of panel
-i - 1, and the mesh is continued past T to whole leaves of panels, so
-every cluster holds at least a leaf of rows and has points of its own;
-the rows past T are computed and dropped. Those factors are built once per
-(nodes, rho, a) and cached; they hold O(n) floats, and one application
-costs near-linear time, on graded grids too. The band is not
-cached: at 4097 nodes it takes 4.2 MB, more than all the factors. The
-kernel writes each band block in place in its stack, and an application
-maps the far field in one batched matmul per level and pass, and per group
-of far blocks.
+within one leaf of the diagonal (for a = 1 or 2, those of the diagonal
+leaves alone), and the far blocks no level could interpolate, form the
+near band and are evaluated exactly. Each band block holds the undivided
+panel differences of the powers (fractional.power_differences) and
+depends on (nodes, rho, a) only; near_band evaluates every block on the
+calling thread. Consecutive blocks of one shape, each one leaf below and
+right of the last, form a run, and the band stores each run as one
+stack. An application divides the integrand differences by the panel
+widths once and multiplies each run with one batched matmul. A loop that
+applies the operator many times on one grid (Picard in solver.solve,
+Darbo in mnc.darbo_iterate) builds the band once and passes it to every
+application, which then does per-row work only. Every far block is
+interpolated in s at Chebyshev points of its column cluster and in X at
+those of its row cluster, with nested bases on both sides (an
+H^2-matrix: Boerm, Efficient Numerical Methods for Non-local Operators,
+EMS 2010): 20 points, or a + 1 for an integer a below 20, where the far
+kernel (X - s)^a is a polynomial and they interpolate it exactly. Row i
+shares the cluster of panel i - 1, and the mesh is continued past T to
+whole leaves of panels, so every cluster holds at least a leaf of rows
+and has points of its own; the rows past T are computed and dropped.
+Those factors are built once per (nodes, rho, a) and cached; they hold
+O(n) floats, and one application costs near-linear time, on graded grids
+too. The band is not cached: at 4097 nodes it takes 4.2 MB, more than
+all the factors (2.1 MB against 0.31 MB at a = 2). The kernel writes
+each band block in place in its stack, and an application maps the far
+field in one batched matmul per level and pass, and per group of far
+blocks.
 """
 
 from __future__ import annotations
@@ -129,10 +132,10 @@ def _weight_matrix(rho: float, a: float, nodes_bytes: bytes, n: int) -> np.ndarr
     return c
 
 
-def _chebyshev_points(lo: float, hi: float) -> np.ndarray:
-    """The _CHEB_POINTS Chebyshev points of the first kind on [lo, hi]."""
+def _chebyshev_points(lo: float, hi: float, p: int) -> np.ndarray:
+    """The p Chebyshev points of the first kind on [lo, hi]."""
     half = 0.5 * (hi - lo)
-    return (lo + half) + half * np.cos((np.arange(_CHEB_POINTS) + 0.5) * (np.pi / _CHEB_POINTS))
+    return (lo + half) + half * np.cos((np.arange(p) + 0.5) * (np.pi / p))
 
 
 def _lagrange_matrix(points: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -190,24 +193,25 @@ class _H2Operator:
     belongs to the cluster of panel i - 1: at level l, of cluster size
     B = _LEAF_ROWS 2^l, cluster k holds panels k B .. (k + 1) B - 1 and
     rows k B + 1 .. (k + 1) B, the last cluster cut at the mesh's end, and
-    one set of Chebyshev points on its interval serves both. With leaves =
-    len(anterp), level l has _clusters(leaves, l) clusters, of which the
-    first leaves >> l hold all their panels; every cluster has at least
-    one leaf of rows. The clusters of all levels are numbered as one list:
-    level l's are offsets[l] .. offsets[l + 1] - 1.
+    one set of p Chebyshev points on its interval serves both, p =
+    anterp.shape[2]: a + 1 for an integer a below _CHEB_POINTS, else
+    _CHEB_POINTS. With leaves = len(anterp), level l has _clusters(leaves,
+    l) clusters, of which the first leaves >> l hold all their panels;
+    every cluster has at least one leaf of rows. The clusters of all levels
+    are numbered as one list: level l's are offsets[l] .. offsets[l + 1] - 1.
 
     exact lists the blocks (r0, r1, c0, c1), rows r0..r1-1 against panels
     c0..c1-1, that are evaluated through power_differences, in order: each
-    leaf against the previous leaf and itself, and every far block that no
-    level could interpolate, merged where they share their rows and meet in
-    panels. runs partitions exact into (first, count): the blocks
-    exact[first : first + count] (_runs). anterp maps a leaf's panel
-    differences to its moments, and interp a leaf's local values to its
-    rows. pairs[l][k] (2p, p) stacks U_2k over U_2k+1, the Lagrange
-    polynomials of the points of cluster k of level l + 1 at those of its
-    two children (a zero block for the missing child of a partial last
-    cluster): moments go up as [M_2k, M_2k+1] @ pairs[l][k], local values
-    come down as F @ pairs[l][k].T.
+    leaf against itself and, unless a is 1 or 2, the previous leaf, and
+    every far block that no level could interpolate, merged where they share
+    their rows and meet in panels. runs partitions exact into (first,
+    count): the blocks exact[first : first + count] (_runs). anterp maps a
+    leaf's panel differences to its moments, and interp a leaf's local
+    values to its rows. pairs[l][k] (2p, p) stacks U_2k over U_2k+1, the
+    Lagrange polynomials of the points of cluster k of level l + 1 at those
+    of its two children (a zero block for the missing child of a partial
+    last cluster): moments go up as [M_2k, M_2k+1] @ pairs[l][k], local
+    values come down as F @ pairs[l][k].T.
 
     The row clusters with c far blocks form one group: group g's
     targets[g] (T,) are its row clusters, sources[g] (T, c) their column
@@ -274,15 +278,31 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
     and cluster sizes double while a level has three clusters or more. At
     size B, row cluster k meets the columns its parent could not
     interpolate and it can: cluster k - 2 for even k, k - 3 and k - 2 for
-    odd k. A block whose clusters are both at most _ADMISSIBLE times as
-    wide as the gap between them is interpolated on both sides (Fong &
-    Darve's black-box FMM, J. Comput. Phys. 228 (2009) 8712); one that is
-    not is split into its child blocks, and evaluated exactly at leaf
-    level. Exact blocks on the same rows that meet in panels are merged
-    into one, and the merged blocks are grouped into runs (_runs). The
-    interpolated blocks are grouped by row cluster (see _H2Operator).
+    odd k, and at the top level every cluster up to k - 2. A block whose
+    clusters are both at most _ADMISSIBLE times as wide as the gap between
+    them is interpolated on both sides (Fong & Darve's black-box FMM, J.
+    Comput. Phys. 228 (2009) 8712); one that is not is split into its
+    child blocks, and evaluated exactly at leaf level.
+
+    For an integer a below _CHEB_POINTS, (X - s)^a is a polynomial of
+    degree a, so a + 1 points per cluster interpolate every block left of
+    its rows exactly. For a = 1 or 2 every such block is interpolated, the
+    previous leaf included: row cluster k meets its left sibling k - 1 for
+    odd k, and at the top level every cluster left of it, and only each
+    leaf against its own panels is exact. The other integers keep the
+    general blocks: with the previous leaf interpolated, a = 15 erred by up
+    to 3.9e-9 of |W||g| on a rough integrand and a u^2 grid of 4097 nodes
+    (rho = 1/3), against 2.1e-12 with it exact.
+
+    Exact blocks on the same rows that meet in panels are merged into one,
+    and the merged blocks are grouped into runs (_runs). The interpolated
+    blocks are grouped by row cluster (see _H2Operator).
     """
-    leaf, p = _LEAF_ROWS, _CHEB_POINTS
+    leaf = _LEAF_ROWS
+    polynomial = float(a).is_integer() and a < _CHEB_POINTS
+    p = int(a) + 1 if polynomial else _CHEB_POINTS
+    # the left neighbours of a cluster that are not interpolated at its level
+    near = 0 if polynomial and a <= 2.0 else 1
     leaves = -(-(n - 1) // leaf)
     end = leaves * leaf
     s = np.frombuffer(nodes_bytes, dtype=float) ** rho
@@ -301,10 +321,10 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
         return s[k * b], s[min((k + 1) * b, end)]
 
     points = [
-        np.array([_chebyshev_points(*span(lvl, k)) for k in range(count)]) for lvl, count in enumerate(counts)
+        np.array([_chebyshev_points(*span(lvl, k), p) for k in range(count)]) for lvl, count in enumerate(counts)
     ]
-    # each leaf's rows against the previous leaf's panels and its own
-    exact = [(r0, r0 + leaf, max(r0 - 1 - leaf, 0), r0 - 1 + leaf) for r0 in range(1, end, leaf)]
+    # each leaf's rows against its own panels and, when near, the previous leaf's
+    exact = [(r0, r0 + leaf, max(r0 - 1 - near * leaf, 0), r0 - 1 + leaf) for r0 in range(1, end, leaf)]
     # far blocks (row cluster, column cluster)
     blocks = []
 
@@ -313,7 +333,8 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
             # the missing second child of a partial last cluster
             return
         (lo, hi), (c_lo, c_hi) = span(lvl, k), span(lvl, c)
-        if max(hi - lo, c_hi - c_lo) <= _ADMISSIBLE * (lo - c_hi):
+        # with no near neighbour, every block left of its rows
+        if not near or max(hi - lo, c_hi - c_lo) <= _ADMISSIBLE * (lo - c_hi):
             blocks.append((at[lvl] + k, at[lvl] + c))
         elif lvl == 0:
             exact.append((k * leaf + 1, (k + 1) * leaf + 1, c * leaf, (c + 1) * leaf))
@@ -323,8 +344,9 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
                     place(lvl - 1, kk, cc)
 
     for lvl, count in enumerate(counts):
-        for k in range(2, count):
-            for c in range(k - 2 - k % 2, k - 1):
+        for k in range(near + 1, count):
+            first = 0 if lvl == levels - 1 else 2 * (k // 2 - near)
+            for c in range(first, k - near):
                 place(lvl, k, c)
 
     exact = _merged(exact)
@@ -445,19 +467,23 @@ def _h2_sums(
 
     The far field: for X beyond panel j, d_j(X) is -(a+1) times the mean
     of (X - s)^a over the panel, and interpolating (X - s)^a in s at a
-    column cluster's points sigma_q turns its panels into the moments
-    M_q = sum_j <l_q>_j dg_j. The moments of all levels are held in one
-    (m, clusters, p) array, numbered as in op.offsets, and so are the local
-    values: each row holds a parent's two children side by side. The up
+    column cluster's p = op.anterp.shape[2] points sigma_q turns its
+    panels into the moments M_q = sum_j <l_q>_j dg_j. The moments of all
+    levels are held in one (m, clusters, p) array, numbered as in
+    op.offsets, and so are the local values: each row holds a parent's two
+    children side by side. The up
     pass maps each level's full children, viewed as (parents, m, 2p), by
     op.pairs in one matmul. Each far group maps its gathered (T, m, c p)
     source moments by its kernels in one matmul and assigns the products
     to its targets. The down pass adds each level's parents' local values,
     by the transposed pairs in one matmul, to their children's, and each
     leaf interpolates its own to its rows. In whole 4097-node applications
-    at m = 1 the three took 36, 60 and 40 us, against 52-58, 68-75 and
-    61-73 us for a transfer per child, stretches of fancy-index sums and a
-    gather of each child's parent (2-core x86-64 host, one BLAS thread).
+    at m = 1 and p = 20 the three took 36, 60 and 40 us, against 52-58,
+    68-75 and 61-73 us for a transfer per child, stretches of fancy-index
+    sums and a gather of each child's parent. Timed one by one (medians of
+    2000 calls at m = 1 on 4097 nodes), they took about 30, 30 and 40 us at
+    p = 3 (a = 2), against 49, 40 and 65 us at p = 20 (2-core x86-64 host,
+    one BLAS thread).
     """
     m = dg.shape[0]
     if out is None:
@@ -476,7 +502,7 @@ def _h2_sums(
         prod = np.empty((m, count * rows))
         np.matmul(window, stack, out=prod.reshape(m, count, rows).transpose(1, 0, 2))
         out[:, r0 : r0 + count * rows] += prod
-    leaf, p = _LEAF_ROWS, _CHEB_POINTS
+    leaf, p = _LEAF_ROWS, op.anterp.shape[2]
     leaves, at = op.anterp.shape[0], op.offsets
     # a partial last cluster is never a source, so its moments stay unset;
     # the (clusters, m, p) views hold one (m, p) matrix per cluster
@@ -556,7 +582,7 @@ def near_band(eq: EquationSpec, nodes: np.ndarray) -> NearBand:
     builds one, and the images, and any error raised, are bit for bit the
     same. The nodes array must not be written while the band is in use.
     The band is not cached: it lives as long as the caller keeps it, and
-    takes 4.2 MB at 4097 nodes.
+    takes 4.2 MB at 4097 nodes, 2.1 MB when a is 1 or 2.
     """
     if nodes.ndim != 1 or nodes.dtype != np.float64:
         raise DomainError(

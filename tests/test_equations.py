@@ -258,8 +258,9 @@ def test_streaming_path_refines_blocks_that_are_close(monkeypatch):
     # on a grid graded toward t = 1 the s-spacing grows, so a row cluster is
     # wider than its gap to the columns; the block is split into its child
     # blocks instead of evaluated exactly, and the cost stays that of the
-    # uniform grid (on t = 1 + 2 u^4, exact evaluation would take 3.4x)
-    params = _rule_params(*_RULE_CASES[0])
+    # uniform grid (on t = 1 + 2 u^4, exact evaluation would take 3.4x). The
+    # general kernel: for a = 2 no far block is evaluated exactly on any grid
+    params = _rule_params(*_RULE_CASES[1])
     n = 1025
     g = np.random.default_rng(3).uniform(-0.5, 0.5, size=(1, n))
     u = np.linspace(0.0, 1.0, n)
@@ -287,8 +288,9 @@ def test_streaming_path_refines_blocks_that_are_close(monkeypatch):
 def test_exact_entries_per_application_are_unchanged(monkeypatch):
     # the near band holds every exact block, merged ones included (graded
     # grids), so it evaluates the same entries as an application that builds
-    # its own, and an application given the band evaluates none
-    params = _rule_params(*_RULE_CASES[0])
+    # its own, and an application given the band evaluates none (the general
+    # kernel; for a = 2 see test_integer_exponent_operator_structure)
+    params = _rule_params(*_RULE_CASES[1])
     eq = _rule_eq(params)
     entries = _count_exact_entries(monkeypatch)
     want = {
@@ -354,7 +356,7 @@ def test_large_grid_exact_blocks_are_merged():
     # grid's exact far blocks are merged with their leaf's near block
     n = 4097
     for grid, nodes in _run_test_grids(n).items():
-        exact = eqmod._h2_operator(1.0 / 3.0, 2.0, nodes.tobytes(), n).exact
+        exact = eqmod._h2_operator(0.4, 0.5, nodes.tobytes(), n).exact
         if grid == "uniform":
             assert len(exact) == (n - 1) // eqmod._LEAF_ROWS == 64
             assert exact[-1] == (n - 64, n, n - 129, n - 1)
@@ -451,7 +453,7 @@ def _per_level_far_field(op, dg: np.ndarray) -> np.ndarray:
     out = np.zeros((m, op.s.size))
     if m == 0:
         return out
-    leaf, p = eqmod._LEAF_ROWS, eqmod._CHEB_POINTS
+    leaf, p = eqmod._LEAF_ROWS, op.anterp.shape[2]
     leaves = op.anterp.shape[0]
     # level l has ceil(leaves / 2^l) clusters, the first leaves >> l of them full
     counts = [-(-leaves >> lvl) for lvl in range(len(op.pairs) + 1)]
@@ -497,13 +499,13 @@ def test_far_field_matches_a_per_level_loop(n):
     # values to rounding: at most 1.5e-15 of the largest entry over these
     # grids, sizes and batches and all four rule cases when the bound was
     # set. At 16385 nodes the u^4 grid is left out: its second node rounds
-    # to 1
-    params = _rule_params(*_RULE_CASES[0])
+    # to 1. a = 2 takes 3 points and interpolates every block left of its
+    # rows, a = 0.2 takes the general 20-point operator
     rng = np.random.default_rng(n)
-    for grid, nodes in _run_test_grids(n).items():
+    for (a, rho, T), (grid, nodes) in itertools.product(_RULE_CASES[0::2], _run_test_grids(n).items()):
         if grid == "u^4" and nodes[1] == 1.0:
             continue
-        op = eqmod._h2_operator(params.rho, params.exponent, nodes.tobytes(), n)
+        op = eqmod._h2_operator(rho, a, nodes.tobytes(), n)
         far = replace(op, runs=())
         for m in (0, 1, 3):
             g = np.vstack([np.cos(3.0 * nodes), rng.uniform(-0.5, 0.5, (2, n))])[:m]
@@ -512,21 +514,25 @@ def test_far_field_matches_a_per_level_loop(n):
             want = _per_level_far_field(op, dg)
             assert got.shape == want.shape == (m, op.s.size)
             if m:
-                assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max(), (grid, m)
+                assert np.abs(got - want).max() <= 4e-15 * np.abs(want).max(), (a, grid, m)
     eqmod._h2_operator.cache_clear()
 
 
-def _admissible_far_blocks(op) -> list:
+def _admissible_far_blocks(op, a: float) -> list:
     """(row cluster, column cluster) of every interpolated far block, the
     clusters of all levels numbered as one list, found by the admissibility
-    pass that _h2_operator documents: row cluster k meets columns k - 2
-    (even k) or k - 3 and k - 2 (odd k), and a block whose clusters are both
-    at most _ADMISSIBLE times as wide as their gap is interpolated, any
-    other split into its child blocks down to leaf level."""
+    pass that _h2_operator documents. For a in {1, 2}, row cluster k meets
+    its left sibling (k - 1 for odd k), or at the top level every column
+    left of it, and a block whose column cluster ends at or before its row
+    cluster starts is interpolated. Otherwise row cluster k meets columns
+    k - 2 (even k) or k - 3 and k - 2 (odd k), and a block whose clusters
+    are both at most _ADMISSIBLE times as wide as their gap is interpolated,
+    any other split into its child blocks down to leaf level."""
     leaf = eqmod._LEAF_ROWS
     leaves = op.anterp.shape[0]
     counts = [-(-leaves >> lvl) for lvl in range(len(op.pairs) + 1)]
     at = np.cumsum([0] + counts).tolist()
+    adjacent = a in (1.0, 2.0)
 
     def span(lvl, k):
         b = leaf << lvl
@@ -538,15 +544,19 @@ def _admissible_far_blocks(op) -> list:
         if k >= counts[lvl]:
             return
         (lo, hi), (c_lo, c_hi) = span(lvl, k), span(lvl, c)
-        if max(hi - lo, c_hi - c_lo) <= eqmod._ADMISSIBLE * (lo - c_hi):
+        if c_hi <= lo if adjacent else max(hi - lo, c_hi - c_lo) <= eqmod._ADMISSIBLE * (lo - c_hi):
             found.append((at[lvl] + k, at[lvl] + c))
         elif lvl:
             for kk, cc in itertools.product((2 * k, 2 * k + 1), (2 * c, 2 * c + 1)):
                 place(lvl - 1, kk, cc)
 
     for lvl, count in enumerate(counts):
-        for k in range(2, count):
-            for c in range(k - 2 - k % 2, k - 1):
+        for k in range(count):
+            if adjacent:
+                columns = range(k) if lvl == len(counts) - 1 else [k - 1] if k % 2 else []
+            else:
+                columns = range(k - 2 - k % 2, k - 1) if k >= 2 else []
+            for c in columns:
                 place(lvl, k, c)
     return found
 
@@ -555,36 +565,41 @@ def test_far_blocks_are_grouped_by_row_cluster():
     # each group maps the far blocks of its row clusters in one matmul and
     # assigns the products, so the groups must partition the far blocks, no
     # row cluster may be a target twice, and each target's row of sources
-    # (and its stacked kernels) must follow its column clusters in order
-    n, p = 4097, eqmod._CHEB_POINTS
-    for grid, nodes in _run_test_grids(n).items():
-        op = eqmod._h2_operator(1.0 / 3.0, 2.0, nodes.tobytes(), n)
+    # (and its stacked kernels) must follow its column clusters in order.
+    # At 4097 uniform nodes, a = 0.5 meets 57 row clusters with one far
+    # block and 57 with two; a = 2 interpolates each odd row cluster's left
+    # sibling on the four lower levels (61 with the top's cluster 1), and
+    # the top's clusters 2 and 3 meet every cluster left of them
+    n = 4097
+    for a, (grid, nodes) in itertools.product((0.5, 2.0), _run_test_grids(n).items()):
+        op = eqmod._h2_operator(1.0 / 3.0, a, nodes.tobytes(), n)
+        p = op.anterp.shape[2]
         got = [
             (target, source)
             for targets, sources in zip(op.targets, op.sources)
             for target, row in zip(targets.tolist(), sources.tolist())
             for source in row
         ]
-        assert sorted(got) == sorted(_admissible_far_blocks(op)) and len(set(got)) == len(got), grid
+        assert sorted(got) == sorted(_admissible_far_blocks(op, a)) and len(set(got)) == len(got), (a, grid)
         every = np.concatenate(op.targets)
-        assert np.unique(every).size == every.size, grid
+        assert np.unique(every).size == every.size, (a, grid)
         widths = [sources.shape[1] for sources in op.sources]
-        assert len(set(widths)) == len(widths), grid
+        assert len(set(widths)) == len(widths), (a, grid)
         for targets, sources, kernels in zip(op.targets, op.sources, op.kernels):
-            assert sources.shape[0] == targets.size and np.all(np.diff(sources, axis=1) > 0), grid
-            assert kernels.shape == (targets.size, sources.shape[1] * p, p), grid
+            assert sources.shape[0] == targets.size and np.all(np.diff(sources, axis=1) > 0), (a, grid)
+            assert kernels.shape == (targets.size, sources.shape[1] * p, p), (a, grid)
         if grid == "uniform":
             sizes = [(sources.shape[1], targets.size) for targets, sources in zip(op.targets, op.sources)]
-            assert sizes == [(1, 57), (2, 57)]
+            assert sizes == {0.5: [(1, 57), (2, 57)], 2.0: [(1, 61), (2, 1), (3, 1)]}[a]
     eqmod._h2_operator.cache_clear()
 
 
 def test_application_multiplies_each_run_once(monkeypatch):
-    # 4097 uniform nodes: two runs (the first leaf and 63 regular leaves),
-    # so two band matmuls per application, not 64
+    # 4097 uniform nodes at a = 2: one run of 64 leaves, each against its own
+    # panels, so one band matmul per application, not 64
     eq, start = _forced_solve_input()
     band = near_band(eq, start.nodes)
-    assert len(band.stacks) == 2 and len(band.blocks) == 64
+    assert len(band.stacks) == 1 and len(band.blocks) == 64
     calls = []
     matmul = np.matmul
 
@@ -594,7 +609,7 @@ def test_application_multiplies_each_run_once(monkeypatch):
 
     monkeypatch.setattr(np, "matmul", counted)
     apply_operator_batch(eq, start.nodes, start.values[None, :], band=band)
-    assert sum(calls) == 2
+    assert sum(calls) == 1
 
 
 _FORCED = {
@@ -650,11 +665,10 @@ def test_solve_with_band_matches_applications_without_one():
 
 
 def test_solve_evaluates_the_near_band_once(monkeypatch):
-    # at 4097 uniform nodes the band's 64 exact blocks take 520,192 entries:
-    # the first leaf against itself (64 x 64) and 63 leaves against the
-    # previous leaf and themselves (64 x 128 each). They are built once per
-    # solve, and no application evaluates any. The band is released when
-    # solve returns.
+    # at 4097 uniform nodes and a = 2 the band's 64 exact blocks take
+    # 262,144 entries: each leaf against its own panels (64 x 64 each). They
+    # are built once per solve, and no application evaluates any. The band
+    # is released when solve returns.
     bands = []
 
     def recorded(eq, nodes):
@@ -667,7 +681,7 @@ def test_solve_evaluates_the_near_band_once(monkeypatch):
     entries = _count_exact_entries(monkeypatch)
     report = solve(eq, start, tol=1e-10)
     assert report.iterations >= 20
-    assert sum(entries) == 64 * 64 + 63 * 64 * 128 == 520_192
+    assert sum(entries) == 64 * 64 * 64 == 262_144
     assert len(bands) == 1 and bands[0]() is None
 
 
@@ -878,15 +892,75 @@ def test_operator_of_no_rows_is_empty(monkeypatch, n):
 
 
 def test_large_grid_operator_stores_linear_memory():
-    # nested bases store O(n p) floats: 2.3 MB at 4097 nodes (2,342,976
-    # bytes), not the 10.8 MB of one interpolation matrix per far block
+    # nested bases store O(n p) floats: 2.3 MB at 4097 nodes (2,342,520
+    # bytes) for the general 20-point operator, not the 10.8 MB of one
+    # interpolation matrix per far block
     stored = []
     for n in (4097, 16385):
         nodes = uniform_nodes(3.0, n)
-        stored.append(eqmod._h2_operator(1.0 / 3.0, 2.0, nodes.tobytes(), n).nbytes)
+        stored.append(eqmod._h2_operator(1.0 / 3.0, 0.5, nodes.tobytes(), n).nbytes)
     eqmod._h2_operator.cache_clear()
     assert stored[0] <= 2.5e6
     assert stored[1] <= 4.5 * stored[0]
+
+
+def test_integer_exponent_operator_structure():
+    # for integer a the far kernel (X - s)^a is a polynomial of degree a:
+    # a + 1 points per cluster. At a = 2 every block left of its rows is
+    # interpolated, so 4097 uniform nodes keep 64 exact blocks of 64 x 64
+    # (262,144 entries), each leaf against its own panels, in one run; the
+    # factors take 0.31 MB. a = 1 takes 2 points and the same blocks, a = 3
+    # the general blocks with 4 points, and an exponent that is an integer
+    # only up to rounding (0.3 / 0.1 = 2.9999999999999996) the general
+    # operator
+    n, leaf = 4097, eqmod._LEAF_ROWS
+    nodes = uniform_nodes(3.0, n)
+    op = eqmod._h2_operator(1.0 / 3.0, 2.0, nodes.tobytes(), n)
+    assert op.anterp.shape[2] == 3
+    assert op.exact == tuple((r0, r0 + leaf, r0 - 1, r0 - 1 + leaf) for r0 in range(1, n, leaf))
+    assert sum((r1 - r0) * (c1 - c0) for r0, r1, c0, c1 in op.exact) == 262_144
+    assert op.runs == ((0, 64),)
+    assert op.nbytes <= 0.35e6
+    linear = eqmod._h2_operator(1.0 / 3.0, 1.0, nodes.tobytes(), n)
+    assert linear.anterp.shape[2] == 2 and linear.exact == op.exact
+    general = eqmod._h2_operator(1.0 / 3.0, 0.5, nodes.tobytes(), n)
+    cubic = eqmod._h2_operator(1.0 / 3.0, 3.0, nodes.tobytes(), n)
+    assert cubic.anterp.shape[2] == 4 and cubic.exact == general.exact
+    params = FracParams(k=0.1, rho=1.0 / 3.0, gamma_ord=0.3, T=3.0)
+    assert params.exponent != 3.0
+    rounded = eqmod._h2_operator(params.rho, params.exponent, nodes.tobytes(), n)
+    assert rounded.anterp.shape[2] == eqmod._CHEB_POINTS == 20 and rounded.exact == general.exact
+    eqmod._h2_operator.cache_clear()
+
+
+@pytest.mark.parametrize("a", [1, 3, 15])
+def test_integer_exponent_path_matches_matrix_path(monkeypatch, a):
+    # a = gamma_ord / k exact in binary, so the large-grid path takes a + 1
+    # points and, for a = 1, interpolates every block left of its rows.
+    # Against an extended-precision evaluation of the same rule its error
+    # must stay within 3x the dense path's (or 1e-14 of |W| @ |g|), as in
+    # test_streaming_path_matches_matrix_path, at every eleventh row: a stride
+    # that meets every row position of a leaf
+    params = FracParams(k=2.0**-6, rho=1.0 / 3.0, gamma_ord=a * 2.0**-6, T=3.0)
+    assert params.exponent == a
+    rng = np.random.default_rng(a)
+    for n in (2050, 4097):
+        for grid, nodes in _test_grids(params.T, n, rng).items():
+            # two random and two smooth integrands
+            g = np.vstack(
+                [rng.uniform(-0.5, 0.5, size=(2, n)), np.cos(nodes), np.exp(-nodes / params.T)]
+            )
+            monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", n)
+            dense = _integral(params, nodes, g)
+            eqmod._weight_matrix.cache_clear()
+            monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 2049)
+            fast = _integral(params, nodes, g)
+            errs = _rule_errors(params, nodes, g, (dense, fast), np.arange(1, n, 11))
+            for kind, sel in (("random", slice(0, 2)), ("smooth", slice(2, 4))):
+                dense_err, fast_err = errs[:, sel].max(axis=1)
+                bound = max(3.0 * dense_err, 1e-14)
+                assert fast_err <= bound, (n, a, grid, kind, fast_err, dense_err)
+    eqmod._h2_operator.cache_clear()
 
 
 def test_large_grid_operator_is_cached_per_rho_and_a(monkeypatch):
