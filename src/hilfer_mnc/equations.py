@@ -30,8 +30,8 @@ application, which then does per-row work only. Every far block is
 interpolated in s at Chebyshev points of its column cluster and in X at
 those of its row cluster, with nested bases on both sides (an
 H^2-matrix: Boerm, Efficient Numerical Methods for Non-local Operators,
-EMS 2010): 20 points, or a + 1 for an integer a below 20, where the far
-kernel (X - s)^a is a polynomial and they interpolate it exactly. Row i
+EMS 2010): 20 points, or a + 1 for a = 1 or 2, where the far kernel
+(X - s)^a is a polynomial and they interpolate it exactly. Row i
 shares the cluster of panel i - 1, and the mesh is continued past T to
 whole leaves of panels, so every cluster holds at least a leaf of rows
 and has points of its own; the rows past T are computed and dropped.
@@ -194,11 +194,11 @@ class _H2Operator:
     B = _LEAF_ROWS 2^l, cluster k holds panels k B .. (k + 1) B - 1 and
     rows k B + 1 .. (k + 1) B, the last cluster cut at the mesh's end, and
     one set of p Chebyshev points on its interval serves both, p =
-    anterp.shape[2]: a + 1 for an integer a below _CHEB_POINTS, else
-    _CHEB_POINTS. With leaves = len(anterp), level l has _clusters(leaves,
-    l) clusters, of which the first leaves >> l hold all their panels;
-    every cluster has at least one leaf of rows. The clusters of all levels
-    are numbered as one list: level l's are offsets[l] .. offsets[l + 1] - 1.
+    anterp.shape[2]: a + 1 for a = 1 or 2, else _CHEB_POINTS. With leaves
+    = len(anterp), level l has _clusters(leaves, l) clusters, of which the
+    first leaves >> l hold all their panels; every cluster has at least
+    one leaf of rows. The clusters of all levels are numbered as one list:
+    level l's are offsets[l] .. offsets[l + 1] - 1.
 
     exact lists the blocks (r0, r1, c0, c1), rows r0..r1-1 against panels
     c0..c1-1, that are evaluated through power_differences, in order: each
@@ -284,25 +284,23 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
     Comput. Phys. 228 (2009) 8712); one that is not is split into its
     child blocks, and evaluated exactly at leaf level.
 
-    For an integer a below _CHEB_POINTS, (X - s)^a is a polynomial of
-    degree a, so a + 1 points per cluster interpolate every block left of
-    its rows exactly. For a = 1 or 2 every such block is interpolated, the
-    previous leaf included: row cluster k meets its left sibling k - 1 for
-    odd k, and at the top level every cluster left of it, and only each
-    leaf against its own panels is exact. The other integers keep the
-    general blocks: with the previous leaf interpolated, a = 15 erred by up
-    to 3.9e-9 of |W||g| on a rough integrand and a u^2 grid of 4097 nodes
-    (rho = 1/3), against 2.1e-12 with it exact.
+    For a = 1 or 2, (X - s)^a is a polynomial of degree a, so a + 1
+    points per cluster interpolate every block left of its rows exactly,
+    and every such block is interpolated, the previous leaf included: row
+    cluster k meets its left sibling k - 1 for odd k, and at the top level
+    every cluster left of it, and only each leaf against its own panels is
+    exact. Any other a, larger integers included, builds the general
+    operator.
 
     Exact blocks on the same rows that meet in panels are merged into one,
     and the merged blocks are grouped into runs (_runs). The interpolated
     blocks are grouped by row cluster (see _H2Operator).
     """
     leaf = _LEAF_ROWS
-    polynomial = float(a).is_integer() and a < _CHEB_POINTS
+    polynomial = a in (1.0, 2.0)
     p = int(a) + 1 if polynomial else _CHEB_POINTS
     # the left neighbours of a cluster that are not interpolated at its level
-    near = 0 if polynomial and a <= 2.0 else 1
+    near = 0 if polynomial else 1
     leaves = -(-(n - 1) // leaf)
     end = leaves * leaf
     s = np.frombuffer(nodes_bytes, dtype=float) ** rho

@@ -180,28 +180,32 @@ def _test_grids(T: float, n: int, rng) -> dict:
     }
 
 
+def _check_large_grid_path(monkeypatch, params: FracParams, n: int, rng, rows) -> None:
+    """The large-grid path may round differently from the dense matrix, but
+    against an extended-precision evaluation of the same rule its error at
+    rows must stay within 3x the dense path's (or 1e-14 of |W| @ |g|), on
+    the _test_grids of n nodes, for two random and two smooth integrands."""
+    for grid, nodes in _test_grids(params.T, n, rng).items():
+        g = np.vstack(
+            [rng.uniform(-0.5, 0.5, size=(2, n)), np.cos(nodes), np.exp(-nodes / params.T)]
+        )
+        monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", n)
+        dense = _integral(params, nodes, g)
+        eqmod._weight_matrix.cache_clear()
+        monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
+        fast = _integral(params, nodes, g)
+        assert np.all(fast[:, 0] == 0.0)
+        errs = _rule_errors(params, nodes, g, (dense, fast), rows)
+        for kind, sel in (("random", slice(0, 2)), ("smooth", slice(2, 4))):
+            dense_err, fast_err = errs[:, sel].max(axis=1)
+            bound = max(3.0 * dense_err, 1e-14)
+            assert fast_err <= bound, (n, params, grid, kind, fast_err, dense_err)
+
+
 def test_streaming_path_matches_matrix_path(monkeypatch):
-    # the large-grid path may round differently from the dense matrix, but
-    # against an extended-precision evaluation of the same rule its error
-    # must stay within 3x the dense path's (or 1e-14 of |W| @ |g|)
     rng = np.random.default_rng(5)
-    for n, (a, rho, T) in itertools.product((201, 1025), _RULE_CASES):
-        params = _rule_params(a, rho, T)
-        for grid, nodes in _test_grids(T, n, rng).items():
-            # two random and two smooth integrands
-            g = np.vstack(
-                [rng.uniform(-0.5, 0.5, size=(2, n)), np.cos(nodes), np.exp(-nodes / T)]
-            )
-            monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 2049)
-            dense = _integral(params, nodes, g)
-            monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
-            fast = _integral(params, nodes, g)
-            assert np.all(fast[:, 0] == 0.0)
-            errs = _rule_errors(params, nodes, g, (dense, fast), np.arange(1, n))
-            for kind, sel in (("random", slice(0, 2)), ("smooth", slice(2, 4))):
-                dense_err, fast_err = errs[:, sel].max(axis=1)
-                bound = max(3.0 * dense_err, 1e-14)
-                assert fast_err <= bound, (n, a, rho, T, grid, kind, fast_err, dense_err)
+    for n, case in itertools.product((201, 1025), _RULE_CASES):
+        _check_large_grid_path(monkeypatch, _rule_params(*case), n, rng, np.arange(1, n))
 
 
 @pytest.mark.parametrize("n", [65, 130, 340, 341, 360, 4097, 4100])
@@ -905,13 +909,13 @@ def test_large_grid_operator_stores_linear_memory():
 
 
 def test_integer_exponent_operator_structure():
-    # for integer a the far kernel (X - s)^a is a polynomial of degree a:
-    # a + 1 points per cluster. At a = 2 every block left of its rows is
-    # interpolated, so 4097 uniform nodes keep 64 exact blocks of 64 x 64
-    # (262,144 entries), each leaf against its own panels, in one run; the
-    # factors take 0.31 MB. a = 1 takes 2 points and the same blocks, a = 3
-    # the general blocks with 4 points, and an exponent that is an integer
-    # only up to rounding (0.3 / 0.1 = 2.9999999999999996) the general
+    # for a = 1 or 2 the far kernel (X - s)^a is a polynomial of degree a:
+    # a + 1 points per cluster, and every block left of its rows is
+    # interpolated. At a = 2, 4097 uniform nodes keep 64 exact blocks of
+    # 64 x 64 (262,144 entries), each leaf against its own panels, in one
+    # run; the factors take 0.31 MB. a = 1 takes 2 points and the same
+    # blocks. a = 3, and an exponent that is 2 only up to rounding
+    # (0.6000000000000001 / 0.3 = 2.0000000000000004), build the general
     # operator
     n, leaf = 4097, eqmod._LEAF_ROWS
     nodes = uniform_nodes(3.0, n)
@@ -924,42 +928,26 @@ def test_integer_exponent_operator_structure():
     linear = eqmod._h2_operator(1.0 / 3.0, 1.0, nodes.tobytes(), n)
     assert linear.anterp.shape[2] == 2 and linear.exact == op.exact
     general = eqmod._h2_operator(1.0 / 3.0, 0.5, nodes.tobytes(), n)
-    cubic = eqmod._h2_operator(1.0 / 3.0, 3.0, nodes.tobytes(), n)
-    assert cubic.anterp.shape[2] == 4 and cubic.exact == general.exact
-    params = FracParams(k=0.1, rho=1.0 / 3.0, gamma_ord=0.3, T=3.0)
-    assert params.exponent != 3.0
-    rounded = eqmod._h2_operator(params.rho, params.exponent, nodes.tobytes(), n)
-    assert rounded.anterp.shape[2] == eqmod._CHEB_POINTS == 20 and rounded.exact == general.exact
+    params = FracParams(k=0.3, rho=1.0 / 3.0, gamma_ord=0.1 * 6, T=3.0)
+    assert params.exponent != 2.0
+    for a in (3.0, params.exponent):
+        other = eqmod._h2_operator(1.0 / 3.0, a, nodes.tobytes(), n)
+        assert other.anterp.shape[2] == eqmod._CHEB_POINTS == 20 and other.exact == general.exact, a
     eqmod._h2_operator.cache_clear()
 
 
-@pytest.mark.parametrize("a", [1, 3, 15])
+@pytest.mark.parametrize("a", [1, 2])
 def test_integer_exponent_path_matches_matrix_path(monkeypatch, a):
     # a = gamma_ord / k exact in binary, so the large-grid path takes a + 1
-    # points and, for a = 1, interpolates every block left of its rows.
-    # Against an extended-precision evaluation of the same rule its error
-    # must stay within 3x the dense path's (or 1e-14 of |W| @ |g|), as in
-    # test_streaming_path_matches_matrix_path, at every eleventh row: a stride
-    # that meets every row position of a leaf
+    # points and interpolates every block left of its rows; its error is
+    # checked as in test_streaming_path_matches_matrix_path, at the sizes
+    # where the path runs unforced, at every eleventh row: a stride that
+    # meets every row position of a leaf
     params = FracParams(k=2.0**-6, rho=1.0 / 3.0, gamma_ord=a * 2.0**-6, T=3.0)
     assert params.exponent == a
     rng = np.random.default_rng(a)
     for n in (2050, 4097):
-        for grid, nodes in _test_grids(params.T, n, rng).items():
-            # two random and two smooth integrands
-            g = np.vstack(
-                [rng.uniform(-0.5, 0.5, size=(2, n)), np.cos(nodes), np.exp(-nodes / params.T)]
-            )
-            monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", n)
-            dense = _integral(params, nodes, g)
-            eqmod._weight_matrix.cache_clear()
-            monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 2049)
-            fast = _integral(params, nodes, g)
-            errs = _rule_errors(params, nodes, g, (dense, fast), np.arange(1, n, 11))
-            for kind, sel in (("random", slice(0, 2)), ("smooth", slice(2, 4))):
-                dense_err, fast_err = errs[:, sel].max(axis=1)
-                bound = max(3.0 * dense_err, 1e-14)
-                assert fast_err <= bound, (n, a, grid, kind, fast_err, dense_err)
+        _check_large_grid_path(monkeypatch, params, n, rng, np.arange(1, n, 11))
     eqmod._h2_operator.cache_clear()
 
 
