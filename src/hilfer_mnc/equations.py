@@ -19,11 +19,15 @@ within one leaf of the diagonal (for a = 1 or 2, those of the diagonal
 leaves alone), and the far blocks no level could interpolate, form the
 near band and are evaluated exactly. Each band block holds the undivided
 panel differences of the powers (fractional.power_differences) and
-depends on (nodes, rho, a) only; near_band evaluates every block on the
-calling thread. Consecutive blocks of one shape, each one leaf below and
-right of the last, form a run, and the band stores each run as one
-stack. An application divides the integrand differences by the panel
-widths once and multiplies each run with one batched matmul. A loop that
+depends on (nodes, rho, a) only. Consecutive blocks of one shape, each
+one leaf below and right of the last, form a run, and the band stores
+each run as one stack. An application divides the integrand differences
+by the panel widths once and multiplies each run with one batched
+matmul. For a = 1 or 2 the diagonal leaves are themselves semiseparable:
+every slope a row takes there is a polynomial of degree a in the row's
+offset from its leaf's left end, so a one-row application sums each leaf
+as a + 1 running sums (_LeafPrefix) and needs no band; a batch of more
+than one row multiplies the band, which is faster there. A loop that
 applies the operator many times on one grid (Picard in solver.solve,
 Darbo in mnc.darbo_iterate) builds the band once and passes it to every
 application, which then does per-row work only. Every far block is
@@ -38,10 +42,13 @@ and has points of its own; the rows past T are computed and dropped.
 Those factors are built once per (nodes, rho, a) and cached; they hold
 O(n) floats, and one application costs near-linear time, on graded grids
 too. The band is not cached: at 4097 nodes it takes 4.2 MB, more than
-all the factors (2.1 MB against 0.31 MB at a = 2). The kernel writes
-each band block in place in its stack, and an application maps the far
-field in one batched matmul per level and pass, and per group of far
-blocks.
+all the factors, and a band is built only when an application first
+multiplies it, on that application's thread. So a one-row loop at a = 1
+or 2 (Picard) builds none: the band would take 2.1 MB against the
+factors' 0.31 MB at a = 2, and streaming it through the cache on every
+application cost more than the running sums. The kernel writes each
+band block in place in its stack, and an application maps the far field
+in one batched matmul per level and pass, and per group of far blocks.
 """
 
 from __future__ import annotations
@@ -382,6 +389,63 @@ def _h2_operator(rho: float, a: float, nodes_bytes: bytes, n: int) -> _H2Operato
 
 
 @dataclass(frozen=True)
+class _LeafPrefix:
+    """One row's sum over its own leaf's panels, for a = 1 or 2, as a + 1 running sums.
+
+    Leaf k holds panels k B .. (k + 1) B - 1 and rows k B + 1 .. (k + 1) B
+    of op.s, B = _LEAF_ROWS, and row i takes the leaf's panels up to
+    i - 1. With x0 = s[k B] the leaf's left end, Y = s_i - x0 and mu_j =
+    (s_j - x0) + h_j / 2 the offset of panel j's midpoint (both
+    differences exact where s_j <= 2 x0: Sterbenz), the power slope of
+    panel j is a polynomial in Y,
+
+        d_j = -2 (Y - mu_j)                     (a = 1)
+        d_j = -(3 (Y - mu_j)^2 + h_j^2 / 4)     (a = 2),
+
+    so the leaf's block is semiseparable of rank a + 1 (Vandebril, Van
+    Barel & Mastronardi, Matrix Computations and Semiseparable Matrices,
+    JHU Press 2008): d_j = sum_c rows[c](i) panels[c](j), with rows
+    (-2 Y, 2) against panels (1, mu) at a = 1 and (-3 Y^2, 6 Y, -1)
+    against (1, mu, 3 mu^2 + h^2 / 4) at a = 2. rows and panels are
+    (a + 1, leaves, B) arrays, each leaf's rows and panels in order, and
+    ones is the (B, B) upper triangle of ones: x @ ones sums x along its
+    last axis cumulatively.
+    """
+
+    rows: np.ndarray
+    panels: np.ndarray
+    ones: np.ndarray
+
+    @classmethod
+    def of(cls, op: _H2Operator, a: float) -> "_LeafPrefix":
+        leaf = _LEAF_ROWS
+        h = op.widths.reshape(-1, leaf)
+        x0 = op.s[:-1:leaf, None]
+        y = op.s[1:].reshape(h.shape) - x0
+        mu = op.s[:-1].reshape(h.shape) - x0
+        mu += 0.5 * h
+        one = np.ones_like(h)
+        if a == 1.0:
+            rows, panels = (-2.0 * y, 2.0 * one), (one, mu)
+        else:
+            rows, panels = (-3.0 * y * y, 6.0 * y, -one), (one, mu, 3.0 * mu * mu + 0.25 * h * h)
+        return cls(np.stack(rows), np.stack(panels), np.triu(np.ones((leaf, leaf))))
+
+    def sums(self, dg: np.ndarray) -> np.ndarray:
+        """sum_j d_j(s[i]) * dg[:, j] over row i's own leaf, at rows 1 .. of op.s, for (m, panels) dg.
+
+        The terms panels[c] dg of every c and leaf are summed cumulatively
+        along their leaf in one matmul by ones, and row i's sum is then
+        sum_c rows[c](i) times the running sums through panel i - 1.
+        """
+        m, leaf = dg.shape[0], self.ones.shape[0]
+        terms = self.panels * dg.reshape(m, 1, *self.panels.shape[1:])
+        running = np.matmul(terms.reshape(-1, leaf), self.ones).reshape(terms.shape)
+        running *= self.rows
+        return running.sum(axis=1).reshape(dg.shape)
+
+
+@dataclass(frozen=True)
 class NearBand:
     """One grid's operator bound to one equation and one nodes array, built by near_band.
 
@@ -397,7 +461,10 @@ class NearBand:
     (first, count) as one C-contiguous (count, c1 - c0, r1 - r0) array,
     each block in power_differences' (panels, limits) layout; blocks lists
     every block as an (r1 - r0, c1 - c0) view of its stack, in op.exact
-    order.
+    order. The stacks are evaluated on their first use, and kept. prefix,
+    for a = 1 or 2 on the _H2Operator, sums the diagonal leaves of a
+    one-row application in their place (_LeafPrefix); it is None
+    otherwise.
     """
 
     eq: EquationSpec
@@ -406,7 +473,15 @@ class NearBand:
     psi: Expr
     g: Expr
     op: np.ndarray | _H2Operator
-    stacks: tuple[np.ndarray, ...] = ()
+    prefix: _LeafPrefix | None = None
+
+    @cached_property
+    def stacks(self) -> tuple[np.ndarray, ...]:
+        if isinstance(self.op, np.ndarray):
+            return ()
+        # as in near_band: an overflow shows as a non-finite image
+        with np.errstate(over="ignore", invalid="ignore"):
+            return _band_stacks(self.op, self.eq.params.exponent)
 
     @property
     def blocks(self) -> tuple[np.ndarray, ...]:
@@ -451,7 +526,8 @@ def _h2_sums(
     zero array.
 
     stacks holds the panel differences of op.exact, one stack per run of
-    op.runs (_band_stacks). The exact blocks take the integrand differences
+    op.runs (_band_stacks), or is () when the caller sums the near field
+    itself (_LeafPrefix). The exact blocks take the integrand differences
     divided by the panel widths, c = dg / op.widths, computed once. Each run
     of count blocks of shape (rows, cols) multiplies the (count, m, cols)
     window view of c that starts at its first block's panels and steps one
@@ -539,6 +615,13 @@ def _integral_values(band: NearBand, g: np.ndarray) -> np.ndarray:
     to one differenced integrand: g_0, the panel differences, and zeros on
     the H^2 mesh past T, whose rows are dropped. The dense matrix takes it
     in one matmul; the _H2Operator starts its sum with the boundary term.
+    A batch of at most one row with a band.prefix sums the diagonal leaves
+    by running sums and builds no band; a larger batch multiplies the
+    band's stacks, which the first such batch evaluates. The diagonal
+    leaves alone took 0.041 ms by running sums against 0.072 ms by the band
+    at m = 1 on 4097 nodes, a = 2, but 4.1 and 28 ms against 0.64 and
+    5.0 ms at m = 30 and 240 (best of 7 rounds of 20 calls in one process,
+    the band in cache; 2-core x86-64 host, one BLAS thread).
     """
     params = band.eq.params
     a = params.exponent
@@ -558,7 +641,11 @@ def _integral_values(band: NearBand, g: np.ndarray) -> np.ndarray:
         dg[:, 0] = g[:, 0]
         np.subtract(g[:, :-1], g[:, 1:], out=dg[:, 1:n])
         dg[:, n:] = 0.0
-        total = _h2_sums(op, dg[:, 1:], band.stacks, op.boundary * dg[:, :1])[:, :n]
+        one_row = m < 2 and band.prefix is not None
+        total = op.boundary * dg[:, :1]
+        if one_row:
+            total[:, 1:] += band.prefix.sums(dg[:, 1:])
+        total = _h2_sums(op, dg[:, 1:], () if one_row else band.stacks, total)[:, :n]
     total *= pref / (a * (a + 1.0))
     return total
 
@@ -571,16 +658,21 @@ def near_band(eq: EquationSpec, nodes: np.ndarray) -> NearBand:
     nodes, starting at 1, strictly increasing (checked as by
     fractional.checked_grid) and ending at T. Then it does once what each
     application on the grid needs: it evaluates the parts of f, psi and g
-    in x alone on the nodes, looks the grid's operator up by the node
-    bytes and, above _MATRIX_MAX_NODES, evaluates the exact blocks, on the
-    calling thread. The build issues no floating-point warning: an overflow
-    in it shows as a non-finite image in the application. A caller that applies
+    in x alone on the nodes and looks the grid's operator up by the node
+    bytes. Above _MATRIX_MAX_NODES the exact blocks of the near band are
+    evaluated by the first application that multiplies them, on its
+    thread, and kept; for a = 1 or 2 that is the first batch of more than
+    one row, as one-row applications sum the diagonal leaves by running
+    sums instead (_LeafPrefix), which near_band sets up. Neither emits a
+    floating-point warning: an overflow in them shows as a non-finite
+    image in the application. A caller that applies
     the operator many times on one grid passes the band to
     apply_operator_batch or apply_operator; an application given no band
     builds one, and the images, and any error raised, are bit for bit the
     same. The nodes array must not be written while the band is in use.
     The band is not cached: it lives as long as the caller keeps it, and
-    takes 4.2 MB at 4097 nodes, 2.1 MB when a is 1 or 2.
+    its blocks take 4.2 MB at 4097 nodes, 2.1 MB when a is 1 or 2, and
+    none while a is 1 or 2 and every application is of one row.
     """
     if nodes.ndim != 1 or nodes.dtype != np.float64:
         raise DomainError(
@@ -596,7 +688,7 @@ def near_band(eq: EquationSpec, nodes: np.ndarray) -> NearBand:
         if n <= _MATRIX_MAX_NODES:
             return NearBand(eq, nodes, *exprs, _weight_matrix(*key))
         op = _h2_operator(*key)
-        return NearBand(eq, nodes, *exprs, op, _band_stacks(op, a))
+        return NearBand(eq, nodes, *exprs, op, _LeafPrefix.of(op, a) if a in (1.0, 2.0) else None)
 
 
 def _as_grid(expr: Expr, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:

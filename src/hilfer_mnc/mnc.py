@@ -344,8 +344,9 @@ def darbo_iterate(
     to op and the seed's nodes (equations.near_band) is built once for the
     call on the calling thread and passed to every step: it carries the
     grid's operator (the weight matrix, or above 2049 nodes every
-    near-band block evaluated exactly) and the parts of f, psi and g in x
-    alone, evaluated once for all steps.
+    near-band block, evaluated exactly by the first step of more than one
+    row) and the parts of f, psi and g in x alone, evaluated once for all
+    steps.
     """
     if p_max < 1:
         raise DomainError(f"p_max must be >= 1, got {p_max}")

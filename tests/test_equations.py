@@ -342,12 +342,14 @@ def test_large_grid_operator_is_bit_identical_for_any_helper_count(monkeypatch, 
 
 
 def test_streaming_path_cost_is_near_linear(monkeypatch):
-    # a quadratic path evaluates 16x the slopes for 4x the nodes
+    # a quadratic path evaluates 16x the slopes for 4x the nodes. Measured on
+    # a batch, which multiplies the band: one row at a = 2 sums its diagonal
+    # leaves by running sums and evaluates none
     entries = _count_exact_entries(monkeypatch)
     total = []
     for n in (4097, 16385):
         entries.clear()
-        _integral(_ALPHA.params, uniform_nodes(3.0, n), np.ones((1, n)))
+        _integral(_ALPHA.params, uniform_nodes(3.0, n), np.ones((2, n)))
         total.append(sum(entries))
     assert 0 < total[0] and total[1] <= 6 * total[0]
 
@@ -599,8 +601,8 @@ def test_far_blocks_are_grouped_by_row_cluster():
 
 
 def test_application_multiplies_each_run_once(monkeypatch):
-    # 4097 uniform nodes at a = 2: one run of 64 leaves, each against its own
-    # panels, so one band matmul per application, not 64
+    # a batch on 4097 uniform nodes at a = 2: one run of 64 leaves, each
+    # against its own panels, so one band matmul per application, not 64
     eq, start = _forced_solve_input()
     band = near_band(eq, start.nodes)
     assert len(band.stacks) == 1 and len(band.blocks) == 64
@@ -612,7 +614,7 @@ def test_application_multiplies_each_run_once(monkeypatch):
         return matmul(x, y, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", counted)
-    apply_operator_batch(eq, start.nodes, start.values[None, :], band=band)
+    apply_operator_batch(eq, start.nodes, np.vstack([start.values, -start.values]), band=band)
     assert sum(calls) == 1
 
 
@@ -669,10 +671,11 @@ def test_solve_with_band_matches_applications_without_one():
 
 
 def test_solve_evaluates_the_near_band_once(monkeypatch):
-    # at 4097 uniform nodes and a = 2 the band's 64 exact blocks take
-    # 262,144 entries: each leaf against its own panels (64 x 64 each). They
-    # are built once per solve, and no application evaluates any. The band
-    # is released when solve returns.
+    # at 4097 uniform nodes and a = 0.5 the band's 64 exact blocks take
+    # 520,192 entries: each leaf against its own panels and the previous
+    # leaf's (64 x 128 each, 64 x 64 for the first). They are built once
+    # per solve, by its first application, and no later application
+    # evaluates any. The band is released when solve returns.
     bands = []
 
     def recorded(eq, nodes):
@@ -682,11 +685,46 @@ def test_solve_evaluates_the_near_band_once(monkeypatch):
 
     monkeypatch.setattr(solver_mod, "near_band", recorded)
     eq, start = _forced_solve_input()
+    eq = replace(eq, params=replace(eq.params, gamma_ord=1.0 / 6.0))
+    assert eq.params.exponent == 0.5
     entries = _count_exact_entries(monkeypatch)
     report = solve(eq, start, tol=1e-10)
     assert report.iterations >= 20
-    assert sum(entries) == 64 * 64 * 64 == 262_144
+    assert sum(entries) == 63 * 64 * 128 + 64 * 64 == 520_192
     assert len(bands) == 1 and bands[0]() is None
+
+
+def test_one_row_applications_at_integer_a_evaluate_no_band(monkeypatch):
+    # at a = 2 a one-row application sums each row's own leaf by running
+    # sums: a Picard solve, and an application that builds its own band,
+    # evaluate no power difference
+    eq, start = _forced_solve_input()
+    entries = _count_exact_entries(monkeypatch)
+    report = solve(eq, start, tol=1e-10)
+    assert report.converged and report.iterations >= 20
+    apply_operator(eq, start)
+    assert entries == []
+
+
+def test_first_batch_builds_the_band_once(monkeypatch):
+    # at 4097 uniform nodes and a = 2 the band's 64 exact blocks take
+    # 262,144 entries: each leaf against its own panels (64 x 64 each).
+    # One-row applications build none; the first batch of more than one row
+    # builds them all, and the band keeps them for every later batch. A row
+    # keeps the running sums, whatever batches came before
+    eq, start = _forced_solve_input()
+    band = near_band(eq, start.nodes)
+    entries = _count_exact_entries(monkeypatch)
+    row = start.values[None, :]
+    batch = np.vstack([start.values, 0.5 * start.values, -start.values])
+    alone = apply_operator_batch(eq, start.nodes, row, band=band)
+    assert entries == []
+    first = apply_operator_batch(eq, start.nodes, batch, band=band)
+    assert sum(entries) == 64 * 64 * 64 == 262_144
+    entries.clear()
+    assert np.array_equal(apply_operator_batch(eq, start.nodes, batch, band=band), first)
+    assert np.array_equal(apply_operator_batch(eq, start.nodes, row, band=band), alone)
+    assert entries == []
 
 
 def test_solve_computes_gamma_k_once(monkeypatch):
@@ -746,13 +784,21 @@ def test_band_of_another_equation_or_nodes_array_is_refused(n):
 
 def test_band_holds_the_dense_matrix_or_the_exact_blocks(monkeypatch):
     # the dense matrix is the all-near-band case, with no stacks; a 65-node
-    # large grid has one leaf
+    # large grid has one leaf. At a = 2 the band holds its blocks once a
+    # batch of more than one row has multiplied them
     eq = parse_config(_FORCED).equations[0]
     dense = near_band(eq, uniform_nodes(3.0, 129))
     assert isinstance(dense.op, np.ndarray) and dense.blocks == ()
-    assert len(near_band(eq, uniform_nodes(3.0, 4097)).blocks) == 64
+
+    def after_a_batch(nodes):
+        band = near_band(eq, nodes)
+        apply_operator_batch(eq, nodes, np.zeros((2, nodes.size)), band=band)
+        assert "stacks" in vars(band)
+        return band
+
+    assert len(after_a_batch(uniform_nodes(3.0, 4097)).blocks) == 64
     monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
-    small = near_band(eq, uniform_nodes(3.0, 65))
+    small = after_a_batch(uniform_nodes(3.0, 65))
     assert [b.shape for b in small.blocks] == [(64, 64)]
 
 
@@ -948,6 +994,32 @@ def test_integer_exponent_path_matches_matrix_path(monkeypatch, a):
     rng = np.random.default_rng(a)
     for n in (2050, 4097):
         _check_large_grid_path(monkeypatch, params, n, rng, np.arange(1, n, 11))
+    eqmod._h2_operator.cache_clear()
+
+
+@pytest.mark.parametrize("n", [2050, 4097, 4100])
+@pytest.mark.parametrize("a", [1, 2])
+def test_one_row_running_sums_match_the_band_product(a, n):
+    # for a = 1 or 2 a one-row application sums each row's own leaf by
+    # running sums, where a batch multiplies the stacked band. Against an
+    # extended-precision evaluation of the same rule, the running sums' error
+    # stays within 3x the band product's (or 1e-14 of |W| @ |g|), as in
+    # _check_large_grid_path, on uniform, u^2, u^4 and random grids, at every
+    # eleventh row: a stride that meets every row position of a leaf
+    params = FracParams(k=2.0**-6, rho=1.0 / 3.0, gamma_ord=a * 2.0**-6, T=3.0)
+    rng = np.random.default_rng(n + a)
+    rows = np.arange(1, n, 11)
+    for grid, nodes in _run_test_grids(n).items():
+        band = near_band(_rule_eq(params), nodes)
+        g = np.vstack([rng.uniform(-0.5, 0.5, size=(2, n)), np.cos(nodes), np.exp(-nodes / params.T)])
+        one = np.vstack([_integral(params, nodes, row[None, :], band=band) for row in g])
+        assert _integral(params, nodes, g[:0], band=band).shape == (0, n)
+        assert "stacks" not in vars(band)
+        batch = _integral(params, nodes, g, band=band)
+        errs = _rule_errors(params, nodes, g, (batch, one), rows)
+        for kind, sel in (("random", slice(0, 2)), ("smooth", slice(2, 4))):
+            band_err, sums_err = errs[:, sel].max(axis=1)
+            assert sums_err <= max(3.0 * band_err, 1e-14), (grid, kind, sums_err, band_err)
     eqmod._h2_operator.cache_clear()
 
 
