@@ -43,7 +43,7 @@ from .mnc import (
 )
 from .solvability import RadiusCertificate, certify
 from .solver import SolveReport, solve
-from .special_functions import KGammaResult, beta, gamma, k_gamma, k_gamma_integral
+from .special_functions import KGammaResult, k_gamma, k_gamma_integral
 
 __version__ = "0.1.0"
 
@@ -67,7 +67,6 @@ __all__ = [
     "SolveReport",
     "apply_operator",
     "apply_operator_batch",
-    "beta",
     "bundled_example",
     "certificate_inequality_check",
     "certify",
@@ -79,7 +78,6 @@ __all__ = [
     "ensemble_modulus",
     "estimate_lipschitz",
     "evaluate",
-    "gamma",
     "hilfer_integral",
     "k_gamma",
     "k_gamma_integral",

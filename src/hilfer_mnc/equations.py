@@ -74,6 +74,9 @@ _LEAF_ROWS = 64
 _CHEB_POINTS = 20
 _GAUSS_POINTS = 11
 _ADMISSIBLE = 1.5
+# the upper triangle of ones: x @ _LEAF_TRIANGLE takes the running sums of
+# x along its last axis, one leaf of _LEAF_ROWS panels
+_LEAF_TRIANGLE = np.triu(np.ones((_LEAF_ROWS, _LEAF_ROWS)))
 
 
 @dataclass(frozen=True)
@@ -407,14 +410,11 @@ class _LeafPrefix:
     JHU Press 2008): d_j = sum_c rows[c](i) panels[c](j), with rows
     (-2 Y, 2) against panels (1, mu) at a = 1 and (-3 Y^2, 6 Y, -1)
     against (1, mu, 3 mu^2 + h^2 / 4) at a = 2. rows and panels are
-    (a + 1, leaves, B) arrays, each leaf's rows and panels in order, and
-    ones is the (B, B) upper triangle of ones: x @ ones sums x along its
-    last axis cumulatively.
+    (a + 1, leaves, B) arrays, each leaf's rows and panels in order.
     """
 
     rows: np.ndarray
     panels: np.ndarray
-    ones: np.ndarray
 
     @classmethod
     def of(cls, op: _H2Operator, a: float) -> "_LeafPrefix":
@@ -429,18 +429,19 @@ class _LeafPrefix:
             rows, panels = (-2.0 * y, 2.0 * one), (one, mu)
         else:
             rows, panels = (-3.0 * y * y, 6.0 * y, -one), (one, mu, 3.0 * mu * mu + 0.25 * h * h)
-        return cls(np.stack(rows), np.stack(panels), np.triu(np.ones((leaf, leaf))))
+        return cls(np.stack(rows), np.stack(panels))
 
     def sums(self, dg: np.ndarray) -> np.ndarray:
         """sum_j d_j(s[i]) * dg[:, j] over row i's own leaf, at rows 1 .. of op.s, for (m, panels) dg.
 
         The terms panels[c] dg of every c and leaf are summed cumulatively
-        along their leaf in one matmul by ones, and row i's sum is then
-        sum_c rows[c](i) times the running sums through panel i - 1.
+        along their leaf in one matmul by the module's (B, B) upper triangle
+        of ones, _LEAF_TRIANGLE, and row i's sum is then sum_c rows[c](i)
+        times the running sums through panel i - 1.
         """
-        m, leaf = dg.shape[0], self.ones.shape[0]
+        m = dg.shape[0]
         terms = self.panels * dg.reshape(m, 1, *self.panels.shape[1:])
-        running = np.matmul(terms.reshape(-1, leaf), self.ones).reshape(terms.shape)
+        running = np.matmul(terms.reshape(-1, _LEAF_ROWS), _LEAF_TRIANGLE).reshape(terms.shape)
         running *= self.rows
         return running.sum(axis=1).reshape(dg.shape)
 
@@ -528,16 +529,17 @@ def _h2_sums(
     stacks holds the panel differences of op.exact, one stack per run of
     op.runs (_band_stacks), or is () when the caller sums the near field
     itself (_LeafPrefix). The exact blocks take the integrand differences
-    divided by the panel widths, c = dg / op.widths, computed once. Each run
-    of count blocks of shape (rows, cols) multiplies the (count, m, cols)
-    window view of c that starts at its first block's panels and steps one
-    leaf, by its (count, cols, rows) stack, in one matmul. The matmul
-    writes block t's (m, rows) product to columns t * rows onwards of one
-    (m, count * rows) array, which then adds to out[:, r0 : r0 + count *
-    rows] as one (m, count * rows) sum: adding a (count, m, rows) product
-    through a transposed view made the 63-block run of 4097 nodes take
-    13.6-15.1 ms against 10.5-10.8 ms at m = 240 (2-core x86-64 host, one
-    BLAS thread). A run of one block is the same call.
+    divided by the panel widths, c = dg / op.widths, computed once when
+    stacks is not empty. Each run of count blocks of shape (rows, cols)
+    multiplies the (count, m, cols) window view of c that starts at its
+    first block's panels and steps one leaf, by its (count, cols, rows)
+    stack, in one matmul. The matmul writes block t's (m, rows) product to
+    columns t * rows onwards of one (m, count * rows) array, which then
+    adds to out[:, r0 : r0 + count * rows] as one (m, count * rows) sum:
+    adding a (count, m, rows) product through a transposed view made the
+    63-block run of 4097 nodes take 13.6-15.1 ms against 10.5-10.8 ms at
+    m = 240 (2-core x86-64 host, one BLAS thread). A run of one block is
+    the same call.
 
     The far field: for X beyond panel j, d_j(X) is -(a+1) times the mean
     of (X - s)^a over the panel, and interpolating (X - s)^a in s at a
@@ -545,19 +547,13 @@ def _h2_sums(
     panels into the moments M_q = sum_j <l_q>_j dg_j. The moments of all
     levels are held in one (m, clusters, p) array, numbered as in
     op.offsets, and so are the local values: each row holds a parent's two
-    children side by side. The up
-    pass maps each level's full children, viewed as (parents, m, 2p), by
-    op.pairs in one matmul. Each far group maps its gathered (T, m, c p)
-    source moments by its kernels in one matmul and assigns the products
-    to its targets. The down pass adds each level's parents' local values,
-    by the transposed pairs in one matmul, to their children's, and each
-    leaf interpolates its own to its rows. In whole 4097-node applications
-    at m = 1 and p = 20 the three took 36, 60 and 40 us, against 52-58,
-    68-75 and 61-73 us for a transfer per child, stretches of fancy-index
-    sums and a gather of each child's parent. Timed one by one (medians of
-    2000 calls at m = 1 on 4097 nodes), they took about 30, 30 and 40 us at
-    p = 3 (a = 2), against 49, 40 and 65 us at p = 20 (2-core x86-64 host,
-    one BLAS thread).
+    children side by side. The up pass maps each level's full children,
+    viewed as (parents, m, 2p), by op.pairs in one matmul. Each far group
+    maps its gathered (T, m, c p) source moments by its kernels in one
+    matmul and assigns the products to its targets. The down pass adds
+    each level's parents' local values, by the transposed pairs in one
+    matmul, to their children's, and each leaf interpolates its own to its
+    rows.
     """
     m = dg.shape[0]
     if out is None:
@@ -565,17 +561,18 @@ def _h2_sums(
     if m == 0:
         # an empty c is a buffer of no bytes, which holds no window at an offset
         return out
-    c = dg / op.widths
-    step = (_LEAF_ROWS * c.itemsize, c.strides[0], c.itemsize)
-    for (first, count), stack in zip(op.runs, stacks):
-        r0, r1, c0, c1 = op.exact[first]
-        rows, cols = r1 - r0, c1 - c0
-        # a view of c's buffer, bounds-checked against it: np.ndarray builds
-        # it in about 1 us, np.lib.stride_tricks.as_strided in 5-20 us
-        window = np.ndarray((count, m, cols), c.dtype, c, c0 * c.itemsize, step)
-        prod = np.empty((m, count * rows))
-        np.matmul(window, stack, out=prod.reshape(m, count, rows).transpose(1, 0, 2))
-        out[:, r0 : r0 + count * rows] += prod
+    if stacks:
+        c = dg / op.widths
+        step = (_LEAF_ROWS * c.itemsize, c.strides[0], c.itemsize)
+        for (first, count), stack in zip(op.runs, stacks):
+            r0, r1, c0, c1 = op.exact[first]
+            rows, cols = r1 - r0, c1 - c0
+            # a view of c's buffer, bounds-checked against it: np.ndarray builds
+            # it in about 1 us, np.lib.stride_tricks.as_strided in 5-20 us
+            window = np.ndarray((count, m, cols), c.dtype, c, c0 * c.itemsize, step)
+            prod = np.empty((m, count * rows))
+            np.matmul(window, stack, out=prod.reshape(m, count, rows).transpose(1, 0, 2))
+            out[:, r0 : r0 + count * rows] += prod
     leaf, p = _LEAF_ROWS, op.anterp.shape[2]
     leaves, at = op.anterp.shape[0], op.offsets
     # a partial last cluster is never a source, so its moments stay unset;

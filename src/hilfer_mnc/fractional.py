@@ -215,23 +215,11 @@ def power_differences(X: np.ndarray, s: np.ndarray, a: float, w: np.ndarray, d: 
     shape (..., cols - 1, rows), is filled and returned: the layout the
     large-grid near band stores. Every column of d vanishes from the first
     panel that starts at or beyond its limit.
-
-    When a + 1 is 3, the exponent of every bundled scenario, the powers are
-    the products w*w*w, within two roundings (Higham, Accuracy and
-    Stability of Numerical Algorithms, SIAM 2002, 3.1); they took 8 us
-    against 114 us for np.power on a 129 x 64 block. Any other exponent
-    goes through np.power.
     """
     np.subtract(X[..., None, :], s[..., :, None], out=w)
     np.maximum(w, 0.0, out=w)
-    if a + 1.0 == 3.0:
-        # d, written last, holds the squares of every row of w but the first
-        head, tail = w[..., :1, :], w[..., 1:, :]
-        tail *= np.multiply(tail, tail, out=d)
-        head *= head * head
-    else:
-        # the SIMD pow falls back to a slow path on zero lanes, and 0^(a+1) is 0
-        np.power(w, a + 1.0, out=w, where=w > 0.0)
+    # the SIMD pow falls back to a slow path on zero lanes, and 0^(a+1) is 0
+    np.power(w, a + 1.0, out=w, where=w > 0.0)
     np.subtract(w[..., 1:, :], w[..., :-1, :], out=d)
     return d
 

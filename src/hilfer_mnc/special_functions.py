@@ -1,4 +1,4 @@
-"""Gamma, k-gamma, and Beta evaluation.
+"""k-gamma evaluation.
 
 Two independent routes to the k-gamma function: the identity
 ``Gamma_k(z) = k**(z/k - 1) * Gamma(z/k)`` (primary, log-space) and direct
@@ -36,13 +36,6 @@ class KGammaResult:
                 raise ValueError(f"unknown method: {self.method!r}")
             if self.estimated_abs_error < 0:
                 raise ValueError("estimated_abs_error must be >= 0")
-
-
-def gamma(x: float) -> float:
-    """Classical gamma function, positive arguments only."""
-    if not x > 0:
-        raise DomainError(f"gamma requires x > 0, got {x}")
-    return math.gamma(x)
 
 
 def _log_k_gamma(k: float, z: float) -> float:
@@ -164,10 +157,3 @@ def k_gamma_integral(k: float, z: float, tol: float = 1e-8) -> KGammaResult:
         method="integral",
         estimated_abs_error=head_err + tail_err + trunc,
     )
-
-
-def beta(a: float, b: float) -> float:
-    """Euler Beta B(a, b) = Gamma(a) * Gamma(b) / Gamma(a + b)."""
-    if not (a > 0 and b > 0):
-        raise DomainError(f"beta requires positive arguments, got ({a}, {b})")
-    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))

@@ -806,8 +806,8 @@ def test_band_holds_the_dense_matrix_or_the_exact_blocks(monkeypatch):
 def test_dense_matrix_holds_the_near_band_slopes(monkeypatch, a):
     # one rule on every grid: a 65-node large grid is one leaf, whose band
     # block over the panel widths is the dense matrix's slope columns, and
-    # whose boundary column is the dense matrix's first, bit for bit (a = 2
-    # cubes by multiplication, a = 0.5 raises by np.power)
+    # whose boundary column is the dense matrix's first, bit for bit (both
+    # raise by np.power, at a = 2 as at a = 0.5)
     params = _rule_params(a, 1.0 / 3.0, 3.0)
     u = np.linspace(0.0, 1.0, 65)
     for nodes in (uniform_nodes(3.0, 65), 1.0 + 2.0 * u**4):

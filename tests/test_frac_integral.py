@@ -27,7 +27,6 @@ from hilfer_mnc.fractional import (
     product_quadrature,
     uniform_nodes,
 )
-from hilfer_mnc.special_functions import beta as beta_fn
 from hilfer_mnc.special_functions import k_gamma
 
 _P = FracParams(k=1.0 / 3.0, rho=1.0 / 3.0, gamma_ord=2.0 / 3.0, T=3.0)
@@ -161,7 +160,8 @@ def test_linear_in_s_is_integrated_exactly():
             / (_P.k * gk)
             * (
                 5.0 * (X - 1.0) ** a / a
-                - 2.0 * beta_fn(2.0, a) * (X - 1.0) ** (1.0 + a)
+                - 2.0 * math.gamma(2.0) * math.gamma(a) / math.gamma(2.0 + a)
+                * (X - 1.0) ** (1.0 + a)
             )
         )
         got = product_quadrature(_P, phi, x, panels=512)
@@ -347,13 +347,11 @@ def test_panel_weights_are_the_near_band_slopes():
 
 
 def test_power_differences_skip_zeros_bit_for_bit():
-    # results are in the (panels, limits) layout. For a + 1 other than 3,
-    # pow is skipped where X - s clamps to zero, and the differences must
-    # equal the plain formula's, which raises every clamped entry to the
-    # power too. For a + 1 = 3 they are the product formula w*w*w's, bit for
-    # bit, and each power is within two roundings of the exact one
+    # results are in the (panels, limits) layout. pow is skipped where
+    # X - s clamps to zero, and the differences must equal the plain
+    # formula's, which raises every clamped entry to the power too, at
+    # every exponent, a + 1 = 3 included
     rng = np.random.default_rng(17)
-    unit = np.finfo(float).eps / 2.0
     exponents = set()
     for _ in range(200):
         cols = int(rng.integers(2, 300))
@@ -368,13 +366,7 @@ def test_power_differences_skip_zeros_bit_for_bit():
         )
         rng.shuffle(limits)
         a = float(rng.choice([0.05, 0.5, 1.0, 2.0, 3.0, 3.7, rng.uniform(0.01, 5.0)]))
-        clamped = np.maximum(limits - s[:, None], 0.0)
-        if a + 1.0 == 3.0:
-            w = clamped * clamped * clamped
-            exact = clamped.astype(np.longdouble) ** 3
-            assert np.all(np.abs(w - exact) <= 2.01 * unit * exact)
-        else:
-            w = clamped ** (a + 1.0)
+        w = np.power(np.maximum(limits - s[:, None], 0.0), a + 1.0)
         exponents.add(a + 1.0)
         want = w[1:] - w[:-1]
         work = np.full(cols * limits.size, np.nan).reshape(cols, limits.size)
@@ -382,21 +374,6 @@ def test_power_differences_skip_zeros_bit_for_bit():
         assert np.array_equal(got, want)
         assert np.array_equal(work, w)
     assert 3.0 in exponents
-
-
-def test_power_differences_cubes_by_multiplication():
-    # a + 1 = 3, the kernel of every bundled scenario: the powers are w*w*w,
-    # which on this data differs from np.power in some entries
-    rng = np.random.default_rng(5)
-    s = np.cumsum(rng.uniform(0.01, 0.1, 129)) + 1.0
-    limits = rng.uniform(s[0], s[-1], 64)
-    clamped = np.maximum(limits - s[:, None], 0.0)
-    cubes = clamped * clamped * clamped
-    assert not np.array_equal(cubes, clamped**3.0)
-    work = np.empty((s.size, limits.size))
-    got = fractional.power_differences(limits, s, 2.0, work, np.empty((s.size - 1, limits.size)))
-    assert np.array_equal(work, cubes)
-    assert np.array_equal(got, cubes[1:] - cubes[:-1])
 
 
 def test_convergence_order_smooth():

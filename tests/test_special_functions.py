@@ -1,4 +1,4 @@
-"""Gamma, k-gamma, and Beta: identity vs quadrature, frozen references."""
+"""k-gamma: identity vs quadrature, frozen references."""
 
 from __future__ import annotations
 
@@ -9,18 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilfer_mnc.errors import DomainError, NonconvergenceError
-from hilfer_mnc.special_functions import beta, gamma, k_gamma, k_gamma_integral
-
-
-def test_gamma_matches_math_gamma():
-    for x in (0.5, 1.0, 2.5, 7.0):
-        assert gamma(x) == math.gamma(x)
-
-
-def test_gamma_rejects_nonpositive():
-    for x in (0.0, -1.0, -3.5):
-        with pytest.raises(DomainError):
-            gamma(x)
+from hilfer_mnc.special_functions import k_gamma, k_gamma_integral
 
 
 def test_identity_value_at_third():
@@ -91,17 +80,3 @@ def test_recurrence_property(k, z):
     lhs = k_gamma(k, z + k).value
     rhs = z * k_gamma(k, z).value
     assert lhs == pytest.approx(rhs, rel=1e-11)
-
-
-def test_beta_matches_gamma_ratio():
-    for a, b in ((1.0, 1.0), (2.5, 3.5), (0.3, 0.7)):
-        want = math.gamma(a) * math.gamma(b) / math.gamma(a + b)
-        assert beta(a, b) == pytest.approx(want, rel=1e-13)
-
-
-def test_beta_symmetry_and_domain():
-    assert beta(1.7, 0.4) == pytest.approx(beta(0.4, 1.7), rel=1e-14)
-    with pytest.raises(DomainError):
-        beta(0.0, 1.0)
-    with pytest.raises(DomainError):
-        beta(1.0, -2.0)
