@@ -460,12 +460,11 @@ class NearBand:
     against the mesh s[c0 : c1 + 1], s = op.s the mesh continued past T
     (rows past T included). stacks[j] holds run op.runs[j] =
     (first, count) as one C-contiguous (count, c1 - c0, r1 - r0) array,
-    each block in power_differences' (panels, limits) layout; blocks lists
-    every block as an (r1 - r0, c1 - c0) view of its stack, in op.exact
-    order. The stacks are evaluated on their first use, and kept. prefix,
-    for a = 1 or 2 on the _H2Operator, sums the diagonal leaves of a
-    one-row application in their place (_LeafPrefix); it is None
-    otherwise.
+    each block in power_differences' (panels, limits) layout, the blocks of
+    all stacks in op.exact order. The stacks are evaluated on their first
+    use, and kept. prefix, for a = 1 or 2 on the _H2Operator, sums the
+    diagonal leaves of a one-row application in their place (_LeafPrefix);
+    it is None otherwise.
     """
 
     eq: EquationSpec
@@ -483,10 +482,6 @@ class NearBand:
         # as in near_band: an overflow shows as a non-finite image
         with np.errstate(over="ignore", invalid="ignore"):
             return _band_stacks(self.op, self.eq.params.exponent)
-
-    @property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        return tuple(block.T for stack in self.stacks for block in stack)
 
 
 def _band_stacks(op: _H2Operator, a: float) -> tuple[np.ndarray, ...]:
@@ -515,16 +510,13 @@ def _band_stacks(op: _H2Operator, a: float) -> tuple[np.ndarray, ...]:
     return tuple(stacks)
 
 
-def _h2_sums(
-    op: _H2Operator, dg: np.ndarray, stacks: tuple[np.ndarray, ...], out: np.ndarray | None = None
-) -> np.ndarray:
+def _h2_sums(op: _H2Operator, dg: np.ndarray, stacks: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
     """Row sums sum_j d_j(s[i]) * dg[:, j] at every node i of op.s, through op, added to out.
 
     d_j(X) = ((X - s_(j+1))_+^(a+1) - (X - s_j)_+^(a+1)) / (s_(j+1) - s_j)
     is the power slope of panel j, s = op.s is the mesh continued past T,
     and dg has one column per panel of it, zero past T. out, an (m, s.size)
-    array, takes the sums and is returned; when None the sums go into a
-    zero array.
+    array, takes the sums and is returned.
 
     stacks holds the panel differences of op.exact, one stack per run of
     op.runs (_band_stacks), or is () when the caller sums the near field
@@ -556,8 +548,6 @@ def _h2_sums(
     rows.
     """
     m = dg.shape[0]
-    if out is None:
-        out = np.zeros((m, op.s.shape[0]))
     if m == 0:
         # an empty c is a buffer of no bytes, which holds no window at an offset
         return out
@@ -688,21 +678,6 @@ def near_band(eq: EquationSpec, nodes: np.ndarray) -> NearBand:
         return NearBand(eq, nodes, *exprs, op, _LeafPrefix.of(op, a) if a in (1.0, 2.0) else None)
 
 
-def _as_grid(expr: Expr, nodes: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """expr on the (m, n) grid of values, as an array of its own.
-
-    nodes broadcasts against values. A result of the full shape is returned
-    as it is, unless it is values itself (the expression `a`); a scalar or
-    a result in x alone is spread over a fresh array.
-    """
-    out = evaluate(expr, nodes, values)
-    if isinstance(out, np.ndarray) and out.shape == values.shape and out is not values:
-        return out
-    grid = np.empty(values.shape)
-    grid[...] = out
-    return grid
-
-
 def apply_operator_batch(
     eq: EquationSpec, nodes: np.ndarray, values: np.ndarray, *, band: NearBand | None = None
 ) -> np.ndarray:
@@ -713,7 +688,12 @@ def apply_operator_batch(
     band is near_band(eq, nodes), built for this eq and this nodes array
     (checked by identity: any other band raises DomainError), or None to
     build it for this call alone. The image is f + psi * I with the band's
-    f, psi and g and I its operator's integral of g.
+    f, psi and g and I its operator's integral of g. Each part is evaluated
+    once, in the order f, psi, g, and used at the shape it evaluates to: a
+    float, the read-only (n,) array a part in x alone is bound to, or
+    (m, n). g of another shape goes to the integral as a read-only view
+    broadcast to (m, n); the integral only reads g, which may be values
+    itself.
     """
     if band is None:
         band = near_band(eq, nodes)
@@ -723,11 +703,15 @@ def apply_operator_batch(
         raise DomainError(
             f"values must be an (m, {nodes.shape[0]}) matrix on the nodes, got shape {values.shape}"
         )
-    f_vals, psi_vals, g_vals = (_as_grid(e, nodes, values) for e in (band.f, band.psi, band.g))
+    f, psi, g = (evaluate(e, nodes, values) for e in (band.f, band.psi, band.g))
+    if np.shape(g) != values.shape:
+        # only when needed: np.broadcast_to takes 3-6 us a call, which made
+        # a 4097-node solve of one-row applications 4.5% slower (2-core x86-64)
+        g = np.broadcast_to(g, values.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        out = _integral_values(band, g_vals)
-        out *= psi_vals
-        out += f_vals
+        out = _integral_values(band, g)
+        out *= psi
+        out += f
     if not np.isfinite(out).all():
         raise DomainError("operator image is not finite")
     return out
@@ -755,9 +739,12 @@ def estimate_lipschitz(n: Nonlinearity, r0: float, probes: int, t_end: float = 3
     """Empirical Lipschitz-in-a constant on x in [1, t_end], u, v in [-r0, r0].
 
     probes is the total sample budget, split evenly between the x and u
-    axes. The estimate is the max difference quotient over adjacent pairs
-    of the u grid plus a fixed seeded batch of random pairs; it lower-bounds
-    the true constant and approaches it as the budget grows.
+    axes. The pairs (u, v) form one batch: the adjacent pairs of the u
+    grid, then a fixed seeded batch of random pairs, each at least 1e-9 r0
+    apart. The expression is evaluated once, at both ends of every pair on
+    every x, and the estimate is the max difference quotient over the
+    batch; it lower-bounds the true constant and approaches it as the
+    budget grows.
     """
     if not r0 > 0.0:
         raise DomainError(f"r0 must be positive, got {r0}")
@@ -767,24 +754,17 @@ def estimate_lipschitz(n: Nonlinearity, r0: float, probes: int, t_end: float = 3
     nu = max(3, probes // nx)
     xs = np.linspace(1.0, t_end, nx)
     us = np.linspace(-r0, r0, nu)
-    grid = np.asarray(evaluate(n.expr, xs[:, None], us[None, :]), dtype=float)
-    grid = np.broadcast_to(grid, (nx, nu))
-    fmax = np.maximum(np.abs(grid[:, :-1]), np.abs(grid[:, 1:]))
-    best = float(np.max(_safe_quotients(np.diff(grid, axis=1), np.diff(us), fmax)))
     rng = np.random.default_rng(1905)
     pairs = min(4 * nu, 4096)
     u = rng.uniform(-r0, r0, size=pairs)
     v = rng.uniform(-r0, r0, size=pairs)
     keep = np.abs(u - v) > 1e-9 * r0
-    u, v = u[keep], v[keep]
-    if u.size:
-        fu = np.asarray(evaluate(n.expr, xs[:, None], u[None, :]), dtype=float)
-        fv = np.asarray(evaluate(n.expr, xs[:, None], v[None, :]), dtype=float)
-        fu = np.broadcast_to(fu, (nx, u.size))
-        fv = np.broadcast_to(fv, (nx, u.size))
-        fmax = np.maximum(np.abs(fu), np.abs(fv))
-        quot = _safe_quotients(fu - fv, np.abs(u - v), fmax)
-        best = max(best, float(np.max(quot)))
+    # the left ends of every pair, then the right ends
+    ends = np.concatenate((us[:-1], u[keep], us[1:], v[keep]))
+    vals = np.broadcast_to(evaluate(n.expr, xs[:, None], ends[None, :]), (nx, ends.size))
+    (lo, hi), (left, right) = np.split(vals, 2, axis=1), np.split(ends, 2)
+    fmax = np.maximum(np.abs(lo), np.abs(hi))
+    best = float(np.max(_safe_quotients(hi - lo, np.abs(right - left), fmax)))
     # one more ulp guard for the division itself
     return best * (1.0 - 1e-14)
 

@@ -313,7 +313,7 @@ def test_exact_entries_per_application_are_unchanged(monkeypatch):
         _integral(params, nodes, np.ones((1, n)))
         assert sum(entries) == count, (n, grid)
         band = near_band(eq, nodes)
-        assert sum(b.size for b in band.blocks) == count, (n, grid)
+        assert sum(stack.size for stack in band.stacks) == count, (n, grid)
         entries.clear()
         _integral(params, nodes, np.ones((1, n)), band=band)
         assert entries == [], (n, grid)
@@ -426,9 +426,9 @@ def _per_block_values(params, nodes, g, band) -> np.ndarray:
     dg = _continued_differences(op, g)
     c = dg / np.diff(op.s)
     total = np.zeros((g.shape[0], op.s.size))
-    for (r0, r1, c0, c1), d in zip(op.exact, band.blocks):
-        total[:, r0:r1] += c[:, c0:c1] @ d.T
-    total += eqmod._h2_sums(replace(op, runs=()), dg, ())
+    for (r0, r1, c0, c1), d in zip(op.exact, (block for stack in band.stacks for block in stack)):
+        total[:, r0:r1] += c[:, c0:c1] @ d
+    eqmod._h2_sums(replace(op, runs=()), dg, (), total)
     total += op.boundary * g[:, :1]
     return (params.rho ** (-a) / (params.k * (a * (a + 1.0)))) * total[:, :n]
 
@@ -516,7 +516,7 @@ def test_far_field_matches_a_per_level_loop(n):
         for m in (0, 1, 3):
             g = np.vstack([np.cos(3.0 * nodes), rng.uniform(-0.5, 0.5, (2, n))])[:m]
             dg = _continued_differences(op, g)
-            got = eqmod._h2_sums(far, dg, ())
+            got = eqmod._h2_sums(far, dg, (), np.zeros((m, op.s.size)))
             want = _per_level_far_field(op, dg)
             assert got.shape == want.shape == (m, op.s.size)
             if m:
@@ -605,7 +605,7 @@ def test_application_multiplies_each_run_once(monkeypatch):
     # against its own panels, so one band matmul per application, not 64
     eq, start = _forced_solve_input()
     band = near_band(eq, start.nodes)
-    assert len(band.stacks) == 1 and len(band.blocks) == 64
+    assert [len(stack) for stack in band.stacks] == [64]
     calls = []
     matmul = np.matmul
 
@@ -788,7 +788,7 @@ def test_band_holds_the_dense_matrix_or_the_exact_blocks(monkeypatch):
     # batch of more than one row has multiplied them
     eq = parse_config(_FORCED).equations[0]
     dense = near_band(eq, uniform_nodes(3.0, 129))
-    assert isinstance(dense.op, np.ndarray) and dense.blocks == ()
+    assert isinstance(dense.op, np.ndarray) and dense.stacks == ()
 
     def after_a_batch(nodes):
         band = near_band(eq, nodes)
@@ -796,10 +796,10 @@ def test_band_holds_the_dense_matrix_or_the_exact_blocks(monkeypatch):
         assert "stacks" in vars(band)
         return band
 
-    assert len(after_a_batch(uniform_nodes(3.0, 4097)).blocks) == 64
+    assert [len(stack) for stack in after_a_batch(uniform_nodes(3.0, 4097)).stacks] == [64]
     monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
     small = after_a_batch(uniform_nodes(3.0, 65))
-    assert [b.shape for b in small.blocks] == [(64, 64)]
+    assert [stack.shape for stack in small.stacks] == [(1, 64, 64)]
 
 
 @pytest.mark.parametrize("a", [2.0, 0.5])
@@ -815,8 +815,8 @@ def test_dense_matrix_holds_the_near_band_slopes(monkeypatch, a):
         dense = near_band(_rule_eq(params), nodes).op
         monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
         band = near_band(_rule_eq(params), nodes)
-        (block,) = band.blocks
-        assert np.array_equal(block / band.op.widths, dense[1:, 1:])
+        ((block,),) = band.stacks
+        assert np.array_equal(block.T / band.op.widths, dense[1:, 1:])
         assert np.array_equal(band.op.boundary, dense[:, 0])
 
 
@@ -1124,6 +1124,112 @@ def test_estimate_lipschitz_validation():
         estimate_lipschitz(_ALPHA.f, r0=0.0, probes=100)
     with pytest.raises(DomainError):
         estimate_lipschitz(_ALPHA.f, r0=1.0, probes=1)
+
+
+# estimate_lipschitz of these nonlinearities at (r0, probes) = (1, 101),
+# (0.3, 21), (4, 2000) and (1, 2), as evaluating the u grid and the random
+# pairs apart gave them: evaluating the pairs as one batch keeps every bit
+_LIPSCHITZ_SETTINGS = ((1.0, 101), (0.3, 21), (4.0, 2000), (1.0, 2))
+_LIPSCHITZ_PINNED = {
+    "f": (0.16666666666666471, 0.1666666666666647, 0.16666666666666471, 0.16666666666666474),
+    "psi": (0.9999999999999882, 0.9999999999999882, 0.9999999999999882, 0.9999999999999882),
+    "alpha.g": (0.3333333333333297, 0.33333333333332976, 0.33333333333332976, 0.3333333333333297),
+    "beta.g": (0.3333333333333297, 0.33333333333332976, 0.33333333333332976, 0.3333333333333297),
+    "sin(3*a)*x": (8.974120094232852, 8.898330657284218, 8.905349714413433, 8.36797057669818),
+    "a*a/4": (0.44444444444443804, 0.10490875401800162, 1.953488372092966, 0.44834889432165287),
+    "max(a, 0.1*x)": (0.999999999999988, 0.9999999999999872, 0.9999999999999881, 0.9999999999999878),
+    "exp(a)": (2.4374335353425405, 1.23377332325669, 49.82010161299944, 2.4516370886985994),
+    "0.3": (0.0, 0.0, 0.0, 0.0),
+    "x": (0.0, 0.0, 0.0, 0.0),
+}
+
+
+def _pinned_nonlinearities() -> dict:
+    """The nonlinearities of _LIPSCHITZ_PINNED: the bundled f, psi (shared by
+    both equations) and both g, then the rest parsed from their names."""
+    assert _ALPHA.f == _BETA.f and _ALPHA.psi == _BETA.psi
+    named = {"f": _ALPHA.f, "psi": _ALPHA.psi, "alpha.g": _ALPHA.g, "beta.g": _BETA.g}
+    return {key: named.get(key) or Nonlinearity.from_string(key, 1.0) for key in _LIPSCHITZ_PINNED}
+
+
+def test_estimate_lipschitz_is_pinned_bit_for_bit():
+    for key, nl in _pinned_nonlinearities().items():
+        got = tuple(estimate_lipschitz(nl, r0, probes) for r0, probes in _LIPSCHITZ_SETTINGS)
+        assert got == _LIPSCHITZ_PINNED[key], key
+
+
+def test_estimate_lipschitz_evaluates_once(monkeypatch):
+    # the adjacent pairs of the u grid and the random pairs form one batch,
+    # evaluated in one call at both ends of every pair
+    calls = []
+    evaluate = eqmod.evaluate
+
+    def counted(expr, x, a):
+        calls.append(expr)
+        return evaluate(expr, x, a)
+
+    monkeypatch.setattr(eqmod, "evaluate", counted)
+    for nl in _pinned_nonlinearities().values():
+        for r0, probes in _LIPSCHITZ_SETTINGS:
+            calls.clear()
+            estimate_lipschitz(nl, r0, probes)
+            assert len(calls) == 1, (nl, r0, probes)
+
+
+# parts f, psi and g that evaluate to a float, to the read-only (n,) array
+# bound to the nodes, or (g = a) to the values themselves
+_F_PARTS = ("0.3", "0.2*sin(x)")
+_PSI_PARTS = ("0.4", "1/(1+x*x)")
+_G_PARTS = ("a", "1/(2+x)")
+
+
+@pytest.mark.parametrize("n", [129, 4097])
+@pytest.mark.parametrize("gamma_ord", [2.0 / 3.0, 1.0 / 6.0])
+def test_operator_uses_each_part_at_the_shape_it_evaluates_to(n, gamma_ord):
+    # f, psi and g are used at their own shapes and broadcast; the image is
+    # f + psi * I[g] with every part spread over the (m, n) grid first, bit
+    # for bit, on the dense path and the large grid, at a = 2 (one row by
+    # running sums, three by the band) and a = 0.5. values is read-only, so
+    # a write to it raises
+    params = FracParams(k=1.0 / 3.0, rho=1.0 / 3.0, gamma_ord=gamma_ord, T=3.0)
+    nodes = uniform_nodes(3.0, n)
+    rng = np.random.default_rng(n)
+    for f, psi, g in itertools.product(_F_PARTS, _PSI_PARTS, _G_PARTS):
+        eq = EquationSpec(
+            params=params,
+            f=Nonlinearity.from_string(f, 1.0),
+            psi=Nonlinearity.from_string(psi, 1.0),
+            g=Nonlinearity.from_string(g, 1.0),
+        )
+        band = near_band(eq, nodes)
+        for m in (0, 1, 3):
+            values = rng.uniform(-0.5, 0.5, (m, n))
+            values.flags.writeable = False
+
+            def grid(expr):
+                return np.array(np.broadcast_to(eqmod.evaluate(expr, nodes, values), values.shape))
+
+            want = grid(band.f) + grid(band.psi) * eqmod._integral_values(band, grid(band.g))
+            got = apply_operator_batch(eq, nodes, values, band=band)
+            assert got.shape == (m, n) and np.array_equal(got, want), (f, psi, g, m)
+
+
+@pytest.mark.parametrize("n", [129, 4097])
+def test_operator_evaluates_f_then_psi_then_g(n):
+    # the first part that fails raises: f before psi, psi before g
+    params = parse_config(_FORCED).equations[0].params
+    nodes = uniform_nodes(3.0, n)
+    cases = (
+        (("abs(a)/6+log(x-3)", "1/(x-2)", "a/(x-2)"), "log of a nonpositive value"),
+        (("abs(a)/6", "log(x-3)+a", "a/(x-2)"), "log of a nonpositive value"),
+        (("abs(a)/6", "1/(1+a*a)", "a/(x-2)"), "division by zero"),
+    )
+    for parts, message in cases:
+        f, psi, g = (Nonlinearity.from_string(expr, 1.0) for expr in parts)
+        eq = EquationSpec(params=params, f=f, psi=psi, g=g)
+        with pytest.raises(EvaluationError) as err:
+            apply_operator_batch(eq, nodes, np.zeros((2, n)))
+        assert str(err.value) == message, parts
 
 
 def test_zero_conditions():
