@@ -78,11 +78,11 @@ def solve(
     is built once for the call on the calling thread and passed to every
     application: it carries the grid's operator and the parts of f, psi
     and g in x alone, evaluated once, so the applications do per-row work
-    only. Up to 2049 nodes the operator is the weight matrix. Above, every
-    application is of one row: for a = 1 or 2 each sums its diagonal
-    leaves by running sums and no near band is built; for any other a the
-    first application evaluates every near-band block exactly, and the
-    rest reuse them. It is released when the call returns.
+    only. For a = 1 or 2 above 257 nodes each application sums the
+    integrand's panel moments against coefficients computed once. Otherwise
+    the operator is the weight matrix up to 2049 nodes; above, the first
+    application evaluates every near-band block exactly, and the rest
+    reuse them. It is released when the call returns.
     """
     require_positive_finite("tol", tol)
     if max_iter < 1:
