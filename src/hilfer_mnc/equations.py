@@ -8,15 +8,17 @@ a map on a fixed finite-dimensional space.
 The per-node integrals use the product-integration rule on the grid-induced
 mesh s = nodes**rho. near_band(eq, nodes) binds an equation to one grid
 once: it checks the grid, evaluates every part of f, psi and g in x alone
-on the nodes, and holds the grid's operator. Every application goes
-through such a band, the one a loop passes it or one built for the call.
+on the nodes, compiles f, psi and g, and holds the grid's operator. Every
+application goes through such a band, the one a loop passes it or one
+built for the call.
 
 For a = 1 or 2 a row integrates only over panels left of it, where the
 kernel (X - s)^(a-1) is the polynomial 1 or X - s, so the rule is
 semiseparable of rank a + 1 (Vandebril, Van Barel & Mastronardi, Matrix
 Computations and Semiseparable Matrices, JHU Press 2008): above
 _INTEGER_MATRIX_MAX_NODES nodes every row combines the prefix sums of the
-a moments of each panel (_PanelMoments), with no matrix, tree or band.
+a moments of each panel (_PanelMoments), with no matrix, tree or band;
+the sums are taken in blocks, by products with a triangle of ones.
 
 Otherwise the rule is summed by parts: it takes the first divided
 differences of (X - s)_+^(a+1) (the power slopes) against the integrand's
@@ -52,6 +54,7 @@ batched matmul per level and pass, and per group of far blocks.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import accumulate
@@ -59,7 +62,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DomainError, require_positive_finite
-from .expressions import Expr, _bind, evaluate, parse
+from .expressions import Expr, _bind, _compile, _finite, evaluate, parse
 from .fractional import FracParams, GridFunction, check_nodes, panel_weights, power_differences
 from .special_functions import k_gamma
 
@@ -75,8 +78,11 @@ _LEAF_ROWS = 64
 _CHEB_POINTS = 20
 _GAUSS_POINTS = 11
 _ADMISSIBLE = 1.5
-# panels per block of the prefix sums (_PanelMoments.integrals)
+# panels per block of the prefix sums (_PanelMoments.integrals), and the
+# upper triangle of ones whose product with a block's moments sums them
 _PREFIX_BLOCK = 64
+_PREFIX_ONES = np.triu(np.ones((_PREFIX_BLOCK, _PREFIX_BLOCK)))
+_PREFIX_ONES.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -393,7 +399,9 @@ class _PanelMoments:
     lower_j g_j + upper_j g_(j+1), with lower = h (s' / 2 + h / 6) and
     upper = h (s' / 2 + h / 3) at each panel's left end, sums of positive
     terms. All four are computed once per band from the mesh (s_j - s0 and
-    each h_j are exact where s_j <= 2 s0: Sterbenz).
+    each h_j are exact where s_j <= 2 s0: Sterbenz). integrals sums the
+    moments in blocks of _PREFIX_BLOCK panels, each by one product with
+    _PREFIX_ONES, which gives np.cumsum's bits.
     """
 
     offsets: np.ndarray
@@ -409,35 +417,57 @@ class _PanelMoments:
     def integrals(self, g: np.ndarray, a: float, pref: float) -> np.ndarray:
         """pref times the integrals of the (m, n) integrands g against (X - s)^(a-1) at every node, a = 1 or 2.
 
-        One (a, m, n - 1) array, padded with zeros to whole blocks of
-        _PREFIX_BLOCK panels, takes the moments. Each block's first moment
-        first takes the sum of all blocks before it, from the blocks'
-        pairwise-summed totals, and one np.cumsum along the blocks then
-        sums every block in place, so rounding grows with the block length,
-        not with n: a sequential sum of all panels erred by up to 1.3e-14
-        of |W||g| on smooth integrands at 16385 nodes, the blocked one by
-        3.3e-15. The (m, n) result, zero in column 0, is scratch first.
+        One (a, m, width) array of tiles takes the moments, padded with
+        zeros to whole blocks of _PREFIX_BLOCK panels, and past the last
+        panel. Each block's first moment first takes the sum of all blocks
+        before it, from the blocks' pairwise-summed totals, and then every
+        block is summed along itself, so rounding grows with the block
+        length, not with n: a sequential sum of all panels erred by up to
+        1.3e-14 of |W||g| on smooth integrands at 16385 nodes, the blocked
+        one by 3.3e-15. Each moment's blocks are summed by one matmul of
+        all of them, as rows, by _PREFIX_ONES. A BLAS kernel sums each
+        output over the block in order, and x * 1 + s rounds as s + x, so
+        the product has the bits of np.cumsum's sums (but for the sign of a
+        zero). numpy hands a single row to gemv, which sums in another
+        order, so there are at least two blocks.
+
+        The first moment's product goes one place right in a flat buffer of
+        m width + 1 floats: the (m, n) view of rows width apart then has the
+        sums through panel i - 1 in column i, and column 0 in the previous
+        row's padding. That view is the result, set to zero in column 0 and
+        combined in place, so no copy is made and it is not contiguous, as
+        the large-grid result is not either. Before the product it is
+        scratch for the moments; at a = 2 the second moment's product goes
+        in place of the first moment's tiles, so the call takes the memory
+        of the moments and of one result. One product of all tiles into a
+        buffer of their size took 1164 minor page faults per 30-row call at
+        4097 nodes under glibc's default malloc thresholds, against 60 for
+        this layout, and 2.9 against 1.1 ms (2-core x86-64 host).
         """
         m, n = g.shape
-        tiles = np.empty((int(a), m, -(-(n - 1) // _PREFIX_BLOCK), _PREFIX_BLOCK))
-        padded = tiles.reshape(int(a), m, tiles.shape[2] * _PREFIX_BLOCK)
+        blocks = max((n - 1) // _PREFIX_BLOCK + 1, 2)
+        width = blocks * _PREFIX_BLOCK
+        tiles = np.empty((int(a), m, blocks, _PREFIX_BLOCK))
+        padded = tiles.reshape(int(a), m, width)
         padded[..., n - 1 :] = 0.0
         moments = padded[..., : n - 1]
-        out = np.empty((m, n))
-        out[:, 0] = 0.0
+        flat = np.empty(m * width + 1)
+        out = np.ndarray((m, n), flat.dtype, flat, 0, (width * flat.itemsize, flat.itemsize))
         np.add(g[:, :-1], g[:, 1:], out=moments[0])
         moments[0] *= self.half
         if a == 2.0:
             np.multiply(g[:, :-1], self.lower, out=moments[1])
             moments[1] += np.multiply(g[:, 1:], self.upper, out=out[:, 1:])
         tiles[..., 1:, 0] += np.cumsum(tiles[..., :-1, :].sum(axis=3), axis=2)
-        np.cumsum(tiles, axis=3, out=tiles)
+        rows = tiles.reshape(int(a), m * blocks, _PREFIX_BLOCK)
+        np.matmul(rows[0], _PREFIX_ONES, out=flat[1:].reshape(-1, _PREFIX_BLOCK))
         if a == 2.0:
-            np.multiply(moments[0], self.offsets[1:], out=out[:, 1:])
-            out[:, 1:] -= moments[1]
-            out *= pref
-        else:
-            np.multiply(moments[0], pref, out=out[:, 1:])
+            # P1 in place of the first moments' tiles
+            np.matmul(rows[1], _PREFIX_ONES, out=rows[0])
+            out[:, 1:] *= self.offsets[1:]
+            out[:, 1:] -= moments[0]
+        out[:, 0] = 0.0
+        out *= pref
         return out
 
 
@@ -447,18 +477,20 @@ class NearBand:
 
     eq and nodes are the objects the band was built for. f, psi and g are
     eq's expressions with every subtree that reads x but not a replaced by
-    its read-only value on nodes (expressions._bind). op is the grid's
-    operator: for a = 1 or 2 above _INTEGER_MATRIX_MAX_NODES nodes the
-    band's own _PanelMoments; else the cached dense matrix C
-    (_weight_matrix) up to _MATRIX_MAX_NODES nodes, the all-near-band case
-    with no stacks, and the cached _H2Operator above, whose block (r0, r1,
-    c0, c1) = op.exact[i] holds the panel differences of (X - s)_+^(a+1)
-    of its limits s[r0:r1] against the mesh s[c0 : c1 + 1], s = op.s the
-    mesh continued past T (rows past T included). stacks[j] holds run
-    op.runs[j] = (first, count) as one C-contiguous (count, c1 - c0, r1 -
-    r0) array, each block in power_differences' (panels, limits) layout,
-    the blocks of all stacks in op.exact order. The stacks are evaluated on
-    their first use, and kept; the other operators have none.
+    its read-only value on nodes (expressions._bind), and parts holds them
+    compiled (expressions._compile) once, for every application to call.
+    op is the grid's operator: for a = 1 or 2 above
+    _INTEGER_MATRIX_MAX_NODES nodes the band's own _PanelMoments; else the
+    cached dense matrix C (_weight_matrix) up to _MATRIX_MAX_NODES nodes,
+    the all-near-band case with no stacks, and the cached _H2Operator
+    above, whose block (r0, r1, c0, c1) = op.exact[i] holds the panel
+    differences of (X - s)_+^(a+1) of its limits s[r0:r1] against the mesh
+    s[c0 : c1 + 1], s = op.s the mesh continued past T (rows past T
+    included). stacks[j] holds run op.runs[j] = (first, count) as one
+    C-contiguous (count, c1 - c0, r1 - r0) array, each block in
+    power_differences' (panels, limits) layout, the blocks of all stacks in
+    op.exact order. The stacks are evaluated on their first use, and kept;
+    the other operators have none.
     """
 
     eq: EquationSpec
@@ -467,6 +499,7 @@ class NearBand:
     psi: Expr
     g: Expr
     op: np.ndarray | _H2Operator | _PanelMoments
+    parts: tuple[Callable, Callable, Callable]
 
     @cached_property
     def stacks(self) -> tuple[np.ndarray, ...]:
@@ -652,12 +685,13 @@ def near_band(eq: EquationSpec, nodes: np.ndarray) -> NearBand:
     if abs(nodes[-1] - eq.params.T) > 1e-12 * max(1.0, eq.params.T):
         raise DomainError(f"grid ends at {nodes[-1]}, equation domain is [1, {eq.params.T}]")
     exprs = [_bind(nl.expr, nodes) for nl in (eq.f, eq.psi, eq.g)]
+    parts = tuple(map(_compile, exprs))
     n, rho, a = nodes.shape[0], eq.params.rho, eq.params.exponent
     if a in (1.0, 2.0) and n > _INTEGER_MATRIX_MAX_NODES:
-        return NearBand(eq, nodes, *exprs, _PanelMoments.of(nodes**rho))
+        return NearBand(eq, nodes, *exprs, _PanelMoments.of(nodes**rho), parts)
     build = _weight_matrix if n <= _MATRIX_MAX_NODES else _h2_operator
     with np.errstate(over="ignore", invalid="ignore"):
-        return NearBand(eq, nodes, *exprs, build(rho, a, nodes.tobytes(), n))
+        return NearBand(eq, nodes, *exprs, build(rho, a, nodes.tobytes(), n), parts)
 
 
 def apply_operator_batch(
@@ -671,11 +705,13 @@ def apply_operator_batch(
     (checked by identity: any other band raises DomainError), or None to
     build it for this call alone. The image is f + psi * I with the band's
     f, psi and g and I its operator's integral of g. Each part is evaluated
-    once, in the order f, psi, g, and used at the shape it evaluates to: a
-    float, the read-only (n,) array a part in x alone is bound to, or
-    (m, n). g of another shape goes to the integral as a read-only view
-    broadcast to (m, n); the integral only reads g, which may be values
-    itself.
+    once by the band's compiled parts, in the order f, psi, g, under one
+    np.errstate, and checked as expressions.evaluate checks it: the first
+    part that fails, or is not finite, raises EvaluationError. Each is used
+    at the shape it evaluates to: a float, the read-only (n,) array a part
+    in x alone is bound to, or (m, n). g of another shape goes to the
+    integral as a read-only view broadcast to (m, n); the integral only
+    reads g, which may be values itself.
     """
     if band is None:
         band = near_band(eq, nodes)
@@ -685,7 +721,9 @@ def apply_operator_batch(
         raise DomainError(
             f"values must be an (m, {nodes.shape[0]}) matrix on the nodes, got shape {values.shape}"
         )
-    f, psi, g = (evaluate(e, nodes, values) for e in (band.f, band.psi, band.g))
+    av = np.asarray(values, dtype=float)
+    with np.errstate(all="ignore"):
+        f, psi, g = (_finite(part(nodes, av)) for part in band.parts)
     if np.shape(g) != values.shape:
         # only when needed: np.broadcast_to takes 3-6 us a call, which made
         # a 4097-node solve of one-row applications 4.5% slower (2-core x86-64)

@@ -7,12 +7,19 @@ exp, sin, cos, sqrt (one argument) or min, max (two arguments).
 
 Evaluation is numpy-vectorised and raises EvaluationError on domain
 violations (log of a nonpositive value, sqrt of a negative, division by
-zero) and on non-finite results; it never returns NaN silently.
+zero) and on non-finite results; it never returns NaN silently. There is
+one evaluator: _compile turns a tree into nested closures that make the
+numpy calls of a walk of the tree, in the walk's order. evaluate compiles
+its tree on every call; the operator (equations.NearBand) compiles each
+bound part once per grid, so a one-row application pays a few Python
+calls per node and no dispatch.
 """
 
 from __future__ import annotations
 
+import operator
 import re
+from collections.abc import Callable
 from dataclasses import dataclass
 from typing import Union
 
@@ -196,7 +203,12 @@ def evaluate(expr: Expr, x, a):
     xv = np.asarray(x, dtype=float)
     av = np.asarray(a, dtype=float)
     with np.errstate(all="ignore"):
-        out = _eval(expr, xv, av)
+        out = _compile(expr)(xv, av)
+    return _finite(out)
+
+
+def _finite(out) -> float | np.ndarray:
+    """A compiled expression's value as evaluate returns it: a float when 0-d; raises unless finite."""
     res = np.asarray(out, dtype=float)
     if not np.isfinite(res).all():
         raise EvaluationError("expression produced a non-finite value")
@@ -205,18 +217,9 @@ def evaluate(expr: Expr, x, a):
     return res
 
 
-def _variables(expr: Expr) -> set[str]:
+def _variables(expr: Expr) -> frozenset[str]:
     """The names of the variables expr reads."""
-    match expr:
-        case Var(name=n):
-            return {n}
-        case Neg(operand=e):
-            return _variables(e)
-        case Bin(left=l, right=r):
-            return _variables(l) | _variables(r)
-        case Call(args=args):
-            return set().union(*map(_variables, args))
-    return set()
+    return _bound(expr, None)[1]
 
 
 def _bind(expr: Expr, x: np.ndarray) -> Expr:
@@ -228,78 +231,136 @@ def _bind(expr: Expr, x: np.ndarray) -> Expr:
     raises stays in the tree, so it raises at the same point of every
     evaluation as before. Subtrees of literals alone stay as they are.
     """
-    names = _variables(expr)
-    if names == {"x"}:
-        try:
-            with np.errstate(all="ignore"):
-                # the subtree reads no a, so x stands in for it; a view, so
-                # that locking it leaves x writeable when the subtree is x
-                value = np.asarray(_eval(expr, x, x), dtype=float).view()
-        except EvaluationError:
-            return expr
-        value.flags.writeable = False
-        return _Nodes(value)
-    if "a" not in names:
-        return expr
+    with np.errstate(all="ignore"):
+        bound, names = _bound(expr, x)
+        return _on_nodes(bound, x) if names == {"x"} else bound
+
+
+def _bound(expr: Expr, x: np.ndarray | None) -> tuple[Expr, frozenset[str]]:
+    """_bind's one walk: expr with the largest subtrees in x alone below it bound to x, and its variables.
+
+    A subtree that reads no a comes back as it is, for the nearest
+    ancestor that reads a to bind; with x None, nothing is bound.
+    """
     match expr:
-        case Neg(operand=e):
-            return Neg(_bind(e, x))
         case Bin(op=op, left=l, right=r):
-            return Bin(op, _bind(l, x), _bind(r, x))
+            (l, left), (r, right) = _bound(l, x), _bound(r, x)
+            names = left | right
+            if "a" in names and x is not None:
+                return Bin(op, _bound_kid(l, left, x), _bound_kid(r, right, x)), names
         case Call(fn=fn, args=args):
-            return Call(fn, tuple(_bind(e, x) for e in args))
-    return expr
-
-
-def _eval(expr: Expr, xv: np.ndarray, av: np.ndarray):
-    match expr:
-        case _Nodes(value=v):
-            return v
-        case Lit(value=v):
-            return v
-        case Var(name="x"):
-            return xv
-        case Var(name="a"):
-            return av
+            walked = [_bound(e, x) for e in args]
+            names = frozenset().union(*(n for _, n in walked))
+            if "a" in names and x is not None:
+                return Call(fn, tuple(_bound_kid(e, n, x) for e, n in walked)), names
         case Neg(operand=e):
-            return -_eval(e, xv, av)
-        case Bin(op="+", left=l, right=r):
-            return _eval(l, xv, av) + _eval(r, xv, av)
-        case Bin(op="-", left=l, right=r):
-            return _eval(l, xv, av) - _eval(r, xv, av)
-        case Bin(op="*", left=l, right=r):
-            return _eval(l, xv, av) * _eval(r, xv, av)
-        case Bin(op="/", left=l, right=r):
-            num = _eval(l, xv, av)
-            den = _eval(r, xv, av)
+            e, names = _bound(e, x)
+            if "a" in names and x is not None:
+                return Neg(_bound_kid(e, names, x)), names
+        case Var(name=n):
+            return expr, frozenset((n,))
+        case _:
+            return expr, frozenset()
+    return expr, names
+
+
+def _bound_kid(expr: Expr, names: frozenset[str], x: np.ndarray) -> Expr:
+    """A child of a node that reads a, walked by _bound: bound to x if it reads x alone."""
+    return _on_nodes(expr, x) if names == {"x"} else expr
+
+
+def _on_nodes(expr: Expr, x: np.ndarray) -> Expr:
+    """expr, which reads x alone, as its read-only value on x, or as it is if its evaluation raises."""
+    try:
+        # the subtree reads no a, so x stands in for it; a view, so that
+        # locking it leaves x writeable when the subtree is x
+        value = np.asarray(_compile(expr)(x, x), dtype=float).view()
+    except EvaluationError:
+        return expr
+    value.flags.writeable = False
+    return _Nodes(value)
+
+
+# the numpy call of each operator but division, and of min and max
+_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "^": np.power}
+_PAIR_FNS = {"min": np.minimum, "max": np.maximum}
+# the domain checks of log and sqrt: the test that refuses a value, and the error
+_DOMAINS = {
+    "log": (np.less_equal, "log of a nonpositive value"),
+    "sqrt": (np.less, "sqrt of a negative value"),
+}
+
+
+def _compile(expr: Expr) -> Callable[[np.ndarray, np.ndarray], float | np.ndarray]:
+    """expr as nested closures of (x, a), which make the numpy calls of a tree walk in its order.
+
+    Operands are evaluated left to right, and a call's argument before the
+    call, so the first error raised is the walk's. The closure does not
+    check that the result is finite (see evaluate) and assumes that the
+    caller ignores floating-point errors. A division by a literal or a
+    bound value checks that denominator for zeros here, once; if it holds
+    a zero, every call evaluates the numerator and then raises. A malformed
+    node raises where the walk would reach it, too.
+    """
+    # the commonest node first: each case a node falls past costs it time
+    match expr:
+        case Bin(op=op, left=l, right=r) if op in _OPERATORS:
+            return _binary(_OPERATORS[op], _compile(l), _compile(r))
+        case Lit(value=v) | _Nodes(value=v):
+            return lambda x, a: v
+        case Var(name="x"):
+            return lambda x, a: x
+        case Var(name="a"):
+            return lambda x, a: a
+        case Neg(operand=e):
+            inner = _compile(e)
+            return lambda x, a: -inner(x, a)
+        case Bin(op="/", left=l, right=Lit(value=den) | _Nodes(value=den)):
+            num = _compile(l)
             if (np.asarray(den) == 0.0).any():
-                raise EvaluationError("division by zero")
-            return num / den
-        case Bin(op="^", left=l, right=r):
-            return np.power(_eval(l, xv, av), _eval(r, xv, av))
-        case Call(fn="abs", args=(e,)):
-            return np.abs(_eval(e, xv, av))
-        case Call(fn="log", args=(e,)):
-            v = np.asarray(_eval(e, xv, av))
-            if (v <= 0.0).any():
-                raise EvaluationError("log of a nonpositive value")
-            return np.log(v)
-        case Call(fn="exp", args=(e,)):
-            return np.exp(_eval(e, xv, av))
-        case Call(fn="sin", args=(e,)):
-            return np.sin(_eval(e, xv, av))
-        case Call(fn="cos", args=(e,)):
-            return np.cos(_eval(e, xv, av))
-        case Call(fn="sqrt", args=(e,)):
-            v = np.asarray(_eval(e, xv, av))
-            if (v < 0.0).any():
-                raise EvaluationError("sqrt of a negative value")
-            return np.sqrt(v)
-        case Call(fn="min", args=(l, r)):
-            return np.minimum(_eval(l, xv, av), _eval(r, xv, av))
-        case Call(fn="max", args=(l, r)):
-            return np.maximum(_eval(l, xv, av), _eval(r, xv, av))
-    raise EvaluationError(f"malformed expression node: {expr!r}")
+
+                def zero_division(x, a):
+                    num(x, a)
+                    raise EvaluationError("division by zero")
+
+                return zero_division
+            return lambda x, a: num(x, a) / den
+        case Bin(op="/", left=l, right=r):
+            num, den = _compile(l), _compile(r)
+
+            def divide(x, a):
+                top, bottom = num(x, a), den(x, a)
+                if (np.asarray(bottom) == 0.0).any():
+                    raise EvaluationError("division by zero")
+                return top / bottom
+
+            return divide
+        case Call(fn=fn, args=(l, r)) if fn in _PAIR_FNS:
+            return _binary(_PAIR_FNS[fn], _compile(l), _compile(r))
+        case Call(fn=fn, args=(e,)) if fn in _UNARY_FNS:
+            # numpy's function of the same name, looked up as it compiles
+            ufunc, inner = getattr(np, fn), _compile(e)
+            if fn not in _DOMAINS:
+                return lambda x, a: ufunc(inner(x, a))
+            refused, message = _DOMAINS[fn]
+
+            def checked(x, a):
+                v = np.asarray(inner(x, a))
+                if refused(v, 0.0).any():
+                    raise EvaluationError(message)
+                return ufunc(v)
+
+            return checked
+
+    def malformed(x, a):
+        raise EvaluationError(f"malformed expression node: {expr!r}")
+
+    return malformed
+
+
+def _binary(fn, left, right):
+    """A closure that applies fn to the values of the compiled left and then right operands."""
+    return lambda x, a: fn(left(x, a), right(x, a))
 
 
 # precedence levels used by to_string; higher binds tighter

@@ -76,9 +76,9 @@ def solve(
     each the image of the last under equations.apply_operator_batch.
     The operator bound to eq and the seed's nodes (equations.near_band)
     is built once for the call on the calling thread and passed to every
-    application: it carries the grid's operator and the parts of f, psi
-    and g in x alone, evaluated once, so the applications do per-row work
-    only. For a = 1 or 2 above 257 nodes each application sums the
+    application: it carries the grid's operator, the parts of f, psi and g
+    in x alone, evaluated once, and f, psi and g compiled once, so the
+    applications do per-row work only. For a = 1 or 2 above 257 nodes each application sums the
     integrand's panel moments against coefficients computed once. Otherwise
     the operator is the weight matrix up to 2049 nodes; above, the first
     application evaluates every near-band block exactly, and the rest
@@ -101,7 +101,8 @@ def solve(
     norms = [alpha0.sup_norm]
     for _ in range(max_iter):
         nxt = equations.apply_operator_batch(eq, nodes, cur, band=band)
-        step = float(np.max(np.abs(nxt - cur)))
+        d = nxt - cur
+        step = float(np.abs(d, out=d).max())
         distances.append(step)
         norms.append(float(np.max(np.abs(nxt))))
         cur = nxt

@@ -1043,6 +1043,35 @@ def test_prefix_sums_are_accurate_on_every_grid(monkeypatch, a, n):
         assert err.max() <= 1e-14, (grid, err.max(axis=1))
 
 
+@pytest.mark.parametrize("n", [4097, 16385])
+@pytest.mark.parametrize("a", [1, 2])
+def test_prefix_sums_do_not_depend_on_the_batch(a, n):
+    # each row of a batch of 240 has the bits it has alone and inside the
+    # batches of its first 5 and 30 rows; n - 1 = 4096 and 16384 fill
+    # whole blocks, so each row's blocks end in a zero block of padding
+    params = _rule_params(a, 1.0 / 3.0, 3.0)
+    nodes = uniform_nodes(params.T, n)
+    band = near_band(_rule_eq(params), nodes)
+    assert isinstance(band.op, eqmod._PanelMoments)
+    g = np.random.default_rng(n + a).uniform(-1.0, 1.0, (240, n))
+    whole = _integral(params, nodes, g, band=band)
+    for m in (5, 30):
+        assert np.array_equal(_integral(params, nodes, g[:m], band=band), whole[:m])
+    for i in (0, 4, 29, 239):
+        assert np.array_equal(_integral(params, nodes, g[i : i + 1], band=band), whole[i : i + 1])
+
+
+@pytest.mark.parametrize("rows", [2, 3, 65, 130, 3900])
+def test_prefix_product_sums_each_block_as_cumsum(rows):
+    # the product by the triangle of ones adds a block's moments in order,
+    # as np.cumsum does, on moments of every sign and of magnitudes 1e-30
+    # to 1e30; numpy hands a single row to gemv, which the operator avoids
+    rng = np.random.default_rng(rows)
+    tiles = rng.uniform(-1.0, 1.0, (rows, eqmod._PREFIX_BLOCK)) * 10.0 ** rng.uniform(-30, 30, (rows, 1))
+    tiles[0, 1::2] *= 1e30
+    assert np.array_equal(tiles @ eqmod._PREFIX_ONES, np.cumsum(tiles, axis=1))
+
+
 def test_large_grid_operator_is_cached_per_rho_and_a(monkeypatch):
     # one node array under three parameter sets: each gets its own factors,
     # and each stays right when the others were built in between

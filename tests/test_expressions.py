@@ -170,12 +170,84 @@ def test_bundled_nonlinearities_against_hand_formulas():
 _BIND_NODES = uniform_nodes(3.0, 4097)
 
 
-def _outcome(tree, a):
-    """evaluate on the bind nodes, or the class and message of what it raised."""
+def _outcome(tree, a, evaluator=evaluate):
+    """evaluator on the bind nodes, or the class and message of what it raised."""
     try:
-        return evaluate(tree, _BIND_NODES, a)
+        return evaluator(tree, _BIND_NODES, a)
     except EvaluationError as exc:
         return type(exc), str(exc)
+
+
+def _walk(expr, xv, av):
+    """The reference evaluator: a plain walk of the tree, node by node, with no compilation."""
+    match expr:
+        case _Nodes(value=v):
+            return v
+        case Lit(value=v):
+            return v
+        case Var(name="x"):
+            return xv
+        case Var(name="a"):
+            return av
+        case Neg(operand=e):
+            return -_walk(e, xv, av)
+        case Bin(op="+", left=l, right=r):
+            return _walk(l, xv, av) + _walk(r, xv, av)
+        case Bin(op="-", left=l, right=r):
+            return _walk(l, xv, av) - _walk(r, xv, av)
+        case Bin(op="*", left=l, right=r):
+            return _walk(l, xv, av) * _walk(r, xv, av)
+        case Bin(op="/", left=l, right=r):
+            num = _walk(l, xv, av)
+            den = _walk(r, xv, av)
+            if (np.asarray(den) == 0.0).any():
+                raise EvaluationError("division by zero")
+            return num / den
+        case Bin(op="^", left=l, right=r):
+            return np.power(_walk(l, xv, av), _walk(r, xv, av))
+        case Call(fn="abs", args=(e,)):
+            return np.abs(_walk(e, xv, av))
+        case Call(fn="log", args=(e,)):
+            v = np.asarray(_walk(e, xv, av))
+            if (v <= 0.0).any():
+                raise EvaluationError("log of a nonpositive value")
+            return np.log(v)
+        case Call(fn="exp", args=(e,)):
+            return np.exp(_walk(e, xv, av))
+        case Call(fn="sin", args=(e,)):
+            return np.sin(_walk(e, xv, av))
+        case Call(fn="cos", args=(e,)):
+            return np.cos(_walk(e, xv, av))
+        case Call(fn="sqrt", args=(e,)):
+            v = np.asarray(_walk(e, xv, av))
+            if (v < 0.0).any():
+                raise EvaluationError("sqrt of a negative value")
+            return np.sqrt(v)
+        case Call(fn="min", args=(l, r)):
+            return np.minimum(_walk(l, xv, av), _walk(r, xv, av))
+        case Call(fn="max", args=(l, r)):
+            return np.maximum(_walk(l, xv, av), _walk(r, xv, av))
+    raise EvaluationError(f"malformed expression node: {expr!r}")
+
+
+def _walked(expr, x, a):
+    """evaluate's contract, by the reference walk."""
+    with np.errstate(all="ignore"):
+        res = np.asarray(_walk(expr, np.asarray(x, dtype=float), np.asarray(a, dtype=float)), dtype=float)
+    if not np.isfinite(res).all():
+        raise EvaluationError("expression produced a non-finite value")
+    return float(res) if res.ndim == 0 else res
+
+
+def _assert_same_as_the_walk(tree, a) -> None:
+    """The compiled evaluator gives the walk's bits or its first error, on tree and on tree bound."""
+    for t in (tree, _bind(tree, _BIND_NODES)):
+        want, got = _outcome(t, a, _walked), _outcome(t, a)
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert not isinstance(got, tuple) and type(got) is type(want)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
 
 
 def _bound_values(tree):
@@ -235,3 +307,41 @@ def test_binding_keeps_the_first_error():
     bound = _bind(parse("0.2*sin(x)+abs(a)/6"), _BIND_NODES)
     assert isinstance(bound.left, _Nodes)
     assert np.array_equal(bound.left.value, 0.2 * np.sin(_BIND_NODES))
+
+
+@settings(max_examples=300, deadline=None)
+@given(tree=_tree, seed=st.integers(0, 2**32 - 1), scalar=st.booleans())
+def test_compiled_evaluator_matches_the_tree_walk(tree, seed, scalar):
+    # every node kind, on (3, n) rows of a and on one scalar a; the walk
+    # and the compiled closures make the same numpy calls in the same order
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-2.0, 2.0) if scalar else rng.uniform(-2.0, 2.0, (3, _BIND_NODES.size))
+    _assert_same_as_the_walk(tree, a)
+
+
+def test_compiled_evaluator_keeps_the_first_error():
+    a = np.random.default_rng(3).uniform(0.5, 1.5, (2, _BIND_NODES.size))
+    cases = {
+        "a/0": "division by zero",
+        # bound: x - 2 vanishes at node 2048, checked once as it compiles
+        "a/(x-2)": "division by zero",
+        # a denominator of literals alone is not folded, and is checked on every call
+        "a/(1-1)": "division by zero",
+        # the numerator's error comes before the zero denominator's
+        "log(a-2)/0": "log of a nonpositive value",
+        "sqrt(a-2)/(x-2)": "sqrt of a negative value",
+        "0*exp(800*x)+a": "expression produced a non-finite value",
+        "sqrt(a)+log(x-3)": "log of a nonpositive value",
+    }
+    for src, message in cases.items():
+        assert _outcome(parse(src), a) == (EvaluationError, message), src
+        assert _outcome(_bind(parse(src), _BIND_NODES), a) == (EvaluationError, message), src
+        _assert_same_as_the_walk(parse(src), a)
+    a[1, 7] = -0.25
+    assert _outcome(parse("sqrt(a)+log(x-3)"), a) == (EvaluationError, "sqrt of a negative value")
+    _assert_same_as_the_walk(parse("sqrt(a)+log(x-3)"), a)
+    # a malformed node raises where the walk reaches it, after the nodes before it
+    bad = Bin("+", parse("log(x-3)"), Call("abs", (Var("a"), Var("a"))))
+    assert _outcome(bad, a) == (EvaluationError, "log of a nonpositive value")
+    assert _outcome(Bin("+", Var("a"), Call("abs", ())), a)[1].startswith("malformed expression node")
+    _assert_same_as_the_walk(bad, a)
