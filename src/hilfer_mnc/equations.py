@@ -7,10 +7,11 @@ a map on a fixed finite-dimensional space.
 
 The per-node integrals use the product-integration rule on the grid-induced
 mesh s = nodes**rho. near_band(eq, nodes) binds an equation to one grid
-once: it checks the grid, evaluates every part of f, psi and g in x alone
-on the nodes, compiles f, psi and g, and holds the grid's operator. Every
-application goes through such a band, the one a loop passes it or one
-built for the call.
+once: it checks the grid, compiles f, psi and g in one walk each that
+evaluates their parts in x alone on the nodes, and holds the grid's
+operator with everything an application reads of it. Every application
+goes through such a band, the one a loop passes it or one built for the
+call.
 
 For a = 1 or 2 a row integrates only over panels left of it, where the
 kernel (X - s)^(a-1) is the polynomial 1 or X - s, so the rule is
@@ -45,10 +46,10 @@ least a leaf of rows and has points of its own; the rows past T are
 computed and dropped. Those factors are built once per (nodes, rho, a) and
 cached; they hold O(n) floats, and one application costs near-linear
 time, on graded grids too. The band is not cached: at 4097 nodes it takes
-4.2 MB, more than all the factors, and it is built by the first
-application, on that application's thread. The kernel writes each band
-block in place in its stack, and an application maps the far field in one
-batched matmul per level and pass, and per group of far blocks.
+4.2 MB, more than all the factors, and near_band builds it on the calling
+thread. The kernel writes each band block in place in its stack, and an
+application maps the far field in one batched matmul per level and pass,
+and per group of far blocks.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from itertools import accumulate
 import numpy as np
 
 from .errors import DomainError, require_positive_finite
-from .expressions import Expr, _bind, _compile, _finite, evaluate, parse
+from .expressions import Expr, _compile, _finite, evaluate, parse
 from .fractional import FracParams, GridFunction, check_nodes, panel_weights, power_differences
 from .special_functions import k_gamma
 
@@ -475,11 +476,9 @@ class _PanelMoments:
 class NearBand:
     """One grid's operator bound to one equation and one nodes array, built by near_band.
 
-    eq and nodes are the objects the band was built for. f, psi and g are
-    eq's expressions with every subtree that reads x but not a replaced by
-    its read-only value on nodes (expressions._bind), and parts holds them
-    compiled (expressions._compile) once, for every application to call.
-    op is the grid's operator: for a = 1 or 2 above
+    eq and nodes are the objects the band was built for. parts holds eq's
+    f, psi and g compiled bound to nodes (expressions._compile), for every
+    application to call. op is the grid's operator: for a = 1 or 2 above
     _INTEGER_MATRIX_MAX_NODES nodes the band's own _PanelMoments; else the
     cached dense matrix C (_weight_matrix) up to _MATRIX_MAX_NODES nodes,
     the all-near-band case with no stacks, and the cached _H2Operator
@@ -489,25 +488,14 @@ class NearBand:
     included). stacks[j] holds run op.runs[j] = (first, count) as one
     C-contiguous (count, c1 - c0, r1 - r0) array, each block in
     power_differences' (panels, limits) layout, the blocks of all stacks in
-    op.exact order. The stacks are evaluated on their first use, and kept;
-    the other operators have none.
+    op.exact order, evaluated by near_band; the other operators have none.
     """
 
     eq: EquationSpec
     nodes: np.ndarray
-    f: Expr
-    psi: Expr
-    g: Expr
     op: np.ndarray | _H2Operator | _PanelMoments
     parts: tuple[Callable, Callable, Callable]
-
-    @cached_property
-    def stacks(self) -> tuple[np.ndarray, ...]:
-        if not isinstance(self.op, _H2Operator):
-            return ()
-        # as in near_band: an overflow shows as a non-finite image
-        with np.errstate(over="ignore", invalid="ignore"):
-            return _band_stacks(self.op, self.eq.params.exponent)
+    stacks: tuple[np.ndarray, ...] = ()
 
 
 def _band_stacks(op: _H2Operator, a: float) -> tuple[np.ndarray, ...]:
@@ -627,8 +615,7 @@ def _integral_values(band: NearBand, g: np.ndarray) -> np.ndarray:
     to one differenced integrand: g_0, the panel differences, and zeros on
     the H^2 mesh past T, whose rows are dropped. The dense matrix takes it
     in one matmul; the _H2Operator starts its sum with the boundary term
-    and multiplies the band's stacks, which its first application
-    evaluates.
+    and multiplies the band's stacks.
     """
     params = band.eq.params
     a = params.exponent
@@ -658,40 +645,41 @@ def near_band(eq: EquationSpec, nodes: np.ndarray) -> NearBand:
     """eq's operator bound to nodes, to pass to every application of one loop.
 
     Raises DomainError unless nodes is a grid on eq's domain: a 1-D float64
-    array (the operator cache reads its bytes as float64) of at least two
+    np.ndarray (a list is refused: the band is checked by identity, and the
+    operator cache reads the array's bytes as float64) of at least two
     nodes, starting at 1, strictly increasing (checked as by
     fractional.checked_grid) and ending at T. Then it does once what each
-    application on the grid needs: it evaluates the parts of f, psi and g
-    in x alone on the nodes, and binds the grid's operator. For a = 1 or 2
-    above _INTEGER_MATRIX_MAX_NODES nodes that is the band's own
-    _PanelMoments, computed from the nodes; otherwise it looks the cached
-    operator up by the node bytes, and above _MATRIX_MAX_NODES the exact
-    blocks of the near band are evaluated by the first application, on its
-    thread, and kept. Neither emits a floating-point warning: an overflow
-    in them shows as a non-finite image in the application. A caller that
-    applies the operator many times on one grid passes the band to
-    apply_operator_batch or apply_operator; an application given no band
-    builds one, and the images, and any error raised, are bit for bit the
-    same. The nodes array must not be written while the band is in use.
-    The band is not cached: it lives as long as the caller keeps it. Its
-    blocks take 4.2 MB at 4097 nodes, and its panel moments' coefficients
-    0.13 MB.
+    application on the grid needs: it compiles f, psi and g bound to the
+    nodes, one walk of each tree that evaluates its parts in x alone on
+    them, and binds the grid's operator. For a = 1 or 2 above
+    _INTEGER_MATRIX_MAX_NODES nodes that is the band's own _PanelMoments,
+    computed from the nodes; otherwise it looks the cached operator up by
+    the node bytes, and above _MATRIX_MAX_NODES it evaluates the exact
+    blocks of the near band, on the calling thread. None of this emits a
+    floating-point warning: an overflow shows as a non-finite image in the
+    application. A caller that applies the operator many times on one grid
+    passes the band to apply_operator_batch or apply_operator; an
+    application given no band builds one, and the images, and any error
+    raised, are bit for bit the same. The nodes array must not be written
+    while the band is in use. The band is not cached: it lives as long as
+    the caller keeps it. Its blocks take 4.2 MB at 4097 nodes, and its
+    panel moments' coefficients 0.13 MB.
     """
-    if nodes.ndim != 1 or nodes.dtype != np.float64:
-        raise DomainError(
-            f"nodes must be a one-dimensional float64 array, got {nodes.dtype} {nodes.shape}"
-        )
+    if not (isinstance(nodes, np.ndarray) and nodes.ndim == 1 and nodes.dtype == np.float64):
+        got = f"{nodes.dtype} {nodes.shape}" if isinstance(nodes, np.ndarray) else type(nodes).__name__
+        raise DomainError(f"nodes must be a one-dimensional float64 array, got {got}")
     check_nodes(nodes)
     if abs(nodes[-1] - eq.params.T) > 1e-12 * max(1.0, eq.params.T):
         raise DomainError(f"grid ends at {nodes[-1]}, equation domain is [1, {eq.params.T}]")
-    exprs = [_bind(nl.expr, nodes) for nl in (eq.f, eq.psi, eq.g)]
-    parts = tuple(map(_compile, exprs))
+    parts = tuple(_compile(nl.expr, nodes) for nl in (eq.f, eq.psi, eq.g))
     n, rho, a = nodes.shape[0], eq.params.rho, eq.params.exponent
     if a in (1.0, 2.0) and n > _INTEGER_MATRIX_MAX_NODES:
-        return NearBand(eq, nodes, *exprs, _PanelMoments.of(nodes**rho), parts)
-    build = _weight_matrix if n <= _MATRIX_MAX_NODES else _h2_operator
+        return NearBand(eq, nodes, _PanelMoments.of(nodes**rho), parts)
     with np.errstate(over="ignore", invalid="ignore"):
-        return NearBand(eq, nodes, *exprs, build(rho, a, nodes.tobytes(), n), parts)
+        if n <= _MATRIX_MAX_NODES:
+            return NearBand(eq, nodes, _weight_matrix(rho, a, nodes.tobytes(), n), parts)
+        op = _h2_operator(rho, a, nodes.tobytes(), n)
+        return NearBand(eq, nodes, op, parts, _band_stacks(op, a))
 
 
 def apply_operator_batch(
@@ -699,12 +687,13 @@ def apply_operator_batch(
 ) -> np.ndarray:
     """Operator images of many grid functions at once.
 
-    values has shape (m, n), one row per function on the n shared nodes;
-    any other shape raises DomainError, as does an image that overflows.
-    band is near_band(eq, nodes), built for this eq and this nodes array
-    (checked by identity: any other band raises DomainError), or None to
-    build it for this call alone. The image is f + psi * I with the band's
-    f, psi and g and I its operator's integral of g. Each part is evaluated
+    values, an array or nested lists, has shape (m, n), one row per
+    function on the n shared nodes; any other shape raises DomainError, as
+    does an image that overflows. band is near_band(eq, nodes), built for
+    this eq and this nodes array (checked by identity: any other band
+    raises DomainError), or None to build it for this call alone. The image
+    is f + psi * I with eq's f, psi and g and I the band operator's
+    integral of g. Each part is evaluated
     once by the band's compiled parts, in the order f, psi, g, under one
     np.errstate, and checked as expressions.evaluate checks it: the first
     part that fails, or is not finite, raises EvaluationError. Each is used
@@ -717,17 +706,16 @@ def apply_operator_batch(
         band = near_band(eq, nodes)
     elif band.eq is not eq or band.nodes is not nodes:
         raise DomainError("the near band was built for another equation or nodes array")
-    if values.ndim != 2 or values.shape[1] != nodes.shape[0]:
-        raise DomainError(
-            f"values must be an (m, {nodes.shape[0]}) matrix on the nodes, got shape {values.shape}"
-        )
+    shape = np.shape(values)
+    if len(shape) != 2 or shape[1] != nodes.shape[0]:
+        raise DomainError(f"values must be an (m, {nodes.shape[0]}) matrix on the nodes, got shape {shape}")
     av = np.asarray(values, dtype=float)
     with np.errstate(all="ignore"):
         f, psi, g = (_finite(part(nodes, av)) for part in band.parts)
-    if np.shape(g) != values.shape:
+    if np.shape(g) != shape:
         # only when needed: np.broadcast_to takes 3-6 us a call, which made
         # a 4097-node solve of one-row applications 4.5% slower (2-core x86-64)
-        g = np.broadcast_to(g, values.shape)
+        g = np.broadcast_to(g, shape)
     with np.errstate(over="ignore", invalid="ignore"):
         out = _integral_values(band, g)
         out *= psi

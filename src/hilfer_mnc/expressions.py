@@ -10,9 +10,10 @@ violations (log of a nonpositive value, sqrt of a negative, division by
 zero) and on non-finite results; it never returns NaN silently. There is
 one evaluator: _compile turns a tree into nested closures that make the
 numpy calls of a walk of the tree, in the walk's order. evaluate compiles
-its tree on every call; the operator (equations.NearBand) compiles each
-bound part once per grid, so a one-row application pays a few Python
-calls per node and no dispatch.
+its tree on every call. The operator (equations.near_band) compiles each
+part of an equation once per grid, bound to its nodes: the same walk
+evaluates every subtree in x alone on them, so a one-row application pays
+a few Python calls per node and no dispatch.
 """
 
 from __future__ import annotations
@@ -61,13 +62,6 @@ class Call:
 
 
 Expr = Union[Lit, Var, Neg, Bin, Call]
-
-
-@dataclass(frozen=True, eq=False)
-class _Nodes:
-    """A subtree in x alone, replaced by _bind with its read-only value on the bound nodes."""
-
-    value: np.ndarray
 
 
 _TOKEN_RE = re.compile(
@@ -219,66 +213,7 @@ def _finite(out) -> float | np.ndarray:
 
 def _variables(expr: Expr) -> frozenset[str]:
     """The names of the variables expr reads."""
-    return _bound(expr, None)[1]
-
-
-def _bind(expr: Expr, x: np.ndarray) -> Expr:
-    """expr with every largest subtree that reads x but not a replaced by its value on x.
-
-    evaluate(_bind(expr, x), x, a) equals evaluate(expr, x, a) bit for bit,
-    and raises the same error: each bound value is computed here once, as
-    evaluate would compute it, and is read-only. A subtree whose evaluation
-    raises stays in the tree, so it raises at the same point of every
-    evaluation as before. Subtrees of literals alone stay as they are.
-    """
-    with np.errstate(all="ignore"):
-        bound, names = _bound(expr, x)
-        return _on_nodes(bound, x) if names == {"x"} else bound
-
-
-def _bound(expr: Expr, x: np.ndarray | None) -> tuple[Expr, frozenset[str]]:
-    """_bind's one walk: expr with the largest subtrees in x alone below it bound to x, and its variables.
-
-    A subtree that reads no a comes back as it is, for the nearest
-    ancestor that reads a to bind; with x None, nothing is bound.
-    """
-    match expr:
-        case Bin(op=op, left=l, right=r):
-            (l, left), (r, right) = _bound(l, x), _bound(r, x)
-            names = left | right
-            if "a" in names and x is not None:
-                return Bin(op, _bound_kid(l, left, x), _bound_kid(r, right, x)), names
-        case Call(fn=fn, args=args):
-            walked = [_bound(e, x) for e in args]
-            names = frozenset().union(*(n for _, n in walked))
-            if "a" in names and x is not None:
-                return Call(fn, tuple(_bound_kid(e, n, x) for e, n in walked)), names
-        case Neg(operand=e):
-            e, names = _bound(e, x)
-            if "a" in names and x is not None:
-                return Neg(_bound_kid(e, names, x)), names
-        case Var(name=n):
-            return expr, frozenset((n,))
-        case _:
-            return expr, frozenset()
-    return expr, names
-
-
-def _bound_kid(expr: Expr, names: frozenset[str], x: np.ndarray) -> Expr:
-    """A child of a node that reads a, walked by _bound: bound to x if it reads x alone."""
-    return _on_nodes(expr, x) if names == {"x"} else expr
-
-
-def _on_nodes(expr: Expr, x: np.ndarray) -> Expr:
-    """expr, which reads x alone, as its read-only value on x, or as it is if its evaluation raises."""
-    try:
-        # the subtree reads no a, so x stands in for it; a view, so that
-        # locking it leaves x writeable when the subtree is x
-        value = np.asarray(_compile(expr)(x, x), dtype=float).view()
-    except EvaluationError:
-        return expr
-    value.flags.writeable = False
-    return _Nodes(value)
+    return _compiled(expr, None)[1]
 
 
 # the numpy call of each operator but division, and of min and max
@@ -289,78 +224,124 @@ _DOMAINS = {
     "log": (np.less_equal, "log of a nonpositive value"),
     "sqrt": (np.less, "sqrt of a negative value"),
 }
+_NO_NAMES, _X, _A = frozenset(), frozenset("x"), frozenset("a")
 
 
-def _compile(expr: Expr) -> Callable[[np.ndarray, np.ndarray], float | np.ndarray]:
+def _compile(
+    expr: Expr, x: np.ndarray | None = None
+) -> Callable[[np.ndarray, np.ndarray], float | np.ndarray]:
     """expr as nested closures of (x, a), which make the numpy calls of a tree walk in its order.
 
     Operands are evaluated left to right, and a call's argument before the
     call, so the first error raised is the walk's. The closure does not
     check that the result is finite (see evaluate) and assumes that the
-    caller ignores floating-point errors. A division by a literal or a
-    bound value checks that denominator for zeros here, once; if it holds
-    a zero, every call evaluates the numerator and then raises. A malformed
-    node raises where the walk would reach it, too.
+    caller ignores floating-point errors. A malformed node raises where
+    the walk would reach it.
+
+    Given nodes x, the closures are bound to them: every subtree that reads
+    x but not a is evaluated here, once, on x (floating-point errors
+    ignored), and its closure returns that value as a read-only view, so x
+    itself stays writeable. A call with these x then gives the bits of the
+    unbound closure, or raises its error: a subtree whose evaluation raises
+    keeps its closure, and raises at the same point of every call.
+    Subtrees of literals alone are not evaluated. A division by a literal
+    or by such a value checks that denominator for zeros here, once; if it
+    holds a zero, every call evaluates the numerator and then raises.
+    """
+    if x is None:
+        return _compiled(expr, None)[0]
+    with np.errstate(all="ignore"):
+        return _compiled(expr, x)[0]
+
+
+def _compiled(expr: Expr, x: np.ndarray | None) -> tuple[Callable, frozenset[str], float | np.ndarray | None]:
+    """_compile's one walk: expr's closure, the names of its variables, and its value if constant.
+
+    The value is a literal's own, or with nodes x that of a subtree in x
+    alone evaluated on them; it is None for every other subtree.
     """
     # the commonest node first: each case a node falls past costs it time
     match expr:
         case Bin(op=op, left=l, right=r) if op in _OPERATORS:
-            return _binary(_OPERATORS[op], _compile(l), _compile(r))
-        case Lit(value=v) | _Nodes(value=v):
-            return lambda x, a: v
+            (left, names, _), (right, right_names, _) = _compiled(l, x), _compiled(r, x)
+            fn, names = _binary(_OPERATORS[op], left, right), names | right_names
+        case Lit(value=v):
+            return (lambda x, a: v), _NO_NAMES, v
         case Var(name="x"):
-            return lambda x, a: x
+            fn, names = (lambda x, a: x), _X
         case Var(name="a"):
-            return lambda x, a: a
+            return (lambda x, a: a), _A, None
         case Neg(operand=e):
-            inner = _compile(e)
-            return lambda x, a: -inner(x, a)
-        case Bin(op="/", left=l, right=Lit(value=den) | _Nodes(value=den)):
-            num = _compile(l)
-            if (np.asarray(den) == 0.0).any():
-
-                def zero_division(x, a):
-                    num(x, a)
-                    raise EvaluationError("division by zero")
-
-                return zero_division
-            return lambda x, a: num(x, a) / den
+            inner, names, _ = _compiled(e, x)
+            fn = lambda x, a: -inner(x, a)
         case Bin(op="/", left=l, right=r):
-            num, den = _compile(l), _compile(r)
+            (num, names, _), (den, right_names, bottom) = _compiled(l, x), _compiled(r, x)
+            fn, names = _divide(num, den, bottom), names | right_names
+        case Call(fn=name, args=(l, r)) if name in _PAIR_FNS:
+            (left, names, _), (right, right_names, _) = _compiled(l, x), _compiled(r, x)
+            fn, names = _binary(_PAIR_FNS[name], left, right), names | right_names
+        case Call(fn=name, args=(e,)) if name in _UNARY_FNS:
+            inner, names, _ = _compiled(e, x)
+            fn = _unary(name, inner)
+        case _:
 
-            def divide(x, a):
-                top, bottom = num(x, a), den(x, a)
-                if (np.asarray(bottom) == 0.0).any():
-                    raise EvaluationError("division by zero")
-                return top / bottom
+            def malformed(x, a):
+                raise EvaluationError(f"malformed expression node: {expr!r}")
 
-            return divide
-        case Call(fn=fn, args=(l, r)) if fn in _PAIR_FNS:
-            return _binary(_PAIR_FNS[fn], _compile(l), _compile(r))
-        case Call(fn=fn, args=(e,)) if fn in _UNARY_FNS:
-            # numpy's function of the same name, looked up as it compiles
-            ufunc, inner = getattr(np, fn), _compile(e)
-            if fn not in _DOMAINS:
-                return lambda x, a: ufunc(inner(x, a))
-            refused, message = _DOMAINS[fn]
-
-            def checked(x, a):
-                v = np.asarray(inner(x, a))
-                if refused(v, 0.0).any():
-                    raise EvaluationError(message)
-                return ufunc(v)
-
-            return checked
-
-    def malformed(x, a):
-        raise EvaluationError(f"malformed expression node: {expr!r}")
-
-    return malformed
+            return malformed, _NO_NAMES, None
+    if x is None or names != _X:
+        return fn, names, None
+    try:
+        # the subtree reads no a, so x stands in for it; a view, so that
+        # locking it leaves x writeable when the subtree is x
+        value = np.asarray(fn(x, x), dtype=float).view()
+    except EvaluationError:
+        return fn, names, None
+    value.flags.writeable = False
+    return (lambda x, a: value), names, value
 
 
 def _binary(fn, left, right):
     """A closure that applies fn to the values of the compiled left and then right operands."""
     return lambda x, a: fn(left(x, a), right(x, a))
+
+
+def _divide(num, den, bottom):
+    """The closure of num / den, compiled; bottom is den's constant value, or None to check every call."""
+    if bottom is None:
+
+        def divide(x, a):
+            top, under = num(x, a), den(x, a)
+            if (np.asarray(under) == 0.0).any():
+                raise EvaluationError("division by zero")
+            return top / under
+
+        return divide
+    if (np.asarray(bottom) == 0.0).any():
+
+        def zero_division(x, a):
+            num(x, a)
+            raise EvaluationError("division by zero")
+
+        return zero_division
+    return lambda x, a: num(x, a) / bottom
+
+
+def _unary(name, inner):
+    """The closure of the function name of the compiled inner, with its domain check if it has one."""
+    # numpy's function of the same name, looked up as it compiles
+    ufunc = getattr(np, name)
+    if name not in _DOMAINS:
+        return lambda x, a: ufunc(inner(x, a))
+    refused, message = _DOMAINS[name]
+
+    def checked(x, a):
+        v = np.asarray(inner(x, a))
+        if refused(v, 0.0).any():
+            raise EvaluationError(message)
+        return ufunc(v)
+
+    return checked
 
 
 # precedence levels used by to_string; higher binds tighter

@@ -344,11 +344,11 @@ def darbo_iterate(
     every later ensemble is a plain matrix on the seed's nodes, whose
     finiteness the operator call has already checked. The operator bound
     to op and the seed's nodes (equations.near_band) is built once for the
-    call on the calling thread and passed to every step: it carries the
-    grid's operator (the weight matrix, or above 2049 nodes every
-    near-band block, evaluated exactly by the first step of more than one
-    row) and the parts of f, psi and g in x alone, evaluated once for all
-    steps.
+    call, on the calling thread, and passed to every step: f, psi and g
+    compiled with their parts in x alone evaluated on the nodes, and the
+    grid's operator (for a = 1 or 2 above 257 nodes the coefficients of
+    the panel moments; otherwise the weight matrix up to 2049 nodes, and
+    above it every near-band block, evaluated exactly).
     """
     if p_max < 1:
         raise DomainError(f"p_max must be >= 1, got {p_max}")

@@ -75,14 +75,13 @@ def solve(
     the one coming out: the iterates in between are plain (1, n) arrays,
     each the image of the last under equations.apply_operator_batch.
     The operator bound to eq and the seed's nodes (equations.near_band)
-    is built once for the call on the calling thread and passed to every
-    application: it carries the grid's operator, the parts of f, psi and g
-    in x alone, evaluated once, and f, psi and g compiled once, so the
-    applications do per-row work only. For a = 1 or 2 above 257 nodes each application sums the
-    integrand's panel moments against coefficients computed once. Otherwise
-    the operator is the weight matrix up to 2049 nodes; above, the first
-    application evaluates every near-band block exactly, and the rest
-    reuse them. It is released when the call returns.
+    is built once for the call, on the calling thread, and passed to every
+    application: f, psi and g compiled with their parts in x alone
+    evaluated on the nodes, and the grid's operator. For a = 1 or 2 above
+    257 nodes that is the coefficients of the integrand's panel moments;
+    otherwise the weight matrix up to 2049 nodes, and above it every
+    near-band block, evaluated exactly. So the applications do per-row
+    work only. The band is released when the call returns.
     """
     require_positive_finite("tol", tol)
     if max_iter < 1:

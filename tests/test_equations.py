@@ -705,24 +705,24 @@ def test_one_row_applications_at_integer_a_evaluate_no_band(monkeypatch):
     assert entries == []
 
 
-def test_first_batch_builds_the_band_once(monkeypatch):
+def test_near_band_builds_the_band_once(monkeypatch):
     # at 4097 uniform nodes and a = 0.5 the band's 64 exact blocks take
-    # 520,192 entries. near_band builds none; the first application builds
-    # them all, and the band keeps them for every later one, of one row or
-    # many, whose bits are those of an application that builds its own band
+    # 520,192 entries. near_band builds them all, and the band holds them
+    # for every application, of one row or many, which builds none and
+    # gives the bits of an application that builds its own band
     eq, start = _forced_solve_input(gamma_ord=1.0 / 6.0)
-    band = near_band(eq, start.nodes)
     entries = _count_exact_entries(monkeypatch)
-    assert entries == []
+    band = near_band(eq, start.nodes)
+    assert sum(entries) == 520_192
+    entries.clear()
     row = start.values[None, :]
     batch = np.vstack([start.values, 0.5 * start.values, -start.values])
     first = apply_operator_batch(eq, start.nodes, batch, band=band)
-    assert sum(entries) == 520_192
-    entries.clear()
     assert np.array_equal(apply_operator_batch(eq, start.nodes, batch, band=band), first)
     alone = apply_operator_batch(eq, start.nodes, row, band=band)
     assert entries == []
     assert np.array_equal(apply_operator_batch(eq, start.nodes, row), alone)
+    assert np.array_equal(apply_operator_batch(eq, start.nodes, batch), first)
 
 
 def test_solve_computes_gamma_k_once(monkeypatch):
@@ -782,28 +782,29 @@ def test_band_of_another_equation_or_nodes_array_is_refused(n):
 
 def test_band_holds_the_dense_matrix_or_the_exact_blocks(monkeypatch):
     # the dense matrix is the all-near-band case, with no stacks; a 65-node
-    # large grid has one leaf. The band holds its blocks once an application
-    # has multiplied them. At a = 2 a large grid holds its panel moments'
-    # coefficients, and no stacks
+    # large grid has one leaf. near_band evaluates the blocks of a large
+    # grid, and no application evaluates any. At a = 2 a large grid holds
+    # its panel moments' coefficients, and no stacks
     eq = parse_config(_FORCED).equations[0]
+    entries = _count_exact_entries(monkeypatch)
     dense = near_band(eq, uniform_nodes(3.0, 129))
     assert isinstance(dense.op, np.ndarray) and dense.stacks == ()
+    moments = near_band(eq, uniform_nodes(3.0, 4097))
+    assert isinstance(moments.op, eqmod._PanelMoments) and moments.stacks == ()
+    assert entries == []
 
-    def after_a_batch(nodes, eq=eq):
+    def built(nodes, eq=eq):
         band = near_band(eq, nodes)
+        assert sum(entries) == sum(stack.size for stack in band.stacks) > 0
+        entries.clear()
         apply_operator_batch(eq, nodes, np.zeros((2, nodes.size)), band=band)
-        assert "stacks" in vars(band)
+        assert entries == []
         return band
 
-    nodes = uniform_nodes(3.0, 4097)
-    moments = near_band(eq, nodes)
-    apply_operator_batch(eq, nodes, np.zeros((2, nodes.size)), band=moments)
-    assert isinstance(moments.op, eqmod._PanelMoments) and "stacks" not in vars(moments)
-    assert moments.stacks == ()
     half, _ = _forced_solve_input(gamma_ord=1.0 / 6.0)
-    assert [len(stack) for stack in after_a_batch(uniform_nodes(3.0, 4097), half).stacks] == [1, 63]
+    assert [len(stack) for stack in built(uniform_nodes(3.0, 4097), half).stacks] == [1, 63]
     monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
-    small = after_a_batch(uniform_nodes(3.0, 65))
+    small = built(uniform_nodes(3.0, 65))
     assert [stack.shape for stack in small.stacks] == [(1, 64, 64)]
 
 
@@ -895,6 +896,8 @@ _BAD_GRIDS = {
     "one node": ([1.0], "at least two nodes"),
     "not one-dimensional": ([[1.0, 3.0]], "one-dimensional"),
     "integer": ([1, 2, 3], "float64 array, got int"),
+    # a list, even of the floats of a grid, is not an array
+    "list": ([1.0, 2.0, 3.0], "float64 array, got list"),
 }
 
 
@@ -905,11 +908,13 @@ def test_operator_rejects_a_nodes_array_that_is_not_a_grid_on_the_domain(monkeyp
     # too, on the dense path and (with the dense limit moved down) the
     # large-grid path
     monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", limit)
-    nodes, message = np.array(_BAD_GRIDS[grid][0]), _BAD_GRIDS[grid][1]
+    nodes, message = _BAD_GRIDS[grid]
+    if grid != "list":
+        nodes = np.array(nodes)
     with pytest.raises(DomainError, match=message):
         near_band(_ALPHA, nodes)
     with pytest.raises(DomainError, match=message):
-        apply_operator_batch(_ALPHA, nodes, np.zeros((1, nodes.shape[-1])))
+        apply_operator_batch(_ALPHA, nodes, np.zeros((1, np.shape(nodes)[-1])))
 
 
 def test_solve_binds_the_equation_to_its_grid_once(monkeypatch):
@@ -1146,12 +1151,16 @@ def test_operator_rejects_wrong_domain():
 
 @pytest.mark.parametrize("n", [129, 4097])
 def test_operator_batch_rejects_values_that_are_not_a_matrix_on_the_nodes(n):
-    # 1-D values, a column-count mismatch and a stack of matrices are
-    # refused by name on the dense and the large-grid path alike
+    # 1-D values, a column-count mismatch, a stack of matrices and a list
+    # of the wrong shape are refused by name on the dense and the
+    # large-grid path alike; a list of the right shape is a matrix
     nodes = uniform_nodes(3.0, n)
-    for values in (np.zeros(n), np.zeros((2, n - 1)), np.zeros((1, 1, n))):
+    for values in (np.zeros(n), np.zeros((2, n - 1)), np.zeros((1, 1, n)), [[0.0] * 5]):
         with pytest.raises(DomainError, match=rf"values must be an \(m, {n}\) matrix"):
             apply_operator_batch(_ALPHA, nodes, values)
+    rows = [[0.1] * n, [-0.2] * n]
+    want = apply_operator_batch(_ALPHA, nodes, np.array(rows))
+    assert np.array_equal(apply_operator_batch(_ALPHA, nodes, rows), want)
 
 
 def test_estimate_lipschitz_lower_bounds_declared():
@@ -1255,10 +1264,10 @@ def test_operator_uses_each_part_at_the_shape_it_evaluates_to(n, gamma_ord):
             values = rng.uniform(-0.5, 0.5, (m, n))
             values.flags.writeable = False
 
-            def grid(expr):
-                return np.array(np.broadcast_to(eqmod.evaluate(expr, nodes, values), values.shape))
+            def grid(part):
+                return np.array(np.broadcast_to(eqmod.evaluate(part.expr, nodes, values), values.shape))
 
-            want = grid(band.f) + grid(band.psi) * eqmod._integral_values(band, grid(band.g))
+            want = grid(eq.f) + grid(eq.psi) * eqmod._integral_values(band, grid(eq.g))
             got = apply_operator_batch(eq, nodes, values, band=band)
             assert got.shape == (m, n) and np.array_equal(got, want), (f, psi, g, m)
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hilfer_mnc.errors import EvaluationError, ParseError
-from hilfer_mnc.expressions import Bin, Call, Lit, Neg, Var, _bind, _Nodes, evaluate, parse, to_string
+from hilfer_mnc.expressions import Bin, Call, Lit, Neg, Var, _compile, _finite, evaluate, parse, to_string
 from hilfer_mnc.fractional import uniform_nodes
 
 
@@ -181,8 +181,6 @@ def _outcome(tree, a, evaluator=evaluate):
 def _walk(expr, xv, av):
     """The reference evaluator: a plain walk of the tree, node by node, with no compilation."""
     match expr:
-        case _Nodes(value=v):
-            return v
         case Lit(value=v):
             return v
         case Var(name="x"):
@@ -239,49 +237,53 @@ def _walked(expr, x, a):
     return float(res) if res.ndim == 0 else res
 
 
-def _assert_same_as_the_walk(tree, a) -> None:
-    """The compiled evaluator gives the walk's bits or its first error, on tree and on tree bound."""
-    for t in (tree, _bind(tree, _BIND_NODES)):
-        want, got = _outcome(t, a, _walked), _outcome(t, a)
-        if isinstance(want, tuple):
-            assert got == want
-        else:
-            assert not isinstance(got, tuple) and type(got) is type(want)
-            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+def _bound(expr, x, a):
+    """evaluate's contract, by expr compiled bound to the nodes x, called as the operator calls it."""
+    part = _compile(expr, x)
+    with np.errstate(all="ignore"):
+        return _finite(part(x, np.asarray(a, dtype=float)))
 
 
-def _bound_values(tree):
-    """The values _bind put in tree."""
-    match tree:
-        case _Nodes(value=v):
-            yield v
-        case Neg(operand=e):
-            yield from _bound_values(e)
-        case Bin(left=l, right=r):
-            yield from _bound_values(l)
-            yield from _bound_values(r)
-        case Call(args=args):
-            for e in args:
-                yield from _bound_values(e)
-
-
-def _assert_binding_changes_nothing(tree, a) -> None:
-    bound = _bind(tree, _BIND_NODES)
-    want, got = _outcome(tree, a), _outcome(bound, a)
+def _assert_same_outcome(got, want) -> None:
+    """got has want's bits, or raised want's error."""
     if isinstance(want, tuple):
         assert got == want
     else:
-        assert not isinstance(got, tuple) and np.array_equal(got, want)
-    for value in _bound_values(bound):
+        assert not isinstance(got, tuple) and type(got) is type(want)
+        assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
+
+
+def _assert_same_as_the_walk(tree, a) -> None:
+    """The compiled evaluator gives the walk's bits or its first error, compiled unbound and bound."""
+    want = _outcome(tree, a, _walked)
+    for evaluator in (evaluate, _bound):
+        _assert_same_outcome(_outcome(tree, a, evaluator), want)
+
+
+def _folded_values(fn):
+    """The arrays fn's closures hold: the values of the subtrees folded on the nodes."""
+    for cell in getattr(fn, "__closure__", None) or ():
+        value = cell.cell_contents
+        if isinstance(value, np.ndarray):
+            yield value
+        elif callable(value):
+            yield from _folded_values(value)
+
+
+def _assert_binding_changes_nothing(tree, a) -> None:
+    _assert_same_outcome(_outcome(tree, a, _bound), _outcome(tree, a))
+    for value in _folded_values(_compile(tree, _BIND_NODES)):
         assert not value.flags.writeable
         assert value.shape == _BIND_NODES.shape
+    assert _BIND_NODES.flags.writeable
 
 
 @settings(max_examples=200, deadline=None)
 @given(tree=_tree, seed=st.integers(0, 2**32 - 1))
 def test_binding_to_the_nodes_changes_no_value_and_no_error(tree, seed):
-    # the subtrees in x alone are evaluated once on the nodes; every
-    # evaluation of the bound tree gives the same bits, or the same error
+    # compiled with the nodes, the subtrees in x alone are evaluated once on
+    # them; every call gives the bits of the tree compiled without them, or
+    # the same first error
     a = np.random.default_rng(seed).uniform(-2.0, 2.0, (3, _BIND_NODES.size))
     _assert_binding_changes_nothing(tree, a)
 
@@ -289,24 +291,28 @@ def test_binding_to_the_nodes_changes_no_value_and_no_error(tree, seed):
 def test_binding_keeps_the_first_error():
     a = np.random.default_rng(0).uniform(0.5, 1.5, (2, _BIND_NODES.size))
     a[1, 7] = -0.25
-    # the a-error comes first; log(x-3) raises on its own and stays in the tree
+    # the a-error comes first; log(x-3) raises on its own and keeps its
+    # closure, which reads x - 3 evaluated on the nodes
     tree = parse("sqrt(a)+log(x-3)")
-    assert _bind(tree, _BIND_NODES) == tree
-    assert _outcome(tree, a) == (EvaluationError, "sqrt of a negative value")
-    assert _outcome(tree, np.abs(a)) == (EvaluationError, "log of a nonpositive value")
-    # x - 2 is bound and vanishes at node 2048
-    assert _outcome(parse("a/(x-2)"), a) == (EvaluationError, "division by zero")
-    # 0 * inf is bound as NaN, and the sum is refused
-    assert _outcome(parse("0*exp(800*x)+a"), a) == (
+    (folded,) = _folded_values(_compile(tree, _BIND_NODES))
+    assert np.array_equal(folded, _BIND_NODES - 3.0)
+    assert _outcome(tree, a, _bound) == (EvaluationError, "sqrt of a negative value")
+    assert _outcome(tree, np.abs(a), _bound) == (EvaluationError, "log of a nonpositive value")
+    # x - 2 is folded and vanishes at node 2048
+    assert _outcome(parse("a/(x-2)"), a, _bound) == (EvaluationError, "division by zero")
+    # 0 * inf is folded as NaN, and the sum is refused
+    assert _outcome(parse("0*exp(800*x)+a"), a, _bound) == (
         EvaluationError,
         "expression produced a non-finite value",
     )
     for src in ("sqrt(a)+log(x-3)", "a/(x-2)", "0*exp(800*x)+a", "0.2*sin(x)+abs(a)/6"):
         for rows in (a, np.abs(a)):
             _assert_binding_changes_nothing(parse(src), rows)
-    bound = _bind(parse("0.2*sin(x)+abs(a)/6"), _BIND_NODES)
-    assert isinstance(bound.left, _Nodes)
-    assert np.array_equal(bound.left.value, 0.2 * np.sin(_BIND_NODES))
+    (folded,) = _folded_values(_compile(parse("0.2*sin(x)+abs(a)/6"), _BIND_NODES))
+    assert np.array_equal(folded, 0.2 * np.sin(_BIND_NODES))
+    # a tree in x alone is its value: a read-only view, not the nodes
+    alone = _compile(Var("x"), _BIND_NODES)(_BIND_NODES, a)
+    assert np.array_equal(alone, _BIND_NODES) and alone is not _BIND_NODES and not alone.flags.writeable
 
 
 @settings(max_examples=300, deadline=None)
@@ -323,7 +329,7 @@ def test_compiled_evaluator_keeps_the_first_error():
     a = np.random.default_rng(3).uniform(0.5, 1.5, (2, _BIND_NODES.size))
     cases = {
         "a/0": "division by zero",
-        # bound: x - 2 vanishes at node 2048, checked once as it compiles
+        # bound: x - 2 is folded and vanishes at node 2048, checked once as it compiles
         "a/(x-2)": "division by zero",
         # a denominator of literals alone is not folded, and is checked on every call
         "a/(1-1)": "division by zero",
@@ -335,7 +341,7 @@ def test_compiled_evaluator_keeps_the_first_error():
     }
     for src, message in cases.items():
         assert _outcome(parse(src), a) == (EvaluationError, message), src
-        assert _outcome(_bind(parse(src), _BIND_NODES), a) == (EvaluationError, message), src
+        assert _outcome(parse(src), a, _bound) == (EvaluationError, message), src
         _assert_same_as_the_walk(parse(src), a)
     a[1, 7] = -0.25
     assert _outcome(parse("sqrt(a)+log(x-3)"), a) == (EvaluationError, "sqrt of a negative value")
