@@ -13,9 +13,10 @@ flags that override config fields. Its stages and --dump-config read only
 that config.
 
 Exit codes: 0 success, 1 stdout closed by its reader before the output
-ended, 2 configuration or domain error (a non-finite number such as
-`--tol inf` included), 3 failing certificate (or a certified run
-violating its own bound), 4 nonconvergence.
+ended, 2 configuration or domain error (a flag that sets a config field
+fails that field's own check, so `--tol inf` is a config error naming
+solver.tol, with or without --dump-config), 3 failing certificate (or a
+certified run violating its own bound), 4 nonconvergence.
 Structured output is deterministic: identical configuration and seeds give
 byte-identical bytes; no timestamps are emitted.
 """

@@ -3,7 +3,9 @@
 A config file mirrors RunConfig section by section; expressions are strings
 in the small expression language. Validation failures raise ConfigError
 with the offending JSON path in the message; keys the schema does not use
-are ignored.
+are ignored. Each section type checks its own fields when it is built, so
+a value from a config file, from a CLI flag (a `replace` of the section)
+or from library code fails the same way.
 """
 
 from __future__ import annotations
@@ -22,17 +24,54 @@ from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL
 BUNDLED_R0 = 0.83
 
 
+def _num(value, path: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    # JSON decodes 1e999 to inf, Python's decoder also reads NaN and
+    # Infinity, and an integer may be too large for a float
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ConfigError(f"{path}: expected a finite number, got {number}")
+    return number
+
+
+def _int(value, path: str) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    return value
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
     nodes: int = 257
 
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "tol", _num(self.tol, "solver.tol"))
+        _int(self.max_iter, "solver.max_iter")
+        _int(self.nodes, "solver.nodes")
+        if not self.tol > 0.0:
+            raise ConfigError(f"solver.tol: must be positive, got {self.tol}")
+        if self.max_iter < 1:
+            raise ConfigError(f"solver.max_iter: must be >= 1, got {self.max_iter}")
+        if self.nodes < 2:
+            raise ConfigError(f"solver.nodes: must be >= 2, got {self.nodes}")
+
 
 @dataclass(frozen=True)
 class QuadratureConfig:
     panels: int = DEFAULT_PANELS
     mesh: str = "uniform"
+
+    def __post_init__(self) -> None:
+        if _int(self.panels, "quadrature.panels") < 1:
+            raise ConfigError(f"quadrature.panels: must be >= 1, got {self.panels}")
+        if self.mesh not in ("uniform", "graded"):
+            raise ConfigError(f"quadrature.mesh: must be 'uniform' or 'graded', got {self.mesh!r}")
 
 
 @dataclass(frozen=True)
@@ -42,17 +81,44 @@ class MncConfig:
     p_max: int = 8
     rng_seed: int = 42
 
+    def __post_init__(self) -> None:
+        if not isinstance(self.deltas, (list, tuple)) or len(self.deltas) < 3:
+            raise ConfigError("mnc.deltas: expected a list of at least 3 values")
+        deltas = tuple(_num(v, f"mnc.deltas[{j}]") for j, v in enumerate(self.deltas))
+        if any(d <= 0.0 for d in deltas) or any(b >= a for a, b in zip(deltas, deltas[1:])):
+            raise ConfigError("mnc.deltas: must be positive and strictly decreasing")
+        object.__setattr__(self, "deltas", deltas)
+        _int(self.ensemble, "mnc.ensemble")
+        _int(self.p_max, "mnc.p_max")
+        _int(self.rng_seed, "mnc.rng_seed")
+        if self.ensemble < 1:
+            raise ConfigError(f"mnc.ensemble: must be >= 1, got {self.ensemble}")
+        if self.p_max < 1:
+            raise ConfigError(f"mnc.p_max: must be >= 1, got {self.p_max}")
+
 
 @dataclass(frozen=True)
 class OutputConfig:
     format: str = "csv"
     path: str | None = None
 
+    def __post_init__(self) -> None:
+        if self.format not in ("csv", "json-lines"):
+            raise ConfigError(f"output.format: must be 'csv' or 'json-lines', got {self.format!r}")
+        if self.path is not None and not isinstance(self.path, str):
+            raise ConfigError("output.path: expected a string or null")
+
 
 @dataclass(frozen=True)
 class CertificateConfig:
     # the radius `check` tests for admissibility; None tests none
     r0: float | None = None
+
+    def __post_init__(self) -> None:
+        if self.r0 is not None:
+            object.__setattr__(self, "r0", _num(self.r0, "certificate.r0"))
+            if self.r0 < 0.0:
+                raise ConfigError(f"certificate.r0: must be >= 0, got {self.r0}")
 
 
 @dataclass(frozen=True)
@@ -100,32 +166,12 @@ def _get(data: dict, key: str, path: str):
     return data[key]
 
 
-def _num(value, path: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
-    # JSON decodes 1e999 to inf, Python's decoder also reads NaN and
-    # Infinity, and an integer may be too large for a float
-    try:
-        number = float(value)
-    except OverflowError:
-        number = math.inf
-    if not math.isfinite(number):
-        raise ConfigError(f"{path}: expected a finite number, got {number}")
-    return number
-
-
-def _int(value, path: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{path}: expected an integer, got {value!r}")
-    return value
-
-
-def _section(data: dict, name: str, cls) -> dict:
-    """data[name] as a mapping of cls's fields, with cls's defaults for missing keys."""
+def _section(data: dict, name: str, cls):
+    """Section cls built from data[name], with cls's defaults for missing keys."""
     sd = data.get(name, {})
     if not isinstance(sd, dict):
         raise ConfigError(f"{name}: expected an object")
-    return {f.name: sd.get(f.name, f.default) for f in fields(cls)}
+    return cls(**{f.name: sd.get(f.name, f.default) for f in fields(cls)})
 
 
 def _nonlinearity(data, path: str) -> Nonlinearity:
@@ -146,7 +192,11 @@ def _nonlinearity(data, path: str) -> Nonlinearity:
 
 
 def parse_config(data: dict) -> RunConfig:
-    """Validate a decoded config mapping into a RunConfig."""
+    """Decode a config mapping into a RunConfig.
+
+    The section types check their own fields; this checks the JSON
+    structure, the order parameters, the two overrides and the equations.
+    """
     if not isinstance(data, dict):
         raise ConfigError("config root must be an object")
     pd = _get(data, "params", "")
@@ -198,68 +248,16 @@ def parse_config(data: dict) -> RunConfig:
     if len(set(names)) != len(names):
         raise ConfigError("equations: names must be distinct")
 
-    sd = _section(data, "solver", SolverConfig)
-    solver = SolverConfig(
-        tol=_num(sd["tol"], "solver.tol"),
-        max_iter=_int(sd["max_iter"], "solver.max_iter"),
-        nodes=_int(sd["nodes"], "solver.nodes"),
-    )
-    if not solver.tol > 0.0:
-        raise ConfigError(f"solver.tol: must be positive, got {solver.tol}")
-    if solver.max_iter < 1:
-        raise ConfigError(f"solver.max_iter: must be >= 1, got {solver.max_iter}")
-    if solver.nodes < 2:
-        raise ConfigError(f"solver.nodes: must be >= 2, got {solver.nodes}")
-
-    qd = _section(data, "quadrature", QuadratureConfig)
-    quadrature = QuadratureConfig(panels=_int(qd["panels"], "quadrature.panels"), mesh=qd["mesh"])
-    if quadrature.panels < 1:
-        raise ConfigError(f"quadrature.panels: must be >= 1, got {quadrature.panels}")
-    if quadrature.mesh not in ("uniform", "graded"):
-        raise ConfigError(f"quadrature.mesh: must be 'uniform' or 'graded', got {quadrature.mesh!r}")
-
-    md = _section(data, "mnc", MncConfig)
-    deltas_raw = md["deltas"]
-    if not isinstance(deltas_raw, (list, tuple)) or len(deltas_raw) < 3:
-        raise ConfigError("mnc.deltas: expected a list of at least 3 values")
-    deltas = tuple(_num(v, f"mnc.deltas[{j}]") for j, v in enumerate(deltas_raw))
-    if any(d <= 0.0 for d in deltas) or any(b >= a for a, b in zip(deltas, deltas[1:])):
-        raise ConfigError("mnc.deltas: must be positive and strictly decreasing")
-    mnc = MncConfig(
-        deltas=deltas,
-        ensemble=_int(md["ensemble"], "mnc.ensemble"),
-        p_max=_int(md["p_max"], "mnc.p_max"),
-        rng_seed=_int(md["rng_seed"], "mnc.rng_seed"),
-    )
-    if mnc.ensemble < 1:
-        raise ConfigError(f"mnc.ensemble: must be >= 1, got {mnc.ensemble}")
-    if mnc.p_max < 1:
-        raise ConfigError(f"mnc.p_max: must be >= 1, got {mnc.p_max}")
-
-    output = OutputConfig(**_section(data, "output", OutputConfig))
-    if output.format not in ("csv", "json-lines"):
-        raise ConfigError(f"output.format: must be 'csv' or 'json-lines', got {output.format!r}")
-    if output.path is not None and not isinstance(output.path, str):
-        raise ConfigError("output.path: expected a string or null")
-
-    cd = _section(data, "certificate", CertificateConfig)
-    r0 = cd["r0"]
-    if r0 is not None:
-        r0 = _num(r0, "certificate.r0")
-        if r0 < 0.0:
-            raise ConfigError(f"certificate.r0: must be >= 0, got {r0}")
-    certificate = CertificateConfig(r0=r0)
-
     return RunConfig(
         params=params,
         equations=tuple(equations),
         names=tuple(names),
-        solver=solver,
-        quadrature=quadrature,
+        solver=_section(data, "solver", SolverConfig),
+        quadrature=_section(data, "quadrature", QuadratureConfig),
         kernel_factor_override=kern,
-        mnc=mnc,
-        output=output,
-        certificate=certificate,
+        mnc=_section(data, "mnc", MncConfig),
+        output=_section(data, "output", OutputConfig),
+        certificate=_section(data, "certificate", CertificateConfig),
     )
 
 
@@ -299,8 +297,9 @@ def _nl_dict(n: Nonlinearity) -> dict:
 def dump_config(cfg: RunConfig) -> str:
     """cfg as JSON text that load_config reads back into an equivalent config.
 
-    A field set past parse_config's checks (a flag such as a non-finite
-    tol) raises the ConfigError parse_config gives, naming its JSON path.
+    The text is read back through parse_config first, which guards a
+    config built in library code; a bad flag has already failed its
+    section's own check by then.
     """
     data = config_to_dict(cfg)
     parse_config(data)

@@ -706,8 +706,11 @@ def apply_operator_batch(
         band = near_band(eq, nodes)
     elif band.eq is not eq or band.nodes is not nodes:
         raise DomainError("the near band was built for another equation or nodes array")
-    shape = np.shape(values)
-    if len(shape) != 2 or shape[1] != nodes.shape[0]:
+    try:
+        shape = np.shape(values)
+    except ValueError:  # nested lists of unequal lengths have no shape
+        shape = None
+    if shape is None or len(shape) != 2 or shape[1] != nodes.shape[0]:
         raise DomainError(f"values must be an (m, {nodes.shape[0]}) matrix on the nodes, got shape {shape}")
     av = np.asarray(values, dtype=float)
     with np.errstate(all="ignore"):

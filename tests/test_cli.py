@@ -519,15 +519,55 @@ def test_dump_config_without_a_config_source_exits_2(capsys, argv):
         (["solve", "--max-iter", "0"], "solver.max_iter: must be >= 1, got 0"),
         (["solve", "--nodes", "1"], "solver.nodes: must be >= 2, got 1"),
         (["frac-int", "--expr", "1", "--x", "2", "--panels", "0"], "quadrature.panels: must be >= 1, got 0"),
+        (["check", "--r0", "-1"], "certificate.r0: must be >= 0, got -1.0"),
+        (["check", "--r0", "inf"], "certificate.r0: expected a finite number, got inf"),
     ],
-    ids=["tol-inf", "tol-negative", "max-iter", "nodes", "panels"],
+    ids=["tol-inf", "tol-negative", "max-iter", "nodes", "panels", "r0-negative", "r0-inf"],
 )
 def test_dump_config_refuses_what_parse_config_refuses(capsys, argv, message):
-    code, out = _run([*argv, "--paper-example", "--dump-config"], capsys)
-    assert code == 2
-    payload = _strict_json(out)
+    # the flag fails its config field's own check, so a run without
+    # --dump-config prints the same bytes
+    outputs = []
+    for dump in (["--dump-config"], []):
+        code = main([*argv, "--paper-example", *dump])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    payload = _strict_json(outputs[0])
     assert (payload["status"], payload["error_type"]) == ("error", "config")
     assert payload["message"] == message
+
+
+def test_frac_int_inline_panels_fail_the_quadrature_check(capsys):
+    code, out = _run(["frac-int", "--expr", "1", "--x", "2", "--k", "0.5", "--rho", "0.5",
+                      "--gamma-ord", "0.5", "--T", "3", "--panels", "0"], capsys)
+    assert code == 2
+    assert _strict_json(out) == {
+        "status": "error", "error_type": "config", "message": "quadrature.panels: must be >= 1, got 0"
+    }
+
+
+def test_config_file_with_a_bad_section_value_exits_2(tmp_path, capsys):
+    data = json.loads(dump_config(bundled_example()))
+    data["mnc"]["ensemble"] = 0
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(data), encoding="utf-8")
+    code = main(["mnc-demo", "--config", str(p)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    assert _strict_json(captured.out) == {
+        "status": "error", "error_type": "config", "message": "mnc.ensemble: must be >= 1, got 0"
+    }
+
+
+def test_exhausted_quadrature_budget_exits_4(capsys):
+    code = main(["gamma-k", "0.5", "1.5", "--tol", "1e-300"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (4, "")
+    assert _strict_json(captured.out) == {
+        "status": "error", "error_type": "nonconvergence", "message": "quadrature evaluation budget exhausted"
+    }
 
 
 @pytest.mark.parametrize("expr", ["a", "a^0", "sin(x*a)", "max(x, -a)", "x+0*a"])
@@ -594,24 +634,25 @@ def test_frac_int_rejects_infinite_T(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, error_type",
     [
-        ["solve", "--paper-example", "--tol", "inf"],
-        ["check", "--paper-example", "--r0", "inf"],
-        ["solve", "--paper-example", "--gamma-k-override", "inf"],
-        ["gamma-k", "0.5", "inf"],
-        ["frac-int", "--expr", "1", "--x", "2.0", "--k", "0.5", "--rho", "0.5",
-         "--gamma-ord", "0.5", "--T", "3", "--gamma-k-override", "inf"],
+        # a flag that sets a config field fails the field's own check
+        (["solve", "--paper-example", "--tol", "inf"], "config"),
+        (["check", "--paper-example", "--r0", "inf"], "config"),
+        (["solve", "--paper-example", "--gamma-k-override", "inf"], "domain"),
+        (["gamma-k", "0.5", "inf"], "domain"),
+        (["frac-int", "--expr", "1", "--x", "2.0", "--k", "0.5", "--rho", "0.5",
+          "--gamma-ord", "0.5", "--T", "3", "--gamma-k-override", "inf"], "domain"),
     ],
     ids=["solve-tol", "check-r0", "solve-gamma-k-override", "gamma-k-z", "frac-int-gamma-k"],
 )
-def test_nonfinite_flag_exits_2(capsys, argv):
+def test_nonfinite_flag_exits_2(capsys, argv, error_type):
     code = main(argv)
     captured = capsys.readouterr()
     assert code == 2
     assert captured.err == ""
     payload = json.loads(captured.out)
-    assert (payload["status"], payload["error_type"]) == ("error", "domain")
+    assert (payload["status"], payload["error_type"]) == ("error", error_type)
     assert "finite" in payload["message"] and payload["message"].endswith("got inf")
 
 

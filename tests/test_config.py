@@ -9,7 +9,12 @@ import pytest
 
 from hilfer_mnc.config import (
     BUNDLED_R0,
+    CertificateConfig,
+    MncConfig,
+    OutputConfig,
+    QuadratureConfig,
     RunConfig,
+    SolverConfig,
     bundled_example,
     config_to_dict,
     dump_config,
@@ -282,3 +287,85 @@ def test_names_default_by_position():
         del block["name"]
     cfg = parse_config(data)
     assert cfg.names == ("alpha", "beta")
+
+
+def _replaced(keys: tuple, value):
+    """The bundled scenario's mapping with the entry at keys set to value; value itself for no keys."""
+    if not keys:
+        return value
+    data = _base()
+    target = data
+    for key in keys[:-1]:
+        target = target[key]
+    target[keys[-1]] = value
+    return data
+
+
+@pytest.mark.parametrize(
+    "keys, value, message",
+    [
+        ((), [], "config root must be an object"),
+        (("params",), [1.0], "params: expected an object"),
+        (("gamma_k_override",), 0, "gamma_k_override: must be positive, got 0.0"),
+        (("kernel_factor_override",), -1, "kernel_factor_override: must be positive, got -1.0"),
+        (("equations", 1), "beta", "equations[1]: expected an object"),
+        (("equations", 0, "name"), "", "equations[0].name: expected a nonempty string"),
+        (("equations", 0, "f"), "abs(a)/6", "equations[0].f: expected an object"),
+        (("equations", 0, "psi"), None, "equations[0].psi: expected an object"),
+        (("equations", 1, "g"), ["a"], "equations[1].g: expected an object"),
+        (("equations", 0, "g", "expr"), "", "equations[0].g.expr: expected a nonempty string"),
+        (("equations", 0, "f", "lipschitz"), -0.5, "equations[0].f: lipschitz must be >= 0, got -0.5"),
+        (("solver",), [], "solver: expected an object"),
+        (("mnc", "ensemble"), 0, "mnc.ensemble: must be >= 1, got 0"),
+        (("mnc", "p_max"), 0, "mnc.p_max: must be >= 1, got 0"),
+        (("output", "path"), 3, "output.path: expected a string or null"),
+    ],
+    ids=["root", "params", "gamma-k-override", "kernel-factor-override", "equation", "name", "f",
+         "psi", "g", "expr", "lipschitz", "section", "ensemble", "p-max", "output-path"],
+)
+def test_parse_config_names_the_path_of_each_bad_value(keys, value, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(_replaced(keys, value))
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "section, field, value, message",
+    [
+        (SolverConfig(), "tol", -1.0, "solver.tol: must be positive, got -1.0"),
+        (SolverConfig(), "tol", float("inf"), "solver.tol: expected a finite number, got inf"),
+        (SolverConfig(), "max_iter", 0, "solver.max_iter: must be >= 1, got 0"),
+        (SolverConfig(), "nodes", 2.0, "solver.nodes: expected an integer, got 2.0"),
+        (QuadratureConfig(), "panels", 0, "quadrature.panels: must be >= 1, got 0"),
+        (QuadratureConfig(), "mesh", "chebyshev", "quadrature.mesh: must be 'uniform' or 'graded', got 'chebyshev'"),
+        (MncConfig(), "deltas", (0.5, 0.25), "mnc.deltas: expected a list of at least 3 values"),
+        (MncConfig(), "deltas", (0.5, 0.25, "x"), "mnc.deltas[2]: expected a number, got 'x'"),
+        (MncConfig(), "deltas", (0.5, 0.25, 0.25), "mnc.deltas: must be positive and strictly decreasing"),
+        (MncConfig(), "rng_seed", None, "mnc.rng_seed: expected an integer, got None"),
+        (OutputConfig(), "format", "xml", "output.format: must be 'csv' or 'json-lines', got 'xml'"),
+        (CertificateConfig(), "r0", -1.0, "certificate.r0: must be >= 0, got -1.0"),
+        (CertificateConfig(), "r0", True, "certificate.r0: expected a number, got True"),
+    ],
+    ids=["tol", "tol-inf", "max-iter", "nodes", "panels", "mesh", "deltas-short", "delta",
+         "deltas-order", "rng-seed", "format", "r0", "r0-bool"],
+)
+def test_each_section_checks_its_own_fields(section, field, value, message):
+    # a flag override is a replace of the section, so it meets the check a config file meets
+    with pytest.raises(ConfigError) as info:
+        replace(section, **{field: value})
+    assert str(info.value) == message
+    data = _base()
+    name = {SolverConfig: "solver", QuadratureConfig: "quadrature", MncConfig: "mnc",
+            OutputConfig: "output", CertificateConfig: "certificate"}[type(section)]
+    data[name][field] = list(value) if isinstance(value, tuple) else value
+    with pytest.raises(ConfigError) as info:
+        parse_config(data)
+    assert str(info.value) == message
+
+
+def test_sections_normalise_numbers():
+    assert type(SolverConfig(tol=1).tol) is float
+    assert type(CertificateConfig(r0=2).r0) is float
+    assert MncConfig(deltas=[4, 2, 1.5]).deltas == (4.0, 2.0, 1.5)
+    assert all(type(d) is float for d in MncConfig(deltas=[4, 2, 1]).deltas)
+    assert parse_config(_replaced(("mnc", "deltas"), [4, 2, 1])).mnc == MncConfig(deltas=(4.0, 2.0, 1.0))

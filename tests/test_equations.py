@@ -1151,11 +1151,12 @@ def test_operator_rejects_wrong_domain():
 
 @pytest.mark.parametrize("n", [129, 4097])
 def test_operator_batch_rejects_values_that_are_not_a_matrix_on_the_nodes(n):
-    # 1-D values, a column-count mismatch, a stack of matrices and a list
-    # of the wrong shape are refused by name on the dense and the
-    # large-grid path alike; a list of the right shape is a matrix
+    # 1-D values, a column-count mismatch, a stack of matrices, a list of
+    # the wrong shape and ragged lists are refused by name on the dense and
+    # the large-grid path alike; a list of the right shape is a matrix
     nodes = uniform_nodes(3.0, n)
-    for values in (np.zeros(n), np.zeros((2, n - 1)), np.zeros((1, 1, n)), [[0.0] * 5]):
+    ragged = ([[0.0] * n, [0.0]], [[0.0] * n, [0.0] * (n - 1)])
+    for values in (np.zeros(n), np.zeros((2, n - 1)), np.zeros((1, 1, n)), [[0.0] * 5], *ragged):
         with pytest.raises(DomainError, match=rf"values must be an \(m, {n}\) matrix"):
             apply_operator_batch(_ALPHA, nodes, values)
     rows = [[0.1] * n, [-0.2] * n]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -491,6 +493,25 @@ def test_default_certificate_classes():
         default_certificate(gain=0.0)
     with pytest.raises(DomainError):
         default_certificate(gain=1.0)
+
+
+@pytest.mark.parametrize(
+    "field, broken",
+    [
+        ("h", lambda z1, z2: 0.5 * (z1 + z2)),
+        ("h", lambda z1, z2: z1 + z2 + (z1 + z2) ** 2),
+        ("upsilon", lambda v: 0.5 * v + 1.0),
+        ("upsilon", lambda v: -v),
+        ("gamma_cmp", lambda v: 0.3 * v + 1.0),
+        ("gamma_cmp", lambda v: v * (v - 5.0)),
+    ],
+    ids=["h-below-max", "h-not-subadditive", "upsilon-at-0", "upsilon-decreasing", "gamma-at-0",
+         "gamma-not-positive"],
+)
+def test_certificate_classes_reject_each_broken_function(field, broken):
+    # the other two functions are the built-ins, which pass every check
+    cert = replace(default_certificate(gain=0.3), **{field: broken})
+    assert not check_certificate_classes(cert)
 
 
 def test_certificate_inequality_on_geometric_trace():
