@@ -15,7 +15,8 @@ that config.
 Exit codes: 0 success, 1 stdout closed by its reader before the output
 ended, 2 configuration or domain error (a flag that sets a config field
 fails that field's own check, so `--tol inf` is a config error naming
-solver.tol, with or without --dump-config), 3 failing certificate (or a
+solver.tol and `--gamma-k-override -1` one naming gamma_k_override, with or
+without --dump-config), 3 failing certificate (or a
 certified run violating its own bound), 4 nonconvergence.
 Structured output is deterministic: identical configuration and seeds give
 byte-identical bytes; no timestamps are emitted.
@@ -204,14 +205,15 @@ def _cmd_gamma_k(args: argparse.Namespace) -> int:
 def _cmd_frac_int(args: argparse.Namespace) -> int:
     if args.paper_example or args.config:
         cfg = _load(args)
-        params, quadrature, output, gk = cfg.params, cfg.quadrature, cfg.output, cfg.gamma_k_override
+        params, quadrature, output = cfg.params, cfg.quadrature, cfg.output
     else:
         if any(getattr(args, dest) is None for dest in _INLINE_PARAMS):
             raise ConfigError("pass --config/--paper-example or all of --k --rho --gamma-ord --T")
-        params = FracParams(k=args.k, rho=args.rho, gamma_ord=args.gamma_ord, T=args.t)
+        params = FracParams(
+            k=args.k, rho=args.rho, gamma_ord=args.gamma_ord, T=args.t, gamma_k_override=args.gamma_k_override
+        )
         quadrature = _overridden(args, "quadrature", QuadratureConfig())
         output = _overridden(args, "output", OutputConfig())
-        gk = args.gamma_k_override
     expr = parse(args.expr)
     if "a" in _variables(expr):
         raise DomainError("--expr: the integrand is a function of x alone, but it reads the variable a")
@@ -221,9 +223,7 @@ def _cmd_frac_int(args: argparse.Namespace) -> int:
     )
     phi = GridFunction(nodes=nodes, values=values)
     points = np.array(args.x, dtype=float)
-    integrals = hilfer_integral(
-        params, phi, points, panels=quadrature.panels, mesh=quadrature.mesh, gamma_k_value=gk
-    )
+    integrals = hilfer_integral(params, phi, points, panels=quadrature.panels, mesh=quadrature.mesh)
     rows = [[x, val] for x, val in zip(points.tolist(), integrals.tolist())]
     _emit_rows(["x", "value"], rows, output.format, output.path, label="frac-int")
     return 0
@@ -266,6 +266,8 @@ def _check_stage(cfg: RunConfig, probes: int) -> tuple[int, list[RadiusCertifica
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
+    if not math.isfinite(args.seed_value):
+        raise DomainError(f"--seed-value must be finite, got {args.seed_value}")
     return _solve_stage(_load(args), args.seed_value)
 
 

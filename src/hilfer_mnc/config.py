@@ -38,6 +38,16 @@ def _num(value, path: str) -> float:
     return number
 
 
+def _override(value, path: str) -> float | None:
+    """A top-level override key: None, or a positive finite number."""
+    if value is None:
+        return None
+    number = _num(value, path)
+    if not number > 0.0:
+        raise ConfigError(f"{path}: must be positive, got {number}")
+    return number
+
+
 def _int(value, path: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
@@ -134,29 +144,27 @@ class RunConfig:
     certificate: CertificateConfig = CertificateConfig()
 
     def __post_init__(self) -> None:
-        # frac-int reads params and the override from the config, the operator
-        # and certify from each equation: the copies must agree
+        # frac-int reads params from the config, the operator and certify
+        # from each equation: the copies must agree
         for i, eq in enumerate(self.equations):
             if eq.params != self.params:
                 raise ConfigError(
                     f"equations[{i}].params: {eq.params} differ from params {self.params}"
                 )
-            if eq.gamma_k_override != self.gamma_k_override:
-                raise ConfigError(
-                    f"equations[{i}].gamma_k_override: {eq.gamma_k_override} differs from "
-                    f"equations[0]'s {self.gamma_k_override}"
-                )
-
-    @property
-    def gamma_k_override(self) -> float | None:
-        """The Gamma_k override, kept on the equations (parse_config gives all the same)."""
-        return self.equations[0].gamma_k_override
+        # the deltas are strictly decreasing, so the first is the widest
+        span = self.params.T - 1.0
+        if self.mnc.deltas[0] > span * (1.0 + 1e-12):
+            raise ConfigError(
+                f"mnc.deltas[0]: must not exceed the domain span {span}, got {self.mnc.deltas[0]}"
+            )
 
     def with_gamma_k_override(self, value: float | None) -> "RunConfig":
+        """This config with Gamma_k replaced by value, checked as the config key is; None keeps it."""
         if value is None:
             return self
-        eqs = tuple(replace(eq, gamma_k_override=value) for eq in self.equations)
-        return replace(self, equations=eqs)
+        params = replace(self.params, gamma_k_override=_override(value, "gamma_k_override"))
+        eqs = tuple(replace(eq, params=params) for eq in self.equations)
+        return replace(self, params=params, equations=eqs)
 
 
 def _get(data: dict, key: str, path: str):
@@ -202,26 +210,13 @@ def parse_config(data: dict) -> RunConfig:
     pd = _get(data, "params", "")
     if not isinstance(pd, dict):
         raise ConfigError("params: expected an object")
+    order = {name: _num(_get(pd, name, "params"), f"params.{name}") for name in ("k", "rho", "gamma_ord", "T")}
+    gk = _override(data.get("gamma_k_override"), "gamma_k_override")
     try:
-        params = FracParams(
-            k=_num(_get(pd, "k", "params"), "params.k"),
-            rho=_num(_get(pd, "rho", "params"), "params.rho"),
-            gamma_ord=_num(_get(pd, "gamma_ord", "params"), "params.gamma_ord"),
-            T=_num(_get(pd, "T", "params"), "params.T"),
-        )
+        params = FracParams(**order, gamma_k_override=gk)
     except DomainError as exc:
         raise ConfigError(f"params: {exc}") from None
-
-    gk = data.get("gamma_k_override")
-    if gk is not None:
-        gk = _num(gk, "gamma_k_override")
-        if not gk > 0.0:
-            raise ConfigError(f"gamma_k_override: must be positive, got {gk}")
-    kern = data.get("kernel_factor_override")
-    if kern is not None:
-        kern = _num(kern, "kernel_factor_override")
-        if not kern > 0.0:
-            raise ConfigError(f"kernel_factor_override: must be positive, got {kern}")
+    kern = _override(data.get("kernel_factor_override"), "kernel_factor_override")
 
     eq_list = _get(data, "equations", "")
     if not isinstance(eq_list, list) or not 1 <= len(eq_list) <= 2:
@@ -241,7 +236,6 @@ def parse_config(data: dict) -> RunConfig:
                 f=_nonlinearity(_get(block, "f", path), f"{path}.f"),
                 psi=_nonlinearity(_get(block, "psi", path), f"{path}.psi"),
                 g=_nonlinearity(_get(block, "g", path), f"{path}.g"),
-                gamma_k_override=gk,
             )
         )
         names.append(name)
@@ -285,7 +279,8 @@ def config_to_dict(cfg: RunConfig) -> dict:
         {"name": name, **{part: _nl_dict(getattr(eq, part)) for part in ("f", "psi", "g")}}
         for name, eq in zip(cfg.names, cfg.equations)
     ]
-    data["gamma_k_override"] = cfg.gamma_k_override
+    # the override is a top-level key of the file, not a field of params
+    data["gamma_k_override"] = data["params"].pop("gamma_k_override")
     data["kernel_factor_override"] = cfg.kernel_factor_override
     return data
 

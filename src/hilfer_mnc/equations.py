@@ -57,15 +57,14 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from itertools import accumulate
 
 import numpy as np
 
-from .errors import DomainError, require_positive_finite
+from .errors import DomainError
 from .expressions import Expr, _compile, _finite, evaluate, parse
 from .fractional import FracParams, GridFunction, check_nodes, panel_weights, power_differences
-from .special_functions import k_gamma
 
 _MATRIX_MAX_NODES = 2049
 # for a = 1 or 2 the dense matrix serves grids up to this many nodes, and
@@ -106,30 +105,14 @@ class Nonlinearity:
 class EquationSpec:
     """One equation: additive term f, multiplier psi, integrand g.
 
-    gamma_k_override substitutes a fixed constant for Gamma_k(gamma_ord)
-    everywhere this equation's operator and certificates use it.
-    Otherwise gamma_k_value computes Gamma_k on its first call and keeps
-    it: every application of the operator reads it.
+    params holds the order parameters and the Gamma_k (or its override)
+    that the equation's operator and certificates use.
     """
 
     params: FracParams
     f: Nonlinearity
     psi: Nonlinearity
     g: Nonlinearity
-    gamma_k_override: float | None = None
-
-    def __post_init__(self) -> None:
-        if self.gamma_k_override is not None:
-            require_positive_finite("gamma_k_override", self.gamma_k_override)
-
-    @cached_property
-    def _gamma_k(self) -> float:
-        return k_gamma(self.params.k, self.params.gamma_ord).value
-
-    def gamma_k_value(self) -> float:
-        if self.gamma_k_override is not None:
-            return self.gamma_k_override
-        return self._gamma_k
 
 
 @lru_cache(maxsize=4)
@@ -606,9 +589,10 @@ def _integral_values(band: NearBand, g: np.ndarray) -> np.ndarray:
     """Fractional integral of the grid integrand g at every node of band, batched.
 
     g has shape (m, n): m integrands sampled on the band's n nodes. Returns
-    the (m, n) matrix of integral values, with Gamma_k read from band.eq
-    now. _PanelMoments sums the panel moments of g (a = 1 or 2 on large
-    grids). The other two operators apply the rule summed by parts,
+    the (m, n) matrix of integral values, with the prefactor read from
+    band.eq.params now. _PanelMoments sums the panel moments of g (a = 1
+    or 2 on large grids). The other two operators apply the rule summed by
+    parts,
 
         a (a+1) I(X) = (a+1) (X - s_0)^a g_0 + sum_j d_j(X) (g_j - g_{j+1}),
 
@@ -619,7 +603,7 @@ def _integral_values(band: NearBand, g: np.ndarray) -> np.ndarray:
     """
     params = band.eq.params
     a = params.exponent
-    pref = params.rho ** (-a) / (params.k * band.eq.gamma_k_value())
+    pref = params.prefactor
     op = band.op
     if isinstance(op, _PanelMoments):
         return op.integrals(g, a, pref)
@@ -746,7 +730,7 @@ def _safe_quotients(df: np.ndarray, du: np.ndarray, fmax: np.ndarray) -> np.ndar
     return np.maximum(np.abs(df) - allow, 0.0) / du
 
 
-def estimate_lipschitz(n: Nonlinearity, r0: float, probes: int, t_end: float = 3.0) -> float:
+def estimate_lipschitz(n: Nonlinearity, r0: float, probes: int, t_end: float) -> float:
     """Empirical Lipschitz-in-a constant on x in [1, t_end], u, v in [-r0, r0].
 
     probes is the total sample budget, split evenly between the x and u

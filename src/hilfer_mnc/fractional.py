@@ -35,6 +35,7 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,12 +105,20 @@ def _run_blocks(starts: range, block, shape: tuple[int, ...]) -> None:
 
 @dataclass(frozen=True)
 class FracParams:
-    """Order parameters (k, rho, gamma_ord) and right endpoint T of [1, T]."""
+    """Order parameters (k, rho, gamma_ord), right endpoint T of [1, T], and the Gamma_k they use.
+
+    gamma_k_override substitutes a fixed constant for Gamma_k(gamma_ord)
+    wherever these parameters are read: the operator and point-rule
+    prefactor, the certificates and the closed form. Otherwise gamma_k
+    computes Gamma_k on first use and keeps it; a failed computation is
+    not kept and raises again on the next use.
+    """
 
     k: float
     rho: float
     gamma_ord: float
     T: float
+    gamma_k_override: float | None = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.k < 1.0:
@@ -129,11 +138,25 @@ class FracParams:
                 f"the kernel prefactor rho^(-gamma_ord/k) = {self.rho}^(-{self.exponent}) "
                 "overflows a double"
             ) from None
+        if self.gamma_k_override is not None:
+            require_positive_finite("gamma_k_override", self.gamma_k_override)
 
     @property
     def exponent(self) -> float:
         """Kernel exponent a = gamma_ord / k."""
         return self.gamma_ord / self.k
+
+    @cached_property
+    def gamma_k(self) -> float:
+        """Gamma_k(gamma_ord), or gamma_k_override when it is set."""
+        if self.gamma_k_override is not None:
+            return self.gamma_k_override
+        return k_gamma(self.k, self.gamma_ord).value
+
+    @property
+    def prefactor(self) -> float:
+        """The kernel constant rho^(-a) / (k Gamma_k) of the integral in s = t^rho."""
+        return self.rho ** (-self.exponent) / (self.k * self.gamma_k)
 
 
 def check_nodes(nodes: np.ndarray) -> None:
@@ -269,7 +292,6 @@ def product_quadrature(
     x: float | np.ndarray,
     panels: int = DEFAULT_PANELS,
     mesh: str = "uniform",
-    gamma_k_value: float | None = None,
 ) -> float | np.ndarray:
     """Product-integration value of the fractional integral at a point or at each of many.
 
@@ -279,9 +301,9 @@ def product_quadrature(
     default or graded toward the singular end on request, and each panel
     integrates the linear interpolant exactly. Every point's s-mesh is the
     affine image 1 + (X - 1) sigma of one unit mesh sigma, so its weights are
-    (X - 1)^a times the unit mesh's: those, and Gamma_k, are computed once per
-    call. gamma_k_value substitutes a caller-supplied constant for
-    Gamma_k(gamma_ord) in the prefactor. The value at x = 1 is exactly 0.
+    (X - 1)^a times the unit mesh's: those are computed once per call. The
+    prefactor is params.prefactor, so params.gamma_k_override replaces
+    Gamma_k(gamma_ord) in it. The value at x = 1 is exactly 0.
     Every point is validated before any is evaluated, and a DomainError
     names the first one outside [1, T], or the first whose prefactor
     (X - 1)^a overflows a double. A DomainError also names the first point
@@ -312,8 +334,6 @@ def product_quadrature(
         )
     if panels < 1:
         raise DomainError(f"panels must be >= 1, got {panels}")
-    if gamma_k_value is not None:
-        require_positive_finite("gamma_k_value", gamma_k_value)
     a = params.exponent
     # scalar powers, as for a single x: NumPy's vectorised power may round differently
     X = np.array([p**params.rho for p in pts.tolist()])
@@ -329,9 +349,8 @@ def product_quadrature(
     else:
         raise DomainError(f"mesh must be 'uniform' or 'graded', got {mesh!r}")
     w = _node_weights(end, unit, a)
-    gk = gamma_k_value if gamma_k_value is not None else k_gamma(params.k, params.gamma_ord).value
     with np.errstate(all="ignore"):
-        scale = params.rho ** (-a) / (params.k * gk) * (X - 1.0) ** a
+        scale = params.prefactor * (X - 1.0) ** a
     overflow = ~np.isfinite(scale)
     if overflow.any():
         bad = int(np.argmax(overflow))
@@ -381,13 +400,12 @@ def product_quadrature(
 hilfer_integral = product_quadrature
 
 
-def closed_form_constant(params: FracParams, x: float, gamma_k_value: float | None = None) -> float:
+def closed_form_constant(params: FracParams, x: float) -> float:
     """Exact integral of phi == 1: rho^(-a) (x^rho - 1)^a / (gamma_ord * Gamma_k(gamma_ord))."""
     if not 1.0 <= x <= params.T * (1.0 + 1e-12):
         raise DomainError(f"x must lie in [1, {params.T}], got {x}")
     a = params.exponent
-    gk = gamma_k_value if gamma_k_value is not None else k_gamma(params.k, params.gamma_ord).value
-    return params.rho ** (-a) * (x**params.rho - 1.0) ** a / (params.gamma_ord * gk)
+    return params.rho ** (-a) * (x**params.rho - 1.0) ** a / (params.gamma_ord * params.gamma_k)
 
 
 def measure_convergence_order(

@@ -346,9 +346,7 @@ def darbo_iterate(
     to op and the seed's nodes (equations.near_band) is built once for the
     call, on the calling thread, and passed to every step: f, psi and g
     compiled with their parts in x alone evaluated on the nodes, and the
-    grid's operator (for a = 1 or 2 above 257 nodes the coefficients of
-    the panel moments; otherwise the weight matrix up to 2049 nodes, and
-    above it every near-band block, evaluated exactly).
+    grid's operator (near_band describes which operator a grid takes).
     """
     if p_max < 1:
         raise DomainError(f"p_max must be >= 1, got {p_max}")

@@ -15,10 +15,10 @@ computes the Darbo factor; r0_max_contraction is the radius where it
 reaches 1, not a contraction radius.
 
 Two reproduction knobs exist so reference arithmetic can be replayed: the
-equation's own gamma_k_override replaces Gamma_k(gamma_ord) in its operator
-and its certificate alike, and certify's kernel_factor_override replaces
-(T^rho - 1)^a in the certificate only. Every certificate records what was
-used.
+order parameters' gamma_k_override (FracParams.gamma_k_override) replaces
+Gamma_k(gamma_ord) in the operator and the certificate alike, and certify's
+kernel_factor_override replaces (T^rho - 1)^a in the certificate only.
+Every certificate records what was used.
 """
 
 from __future__ import annotations
@@ -55,15 +55,15 @@ class RadiusCertificate:
         require_nonnegative_finite("r0", r0)
         return self.c1 + self.kappa * r0
 
-    def admits(self, r0: float, slack: float = DEFAULT_SLACK) -> bool:
-        """True when radius r0 certifies: Darbo factor strictly below 1, self-map holds."""
+    def admits(self, r0: float) -> bool:
+        """True when radius r0 certifies: Darbo factor below 1 - DEFAULT_SLACK, self-map holds."""
         if r0 <= 0.0 or self.r0_selfmap_interval is None:
             return False
-        return self.factor_at(r0) < 1.0 - slack and r0 <= self.r0_selfmap_interval[1]
+        return self.factor_at(r0) < 1.0 - DEFAULT_SLACK and r0 <= self.r0_selfmap_interval[1]
 
-    def boundary(self, r0: float, slack: float = DEFAULT_SLACK) -> bool:
-        """True when factor_at(r0) sits inside the strictness slack band."""
-        return 1.0 - slack <= self.factor_at(r0) < 1.0
+    def boundary(self, r0: float) -> bool:
+        """True when factor_at(r0) sits inside the strictness slack band [1 - DEFAULT_SLACK, 1)."""
+        return 1.0 - DEFAULT_SLACK <= self.factor_at(r0) < 1.0
 
 
 def _resolve_kernel(eq: EquationSpec, kernel_factor_override: float | None) -> tuple[float, bool]:
@@ -89,6 +89,7 @@ def certify(
 
     Each declared Lipschitz constant is checked against an empirical
     estimate on x in [1, T], |a| <= 1; a dishonest declaration raises.
+    Gamma_k, or its override, is read from eq.params.
     A kernel factor or kappa that overflows a double raises DomainError.
     """
     for name, n in (("f", eq.f), ("psi", eq.psi), ("g", eq.g)):
@@ -99,7 +100,7 @@ def certify(
                 f"but sampling finds {est:.6g}"
             )
     p = eq.params
-    gk = eq.gamma_k_value()
+    gk = p.gamma_k
     kern, kern_over = _resolve_kernel(eq, kernel_factor_override)
     c1 = eq.f.lipschitz
     kappa = eq.psi.lipschitz * eq.g.lipschitz * p.rho ** (-p.exponent) * kern / (p.gamma_ord * gk)
@@ -123,7 +124,7 @@ def certify(
         r0_max_contraction=r0_max,
         r0_selfmap_interval=selfmap,
         gamma_k_used=gk,
-        gamma_k_overridden=eq.gamma_k_override is not None,
+        gamma_k_overridden=p.gamma_k_override is not None,
         kernel_factor_used=kern,
         kernel_factor_overridden=kern_over,
     )

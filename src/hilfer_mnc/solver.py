@@ -77,11 +77,9 @@ def solve(
     The operator bound to eq and the seed's nodes (equations.near_band)
     is built once for the call, on the calling thread, and passed to every
     application: f, psi and g compiled with their parts in x alone
-    evaluated on the nodes, and the grid's operator. For a = 1 or 2 above
-    257 nodes that is the coefficients of the integrand's panel moments;
-    otherwise the weight matrix up to 2049 nodes, and above it every
-    near-band block, evaluated exactly. So the applications do per-row
-    work only. The band is released when the call returns.
+    evaluated on the nodes, and the grid's operator (near_band describes
+    which operator a grid takes). So the applications do per-row work only.
+    The band is released when the call returns.
     """
     require_positive_finite("tol", tol)
     if max_iter < 1:

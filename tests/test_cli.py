@@ -539,6 +539,46 @@ def test_dump_config_refuses_what_parse_config_refuses(capsys, argv, message):
     assert payload["message"] == message
 
 
+@pytest.mark.parametrize("value", [-1.0, 0.0, math.inf, math.nan], ids=["negative", "zero", "inf", "nan"])
+def test_bad_gamma_k_override_fails_one_check_on_every_route(tmp_path, capsys, value):
+    # a config file (NaN and Infinity are JSON extensions Python reads), the
+    # flag, and the flag with --dump-config print the same bytes
+    data = json.loads(dump_config(bundled_example()))
+    data["gamma_k_override"] = value
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(data), encoding="utf-8")
+    flag = ["--paper-example", "--gamma-k-override", str(value)]
+    outputs = []
+    for argv in (["--config", str(p)], flag, [*flag, "--dump-config"]):
+        code = main(["solve", *argv])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1] == outputs[2]
+    payload = _strict_json(outputs[0])
+    assert (payload["status"], payload["error_type"]) == ("error", "config")
+    assert payload["message"].startswith("gamma_k_override: ")
+
+
+def test_mnc_deltas_wider_than_the_domain_exit_2_naming_the_path(tmp_path, capsys):
+    data = json.loads(dump_config(bundled_example()))
+    data["mnc"]["deltas"] = [5.0, 1.0, 0.5]
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(data), encoding="utf-8")
+    outputs = []
+    for dump in ([], ["--dump-config"]):
+        code = main(["mnc-demo", "--config", str(p), *dump])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    assert _strict_json(outputs[0]) == {
+        "status": "error",
+        "error_type": "config",
+        "message": "mnc.deltas[0]: must not exceed the domain span 2.0, got 5.0",
+    }
+
+
 def test_frac_int_inline_panels_fail_the_quadrature_check(capsys):
     code, out = _run(["frac-int", "--expr", "1", "--x", "2", "--k", "0.5", "--rho", "0.5",
                       "--gamma-ord", "0.5", "--T", "3", "--panels", "0"], capsys)
@@ -639,12 +679,14 @@ def test_frac_int_rejects_infinite_T(capsys):
         # a flag that sets a config field fails the field's own check
         (["solve", "--paper-example", "--tol", "inf"], "config"),
         (["check", "--paper-example", "--r0", "inf"], "config"),
-        (["solve", "--paper-example", "--gamma-k-override", "inf"], "domain"),
+        (["solve", "--paper-example", "--gamma-k-override", "inf"], "config"),
         (["gamma-k", "0.5", "inf"], "domain"),
         (["frac-int", "--expr", "1", "--x", "2.0", "--k", "0.5", "--rho", "0.5",
           "--gamma-ord", "0.5", "--T", "3", "--gamma-k-override", "inf"], "domain"),
+        (["solve", "--paper-example", "--seed-value", "inf"], "domain"),
     ],
-    ids=["solve-tol", "check-r0", "solve-gamma-k-override", "gamma-k-z", "frac-int-gamma-k"],
+    ids=["solve-tol", "check-r0", "solve-gamma-k-override", "gamma-k-z", "frac-int-gamma-k",
+         "solve-seed-value"],
 )
 def test_nonfinite_flag_exits_2(capsys, argv, error_type):
     code = main(argv)

@@ -38,7 +38,8 @@ def test_bundled_scenario_shape():
     assert cfg.params.gamma_ord == pytest.approx(2.0 / 3.0)
     assert cfg.params.T == 3.0
     assert cfg.kernel_factor_override == 0.5358
-    assert cfg.gamma_k_override is None
+    assert cfg.params.gamma_k_override is None
+    assert not hasattr(cfg, "gamma_k_override")
     assert cfg.solver.nodes == 129
     assert cfg.quadrature == type(cfg.quadrature)(panels=1024, mesh="uniform")
     assert cfg.mnc.deltas == (0.25, 0.125, 0.0625, 0.03125)
@@ -97,17 +98,57 @@ def test_dump_parse_round_trip():
 
 
 def test_config_to_dict_round_trip_after_override():
-    cfg = bundled_example().with_gamma_k_override(2.4047)
-    again = parse_config(config_to_dict(cfg))
+    base = bundled_example()
+    assert base.with_gamma_k_override(None) is base
+    cfg = base.with_gamma_k_override(2.4047)
+    # one params object, on the config and on every equation
+    assert cfg.params == replace(base.params, gamma_k_override=2.4047)
+    assert all(eq.params is cfg.params for eq in cfg.equations)
+    data = config_to_dict(cfg)
+    # the override stays a top-level key of the file, not a field of params
+    assert data["gamma_k_override"] == 2.4047 and "gamma_k_override" not in data["params"]
+    again = parse_config(data)
     assert again == cfg
-    assert again.equations[0].gamma_k_override == 2.4047
+    assert again.params.gamma_k_override == 2.4047
+    assert all(eq.params is again.params for eq in again.equations)
 
 
 def test_rejects_equations_that_disagree_on_the_gamma_k_override():
     cfg = bundled_example()
     alpha, beta = cfg.equations
-    with pytest.raises(ConfigError, match=r"^equations\[1\]\.gamma_k_override: 2\.4 differs"):
-        replace(cfg, equations=(alpha, replace(beta, gamma_k_override=2.4)))
+    beta = replace(beta, params=replace(beta.params, gamma_k_override=2.4))
+    with pytest.raises(ConfigError, match=r"^equations\[1\]\.params: .*gamma_k_override=2\.4\) differ from params"):
+        replace(cfg, equations=(alpha, beta))
+
+
+@pytest.mark.parametrize(
+    "value, message",
+    [
+        (-1, "gamma_k_override: must be positive, got -1.0"),
+        (0, "gamma_k_override: must be positive, got 0.0"),
+        (float("inf"), "gamma_k_override: expected a finite number, got inf"),
+        (float("nan"), "gamma_k_override: expected a finite number, got nan"),
+    ],
+    ids=["negative", "zero", "inf", "nan"],
+)
+def test_gamma_k_override_is_checked_once_for_file_and_flag(value, message):
+    # the config key and with_gamma_k_override (the CLI flag) run one check
+    data = _base()
+    data["gamma_k_override"] = value
+    for build in (lambda: parse_config(data), lambda: bundled_example().with_gamma_k_override(value)):
+        with pytest.raises(ConfigError) as info:
+            build()
+        assert str(info.value) == message
+
+
+def test_rejects_mnc_deltas_wider_than_the_domain():
+    # T = 3: the span is 2, and a first delta of exactly 2 passes
+    with pytest.raises(ConfigError) as info:
+        parse_config(_replaced(("mnc", "deltas"), [5.0, 1.0, 0.5]))
+    assert str(info.value) == "mnc.deltas[0]: must not exceed the domain span 2.0, got 5.0"
+    assert parse_config(_replaced(("mnc", "deltas"), [2.0, 1.0, 0.5])).mnc.deltas[0] == 2.0
+    with pytest.raises(ConfigError, match=r"^mnc\.deltas\[0\]: must not exceed"):
+        replace(bundled_example(), mnc=MncConfig(deltas=(2.5, 1.0, 0.5)))
 
 
 def test_rejects_params_that_differ_from_the_equations():
@@ -368,4 +409,7 @@ def test_sections_normalise_numbers():
     assert type(CertificateConfig(r0=2).r0) is float
     assert MncConfig(deltas=[4, 2, 1.5]).deltas == (4.0, 2.0, 1.5)
     assert all(type(d) is float for d in MncConfig(deltas=[4, 2, 1]).deltas)
-    assert parse_config(_replaced(("mnc", "deltas"), [4, 2, 1])).mnc == MncConfig(deltas=(4.0, 2.0, 1.0))
+    # on [1, 5], so that a delta of 4 fits the domain
+    data = _replaced(("mnc", "deltas"), [4, 2, 1])
+    data["params"]["T"] = 5.0
+    assert parse_config(data).mnc == MncConfig(deltas=(4.0, 2.0, 1.0))

@@ -67,16 +67,12 @@ def test_nonlinearity_from_string():
 
 
 def test_gamma_k_value_resolution():
-    assert _ALPHA.gamma_k_value() == pytest.approx(1.0 / 3.0, abs=1e-14)
-    overridden = EquationSpec(
-        params=_ALPHA.params, f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g, gamma_k_override=2.4047
-    )
-    assert overridden.gamma_k_value() == 2.4047
-    for value in (0.0, float("inf"), float("nan")):
-        with pytest.raises(DomainError):
-            EquationSpec(
-                params=_ALPHA.params, f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g, gamma_k_override=value
-            )
+    # the order parameters own Gamma_k and its override
+    assert _ALPHA.params.gamma_k == pytest.approx(1.0 / 3.0, abs=1e-14)
+    assert replace(_ALPHA.params, gamma_k_override=2.4047).gamma_k == 2.4047
+    for value in (0.0, -1.0, float("inf"), float("nan")):
+        with pytest.raises(DomainError, match=rf"^gamma_k_override must be positive and finite, got {value}$"):
+            replace(_ALPHA.params, gamma_k_override=value)
 
 
 def test_operator_matches_brute_force_alpha():
@@ -92,9 +88,7 @@ def test_operator_matches_brute_force_beta():
 
 
 def test_operator_with_override_matches_brute_force():
-    eq = EquationSpec(
-        params=_ALPHA.params, f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g, gamma_k_override=2.4047
-    )
+    eq = replace(_ALPHA, params=replace(_ALPHA.params, gamma_k_override=2.4047))
     out = apply_operator(eq, _half(eq))
     for x, want in _FROZEN_ALPHA_OVERRIDE.items():
         assert float(out(x)) == pytest.approx(want, abs=5e-7)
@@ -128,14 +122,14 @@ def _rule_params(a: float, rho: float, T: float) -> FracParams:
 
 def _rule_eq(params: FracParams, gk: float = 1.0) -> EquationSpec:
     """An equation on params whose Gamma_k is gk."""
-    return EquationSpec(params=params, f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g, gamma_k_override=gk)
+    return EquationSpec(params=replace(params, gamma_k_override=gk), f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g)
 
 
 def _integral(params: FracParams, nodes: np.ndarray, g: np.ndarray, gk: float = 1.0, band=None):
     """The operator's integral of g with Gamma_k = gk, through band or near_band(_rule_eq(...), nodes)."""
     if band is None:
         band = near_band(_rule_eq(params, gk), nodes)
-    assert band.eq.params == params and band.eq.gamma_k_value() == gk and band.nodes is nodes
+    assert band.eq.params == replace(params, gamma_k_override=gk) and band.nodes is nodes
     return eqmod._integral_values(band, g)
 
 
@@ -726,31 +720,34 @@ def test_near_band_builds_the_band_once(monkeypatch):
 
 
 def test_solve_computes_gamma_k_once(monkeypatch):
-    # every application reads Gamma_k; the equation computes it once
+    # every application reads Gamma_k; the equation's params compute it once
     calls = []
 
     def counted(k, z):
         calls.append((k, z))
         return k_gamma(k, z)
 
-    monkeypatch.setattr(eqmod, "k_gamma", counted)
+    monkeypatch.setattr(fractional, "k_gamma", counted)
     eq, start = _forced_solve_input()
     report = solve(eq, start, tol=1e-10)
     assert report.iterations >= 20
-    assert len(calls) <= 1
-    assert eq.gamma_k_value() == k_gamma(eq.params.k, eq.params.gamma_ord).value
+    assert len(calls) == 1
+    assert eq.params.gamma_k == k_gamma(eq.params.k, eq.params.gamma_ord).value
+    assert len(calls) == 1
 
 
 def test_gamma_k_failure_is_not_kept(monkeypatch):
-    # an equation whose Gamma_k cannot be computed raises on every call
+    # params whose Gamma_k cannot be computed raise on every use
     def failing(k, z):
         raise DomainError("Gamma_k out of range")
 
-    monkeypatch.setattr(eqmod, "k_gamma", failing)
+    monkeypatch.setattr(fractional, "k_gamma", failing)
     eq, _ = _forced_solve_input()
     for _ in range(2):
         with pytest.raises(DomainError, match="Gamma_k out of range"):
-            eq.gamma_k_value()
+            eq.params.gamma_k
+        with pytest.raises(DomainError, match="Gamma_k out of range"):
+            eq.params.prefactor
 
 
 @pytest.mark.parametrize("n", [129, 4097])
@@ -1180,9 +1177,9 @@ def test_estimate_lipschitz_grows_with_budget():
 
 def test_estimate_lipschitz_validation():
     with pytest.raises(DomainError):
-        estimate_lipschitz(_ALPHA.f, r0=0.0, probes=100)
+        estimate_lipschitz(_ALPHA.f, r0=0.0, probes=100, t_end=3.0)
     with pytest.raises(DomainError):
-        estimate_lipschitz(_ALPHA.f, r0=1.0, probes=1)
+        estimate_lipschitz(_ALPHA.f, r0=1.0, probes=1, t_end=3.0)
 
 
 # estimate_lipschitz of these nonlinearities at (r0, probes) = (1, 101),
@@ -1213,7 +1210,7 @@ def _pinned_nonlinearities() -> dict:
 
 def test_estimate_lipschitz_is_pinned_bit_for_bit():
     for key, nl in _pinned_nonlinearities().items():
-        got = tuple(estimate_lipschitz(nl, r0, probes) for r0, probes in _LIPSCHITZ_SETTINGS)
+        got = tuple(estimate_lipschitz(nl, r0, probes, t_end=3.0) for r0, probes in _LIPSCHITZ_SETTINGS)
         assert got == _LIPSCHITZ_PINNED[key], key
 
 
@@ -1231,7 +1228,7 @@ def test_estimate_lipschitz_evaluates_once(monkeypatch):
     for nl in _pinned_nonlinearities().values():
         for r0, probes in _LIPSCHITZ_SETTINGS:
             calls.clear()
-            estimate_lipschitz(nl, r0, probes)
+            estimate_lipschitz(nl, r0, probes, t_end=3.0)
             assert len(calls) == 1, (nl, r0, probes)
 
 

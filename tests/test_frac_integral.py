@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import itertools
 import math
 import os
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import threading
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -190,9 +192,38 @@ def test_graded_mesh_agrees_with_uniform():
 def test_gamma_k_value_rescales_prefactor():
     phi = _const(_P, 1.0)
     base = product_quadrature(_P, phi, 2.5)
-    replaced = product_quadrature(_P, phi, 2.5, gamma_k_value=2.4047)
+    replaced = product_quadrature(replace(_P, gamma_k_override=2.4047), phi, 2.5)
     gk = k_gamma(_P.k, _P.gamma_ord).value
     assert replaced == pytest.approx(base * gk / 2.4047, rel=1e-13)
+    assert "gamma_k_value" not in inspect.signature(product_quadrature).parameters
+    assert "gamma_k_value" not in inspect.signature(closed_form_constant).parameters
+
+
+@pytest.mark.parametrize("override", [None, 2.4047])
+def test_prefactor_has_the_bits_of_its_expression(override):
+    params = replace(_NEAR_ONE, gamma_k_override=override)
+    gk = k_gamma(params.k, params.gamma_ord).value if override is None else override
+    assert params.gamma_k == gk
+    assert params.prefactor == params.rho ** (-params.exponent) / (params.k * gk)
+
+
+def test_params_compute_gamma_k_once_each(monkeypatch):
+    # Gamma_k is kept per params object; an override computes none
+    calls = []
+
+    def counted(k, z):
+        calls.append((k, z))
+        return k_gamma(k, z)
+
+    monkeypatch.setattr(fractional, "k_gamma", counted)
+    params = replace(_P)
+    for _ in range(3):
+        params.gamma_k, params.prefactor
+    assert calls == [(params.k, params.gamma_ord)]
+    replace(params).prefactor
+    assert len(calls) == 2
+    replace(params, gamma_k_override=2.4047).prefactor
+    assert len(calls) == 2
 
 
 # (k, rho, gamma_ord, T) of the frac-int workload; kernel exponent 0.5
@@ -242,8 +273,10 @@ def test_array_call_builds_weights_and_gamma_k_once(monkeypatch):
 
     monkeypatch.setattr(fractional, "panel_weights", counting("panel_weights", panel_weights))
     monkeypatch.setattr(fractional, "k_gamma", counting("k_gamma", k_gamma))
-    xs = np.linspace(1.0, _P.T, 256)
-    product_quadrature(_P, _const(_P, 1.0), xs, panels=4096, mesh="graded")
+    # a fresh params object: _P keeps the Gamma_k an earlier test computed
+    params = replace(_P)
+    xs = np.linspace(1.0, params.T, 256)
+    product_quadrature(params, _const(params, 1.0), xs, panels=4096, mesh="graded")
     assert calls == {"panel_weights": 1, "k_gamma": 1}
 
 

@@ -33,7 +33,7 @@ _KERN_TRUE = 0.19558468243708735
 
 
 def _with_override(eq: EquationSpec, gk: float) -> EquationSpec:
-    return EquationSpec(params=eq.params, f=eq.f, psi=eq.psi, g=eq.g, gamma_k_override=gk)
+    return dataclasses.replace(eq, params=dataclasses.replace(eq.params, gamma_k_override=gk))
 
 
 def test_kappa_standard_true_kernel():
@@ -182,6 +182,11 @@ def test_public_surface_resolves_and_holds_no_dead_names():
         assert not hasattr(module, "SystemSpec")
         assert not hasattr(module, "contraction_factor")
     assert not hasattr(config.RunConfig, "system")
-    # the equation carries the Gamma_k override; certify has no second copy
+    # the order parameters carry the Gamma_k override; nothing holds a second copy
     assert "gamma_k_override" not in inspect.signature(certify).parameters
+    assert [f.name for f in dataclasses.fields(EquationSpec)] == ["params", "f", "psi", "g"]
+    assert not hasattr(config.RunConfig, "gamma_k_override")
+    for method in (solvability.RadiusCertificate.admits, solvability.RadiusCertificate.boundary):
+        assert list(inspect.signature(method).parameters) == ["self", "r0"]
+    assert inspect.signature(equations.estimate_lipschitz).parameters["t_end"].default is inspect.Parameter.empty
     assert [f.name for f in dataclasses.fields(equations.Nonlinearity)] == ["expr", "lipschitz"]
