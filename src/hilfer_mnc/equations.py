@@ -11,7 +11,8 @@ once: it checks the grid, compiles f, psi and g in one walk each that
 evaluates their parts in x alone on the nodes, and holds the grid's
 operator with everything an application reads of it. Every application
 goes through such a band, the one a loop passes it or one built for the
-call.
+call, and makes one finiteness test, of its image; only a failed test
+checks the parts, to name the first that is not finite.
 
 For a = 1 or 2 a row integrates only over panels left of it, where the
 kernel (X - s)^(a-1) is the polynomial 1 or X - s, so the rule is
@@ -62,7 +63,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, EvaluationError
 from .expressions import Expr, _compile, _finite, evaluate, parse
 from .fractional import FracParams, GridFunction, check_nodes, panel_weights, power_differences
 
@@ -677,14 +678,25 @@ def apply_operator_batch(
     this eq and this nodes array (checked by identity: any other band
     raises DomainError), or None to build it for this call alone. The image
     is f + psi * I with eq's f, psi and g and I the band operator's
-    integral of g. Each part is evaluated
-    once by the band's compiled parts, in the order f, psi, g, under one
-    np.errstate, and checked as expressions.evaluate checks it: the first
-    part that fails, or is not finite, raises EvaluationError. Each is used
-    at the shape it evaluates to: a float, the read-only (n,) array a part
-    in x alone is bound to, or (m, n). g of another shape goes to the
+    integral of g. Each part is evaluated once by the band's compiled
+    parts, in the order f, psi, g, and the image is computed under the same
+    np.errstate, which ignores every floating-point error. Each part is
+    used at the shape it evaluates to: a float, the read-only (n,) array a
+    part in x alone is bound to, or (m, n). g of another shape goes to the
     integral as a read-only view broadcast to (m, n); the integral only
     reads g, which may be values itself.
+
+    One test, that the image is finite, checks a successful application. A
+    part that is not finite always makes the image so: f is added, psi
+    multiplies, and every operator carries g into some row, as 0 * inf is
+    NaN in the matmuls, the prefix sums and the H^2 sums. The parts are
+    checked (expressions._finite) only to name a failure, so the errors are
+    those of checking each part as it is evaluated: a part that raises
+    while it is evaluated raises EvaluationError ("expression produced a
+    non-finite value") for an earlier part that is not finite, else its own
+    error; an image that is not finite raises that EvaluationError for the
+    first such part in f, psi, g order, else DomainError ("operator image
+    is not finite").
     """
     if band is None:
         band = near_band(eq, nodes)
@@ -697,17 +709,27 @@ def apply_operator_batch(
     if shape is None or len(shape) != 2 or shape[1] != nodes.shape[0]:
         raise DomainError(f"values must be an (m, {nodes.shape[0]}) matrix on the nodes, got shape {shape}")
     av = np.asarray(values, dtype=float)
+    parts = []
     with np.errstate(all="ignore"):
-        f, psi, g = (_finite(part(nodes, av)) for part in band.parts)
-    if np.shape(g) != shape:
-        # only when needed: np.broadcast_to takes 3-6 us a call, which made
-        # a 4097-node solve of one-row applications 4.5% slower (2-core x86-64)
-        g = np.broadcast_to(g, shape)
-    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            for part in band.parts:
+                parts.append(part(nodes, av))
+        except EvaluationError:
+            # an earlier part that is not finite is the first failure
+            for value in parts:
+                _finite(value)
+            raise
+        f, psi, g = parts
+        if np.shape(g) != shape:
+            # only when needed: np.broadcast_to takes 3-6 us a call, which made
+            # a 4097-node solve of one-row applications 4.5% slower (2-core x86-64)
+            g = np.broadcast_to(g, shape)
         out = _integral_values(band, g)
         out *= psi
         out += f
     if not np.isfinite(out).all():
+        for value in parts:
+            _finite(value)
         raise DomainError("operator image is not finite")
     return out
 
@@ -730,21 +752,13 @@ def _safe_quotients(df: np.ndarray, du: np.ndarray, fmax: np.ndarray) -> np.ndar
     return np.maximum(np.abs(df) - allow, 0.0) / du
 
 
-def estimate_lipschitz(n: Nonlinearity, r0: float, probes: int, t_end: float) -> float:
-    """Empirical Lipschitz-in-a constant on x in [1, t_end], u, v in [-r0, r0].
+@lru_cache(maxsize=4)
+def _lipschitz_design(r0: float, probes: int, t_end: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """estimate_lipschitz's sample design: the x column, the row of pair ends, and each pair's |right - left|.
 
-    probes is the total sample budget, split evenly between the x and u
-    axes. The pairs (u, v) form one batch: the adjacent pairs of the u
-    grid, then a fixed seeded batch of random pairs, each at least 1e-9 r0
-    apart. The expression is evaluated once, at both ends of every pair on
-    every x, and the estimate is the max difference quotient over the
-    batch; it lower-bounds the true constant and approaches it as the
-    budget grows.
+    The arrays are read-only: certify checks f, psi and g on one design,
+    which costs about 28 us to build (2-core x86-64 host).
     """
-    if not r0 > 0.0:
-        raise DomainError(f"r0 must be positive, got {r0}")
-    if probes < 2:
-        raise DomainError(f"probes must be >= 2, got {probes}")
     nx = max(2, int(round(math.sqrt(probes))))
     nu = max(3, probes // nx)
     xs = np.linspace(1.0, t_end, nx)
@@ -756,10 +770,34 @@ def estimate_lipschitz(n: Nonlinearity, r0: float, probes: int, t_end: float) ->
     keep = np.abs(u - v) > 1e-9 * r0
     # the left ends of every pair, then the right ends
     ends = np.concatenate((us[:-1], u[keep], us[1:], v[keep]))
-    vals = np.broadcast_to(evaluate(n.expr, xs[:, None], ends[None, :]), (nx, ends.size))
-    (lo, hi), (left, right) = np.split(vals, 2, axis=1), np.split(ends, 2)
+    left, right = np.split(ends, 2)
+    design = (xs[:, None], ends[None, :], np.abs(right - left))
+    for array in design:
+        array.flags.writeable = False
+    return design
+
+
+def estimate_lipschitz(n: Nonlinearity, r0: float, probes: int, t_end: float) -> float:
+    """Empirical Lipschitz-in-a constant on x in [1, t_end], u, v in [-r0, r0].
+
+    probes is the total sample budget, split evenly between the x and u
+    axes. The pairs (u, v) form one batch: the adjacent pairs of the u
+    grid, then a fixed seeded batch of random pairs, each at least 1e-9 r0
+    apart. The expression is evaluated once, at both ends of every pair on
+    every x, and the estimate is the max difference quotient over the
+    batch; it lower-bounds the true constant and approaches it as the
+    budget grows. The design is built once per (r0, probes, t_end) and
+    cached (_lipschitz_design).
+    """
+    if not r0 > 0.0:
+        raise DomainError(f"r0 must be positive, got {r0}")
+    if probes < 2:
+        raise DomainError(f"probes must be >= 2, got {probes}")
+    xs, ends, du = _lipschitz_design(r0, probes, t_end)
+    vals = np.broadcast_to(evaluate(n.expr, xs, ends), (xs.size, ends.size))
+    lo, hi = np.split(vals, 2, axis=1)
     fmax = np.maximum(np.abs(lo), np.abs(hi))
-    best = float(np.max(_safe_quotients(hi - lo, np.abs(right - left), fmax)))
+    best = float(np.max(_safe_quotients(hi - lo, du, fmax)))
     # one more ulp guard for the division itself
     return best * (1.0 - 1e-14)
 

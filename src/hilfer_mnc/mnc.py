@@ -12,7 +12,9 @@ One sweep of growing windows serves every rung of a delta ladder: it is
 read off at each rung's width on its way to the widest. Any other delta,
 and every delta on a non-uniform grid, evaluates all members at all event
 windows at once, with the extrema of the nodes inside each window taken
-from a sparse table of running max/min.
+from a sparse table of running max/min. Which path each delta takes is
+planned once per grid and ladder (_LadderPlan), and a Darbo trace runs one
+plan on every ensemble.
 
 The ensemble-level measure extrapolates mu(ensemble, delta) to delta -> 0
 by a least-squares line through the three smallest ladder values, its
@@ -150,47 +152,90 @@ def _modulus_general(nodes: np.ndarray, values: np.ndarray, delta: float) -> flo
     return best
 
 
+@dataclass(frozen=True)
+class _LadderPlan:
+    """How the modulus ladder of one grid and one list of deltas is taken, for any rows on that grid.
+
+    deltas holds the deltas as a float vector. On a uniform grid a delta of
+    m steps is the max over windows of min(m, n - 1) + 1 consecutive
+    values: widths pairs each such width, in increasing order, with the
+    indices of its deltas. Every other delta, and every delta on a
+    non-uniform grid, takes the exact general path: general lists their
+    indices. of checks each delta against the grid (positive, within the
+    span), tests the grid for uniformity and plans; moduli runs the plan on
+    any rows on nodes. So a loop over ensembles on one grid (darbo_iterate)
+    checks and plans once, not once per ensemble.
+    """
+
+    nodes: np.ndarray
+    deltas: np.ndarray
+    general: tuple[int, ...]
+    widths: tuple[tuple[int, list[int]], ...]
+
+    @classmethod
+    def of(cls, nodes: np.ndarray, deltas: Sequence[float]) -> "_LadderPlan":
+        for delta in deltas:
+            _check_delta(nodes, delta)
+        n = nodes.size
+        diffs = nodes[1:] - nodes[:-1]
+        h = diffs[0]
+        uniform = np.abs(diffs - h).max() <= 1e-12 * abs(h)
+        d = np.asarray(deltas, dtype=float)
+        general = []
+        widths: dict[int, list[int]] = {}
+        for i, delta in enumerate(d.tolist()):
+            m = _aligned_steps(h, delta) if uniform else None
+            if m is None:
+                general.append(i)
+            else:
+                widths.setdefault(min(m, n - 1) + 1, []).append(i)
+        return cls(nodes, d, tuple(general), tuple(sorted(widths.items())))
+
+    def moduli(self, values: np.ndarray) -> np.ndarray:
+        """Largest modulus over the rows of values (or of one row) at each delta, in delta order.
+
+        hi[j] and lo[j] hold, for every row, the max and min of the window
+        of w values starting at node j; combining each with its copy
+        shifted by s <= w nodes widens the window to w + s. One pair of
+        running matrices grows through the sorted widths and is read off at
+        each, so every aligned rung together costs about log2 of the widest
+        window in passes. The sweep runs on a contiguous copy of the
+        transpose, so each shifted slice is one block of memory; on a
+        60 x 129 ensemble that measured about twice as fast as slicing
+        columns. Max and min are exact, so overlapping windows change no
+        bit. Each general delta is one _modulus_general call for all rows.
+        """
+        rows = np.atleast_2d(values)
+        out = np.empty(self.deltas.size)
+        for i in self.general:
+            out[i] = _modulus_general(self.nodes, rows, float(self.deltas[i]))
+        hi = lo = rows.T.copy()
+        w = 1
+        for target, at in self.widths:
+            while w < target:
+                s = min(w, target - w)
+                hi = np.maximum(hi[:-s], hi[s:])
+                lo = np.minimum(lo[:-s], lo[s:])
+                w += s
+            out[at] = (hi - lo).max()
+        return out
+
+    def estimate(self, values: np.ndarray) -> "MncEstimate":
+        """mnc_estimate of the rows of values, on deltas that _checked_ladder has passed."""
+        d = self.deltas
+        moduli = self.moduli(values)
+        mu0 = max(0.0, _fit_intercept(d[-3:].tolist(), moduli[-3:].tolist()))
+        return MncEstimate(deltas=d, moduli=moduli, mu0=mu0)
+
+
 def _modulus_ladder(nodes: np.ndarray, values: np.ndarray, deltas: Sequence[float]) -> np.ndarray:
     """Largest modulus over the rows of values at each delta, in delta order.
 
-    On a uniform grid a delta of m steps is the max over windows of
-    min(m, n - 1) + 1 consecutive values. hi[j] and lo[j] hold, for every
-    row, the max and min of the window of w values starting at node j;
-    combining each with its copy shifted by s <= w nodes widens the window
-    to w + s. One pair of running matrices grows through the sorted widths
-    and is read off at each, so every rung together costs about log2 of the
-    widest window in passes. The sweep runs on a contiguous copy of the
-    transpose, so each shifted slice is one block of memory; on a 60 x 129
-    ensemble that measured about twice as fast as slicing columns. Max and
-    min are exact, so overlapping windows change no bit. Other deltas, and
-    every delta on a non-uniform grid, take the exact general path, one
-    call per delta for all rows.
+    Checks each delta against the grid and plans the ladder for this call
+    alone (_LadderPlan); the aligned rungs share one sweep of growing
+    windows, every other delta takes the exact general path.
     """
-    for delta in deltas:
-        _check_delta(nodes, delta)
-    rows = np.atleast_2d(values)
-    n = nodes.size
-    diffs = nodes[1:] - nodes[:-1]
-    h = diffs[0]
-    uniform = np.abs(diffs - h).max() <= 1e-12 * abs(h)
-    out = np.empty(len(deltas))
-    widths: dict[int, list[int]] = {}
-    for i, delta in enumerate(deltas):
-        m = _aligned_steps(h, delta) if uniform else None
-        if m is None:
-            out[i] = _modulus_general(nodes, rows, delta)
-        else:
-            widths.setdefault(min(m, n - 1) + 1, []).append(i)
-    hi = lo = rows.T.copy()
-    w = 1
-    for target in sorted(widths):
-        while w < target:
-            s = min(w, target - w)
-            hi = np.maximum(hi[:-s], hi[s:])
-            lo = np.minimum(lo[:-s], lo[s:])
-            w += s
-        out[widths[target]] = (hi - lo).max()
-    return out
+    return _LadderPlan.of(nodes, deltas).moduli(values)
 
 
 def modulus_of_continuity(f: GridFunction, delta: float) -> float:
@@ -242,6 +287,16 @@ class MncEstimate:
             raise DomainError("mu0 must be >= 0")
 
 
+def _checked_ladder(deltas: Sequence[float]) -> np.ndarray:
+    """deltas as a float vector; raises DomainError unless it has 3 or more strictly decreasing entries."""
+    d = np.asarray(deltas, dtype=float)
+    if d.ndim != 1 or d.size < 3:
+        raise DomainError("deltas needs at least 3 entries")
+    if not (np.diff(d) < 0.0).all():
+        raise DomainError("deltas must be strictly decreasing")
+    return d
+
+
 def mnc_estimate(e: FunctionEnsemble, deltas: Sequence[float]) -> MncEstimate:
     """Evaluate the modulus ladder and extrapolate to delta -> 0.
 
@@ -249,19 +304,7 @@ def mnc_estimate(e: FunctionEnsemble, deltas: Sequence[float]) -> MncEstimate:
     least-squares line through the three smallest ladder points, clamped at
     zero; half of it estimates the ball measure.
     """
-    d = np.asarray(deltas, dtype=float)
-    if d.ndim != 1 or d.size < 3:
-        raise DomainError("deltas needs at least 3 entries")
-    if not (np.diff(d) < 0.0).all():
-        raise DomainError("deltas must be strictly decreasing")
-    return _ladder_estimate(e.nodes, e.values, d)
-
-
-def _ladder_estimate(nodes: np.ndarray, values: np.ndarray, d: np.ndarray) -> MncEstimate:
-    """mnc_estimate of the rows of values, on arguments it has already checked."""
-    moduli = _modulus_ladder(nodes, values, d)
-    mu0 = max(0.0, _fit_intercept(d[-3:].tolist(), moduli[-3:].tolist()))
-    return MncEstimate(deltas=d, moduli=moduli, mu0=mu0)
+    return _LadderPlan.of(e.nodes, _checked_ladder(deltas)).estimate(e.values)
 
 
 @dataclass(frozen=True)
@@ -308,9 +351,8 @@ def mnc_axiom_checks(
     v1, v2 = e1.values, e2.values
     combined = (L * v1[:, None, :] + (1.0 - L) * v2[None, :, :]).reshape(-1, v1.shape[1])
     comb = FunctionEnsemble.from_matrix(e1.nodes, combined)
-    m1 = _modulus_ladder(e1.nodes, v1, d)
-    m2 = _modulus_ladder(e2.nodes, v2, d)
-    mc = _modulus_ladder(comb.nodes, comb.values, d)
+    plan = _LadderPlan.of(e1.nodes, d)
+    m1, m2, mc = (plan.moduli(v) for v in (v1, v2, comb.values))
     mono_slack = float((m1 - m2).max())
     conv_slack = float((mc - (L * m1 + (1.0 - L) * m2)).max())
     applicable = _is_sublist(e1, e2)
@@ -340,8 +382,13 @@ def darbo_iterate(
     evidence in the conservative direction. An image that is not finite
     raises DomainError.
 
-    The seed and the deltas are validated once, by the seed's estimate;
-    every later ensemble is a plain matrix on the seed's nodes, whose
+    The seed is validated as it is built, and the deltas once per trace,
+    before any operator application: as mnc_estimate checks them, then each
+    against the seed's grid. The modulus ladder is planned once for the
+    trace (_LadderPlan: the grid's uniformity test, the aligned window
+    widths, the deltas of the general path), and the plan is run on the
+    seed and on every step's ensemble, which gives mnc_estimate's bits.
+    Every later ensemble is a plain matrix on the seed's nodes, whose
     finiteness the operator call has already checked. The operator bound
     to op and the seed's nodes (equations.near_band) is built once for the
     call, on the calling thread, and passed to every step: f, psi and g
@@ -353,15 +400,16 @@ def darbo_iterate(
     if convex_samples < 0:
         raise DomainError(f"convex_samples must be >= 0, got {convex_samples}")
     rng = np.random.default_rng(rng_seed)
-    trace = [mnc_estimate(seed, deltas)]
     nodes, values = seed.nodes, seed.values
+    plan = _LadderPlan.of(nodes, _checked_ladder(deltas))
+    trace = [plan.estimate(values)]
     band = near_band(op, nodes)
     for _ in range(p_max):
         values = apply_operator_batch(op, nodes, values, band=band)
         if convex_samples > 0:
             weights = rng.dirichlet(np.ones(values.shape[0]), size=convex_samples)
             values = np.vstack([values, weights @ values])
-        trace.append(_ladder_estimate(nodes, values, np.asarray(deltas, dtype=float)))
+        trace.append(plan.estimate(values))
     return trace
 
 

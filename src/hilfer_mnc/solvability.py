@@ -88,7 +88,8 @@ def certify(
     """Full radius certificate, after validating the declared constants.
 
     Each declared Lipschitz constant is checked against an empirical
-    estimate on x in [1, T], |a| <= 1; a dishonest declaration raises.
+    estimate on x in [1, T], |a| <= 1; a dishonest declaration raises. The
+    three estimates share one cached sample design (estimate_lipschitz).
     Gamma_k, or its override, is read from eq.params.
     A kernel factor or kappa that overflows a double raises DomainError.
     """

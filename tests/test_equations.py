@@ -1126,6 +1126,72 @@ def test_operator_overflow_raises_domain_error(monkeypatch):
         apply_operator_batch(spec("1.7e308*cos(100*x)"), nodes, np.zeros((2, 65)))
 
 
+# every operator kind on [1, 3]: the dense matrix, the panel moments at a = 1
+# and a = 2, and the H^2 operator at a = 0.5 (gamma_ord = a k)
+_OPERATOR_KINDS = {
+    "dense": (2.0 / 3.0, 129),
+    "moments-a1": (1.0 / 3.0, 4097),
+    "moments-a2": (2.0 / 3.0, 4097),
+    "h2-half": (1.0 / 6.0, 4097),
+}
+# values that are not finite but raise nothing: at the first node, at the
+# last node, at every node
+_NONFINITE = ("a+exp(710*(2-x))", "a+exp(710*(x-2))", "a+0*exp(710*x)")
+_FINITE_PARTS = ("0.2*sin(x)+abs(a)/6", "1/(1+a*a)", "a/(3+log(x))")
+
+
+def _kind_equation(kind: str, f: str, psi: str, g: str) -> tuple[EquationSpec, np.ndarray]:
+    gamma_ord, n = _OPERATOR_KINDS[kind]
+    params = FracParams(k=1.0 / 3.0, rho=1.0 / 3.0, gamma_ord=gamma_ord, T=3.0)
+    parts = (Nonlinearity.from_string(src, 1.0) for src in (f, psi, g))
+    return EquationSpec(params, *parts), uniform_nodes(3.0, n)
+
+
+def _failure(eq: EquationSpec, nodes: np.ndarray) -> tuple[type, str]:
+    values = np.random.default_rng(8).uniform(-0.5, 0.5, (2, nodes.size))
+    with pytest.raises((DomainError, EvaluationError)) as info:
+        apply_operator_batch(eq, nodes, values)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("kind", sorted(_OPERATOR_KINDS))
+def test_operator_names_the_first_failing_part_on_every_kind(kind):
+    # a part that is not finite always gives a non-finite image; the
+    # application then names the first such part in f, psi, g order, as an
+    # EvaluationError, whatever the later parts do: finite, not finite, or
+    # raising as they are evaluated. A part that raises before it keeps its
+    # own error.
+    nonfinite = (EvaluationError, "expression produced a non-finite value")
+    raising = ("log(a-5)", "a/(x-2)")
+    for bad in _NONFINITE:
+        for i in range(3):
+            for later in (None, bad, *raising):
+                srcs = list(_FINITE_PARTS)
+                srcs[i] = bad
+                if later is not None:
+                    srcs[i + 1 :] = [later] * (2 - i)
+                assert _failure(*_kind_equation(kind, *srcs)) == nonfinite, (bad, i, later)
+            if i:
+                # an earlier part that raises while it is evaluated wins
+                srcs = list(_FINITE_PARTS)
+                srcs[i - 1], srcs[i] = "log(a-5)", bad
+                assert _failure(*_kind_equation(kind, *srcs)) == (EvaluationError, "log of a nonpositive value")
+    # finite parts whose image overflows
+    eq, nodes = _kind_equation(kind, "1.7e308", "1.7e308", "1")
+    assert _failure(eq, nodes) == (DomainError, "operator image is not finite")
+
+
+def test_successful_application_makes_one_finiteness_test(monkeypatch):
+    # the parts are checked only to name a failure: an image that is finite
+    # shows that every part was
+    calls = []
+    monkeypatch.setattr(eqmod, "_finite", lambda value: calls.append(value))
+    for kind in sorted(_OPERATOR_KINDS):
+        eq, nodes = _kind_equation(kind, *_FINITE_PARTS)
+        apply_operator_batch(eq, nodes, np.zeros((2, nodes.size)))
+    assert calls == []
+
+
 @pytest.mark.parametrize("n", [129, 4097])
 def test_operator_whose_weights_overflow_raises_domain_error(n):
     # a = gamma_ord / k = 600: (X - s)^(a+1) overflows while near_band builds

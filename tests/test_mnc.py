@@ -455,6 +455,46 @@ def test_darbo_passes_one_near_band_to_every_step(monkeypatch):
         assert np.array_equal(got.moduli, want.moduli) and got.mu0 == want.mu0
 
 
+@pytest.mark.parametrize("graded", [True, False])
+def test_planned_darbo_trace_matches_the_estimate_of_every_step(graded):
+    # darbo_iterate plans the ladder once for the trace; each estimate has
+    # the bits of mnc_estimate on that step's ensemble. On t = 1 + 2 u^2
+    # every delta takes the general path; on the uniform grid the ladder
+    # mixes node-aligned deltas (1/2, 1/64) with general ones
+    cfg = bundled_example()
+    eq = cfg.equations[0]
+    n, p_max, samples, rng_seed = 129, 3, 4, 6
+    u = np.linspace(0.0, 1.0, n)
+    nodes = 1.0 + 2.0 * u * u if graded else uniform_nodes(3.0, n)
+    deltas = [0.5, 0.3, 0.1, 1.0 / 64.0, 0.011]
+    seed_values = np.random.default_rng(12).uniform(-0.1, 0.1, size=(5, n))
+    trace = darbo_iterate(eq, FunctionEnsemble(nodes, seed_values), p_max, samples, deltas, rng_seed)
+    draws = np.random.default_rng(rng_seed)
+    values = seed_values
+    assert len(trace) == p_max + 1
+    for p, got in enumerate(trace):
+        if p:
+            images = mnc_mod.apply_operator_batch(eq, nodes, values)
+            weights = draws.dirichlet(np.ones(images.shape[0]), size=samples)
+            values = np.vstack([images, weights @ images])
+        want = mnc_estimate(FunctionEnsemble(nodes, values), deltas)
+        assert np.array_equal(got.moduli, want.moduli) and got.mu0 == want.mu0
+        assert np.array_equal(got.deltas, want.deltas)
+
+
+@pytest.mark.parametrize("deltas", [[0.5, 0.25, 0.0], [5.0, 1.0, 0.5]])
+def test_darbo_refuses_a_bad_delta_before_any_application(monkeypatch, deltas):
+    cfg = bundled_example()
+    nodes = uniform_nodes(3.0, 129)
+    calls = []
+    monkeypatch.setattr(mnc_mod, "near_band", lambda *args: calls.append("near_band"))
+    monkeypatch.setattr(mnc_mod, "apply_operator_batch", lambda *args, **kw: calls.append("apply"))
+    seed = FunctionEnsemble(nodes, np.zeros((2, 129)))
+    with pytest.raises(DomainError, match="^delta must"):
+        darbo_iterate(cfg.equations[0], seed, 2, 1, deltas)
+    assert calls == []
+
+
 def test_darbo_halving_operator_halves_measure():
     # a zigzag seed keeps the measure strictly positive, and halving the
     # values must halve the measure step by step
