@@ -519,10 +519,11 @@ def _keep_freed_heap() -> None:
     The Darbo trace allocates (m x n) temporaries that grow step by step.
     glibc serves each one above its dynamic mmap threshold with a fresh
     mapping and trims the heap top after every free, so the pages are
-    faulted in again on the next step (about 1,450 minor faults per
-    paper-example run). Fixed thresholds of 4 MiB (mmap) and 16 MiB (trim)
-    keep that memory in the heap. The policy is process-wide, so only the
-    entry point sets it; other C libraries are left alone.
+    faulted in again on the next step (about 1,000 minor faults per
+    repeated paper-example run). Fixed thresholds of 4 MiB (mmap) and
+    16 MiB (trim) keep that memory in the heap. The policy is
+    process-wide, so only the entry point sets it; other C libraries are
+    left alone.
     """
     try:
         libc = os.confstr("CS_GNU_LIBC_VERSION")

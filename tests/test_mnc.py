@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -16,6 +17,7 @@ from hilfer_mnc.errors import DomainError
 from hilfer_mnc.fractional import FracParams, GridFunction, uniform_nodes
 from hilfer_mnc.mnc import (
     FunctionEnsemble,
+    MncEstimate,
     certificate_inequality_check,
     check_certificate_classes,
     darbo_iterate,
@@ -318,6 +320,46 @@ def test_mnc_estimate_validation():
         mnc_estimate(e, [0.125, 0.25, 0.5])
 
 
+_NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "deltas, moduli, mu0, message",
+    [
+        (np.ones((2, 2)), np.ones((2, 2)), 0.0, "deltas and moduli must be matching vectors"),
+        ([0.5, 0.25, 0.125], [0.2, 0.1], 0.0, "deltas and moduli must be matching vectors"),
+        ([0.5, 0.5, 0.125], [0.3, 0.2, 0.1], 0.0, "deltas must be strictly decreasing"),
+        ([0.125, 0.25, 0.5], [0.3, 0.2, 0.1], 0.0, "deltas must be strictly decreasing"),
+        ([0.5, _NAN, 0.125], [0.3, 0.2, 0.1], 0.0, "deltas must be strictly decreasing"),
+        ([0.5, 0.25, 0.125], [0.0, 2e-12, 0.0], 0.0, "moduli must be nonincreasing along the ladder"),
+        ([0.5, 0.25, 0.125], [0.3, _NAN, 0.1], 0.0, "moduli must be nonincreasing along the ladder"),
+        ([0.5, 0.25, 0.125], [0.3, 0.2, 0.1], -1e-3, "mu0 must be >= 0"),
+        ([0.5, 0.25, 0.125], [0.3, 0.2, 0.1], _NAN, "mu0 must be >= 0"),
+    ],
+    ids=[
+        "2-d",
+        "mismatched",
+        "equal-deltas",
+        "increasing-deltas",
+        "nan-delta",
+        "rising-moduli",
+        "nan-modulus",
+        "negative-mu0",
+        "nan-mu0",
+    ],
+)
+def test_mnc_estimate_refuses_a_bad_ladder(deltas, moduli, mu0, message):
+    with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+        MncEstimate(deltas=deltas, moduli=moduli, mu0=mu0)
+
+
+def test_mnc_estimate_accepts_a_rise_of_exactly_the_slack():
+    # 1e-12 - 0.0 is exactly the slack left for the interpolated general path
+    est = MncEstimate(deltas=[0.5, 0.25, 0.125], moduli=[0.0, 1e-12, 1e-12], mu0=0.0)
+    assert est.deltas.dtype == est.moduli.dtype == np.float64
+    np.testing.assert_array_equal(est.moduli, [0.0, 1e-12, 1e-12])
+
+
 def test_fit_intercept_matches_polyfit():
     from hilfer_mnc.mnc import _fit_intercept
 
@@ -455,19 +497,45 @@ def test_darbo_passes_one_near_band_to_every_step(monkeypatch):
         assert np.array_equal(got.moduli, want.moduli) and got.mu0 == want.mu0
 
 
-@pytest.mark.parametrize("graded", [True, False])
-def test_planned_darbo_trace_matches_the_estimate_of_every_step(graded):
-    # darbo_iterate plans the ladder once for the trace; each estimate has
-    # the bits of mnc_estimate on that step's ensemble. On t = 1 + 2 u^2
-    # every delta takes the general path; on the uniform grid the ladder
-    # mixes node-aligned deltas (1/2, 1/64) with general ones
+_MIXED_LADDER = [0.5, 0.3, 0.1, 1.0 / 64.0, 0.011]
+
+
+@pytest.mark.parametrize(
+    "grid, n, rows, samples, p_max, deltas",
+    [
+        ("graded", 129, 5, 4, 3, _MIXED_LADDER),
+        ("uniform", 129, 5, 4, 3, _MIXED_LADDER),
+        ("uniform", 129, 5, 0, 3, _MIXED_LADDER),
+        ("graded", 65, 5, 0, 3, _MIXED_LADDER),
+        ("uniform", 65, 5, 4, 3, _MIXED_LADDER),
+        ("uniform", 129, 5, 4, 3, None),
+        ("uniform", 4097, 3, 4, 2, None),
+    ],
+    ids=[
+        "graded-129",
+        "uniform-129",
+        "uniform-129-no-samples",
+        "graded-65-no-samples",
+        "uniform-65",
+        "uniform-129-bundled-ladder",
+        "uniform-4097-moments",
+    ],
+)
+def test_planned_darbo_trace_matches_the_estimate_of_every_step(grid, n, rows, samples, p_max, deltas):
+    # darbo_iterate plans the ladder once for the trace and measures each
+    # step's images; each estimate has the bits of mnc_estimate on that
+    # step's whole sampled ensemble, images and convex samples, the last
+    # step's included. On t = 1 + 2 u^2 every delta takes the general path;
+    # on the uniform grid the mixed ladder has node-aligned deltas (1/2,
+    # 1/64 at 129 nodes) and general ones, and the bundled ladder is all
+    # aligned. At 4097 nodes the bundled equation (a = 2) sums panel moments
     cfg = bundled_example()
     eq = cfg.equations[0]
-    n, p_max, samples, rng_seed = 129, 3, 4, 6
+    deltas = cfg.mnc.deltas if deltas is None else deltas
+    rng_seed = 6
     u = np.linspace(0.0, 1.0, n)
-    nodes = 1.0 + 2.0 * u * u if graded else uniform_nodes(3.0, n)
-    deltas = [0.5, 0.3, 0.1, 1.0 / 64.0, 0.011]
-    seed_values = np.random.default_rng(12).uniform(-0.1, 0.1, size=(5, n))
+    nodes = 1.0 + 2.0 * u * u if grid == "graded" else uniform_nodes(3.0, n)
+    seed_values = np.random.default_rng(12).uniform(-0.1, 0.1, size=(rows, n))
     trace = darbo_iterate(eq, FunctionEnsemble(nodes, seed_values), p_max, samples, deltas, rng_seed)
     draws = np.random.default_rng(rng_seed)
     values = seed_values
@@ -480,6 +548,65 @@ def test_planned_darbo_trace_matches_the_estimate_of_every_step(graded):
         want = mnc_estimate(FunctionEnsemble(nodes, values), deltas)
         assert np.array_equal(got.moduli, want.moduli) and got.mu0 == want.mu0
         assert np.array_equal(got.deltas, want.deltas)
+
+
+def test_darbo_trace_of_one_seed_row_differs_from_its_ensemble_by_rounding_alone():
+    # from one seed row all images coincide, and every convex sample is the
+    # image times a weight sum that rounds to 1 +- ulp: the whole ensemble's
+    # ladder may then read a few ulp above the trace's (here at steps 2 and
+    # 4), never below, since the images are some of its rows
+    cfg = bundled_example()
+    eq = cfg.equations[0]
+    deltas = _MIXED_LADDER
+    u = np.linspace(0.0, 1.0, 65)
+    nodes = 1.0 + 2.0 * u * u
+    seed_values = np.random.default_rng(12).uniform(-10.0, 10.0, size=(1, 65))
+    trace = darbo_iterate(eq, FunctionEnsemble(nodes, seed_values), 4, 3, deltas, 8)
+    draws = np.random.default_rng(8)
+    values = seed_values
+    for p, got in enumerate(trace):
+        if p:
+            images = mnc_mod.apply_operator_batch(eq, nodes, values)
+            weights = draws.dirichlet(np.ones(images.shape[0]), size=3)
+            values = np.vstack([images, weights @ images])
+        want = mnc_estimate(FunctionEnsemble(nodes, values), deltas)
+        assert (got.moduli <= want.moduli).all()
+        np.testing.assert_allclose(got.moduli, want.moduli, rtol=1e-14, atol=0.0)
+        assert got.mu0 == pytest.approx(want.mu0, rel=1e-13, abs=1e-14)
+
+
+@pytest.mark.parametrize("p_max", [1, 3])
+def test_darbo_draws_samples_only_for_a_later_step(monkeypatch, p_max):
+    # the convex samples of a step serve only the next step's application:
+    # a trace of p_max steps draws them p_max - 1 times, and the operator
+    # sees m0, m0 + samples, ... rows
+    cfg = bundled_example()
+    nodes = uniform_nodes(3.0, 129)
+    m0, samples = 4, 3
+    default_rng = np.random.default_rng
+    draws, rows = [], []
+
+    class CountingGenerator:
+        def __init__(self, seed):
+            self._rng = default_rng(seed)
+
+        def dirichlet(self, alpha, size=None):
+            draws.append(size)
+            return self._rng.dirichlet(alpha, size=size)
+
+    batch = mnc_mod.apply_operator_batch
+
+    def recorded(op, grid, values, *, band=None):
+        rows.append(values.shape[0])
+        return batch(op, grid, values, band=band)
+
+    seed = FunctionEnsemble(nodes, np.random.default_rng(3).uniform(-0.1, 0.1, size=(m0, 129)))
+    monkeypatch.setattr(mnc_mod.np.random, "default_rng", CountingGenerator)
+    monkeypatch.setattr(mnc_mod, "apply_operator_batch", recorded)
+    trace = darbo_iterate(cfg.equations[0], seed, p_max, samples, cfg.mnc.deltas)
+    assert len(trace) == p_max + 1
+    assert draws == [samples] * (p_max - 1)
+    assert rows == [m0 + k * samples for k in range(p_max)]
 
 
 @pytest.mark.parametrize("deltas", [[0.5, 0.25, 0.0], [5.0, 1.0, 0.5]])
