@@ -1,9 +1,21 @@
 """Tiny expression language for nonlinearities.
 
-Grammar (loosest to tightest): ``+ -`` < ``* /`` < unary ``-`` < ``^``
-(right associative) < atoms. Atoms are nonnegative numeric literals, the
-variables ``x`` and ``a``, parenthesised expressions, and calls to abs, log,
-exp, sin, cos, sqrt (one argument) or min, max (two arguments).
+The grammar is two tables, which the parser, the printer and the compiler
+all read. _BINARY gives each operator its precedence (higher binds
+tighter) and its numpy call: ``+ -`` (1) < ``* /`` (2) < unary ``-`` (3)
+< ``^`` (4) < atoms. ``+ - * /`` associate to the left; ``^`` associates
+to the right and its exponent may carry a unary minus, so ``2^-3^2`` is
+``2^(-(3^2))`` and ``-2^2`` is -4. _FUNCTIONS gives each function its
+arity and the numpy ufunc it calls: abs, log, exp, sin, cos, sqrt take one
+argument, min and max two. Atoms are numeric literals, the variables
+``x`` and ``a``, parenthesised expressions and calls.
+
+A literal must be finite: ``1e999`` is a ParseError, not infinity. So is
+an expression that nests deeper than _MAX_DEPTH (100) levels, counting
+every parenthesis, call, unary minus and operator on the path from the
+root: a sum of 102 terms, or 101 nested parentheses, is refused at the
+token that crosses the bound, before any walk of the tree could exhaust
+the interpreter's stack.
 
 Evaluation is numpy-vectorised and raises EvaluationError on domain
 violations (log of a nonpositive value, sqrt of a negative, division by
@@ -18,6 +30,7 @@ a few Python calls per node and no dispatch.
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from collections.abc import Callable
@@ -28,9 +41,16 @@ import numpy as np
 
 from .errors import EvaluationError, ParseError
 
-_UNARY_FNS = ("abs", "log", "exp", "sin", "cos", "sqrt")
-_BINARY_FNS = ("min", "max")
+# each operator's precedence, from 1 (loosest), and its numpy call; division's is
+# None, as its arm (_divide) checks the denominator
+_BINARY = {"+": (1, operator.add), "-": (1, operator.sub), "*": (2, operator.mul), "/": (2, None), "^": (4, np.power)}
+# the precedence of unary minus and of atoms
+_NEG, _ATOM = 3, 5
+# each function's arity and the name of the numpy ufunc it calls, looked up as it compiles
+_FUNCTIONS = {name: (1, name) for name in ("abs", "log", "exp", "sin", "cos", "sqrt")}
+_FUNCTIONS |= {"min": (2, "minimum"), "max": (2, "maximum")}
 _VARS = ("x", "a")
+_MAX_DEPTH = 100
 
 
 @dataclass(frozen=True)
@@ -89,13 +109,24 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _deeper(depth: int, pos: int) -> int:
+    """The depth one level below depth; ParseError at offset pos past _MAX_DEPTH."""
+    if depth >= _MAX_DEPTH:
+        raise ParseError(f"expression nests deeper than {_MAX_DEPTH} levels", pos)
+    return depth + 1
+
+
 class _Parser:
+    """Precedence climbing over the tokens.
+
+    Each method reads the construct that starts at the next token, at the
+    given depth (the levels around it), and returns its tree with the
+    deepest depth inside it.
+    """
+
     def __init__(self, text: str) -> None:
         self.tokens = _tokenize(text)
         self.i = 0
-
-    def peek(self) -> tuple[str, str, int]:
-        return self.tokens[self.i]
 
     def next(self) -> tuple[str, str, int]:
         tok = self.tokens[self.i]
@@ -103,89 +134,83 @@ class _Parser:
         return tok
 
     def expect(self, value: str) -> None:
-        kind, text, pos = self.peek()
-        if kind == "op" and text == value:
-            self.i += 1
-            return
-        raise ParseError(f"expected {value!r}", pos)
+        _, text, pos = self.next()
+        if text != value:
+            raise ParseError(f"expected {value!r}", pos)
 
     def parse(self) -> Expr:
-        e = self.sum()
-        kind, text, pos = self.peek()
+        e, _ = self.binary(1, 0)
+        kind, text, pos = self.tokens[self.i]
         if kind != "end":
             raise ParseError(f"unexpected token {text!r}", pos)
         return e
 
-    def sum(self) -> Expr:
-        e = self.product()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in ("+", "-"):
-                self.next()
-                e = Bin(text, e, self.product())
-            else:
-                return e
+    def binary(self, min_prec: int, depth: int) -> tuple[Expr, int]:
+        """Unaries joined by the left-associative operators of precedence min_prec or tighter.
 
-    def product(self) -> Expr:
-        e = self.unary()
-        while True:
-            kind, text, _ = self.peek()
-            if kind == "op" and text in ("*", "/"):
-                self.next()
-                e = Bin(text, e, self.unary())
-            else:
-                return e
+        Each operator takes as its right operand the unaries joined by the
+        operators that bind tighter than it, so every level associates left.
+        """
+        e, deepest = self.unary(depth)
+        while (op := self.tokens[self.i][1]) in _BINARY and min_prec <= (prec := _BINARY[op][0]) < _NEG:
+            # each operator pushes every node of its left operand one level down
+            deepest = _deeper(deepest, self.tokens[self.i][2])
+            self.i += 1
+            right, reach = self.binary(prec + 1, depth + 1)
+            e, deepest = Bin(op, e, right), max(deepest, reach)
+        return e, deepest
 
-    def unary(self) -> Expr:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.next()
-            return Neg(self.unary())
-        return self.power()
+    def unary(self, depth: int) -> tuple[Expr, int]:
+        """A unary minus of a unary, or an atom with an optional ^ whose exponent is a unary."""
+        _, text, pos = self.tokens[self.i]
+        if text == "-":
+            self.i += 1
+            e, deepest = self.unary(_deeper(depth, pos))
+            return Neg(e), deepest
+        base, deepest = self.atom(depth)
+        if self.tokens[self.i][1] != "^":
+            return base, deepest
+        deepest = _deeper(deepest, self.next()[2])
+        exponent, reach = self.unary(depth + 1)
+        return Bin("^", base, exponent), max(deepest, reach)
 
-    def power(self) -> Expr:
-        base = self.atom()
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "^":
-            self.next()
-            # right associative, and the exponent may carry a unary minus
-            return Bin("^", base, self.unary())
-        return base
-
-    def atom(self) -> Expr:
+    def atom(self, depth: int) -> tuple[Expr, int]:
         kind, text, pos = self.next()
         if kind == "number":
-            return Lit(float(text))
-        if kind == "ident":
-            if text in _VARS:
-                return Var(text)
-            if text in _UNARY_FNS or text in _BINARY_FNS:
-                self.expect("(")
-                args = [self.sum()]
-                while True:
-                    k, t, _ = self.peek()
-                    if k == "op" and t == ",":
-                        self.next()
-                        args.append(self.sum())
-                    else:
-                        break
-                self.expect(")")
-                want = 1 if text in _UNARY_FNS else 2
-                if len(args) != want:
-                    raise ParseError(
-                        f"{text} takes {want} argument(s), got {len(args)}", pos
-                    )
-                return Call(text, tuple(args))
-            raise ParseError(f"unknown identifier {text!r}", pos)
-        if kind == "op" and text == "(":
-            e = self.sum()
+            if not math.isfinite(value := float(text)):
+                raise ParseError(f"number {text} overflows a double", pos)
+            return Lit(value), depth
+        if text in _VARS:
+            return Var(text), depth
+        if text == "(":
+            e, deepest = self.binary(1, _deeper(depth, pos))
             self.expect(")")
-            return e
+            return e, deepest
+        if text in _FUNCTIONS:
+            inner = _deeper(depth, pos)
+            self.expect("(")
+            args = [self.binary(1, inner)]
+            while self.tokens[self.i][1] == ",":
+                self.i += 1
+                args.append(self.binary(1, inner))
+            self.expect(")")
+            arity = _FUNCTIONS[text][0]
+            if len(args) != arity:
+                raise ParseError(f"{text} takes {arity} argument(s), got {len(args)}", pos)
+            exprs, reaches = zip(*args)
+            return Call(text, exprs), max(reaches)
+        if kind == "ident":
+            raise ParseError(f"unknown identifier {text!r}", pos)
         raise ParseError(f"unexpected token {text!r}" if text else "unexpected end of input", pos)
 
 
 def parse(text: str) -> Expr:
-    """Parse `text` into an expression tree."""
+    """Parse `text` into an expression tree.
+
+    Raises ParseError for text outside the language, a literal that is not
+    finite, or nesting deeper than _MAX_DEPTH. Both bounds hold for parsed
+    trees only: a tree built by hand in library code is not checked.
+    """
     return _Parser(text).parse()
 
 
@@ -216,9 +241,6 @@ def _variables(expr: Expr) -> frozenset[str]:
     return _compiled(expr, None)[1]
 
 
-# the numpy call of each operator but division, and of min and max
-_OPERATORS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "^": np.power}
-_PAIR_FNS = {"min": np.minimum, "max": np.maximum}
 # the domain checks of log and sqrt: the test that refuses a value, and the error
 _DOMAINS = {
     "log": (np.less_equal, "log of a nonpositive value"),
@@ -262,9 +284,10 @@ def _compiled(expr: Expr, x: np.ndarray | None) -> tuple[Callable, frozenset[str
     """
     # the commonest node first: each case a node falls past costs it time
     match expr:
-        case Bin(op=op, left=l, right=r) if op in _OPERATORS:
-            (left, names, _), (right, right_names, _) = _compiled(l, x), _compiled(r, x)
-            fn, names = _binary(_OPERATORS[op], left, right), names | right_names
+        case Bin(op=op, left=l, right=r) if op in _BINARY:
+            (left, names, _), (right, right_names, bottom) = _compiled(l, x), _compiled(r, x)
+            call, names = _BINARY[op][1], names | right_names
+            fn = _divide(left, right, bottom) if call is None else _binary(call, left, right)
         case Lit(value=v):
             return (lambda x, a: v), _NO_NAMES, v
         case Var(name="x"):
@@ -274,15 +297,12 @@ def _compiled(expr: Expr, x: np.ndarray | None) -> tuple[Callable, frozenset[str
         case Neg(operand=e):
             inner, names, _ = _compiled(e, x)
             fn = lambda x, a: -inner(x, a)
-        case Bin(op="/", left=l, right=r):
-            (num, names, _), (den, right_names, bottom) = _compiled(l, x), _compiled(r, x)
-            fn, names = _divide(num, den, bottom), names | right_names
-        case Call(fn=name, args=(l, r)) if name in _PAIR_FNS:
-            (left, names, _), (right, right_names, _) = _compiled(l, x), _compiled(r, x)
-            fn, names = _binary(_PAIR_FNS[name], left, right), names | right_names
-        case Call(fn=name, args=(e,)) if name in _UNARY_FNS:
+        case Call(fn=name, args=(e,)) if _FUNCTIONS.get(name, (0,))[0] == 1:
             inner, names, _ = _compiled(e, x)
             fn = _unary(name, inner)
+        case Call(fn=name, args=(l, r)) if _FUNCTIONS.get(name, (0,))[0] == 2:
+            (left, names, _), (right, right_names, _) = _compiled(l, x), _compiled(r, x)
+            fn, names = _binary(getattr(np, _FUNCTIONS[name][1]), left, right), names | right_names
         case _:
 
             def malformed(x, a):
@@ -328,9 +348,8 @@ def _divide(num, den, bottom):
 
 
 def _unary(name, inner):
-    """The closure of the function name of the compiled inner, with its domain check if it has one."""
-    # numpy's function of the same name, looked up as it compiles
-    ufunc = getattr(np, name)
+    """The closure of the one-argument function name of the compiled inner, with its domain check if any."""
+    ufunc = getattr(np, _FUNCTIONS[name][1])
     if name not in _DOMAINS:
         return lambda x, a: ufunc(inner(x, a))
     refused, message = _DOMAINS[name]
@@ -344,26 +363,14 @@ def _unary(name, inner):
     return checked
 
 
-# precedence levels used by to_string; higher binds tighter
-_PREC_SUM = 1
-_PREC_PROD = 2
-_PREC_NEG = 3
-_PREC_POW = 4
-_PREC_ATOM = 5
-
-
 def _prec(expr: Expr) -> int:
     match expr:
-        case Bin(op="+") | Bin(op="-"):
-            return _PREC_SUM
-        case Bin(op="*") | Bin(op="/"):
-            return _PREC_PROD
+        case Bin(op=op) if op in _BINARY:
+            return _BINARY[op][0]
         case Neg():
-            return _PREC_NEG
-        case Bin(op="^"):
-            return _PREC_POW
+            return _NEG
         case _:
-            return _PREC_ATOM
+            return _ATOM
 
 
 def _render(expr: Expr, min_prec: int) -> str:
@@ -374,13 +381,14 @@ def _render(expr: Expr, min_prec: int) -> str:
         case Var(name=n):
             s = n
         case Neg(operand=e):
-            s = "-" + _render(e, _PREC_NEG)
+            s = "-" + _render(e, _NEG)
         case Bin(op="^", left=l, right=r):
-            s = _render(l, _PREC_POW + 1) + "^" + _render(r, _PREC_POW)
+            # the base is an atom, the exponent a unary
+            s = _render(l, _ATOM) + "^" + _render(r, _NEG)
         case Bin(op=op, left=l, right=r):
             s = _render(l, p) + op + _render(r, p + 1)
         case Call(fn=fn, args=args):
-            s = fn + "(" + ",".join(_render(e, _PREC_SUM) for e in args) + ")"
+            s = fn + "(" + ",".join(_render(e, 1) for e in args) + ")"
         case _:
             raise ValueError(f"malformed expression node: {expr!r}")
     if p < min_prec:
@@ -391,6 +399,7 @@ def _render(expr: Expr, min_prec: int) -> str:
 def to_string(expr: Expr) -> str:
     """Render `expr` with a minimal set of parentheses.
 
-    parse(to_string(e)) reproduces e node for node.
+    parse(to_string(e)) reproduces e node for node, and a parsed tree
+    prints no deeper than its source nested.
     """
-    return _render(expr, _PREC_SUM)
+    return _render(expr, 1)

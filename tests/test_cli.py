@@ -662,6 +662,35 @@ def test_nonfinite_config_number_exits_2(tmp_path, capsys, command, path):
     assert payload["message"] == f"{path}: expected a finite number, got inf"
 
 
+@pytest.mark.parametrize(
+    "expr, message",
+    [
+        ("min(abs(a),1e999)/6", "number 1e999 overflows a double (at offset 11)"),
+        ("+".join(["a"] * 1000), "expression nests deeper than 100 levels (at offset 201)"),
+        ("(" * 200 + "a" + ")" * 200, "expression nests deeper than 100 levels (at offset 100)"),
+        ("2^" * 600 + "a", "expression nests deeper than 100 levels (at offset 201)"),
+        ("-" * 990 + "a", "expression nests deeper than 100 levels (at offset 100)"),
+        ("abs(" * 300 + "a" + ")" * 300, "expression nests deeper than 100 levels (at offset 400)"),
+    ],
+    ids=["literal-1e999", "sum-1000", "parentheses-200", "powers-600", "minus-990", "calls-300"],
+)
+def test_refused_expression_is_a_config_error_with_and_without_dump(tmp_path, capsys, expr, message):
+    data = json.loads(dump_config(bundled_example()))
+    data["equations"][0]["f"]["expr"] = expr
+    p = tmp_path / "refused.json"
+    p.write_text(json.dumps(data), encoding="utf-8")
+    outputs = []
+    for extra in ([], ["--dump-config"]):
+        code = main(["solve", "--config", str(p), *extra])
+        captured = capsys.readouterr()
+        assert (code, captured.err) == (2, "")
+        outputs.append(captured.out)
+    assert outputs[0] == outputs[1]
+    payload = _strict_json(outputs[0])
+    assert payload["error_type"] == "config"
+    assert payload["message"] == f"equations[0].f.expr: {message}"
+
+
 def test_frac_int_rejects_infinite_T(capsys):
     code = main(["frac-int", "--expr", "1", "--x", "2.0", "--k", "0.5", "--rho", "0.5",
                  "--gamma-ord", "0.5", "--T", "inf"])

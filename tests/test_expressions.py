@@ -91,6 +91,93 @@ def test_parse_error_cases():
             parse(src)
 
 
+_TWO, _THREE = Lit(2.0), Lit(3.0)
+
+
+@pytest.mark.parametrize(
+    "src, outcome",
+    [
+        # unary minus binds looser than ^, whose exponent may carry its own minus
+        ("-2^2", Neg(Bin("^", _TWO, _TWO))),
+        ("2^-3^2", Bin("^", _TWO, Neg(Bin("^", _THREE, _TWO)))),
+        ("2^-3*4", Bin("*", Bin("^", _TWO, Neg(_THREE)), Lit(4.0))),
+        ("a--x", Bin("-", Var("a"), Neg(Var("x")))),
+        ("-a*x", Bin("*", Neg(Var("a")), Var("x"))),
+        ("a^x^a", Bin("^", Var("a"), Bin("^", Var("x"), Var("a")))),
+        ("min(a,-x)", Call("min", (Var("a"), Neg(Var("x"))))),
+        ("((x))", Var("x")),
+        ("1-2-3", Bin("-", Bin("-", Lit(1.0), _TWO), _THREE)),
+        ("8/2/2", Bin("/", Bin("/", Lit(8.0), _TWO), _TWO)),
+        # every kind of ParseError, with its message and offset
+        ("abs 2", "expected '(' (at offset 4)"),
+        ("(1+2", "expected ')' (at offset 4)"),
+        ("min(1,2", "expected ')' (at offset 7)"),
+        ("1)", "unexpected token ')' (at offset 1)"),
+        ("1+*2", "unexpected token '*' (at offset 2)"),
+        ("1..2", "unexpected token '.2' (at offset 2)"),
+        ("1+", "unexpected end of input (at offset 2)"),
+        ("", "unexpected end of input (at offset 0)"),
+        ("y+1", "unknown identifier 'y' (at offset 0)"),
+        ("foo(2)", "unknown identifier 'foo' (at offset 0)"),
+        ("1 $ 2", "unexpected character '$' (at offset 2)"),
+        ("min(1)", "min takes 2 argument(s), got 1 (at offset 0)"),
+        ("abs(1,2)", "abs takes 1 argument(s), got 2 (at offset 0)"),
+    ],
+)
+def test_parse_outcomes_are_pinned(src, outcome):
+    if not isinstance(outcome, str):
+        assert parse(src) == outcome
+        return
+    with pytest.raises(ParseError) as exc:
+        parse(src)
+    assert str(exc.value) == outcome
+    assert exc.value.position == int(outcome.rsplit(" ", 1)[1][:-1])
+
+
+def test_a_literal_must_be_finite():
+    # float("1e999") is inf, which to_string would print as the unknown identifier inf
+    with pytest.raises(ParseError) as exc:
+        parse("min(abs(a),1e999)/6")
+    assert str(exc.value) == "number 1e999 overflows a double (at offset 11)"
+    # a literal that underflows is finite
+    assert parse("1e-400") == Lit(0.0)
+
+
+# each shape nested n levels deep, the offset of the token that takes it one
+# level deeper than the bound, and its value at x = 1
+_NESTED = {
+    "sum": (lambda n: "+".join(["x"] * (n + 1)), 201, 101.0),
+    "parentheses": (lambda n: "(" * n + "x" + ")" * n, 100, 1.0),
+    "powers": (lambda n: "x^" * n + "2", 201, 1.0),
+    "minus": (lambda n: "-" * n + "x", 100, 1.0),
+    "calls": (lambda n: "abs(" * n + "x" + ")" * n, 400, 1.0),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NESTED))
+def test_nesting_is_bounded(shape):
+    source, offset, value = _NESTED[shape]
+    tree = parse(source(100))
+    assert parse(to_string(tree)) == tree
+    assert evaluate(tree, 1.0, 0.0) == value
+    with pytest.raises(ParseError) as exc:
+        parse(source(101))
+    assert str(exc.value) == f"expression nests deeper than 100 levels (at offset {offset})"
+
+
+def test_nesting_counts_the_levels_on_the_path_from_the_root():
+    # 60 minus signs under 40 additions: the left operand sinks one level per operator
+    assert parse("-" * 60 + "x" + "+x" * 40)
+    with pytest.raises(ParseError) as exc:
+        parse("-" * 60 + "x" + "+x" * 41)
+    assert exc.value.position == 61 + 2 * 40
+    # the arguments of a call are siblings: their depths do not add up
+    assert parse("min(" + "(" * 99 + "x" + ")" * 99 + "," + "+".join(["x"] * 100) + ")")
+    # the printer adds no level: a signed exponent prints without parentheses
+    tree = parse("2^-" * 50 + "2")
+    assert to_string(tree).startswith("2.0^-2.0^-") and parse(to_string(tree)) == tree
+
+
 def test_tree_shapes():
     assert parse("x") == Var("x")
     assert parse("1.5") == Lit(1.5)
