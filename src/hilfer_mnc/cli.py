@@ -571,11 +571,26 @@ def _one_blas_thread() -> None:
                 return
 
 
+def _expr_joined(argv: list[str]) -> list[str]:
+    """argv with each `--expr TOKEN` joined into `--expr=TOKEN`.
+
+    argparse takes a value that starts with "-", such as -x or -2*x, for an
+    option; joined, the token is the value whatever it starts with. A
+    trailing --expr is left as it is, for argparse's usage error.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--expr":
+            out[-1] = f"--expr={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     _keep_freed_heap()
     _one_blas_thread()
-    if argv is None:
-        argv = sys.argv[1:]
+    argv = _expr_joined(sys.argv[1:] if argv is None else argv)
     args = build_parser(argv).parse_args(argv)
     try:
         code = _dispatch(args)
@@ -603,6 +618,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     except NonconvergenceError as exc:
         _print_payload({"status": "error", "error_type": "nonconvergence", "message": str(exc)})
         return 4
+    except MemoryError as exc:
+        _print_payload({"status": "error", "error_type": "memory", "message": str(exc) or "out of memory"})
+        return 2
 
 
 if __name__ == "__main__":

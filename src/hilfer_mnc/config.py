@@ -17,7 +17,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from .equations import EquationSpec, Nonlinearity
 from .errors import ConfigError, DomainError, ParseError
 from .expressions import parse, to_string
-from .fractional import DEFAULT_PANELS, FracParams
+from .fractional import DEFAULT_PANELS, MAX_FLOATS, FracParams
 from .solver import DEFAULT_MAX_ITER, DEFAULT_TOL
 
 # reference radius of the bundled scenario's certificate
@@ -54,6 +54,12 @@ def _int(value, path: str) -> int:
     return value
 
 
+def _fits(count: int, path: str) -> None:
+    """ConfigError naming path for a count above MAX_FLOATS, which no float64 array may hold."""
+    if count > MAX_FLOATS:
+        raise ConfigError(f"{path}: must be <= {MAX_FLOATS}, the most one float64 array may hold, got {count}")
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     tol: float = DEFAULT_TOL
@@ -70,6 +76,7 @@ class SolverConfig:
             raise ConfigError(f"solver.max_iter: must be >= 1, got {self.max_iter}")
         if self.nodes < 2:
             raise ConfigError(f"solver.nodes: must be >= 2, got {self.nodes}")
+        _fits(self.nodes, "solver.nodes")
 
 
 @dataclass(frozen=True)
@@ -80,6 +87,7 @@ class QuadratureConfig:
     def __post_init__(self) -> None:
         if _int(self.panels, "quadrature.panels") < 1:
             raise ConfigError(f"quadrature.panels: must be >= 1, got {self.panels}")
+        _fits(self.panels, "quadrature.panels")
         if self.mesh not in ("uniform", "graded"):
             raise ConfigError(f"quadrature.mesh: must be 'uniform' or 'graded', got {self.mesh!r}")
 
@@ -103,6 +111,7 @@ class MncConfig:
         _int(self.rng_seed, "mnc.rng_seed")
         if self.ensemble < 1:
             raise ConfigError(f"mnc.ensemble: must be >= 1, got {self.ensemble}")
+        _fits(self.ensemble, "mnc.ensemble")
         if self.p_max < 1:
             raise ConfigError(f"mnc.p_max: must be >= 1, got {self.p_max}")
 

@@ -12,7 +12,10 @@ evaluates their parts in x alone on the nodes, and holds the grid's
 operator with everything an application reads of it. Every application
 goes through such a band, the one a loop passes it or one built for the
 call, and makes one finiteness test, of its image; only a failed test
-checks the parts, to name the first that is not finite.
+checks the parts, to name the first that is not finite. The operator is of
+one of three kinds, and near_band alone chooses among them, by the grid
+and a: each kind applies itself by one method, integrals(g, a, pref), so an
+application makes that one call.
 
 For a = 1 or 2 a row integrates only over panels left of it, where the
 kernel (X - s)^(a-1) is the polynomial 1 or X - s, so the rule is
@@ -57,7 +60,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import accumulate
 
@@ -116,8 +119,36 @@ class EquationSpec:
     g: Nonlinearity
 
 
+@dataclass(frozen=True)
+class _DenseOperator:
+    """The moderate-grid product rule, summed by parts, as the dense matrix c (_weight_matrix).
+
+    The rule summed by parts is
+
+        a (a+1) I(X) = (a+1) (X - s_0)^a g_0 + sum_j d_j(X) (g_j - g_(j+1)),
+
+    d_j the power slopes; integrals differences each integrand, g_0 then
+    g_j - g_(j+1), and multiplies the differences by c in one matmul.
+    """
+
+    c: np.ndarray
+
+    def integrals(self, g: np.ndarray, a: float, pref: float) -> np.ndarray:
+        """pref times the integrals of the (m, n) integrands g at every node."""
+        m, n = g.shape
+        dg = np.empty((m, n))
+        # one flat subtraction, then g_0 over column 0: 22.8 against 42.6 us
+        # row by row at m = 240, n = 129 (2-core x86-64 host)
+        flat = g.reshape(-1)
+        np.subtract(flat[:-1], flat[1:], out=dg.reshape(-1)[1:])
+        dg[:, 0] = g[:, 0]
+        total = dg @ self.c.T
+        total *= pref / (a * (a + 1.0))
+        return total
+
+
 @lru_cache(maxsize=4)
-def _weight_matrix(rho: float, a: float, nodes_bytes: bytes, n: int) -> np.ndarray:
+def _weight_matrix(rho: float, a: float, nodes_bytes: bytes, n: int) -> _DenseOperator:
     """The dense operator C, lower-triangular: a (a+1) I = C @ [g_0, g_0 - g_1, g_1 - g_2, ...].
 
     Row j is panel_weights at X = nodes[j]**rho over the grid-induced
@@ -130,7 +161,7 @@ def _weight_matrix(rho: float, a: float, nodes_bytes: bytes, n: int) -> np.ndarr
     work = np.empty(2 * n)
     for j in range(1, n):
         c[j, : j + 1] = panel_weights(s[j], s[: j + 1], a, work)
-    return c
+    return _DenseOperator(c)
 
 
 def _chebyshev_points(lo: float, hi: float) -> np.ndarray:
@@ -218,6 +249,16 @@ class _H2Operator:
     clusters in order, and kernels[g] (T, c p, p) stacks each target's c
     kernels in that order, kernel[q, p] = -(a+1) (X_p - sigma_q)^a. No
     row cluster is in two groups.
+
+    stacks is empty on the cached operator; near_band fills it on the
+    band's copy (_band_stacks). stacks[j] holds run runs[j] = (first,
+    count) as one C-contiguous (count, c1 - c0, r1 - r0) array: block
+    exact[i] = (r0, r1, c0, c1) holds the panel differences of
+    (X - s)_+^(a+1) of its limits s[r0:r1] against the mesh s[c0 : c1 + 1],
+    in power_differences' (panels, limits) layout. integrals differences
+    each integrand, with zeros on the virtual panels, and sums it by
+    _h2_sums: the stacks' runs near the diagonal, the far field through the
+    tree.
     """
 
     pairs: tuple[np.ndarray, ...]
@@ -232,6 +273,7 @@ class _H2Operator:
     targets: tuple[np.ndarray, ...]
     sources: tuple[np.ndarray, ...]
     kernels: tuple[np.ndarray, ...]
+    stacks: tuple[np.ndarray, ...] = ()
 
     @property
     def nbytes(self) -> int:
@@ -239,6 +281,16 @@ class _H2Operator:
         arrays = [self.anterp, self.interp, self.s, self.widths, self.boundary]
         arrays += [*self.pairs, *self.targets, *self.sources, *self.kernels]
         return sum(x.nbytes for x in arrays)
+
+    def integrals(self, g: np.ndarray, a: float, pref: float) -> np.ndarray:
+        """pref times the integrals of the (m, n) integrands g at every node; the rows past T are dropped."""
+        m, n = g.shape
+        dg = np.empty((m, self.s.shape[0]))
+        np.subtract(g[:, :-1], g[:, 1:], out=dg[:, 1:n])
+        dg[:, n:] = 0.0
+        total = _h2_sums(self, dg[:, 1:], self.boundary * g[:, :1])[:, :n]
+        total *= pref / (a * (a + 1.0))
+        return total
 
 
 def _merged(blocks: list[tuple[int, int, int, int]]) -> tuple[tuple[int, int, int, int], ...]:
@@ -462,31 +514,24 @@ class NearBand:
 
     eq and nodes are the objects the band was built for. parts holds eq's
     f, psi and g compiled bound to nodes (expressions._compile), for every
-    application to call. op is the grid's operator: for a = 1 or 2 above
-    _INTEGER_MATRIX_MAX_NODES nodes the band's own _PanelMoments; else the
-    cached dense matrix C (_weight_matrix) up to _MATRIX_MAX_NODES nodes,
-    the all-near-band case with no stacks, and the cached _H2Operator
-    above, whose block (r0, r1, c0, c1) = op.exact[i] holds the panel
-    differences of (X - s)_+^(a+1) of its limits s[r0:r1] against the mesh
-    s[c0 : c1 + 1], s = op.s the mesh continued past T (rows past T
-    included). stacks[j] holds run op.runs[j] = (first, count) as one
-    C-contiguous (count, c1 - c0, r1 - r0) array, each block in
-    power_differences' (panels, limits) layout, the blocks of all stacks in
-    op.exact order, evaluated by near_band; the other operators have none.
+    application to call. op is the grid's operator, of the kind near_band
+    chose: a _PanelMoments, a _DenseOperator or an _H2Operator with its
+    stacks. Each kind applies itself by one method, op.integrals(g, a,
+    pref), which returns pref times the (m, n) fractional integrals of the
+    (m, n) integrands g; no caller asks which kind it holds.
     """
 
     eq: EquationSpec
     nodes: np.ndarray
-    op: np.ndarray | _H2Operator | _PanelMoments
+    op: _DenseOperator | _H2Operator | _PanelMoments
     parts: tuple[Callable, Callable, Callable]
-    stacks: tuple[np.ndarray, ...] = ()
 
 
 def _band_stacks(op: _H2Operator, a: float) -> tuple[np.ndarray, ...]:
     """The panel differences of every exact block of op, one stack per run, on the calling thread.
 
     power_differences writes each block straight into its run's stack, in
-    the (panels, rows) layout the stack keeps (see NearBand), with one
+    the (panels, rows) layout the stack keeps (see _H2Operator), with one
     buffer for the powers shared by every block.
     """
     s = op.s
@@ -508,7 +553,7 @@ def _band_stacks(op: _H2Operator, a: float) -> tuple[np.ndarray, ...]:
     return tuple(stacks)
 
 
-def _h2_sums(op: _H2Operator, dg: np.ndarray, stacks: tuple[np.ndarray, ...], out: np.ndarray) -> np.ndarray:
+def _h2_sums(op: _H2Operator, dg: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Row sums sum_j d_j(s[i]) * dg[:, j] at every node i of op.s, through op, added to out.
 
     d_j(X) = ((X - s_(j+1))_+^(a+1) - (X - s_j)_+^(a+1)) / (s_(j+1) - s_j)
@@ -516,8 +561,8 @@ def _h2_sums(op: _H2Operator, dg: np.ndarray, stacks: tuple[np.ndarray, ...], ou
     and dg has one column per panel of it, zero past T. out, an (m, s.size)
     array, takes the sums and is returned.
 
-    stacks holds the panel differences of op.exact, one stack per run of
-    op.runs (_band_stacks). The exact blocks take the integrand
+    op.stacks holds the panel differences of op.exact, one stack per run
+    of op.runs (_band_stacks). The exact blocks take the integrand
     differences divided by the panel widths, c = dg / op.widths, computed
     once. Each run of count blocks of shape (rows, cols) multiplies the
     (count, m, cols) window view of c that starts at its first block's
@@ -550,7 +595,7 @@ def _h2_sums(op: _H2Operator, dg: np.ndarray, stacks: tuple[np.ndarray, ...], ou
         return out
     c = dg / op.widths
     step = (_LEAF_ROWS * c.itemsize, c.strides[0], c.itemsize)
-    for (first, count), stack in zip(op.runs, stacks):
+    for (first, count), stack in zip(op.runs, op.stacks):
         r0, r1, c0, c1 = op.exact[first]
         rows, cols = r1 - r0, c1 - c0
         # a view of c's buffer, bounds-checked against it: np.ndarray builds
@@ -584,46 +629,6 @@ def _h2_sums(op: _H2Operator, dg: np.ndarray, stacks: tuple[np.ndarray, ...], ou
     np.matmul(cluster_local[:leaves], op.interp, out=values.transpose(1, 0, 2))
     out[:, 1:] += values.reshape(m, leaves * leaf)
     return out
-
-
-def _integral_values(band: NearBand, g: np.ndarray) -> np.ndarray:
-    """Fractional integral of the grid integrand g at every node of band, batched.
-
-    g has shape (m, n): m integrands sampled on the band's n nodes. Returns
-    the (m, n) matrix of integral values, with the prefactor read from
-    band.eq.params now. _PanelMoments sums the panel moments of g (a = 1
-    or 2 on large grids). The other two operators apply the rule summed by
-    parts,
-
-        a (a+1) I(X) = (a+1) (X - s_0)^a g_0 + sum_j d_j(X) (g_j - g_{j+1}),
-
-    to one differenced integrand: g_0, the panel differences, and zeros on
-    the H^2 mesh past T, whose rows are dropped. The dense matrix takes it
-    in one matmul; the _H2Operator starts its sum with the boundary term
-    and multiplies the band's stacks.
-    """
-    params = band.eq.params
-    a = params.exponent
-    pref = params.prefactor
-    op = band.op
-    if isinstance(op, _PanelMoments):
-        return op.integrals(g, a, pref)
-    m, n = g.shape
-    dense = isinstance(op, np.ndarray)
-    dg = np.empty((m, n if dense else op.s.shape[0]))
-    if dense:
-        # one flat subtraction, then g_0 over column 0: 22.8 against 42.6 us
-        # row by row at m = 240, n = 129 (2-core x86-64 host)
-        flat = g.reshape(-1)
-        np.subtract(flat[:-1], flat[1:], out=dg.reshape(-1)[1:])
-        dg[:, 0] = g[:, 0]
-        total = dg @ op.T
-    else:
-        np.subtract(g[:, :-1], g[:, 1:], out=dg[:, 1:n])
-        dg[:, n:] = 0.0
-        total = _h2_sums(op, dg[:, 1:], band.stacks, op.boundary * g[:, :1])[:, :n]
-    total *= pref / (a * (a + 1.0))
-    return total
 
 
 def near_band(eq: EquationSpec, nodes: np.ndarray) -> NearBand:
@@ -664,7 +669,7 @@ def near_band(eq: EquationSpec, nodes: np.ndarray) -> NearBand:
         if n <= _MATRIX_MAX_NODES:
             return NearBand(eq, nodes, _weight_matrix(rho, a, nodes.tobytes(), n), parts)
         op = _h2_operator(rho, a, nodes.tobytes(), n)
-        return NearBand(eq, nodes, op, parts, _band_stacks(op, a))
+        return NearBand(eq, nodes, replace(op, stacks=_band_stacks(op, a)), parts)
 
 
 def apply_operator_batch(
@@ -677,10 +682,11 @@ def apply_operator_batch(
     does an image that overflows. band is near_band(eq, nodes), built for
     this eq and this nodes array (checked by identity: any other band
     raises DomainError), or None to build it for this call alone. The image
-    is f + psi * I with eq's f, psi and g and I the band operator's
-    integral of g. Each part is evaluated once by the band's compiled
-    parts, in the order f, psi, g, and the image is computed under the same
-    np.errstate, which ignores every floating-point error. Each part is
+    is f + psi * I with eq's f, psi and g and I the integral of g by one
+    call of band.op.integrals, given the prefactor read now. Each part is
+    evaluated once by the band's compiled parts, in the order f, psi, g,
+    and the image is computed under the same np.errstate, which ignores
+    every floating-point error. Each part is
     used at the shape it evaluates to: a float, the read-only (n,) array a
     part in x alone is bound to, or (m, n). g of another shape goes to the
     integral as a read-only view broadcast to (m, n); the integral only
@@ -724,7 +730,7 @@ def apply_operator_batch(
             # only when needed: np.broadcast_to takes 3-6 us a call, which made
             # a 4097-node solve of one-row applications 4.5% slower (2-core x86-64)
             g = np.broadcast_to(g, shape)
-        out = _integral_values(band, g)
+        out = band.op.integrals(g, eq.params.exponent, eq.params.prefactor)
         out *= psi
         out += f
     if not np.isfinite(out).all():

@@ -43,6 +43,11 @@ from .errors import DomainError, require_positive_finite
 from .special_functions import k_gamma
 
 DEFAULT_PANELS = 1024
+# the most float64 values a count may ask of one array: half of numpy's
+# limit, intp.max bytes, since np.linspace and np.arange refuse counts up to
+# 63 below intp.max // 8 too. Below it an array too large fails to allocate,
+# with a MemoryError; above it numpy raises ValueError or IndexError
+MAX_FLOATS = np.iinfo(np.intp).max // 16
 _GRADING_POWER = 2.0
 # entries of the (points x nodes) block the point rule samples phi into at once.
 # Each block makes six NumPy calls, and a thread that returns from one while
@@ -220,9 +225,11 @@ class GridFunction:
 
 
 def uniform_nodes(T: float, n: int) -> np.ndarray:
-    """n ascending nodes from 1 to T."""
+    """n ascending nodes from 1 to T; DomainError unless 2 <= n <= MAX_FLOATS."""
     if n < 2:
         raise DomainError(f"need at least 2 nodes, got {n}")
+    if n > MAX_FLOATS:
+        raise DomainError(f"need at most {MAX_FLOATS} nodes, the most one float64 array may hold, got {n}")
     return np.linspace(1.0, T, n)
 
 

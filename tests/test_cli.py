@@ -588,6 +588,83 @@ def test_frac_int_inline_panels_fail_the_quadrature_check(capsys):
     }
 
 
+@pytest.mark.parametrize("expr", ["-x", "-2*x", "--x"])
+def test_frac_int_expr_takes_a_value_that_starts_with_a_minus(capsys, expr):
+    # the token after --expr is its value, as in --expr=TOKEN: argparse
+    # would otherwise take it for an option
+    joined = main(["frac-int", "--paper-example", f"--expr={expr}", "--x", "2"]), capsys.readouterr()
+    split = main(["frac-int", "--paper-example", "--expr", expr, "--x", "2"]), capsys.readouterr()
+    assert split == joined
+    assert joined[0] == 0 and joined[1].err == "" and joined[1].out.startswith("# frac-int\nx,value\n2.0,")
+
+
+def test_frac_int_expr_without_a_value_is_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["frac-int", "--paper-example", "--x", "2", "--expr"])
+    assert info.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "argument --expr: expected one argument" in captured.err
+
+
+_BIG = str(2**62)
+
+
+@pytest.mark.parametrize(
+    "argv, error_type, start",
+    [
+        (["solve", "--paper-example", "--nodes", _BIG], "config", "solver.nodes: must be <= "),
+        (["solve", "--paper-example", "--nodes", str(2**63 - 1)], "config", "solver.nodes: must be <= "),
+        (["frac-int", "--paper-example", "--expr", "x", "--x", "2", "--panels", str(2**63 - 1)],
+         "config", "quadrature.panels: must be <= "),
+        (["frac-int", "--paper-example", "--expr", "x", "--x", "2", "--phi-nodes", _BIG],
+         "domain", "need at most "),
+        (["frac-int", "--paper-example", "--expr", "x", "--x", "2", "--phi-nodes", str(2**63 - 1)],
+         "domain", "need at most "),
+    ],
+    ids=["nodes", "nodes-max", "panels-max", "phi-nodes", "phi-nodes-max"],
+)
+def test_a_count_no_array_holds_exits_2(capsys, argv, error_type, start):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    payload = _strict_json(captured.out)
+    assert (payload["status"], payload["error_type"]) == ("error", error_type)
+    assert payload["message"].startswith(start)
+
+
+@pytest.mark.parametrize(
+    "command, section, field",
+    [("solve", "solver", "nodes"), ("frac-int", "quadrature", "panels"), ("mnc-demo", "mnc", "ensemble")],
+)
+def test_a_config_count_no_array_holds_exits_2(tmp_path, capsys, command, section, field):
+    data = json.loads(dump_config(bundled_example()))
+    data[section][field] = 2**62
+    p = tmp_path / "run.json"
+    p.write_text(json.dumps(data), encoding="utf-8")
+    extra = ["--expr", "x", "--x", "2"] if command == "frac-int" else []
+    code = main([command, "--config", str(p), *extra])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    payload = _strict_json(captured.out)
+    assert payload["error_type"] == "config"
+    assert payload["message"].startswith(f"{section}.{field}: must be <= ")
+
+
+@pytest.mark.parametrize("message", ["Unable to allocate 8.00 EiB for an array", ""])
+def test_memory_error_exits_2_with_a_strict_json_payload(monkeypatch, capsys, message):
+    # no real allocation: an array that fits the address space may be granted
+    def refuse(*args, **kwargs):
+        raise MemoryError(message) if message else MemoryError
+
+    monkeypatch.setattr(cli, "uniform_nodes", refuse)
+    code = main(["solve", "--paper-example"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    assert _strict_json(captured.out) == {
+        "status": "error", "error_type": "memory", "message": message or "out of memory"
+    }
+
+
 def test_config_file_with_a_bad_section_value_exits_2(tmp_path, capsys):
     data = json.loads(dump_config(bundled_example()))
     data["mnc"]["ensemble"] = 0

@@ -23,7 +23,7 @@ from hilfer_mnc.config import (
 )
 from hilfer_mnc.errors import ConfigError
 from hilfer_mnc.expressions import evaluate
-from hilfer_mnc.fractional import FracParams
+from hilfer_mnc.fractional import MAX_FLOATS, FracParams
 
 
 def _base() -> dict:
@@ -402,6 +402,24 @@ def test_each_section_checks_its_own_fields(section, field, value, message):
     with pytest.raises(ConfigError) as info:
         parse_config(data)
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("value", [2**60, 2**62, 2**63 - 1])
+@pytest.mark.parametrize(
+    "section, field", [(SolverConfig(), "nodes"), (QuadratureConfig(), "panels"), (MncConfig(), "ensemble")]
+)
+def test_counts_no_float64_array_holds_are_refused(section, field, value):
+    # numpy refuses arrays of these sizes before allocating; the section
+    # refuses the count first, from a flag (a replace) or a file alike
+    name = {SolverConfig: "solver", QuadratureConfig: "quadrature", MncConfig: "mnc"}[type(section)]
+    message = f"{name}.{field}: must be <= {MAX_FLOATS}, the most one float64 array may hold, got {value}"
+    with pytest.raises(ConfigError) as info:
+        replace(section, **{field: value})
+    assert str(info.value) == message
+    with pytest.raises(ConfigError) as info:
+        parse_config(_replaced((name, field), value))
+    assert str(info.value) == message
+    assert getattr(replace(section, **{field: MAX_FLOATS}), field) == MAX_FLOATS
 
 
 def test_sections_normalise_numbers():

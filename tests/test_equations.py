@@ -125,12 +125,18 @@ def _rule_eq(params: FracParams, gk: float = 1.0) -> EquationSpec:
     return EquationSpec(params=replace(params, gamma_k_override=gk), f=_ALPHA.f, psi=_ALPHA.psi, g=_ALPHA.g)
 
 
+def _band_integrals(band, g: np.ndarray) -> np.ndarray:
+    """The integrals of g by band's operator, with the band equation's exponent and prefactor."""
+    params = band.eq.params
+    return band.op.integrals(g, params.exponent, params.prefactor)
+
+
 def _integral(params: FracParams, nodes: np.ndarray, g: np.ndarray, gk: float = 1.0, band=None):
     """The operator's integral of g with Gamma_k = gk, through band or near_band(_rule_eq(...), nodes)."""
     if band is None:
         band = near_band(_rule_eq(params, gk), nodes)
     assert band.eq.params == replace(params, gamma_k_override=gk) and band.nodes is nodes
-    return eqmod._integral_values(band, g)
+    return _band_integrals(band, g)
 
 
 def _longdouble_rule(params: FracParams, nodes: np.ndarray, g: np.ndarray, rows) -> np.ndarray:
@@ -315,7 +321,7 @@ def test_exact_entries_per_application_are_unchanged(monkeypatch):
         _integral(params, nodes, np.ones((1, n)))
         assert sum(entries) == count, (n, grid)
         band = near_band(eq, nodes)
-        assert sum(stack.size for stack in band.stacks) == count, (n, grid)
+        assert sum(stack.size for stack in band.op.stacks) == count, (n, grid)
         entries.clear()
         _integral(params, nodes, np.ones((1, n)), band=band)
         assert entries == [], (n, grid)
@@ -421,15 +427,15 @@ def _continued_differences(op, g: np.ndarray) -> np.ndarray:
 
 
 def _per_block_values(params, nodes, g, band) -> np.ndarray:
-    """_integral_values (Gamma_k = 1) with the near band multiplied block by block."""
+    """The operator's integrals (Gamma_k = 1) with the near band multiplied block by block."""
     n, a = nodes.size, params.exponent
     op = eqmod._h2_operator(params.rho, a, nodes.tobytes(), n)
     dg = _continued_differences(op, g)
     c = dg / np.diff(op.s)
     total = np.zeros((g.shape[0], op.s.size))
-    for (r0, r1, c0, c1), d in zip(op.exact, (block for stack in band.stacks for block in stack)):
+    for (r0, r1, c0, c1), d in zip(op.exact, (block for stack in band.op.stacks for block in stack)):
         total[:, r0:r1] += c[:, c0:c1] @ d
-    eqmod._h2_sums(replace(op, runs=()), dg, (), total)
+    eqmod._h2_sums(replace(op, runs=()), dg, total)
     total += op.boundary * g[:, :1]
     return (params.rho ** (-a) / (params.k * (a * (a + 1.0)))) * total[:, :n]
 
@@ -516,7 +522,7 @@ def test_far_field_matches_a_per_level_loop(n):
         for m in (0, 1, 3):
             g = np.vstack([np.cos(3.0 * nodes), rng.uniform(-0.5, 0.5, (2, n))])[:m]
             dg = _continued_differences(op, g)
-            got = eqmod._h2_sums(far, dg, (), np.zeros((m, op.s.size)))
+            got = eqmod._h2_sums(far, dg, np.zeros((m, op.s.size)))
             want = _per_level_far_field(op, dg)
             assert got.shape == want.shape == (m, op.s.size)
             if m:
@@ -596,12 +602,12 @@ def test_application_multiplies_each_run_once(monkeypatch):
     # leaf's and its own, so two band matmuls per application, not 64
     eq, start = _forced_solve_input(gamma_ord=1.0 / 6.0)
     band = near_band(eq, start.nodes)
-    assert [len(stack) for stack in band.stacks] == [1, 63]
+    assert [len(stack) for stack in band.op.stacks] == [1, 63]
     calls = []
     matmul = np.matmul
 
     def counted(x, y, *args, **kwargs):
-        calls.append(any(y is stack for stack in band.stacks))
+        calls.append(any(y is stack for stack in band.op.stacks))
         return matmul(x, y, *args, **kwargs)
 
     monkeypatch.setattr(np, "matmul", counted)
@@ -785,24 +791,47 @@ def test_band_holds_the_dense_matrix_or_the_exact_blocks(monkeypatch):
     eq = parse_config(_FORCED).equations[0]
     entries = _count_exact_entries(monkeypatch)
     dense = near_band(eq, uniform_nodes(3.0, 129))
-    assert isinstance(dense.op, np.ndarray) and dense.stacks == ()
+    assert isinstance(dense.op, eqmod._DenseOperator) and getattr(dense.op, "stacks", ()) == ()
     moments = near_band(eq, uniform_nodes(3.0, 4097))
-    assert isinstance(moments.op, eqmod._PanelMoments) and moments.stacks == ()
+    assert isinstance(moments.op, eqmod._PanelMoments) and getattr(moments.op, "stacks", ()) == ()
     assert entries == []
 
     def built(nodes, eq=eq):
         band = near_band(eq, nodes)
-        assert sum(entries) == sum(stack.size for stack in band.stacks) > 0
+        assert sum(entries) == sum(stack.size for stack in band.op.stacks) > 0
         entries.clear()
         apply_operator_batch(eq, nodes, np.zeros((2, nodes.size)), band=band)
         assert entries == []
         return band
 
     half, _ = _forced_solve_input(gamma_ord=1.0 / 6.0)
-    assert [len(stack) for stack in built(uniform_nodes(3.0, 4097), half).stacks] == [1, 63]
+    assert [len(stack) for stack in built(uniform_nodes(3.0, 4097), half).op.stacks] == [1, 63]
     monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
     small = built(uniform_nodes(3.0, 65))
-    assert [stack.shape for stack in small.stacks] == [(1, 64, 64)]
+    assert [stack.shape for stack in small.op.stacks] == [(1, 64, 64)]
+
+
+@pytest.mark.parametrize("n", [129, 257, 258, 2049, 2050])
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+def test_near_band_chooses_the_operator_kind_at_its_thresholds(a, n):
+    # a = 1 or 2 takes the dense matrix up to 257 nodes and the panel
+    # moments above; any other a the dense matrix up to 2049 nodes and the
+    # H^2 operator above, whose stacks live on the band's copy alone. Every
+    # kind applies itself to zero rows as to any other batch
+    params = _rule_params(a, 1.0 / 3.0, 3.0)
+    assert params.exponent == a
+    nodes = uniform_nodes(params.T, n)
+    band = near_band(_rule_eq(params), nodes)
+    limit = eqmod._INTEGER_MATRIX_MAX_NODES if a in (1.0, 2.0) else eqmod._MATRIX_MAX_NODES
+    large = eqmod._PanelMoments if a in (1.0, 2.0) else eqmod._H2Operator
+    assert type(band.op) is (eqmod._DenseOperator if n <= limit else large)
+    assert _band_integrals(band, np.zeros((0, n))).shape == (0, n)
+    if type(band.op) is eqmod._H2Operator:
+        cached = eqmod._h2_operator(params.rho, a, nodes.tobytes(), n)
+        assert cached.stacks == () and len(band.op.stacks) > 0
+        assert band.op is not cached and band.op.anterp is cached.anterp
+    eqmod._weight_matrix.cache_clear()
+    eqmod._h2_operator.cache_clear()
 
 
 @pytest.mark.parametrize("a", [2.0, 0.5])
@@ -815,10 +844,10 @@ def test_dense_matrix_holds_the_near_band_slopes(monkeypatch, a):
     u = np.linspace(0.0, 1.0, 65)
     for nodes in (uniform_nodes(3.0, 65), 1.0 + 2.0 * u**4):
         monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 2049)
-        dense = near_band(_rule_eq(params), nodes).op
+        dense = near_band(_rule_eq(params), nodes).op.c
         monkeypatch.setattr(eqmod, "_MATRIX_MAX_NODES", 50)
         band = near_band(_rule_eq(params), nodes)
-        ((block,),) = band.stacks
+        ((block,),) = band.op.stacks
         assert np.array_equal(block.T / band.op.widths, dense[1:, 1:])
         assert np.array_equal(band.op.boundary, dense[:, 0])
 
@@ -858,9 +887,9 @@ def test_dense_differences_in_one_flat_subtraction_are_bit_identical(n):
         dg = np.empty((m, n))
         dg[:, 0] = g[:, 0]
         np.subtract(g[:, :-1], g[:, 1:], out=dg[:, 1:])
-        want = dg @ band.op.T
+        want = dg @ band.op.c.T
         want *= params.rho ** (-a) / (params.k * 1.7) / (a * (a + 1.0))
-        assert np.array_equal(eqmod._integral_values(band, g), want), m
+        assert np.array_equal(_band_integrals(band, g), want), m
 
 
 def test_dense_path_application_with_band_matches_one_without():
@@ -1331,7 +1360,7 @@ def test_operator_uses_each_part_at_the_shape_it_evaluates_to(n, gamma_ord):
             def grid(part):
                 return np.array(np.broadcast_to(eqmod.evaluate(part.expr, nodes, values), values.shape))
 
-            want = grid(eq.f) + grid(eq.psi) * eqmod._integral_values(band, grid(eq.g))
+            want = grid(eq.f) + grid(eq.psi) * _band_integrals(band, grid(eq.g))
             got = apply_operator_batch(eq, nodes, values, band=band)
             assert got.shape == (m, n) and np.array_equal(got, want), (f, psi, g, m)
 

@@ -95,6 +95,14 @@ def test_uniform_nodes():
         uniform_nodes(3.0, 1)
 
 
+@pytest.mark.parametrize("n", [2**60, 2**62, 2**63 - 1, 2**64])
+def test_uniform_nodes_refuses_a_count_no_array_holds(n):
+    # numpy refuses each of these counts before allocating (ValueError or
+    # IndexError); uniform_nodes refuses them first, naming the count
+    with pytest.raises(DomainError, match=f"need at most {fractional.MAX_FLOATS} nodes.*got {n}$"):
+        uniform_nodes(3.0, n)
+
+
 def test_value_at_left_endpoint_is_zero():
     assert hilfer_integral(_P, _const(_P, 5.0), 1.0) == 0.0
 
