@@ -29,9 +29,11 @@ Otherwise the rule is summed by parts: it takes the first divided
 differences of (X - s)_+^(a+1) (the power slopes) against the integrand's
 differences, and a boundary term against its first value
 (fractional.panel_weights). For moderate grids the operator is the
-lower-triangular matrix of these, cached and applied as a matmul; large
-grids never form it. The entries within one leaf of the diagonal, and the
-far blocks no level could interpolate, form the near band and are
+lower-triangular matrix of these, cached once, column-major, and applied
+as one matmul to a small batch and by lower-triangular row panels to a
+large one, which skip the zeros above the diagonal (_DenseOperator);
+large grids never form it. The entries within one leaf of the diagonal,
+and the far blocks no level could interpolate, form the near band and are
 evaluated exactly. Each band block holds the undivided panel differences
 of the powers (fractional.power_differences) and depends on (nodes, rho,
 a) only. Consecutive blocks of one shape, each one leaf below and right of
@@ -68,12 +70,15 @@ import numpy as np
 
 from .errors import DomainError, EvaluationError
 from .expressions import Expr, _compile, _finite, evaluate, parse
-from .fractional import FracParams, GridFunction, check_nodes, panel_weights, power_differences
+from .fractional import MAX_FLOATS, FracParams, GridFunction, check_nodes, panel_weights, power_differences
 
 _MATRIX_MAX_NODES = 2049
 # for a = 1 or 2 the dense matrix serves grids up to this many nodes, and
 # the prefix sums of panel moments every larger one
 _INTEGER_MATRIX_MAX_NODES = 257
+# rows of the dense matrix per panel of its lower-triangular product, and the
+# smallest batch that takes it (_DenseOperator)
+_PANEL_ROWS = 32
 # above it: rows per leaf of the cluster tree, Chebyshev points per cluster,
 # Gauss-Legendre points per panel, and the admissibility factor: a block is
 # interpolated when neither cluster is wider than this factor times the gap
@@ -128,7 +133,33 @@ class _DenseOperator:
         a (a+1) I(X) = (a+1) (X - s_0)^a g_0 + sum_j d_j(X) (g_j - g_(j+1)),
 
     d_j the power slopes; integrals differences each integrand, g_0 then
-    g_j - g_(j+1), and multiplies the differences by c in one matmul.
+    g_j - g_(j+1), and multiplies the differences by c.T, which is
+    C-contiguous as c is stored column-major.
+
+    c is lower-triangular, as I is a Volterra operator: row i reads the
+    differences of columns 0 .. i only. A batch of _PANEL_ROWS rows or more
+    takes the product by panels of _PANEL_ROWS rows of c, r0 = 1, 1 +
+    _PANEL_ROWS, ...: panel r0 .. r1 - 1 multiplies the differences'
+    columns 0 .. r1 - 1 by c.T[:r1, r0:r1], so no panel reads the zeros
+    above its own diagonal block, nor row 0 of c, whose column is zero.
+    That is 10,368 multiply-adds a row at 129 nodes against 16,641 for the
+    full square. A smaller batch takes one product dg @ c.T, which costs
+    less than the panels' calls. Measured per product, full / panels, in
+    us (2-core x86-64 host, one BLAS thread, taskset -c 0, best of 9
+    rounds): at 129 nodes 4.8 / 18.0 at m = 1, 14.8 / 17.4 at m = 30, 27.6
+    / 25.7 at m = 60 and 138 / 71 at m = 240; at 257 nodes 13.4 / 34.7 at
+    m = 1 and 114 / 94 at m = 32; at 1025 nodes 360 / 297 at m = 1 and
+    1580 / 1086 at m = 32. So the rule m >= _PANEL_ROWS keeps
+    paper-example's one-row Picard applications and its first 30-row Darbo
+    batch on the one product and sends its batches of 60 to 240 rows to
+    the panels: under the CLI's heap policy (cli._keep_freed_heap) the
+    integrals of a Darbo trace's 8 batches took 483-488 us against 772 us
+    for the full product. At 129 nodes panels of 16 rows were slower (32
+    us at m = 60, 76 at m = 240), and panels of 64 rows faster at m = 60
+    (24 us) but slower at m = 240 (99 us). The panels' sums may round
+    differently from the full product's, by no more than 1e-14 of |dg| @
+    |c|.T: at 129 nodes only in the last column, at m = 32 and 60, and
+    from 257 nodes on in many entries.
     """
 
     c: np.ndarray
@@ -142,7 +173,15 @@ class _DenseOperator:
         flat = g.reshape(-1)
         np.subtract(flat[:-1], flat[1:], out=dg.reshape(-1)[1:])
         dg[:, 0] = g[:, 0]
-        total = dg @ self.c.T
+        ct = self.c.T
+        if m < _PANEL_ROWS:
+            total = dg @ ct
+        else:
+            total = np.empty((m, n))
+            total[:, 0] = 0.0
+            for r0 in range(1, n, _PANEL_ROWS):
+                r1 = min(r0 + _PANEL_ROWS, n)
+                np.matmul(dg[:, :r1], ct[:r1, r0:r1], out=total[:, r0:r1])
         total *= pref / (a * (a + 1.0))
         return total
 
@@ -153,15 +192,28 @@ def _weight_matrix(rho: float, a: float, nodes_bytes: bytes, n: int) -> _DenseOp
 
     Row j is panel_weights at X = nodes[j]**rho over the grid-induced
     s-mesh: the boundary term, then the near band's entries over the panel
-    widths. Row 0 is zero.
+    widths. Row 0 is zero. C is stored once, column-major, so that C.T,
+    which every product reads, is C-contiguous. The build writes C by the
+    panels of _PANEL_ROWS rows that the product reads: each panel's rows
+    are computed into one row-major buffer, which is copied transposed into
+    C.T[:r1, r0:r1]. Writing each row of C straight into its strided column
+    of C.T took a median 92 ms against 83 ms at 2049 nodes, and 75 ms for
+    a row-major C (2-core x86-64 host, 12 alternating rounds); at 129
+    nodes each build takes 1.8 ms.
     """
     nodes = np.frombuffer(nodes_bytes, dtype=float)
     s = nodes**rho
-    c = np.zeros((n, n))
+    ct = np.zeros((n, n))
+    rows = np.zeros((_PANEL_ROWS, n))
     work = np.empty(2 * n)
-    for j in range(1, n):
-        c[j, : j + 1] = panel_weights(s[j], s[: j + 1], a, work)
-    return _DenseOperator(c)
+    for r0 in range(1, n, _PANEL_ROWS):
+        r1 = min(r0 + _PANEL_ROWS, n)
+        # row j - r0 keeps zeros past column j: an earlier panel wrote it
+        # only up to column j - _PANEL_ROWS
+        for j in range(r0, r1):
+            rows[j - r0, : j + 1] = panel_weights(s[j], s[: j + 1], a, work)
+        ct[:r1, r0:r1] = rows[: r1 - r0, :r1].T
+    return _DenseOperator(ct.T)
 
 
 def _chebyshev_points(lo: float, hi: float) -> np.ndarray:
@@ -793,12 +845,18 @@ def estimate_lipschitz(n: Nonlinearity, r0: float, probes: int, t_end: float) ->
     every x, and the estimate is the max difference quotient over the
     batch; it lower-bounds the true constant and approaches it as the
     budget grows. The design is built once per (r0, probes, t_end) and
-    cached (_lipschitz_design).
+    cached (_lipschitz_design). The evaluated design holds about 2 probes
+    values, so a count above MAX_FLOATS // 2 raises DomainError before
+    anything is allocated.
     """
     if not r0 > 0.0:
         raise DomainError(f"r0 must be positive, got {r0}")
     if probes < 2:
         raise DomainError(f"probes must be >= 2, got {probes}")
+    if probes > MAX_FLOATS // 2:
+        raise DomainError(
+            f"probes must be <= {MAX_FLOATS // 2}, as the sample design holds about 2 probes values, got {probes}"
+        )
     xs, ends, du = _lipschitz_design(r0, probes, t_end)
     vals = np.broadcast_to(evaluate(n.expr, xs, ends), (xs.size, ends.size))
     lo, hi = np.split(vals, 2, axis=1)

@@ -14,7 +14,7 @@ import sys
 
 import pytest
 
-from hilfer_mnc import cli
+from hilfer_mnc import cli, equations
 from hilfer_mnc.cli import main
 from hilfer_mnc.config import bundled_example, dump_config, parse_config
 from hilfer_mnc.errors import DomainError
@@ -630,6 +630,23 @@ def test_a_count_no_array_holds_exits_2(capsys, argv, error_type, start):
     payload = _strict_json(captured.out)
     assert (payload["status"], payload["error_type"]) == ("error", error_type)
     assert payload["message"].startswith(start)
+
+
+@pytest.mark.parametrize("probes", [2**62, 2**124], ids=["2^62", "2^124"])
+def test_a_probe_count_no_sample_design_holds_exits_2(monkeypatch, capsys, probes):
+    # refused before the sample design is built, so no array is asked for:
+    # a host that overcommits might grant one of 2^62 probes
+    def unbuilt(*args):
+        raise AssertionError("the sample design was built")
+
+    monkeypatch.setattr(equations, "_lipschitz_design", unbuilt)
+    code = main(["check", "--paper-example", "--probes", str(probes)])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    payload = _strict_json(captured.out)
+    assert (payload["status"], payload["error_type"]) == ("error", "domain")
+    assert payload["message"].startswith("probes must be <= ")
+    assert payload["message"].endswith(f"got {probes}")
 
 
 @pytest.mark.parametrize(

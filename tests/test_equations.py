@@ -892,6 +892,85 @@ def test_dense_differences_in_one_flat_subtraction_are_bit_identical(n):
         assert np.array_equal(_band_integrals(band, g), want), m
 
 
+_PANEL_CASES = [(0.5, n) for n in (65, 129, 257, 2049)] + [(a, n) for a in (1.0, 2.0) for n in (65, 129, 257)]
+
+
+@pytest.mark.parametrize("a, n", _PANEL_CASES)
+def test_dense_panels_agree_with_the_full_product(a, n):
+    # a batch of _PANEL_ROWS rows or more multiplies by the lower-triangular
+    # row panels of C, a smaller one by the full square; either agrees with
+    # the full product row by row within 1e-14 of |dg| @ |C|.T. The
+    # prefactor a (a+1) makes the integrals the products themselves
+    params = _rule_params(a, 1.0 / 3.0, 3.0)
+    nodes = uniform_nodes(params.T, n)
+    band = near_band(_rule_eq(params), nodes)
+    c = band.op.c
+    assert type(band.op) is eqmod._DenseOperator and c.T.flags.c_contiguous
+    rng = np.random.default_rng(n)
+    for m in (1, 2, 31, 32, 60, 240):
+        g = rng.uniform(-1.0, 1.0, (m, n))
+        dg = np.hstack([g[:, :1], g[:, :-1] - g[:, 1:]])
+        got = band.op.integrals(g, a, a * (a + 1.0))
+        err = np.abs(got - dg @ c.T)
+        assert np.all(err <= 1e-14 * (np.abs(dg) @ np.abs(c).T)), (a, n, m, err.max())
+    eqmod._weight_matrix.cache_clear()
+
+
+def test_dense_panels_never_read_the_upper_triangle():
+    # with NaN in row 0 of C and above the diagonal blocks of its panels, a
+    # batch of _PANEL_ROWS rows or more still gives the images of the clean
+    # matrix, bit for bit, as its panels read no entry there; a smaller batch
+    # takes the full product, which does. (A panel's product reads the zeros
+    # above the diagonal within its own diagonal block.)
+    assert eqmod._PANEL_ROWS == 32
+    eq = parse_config(_FORCED).equations[0]
+    nodes = uniform_nodes(3.0, 129)
+    band = near_band(eq, nodes)
+    rows = np.arange(nodes.size)[:, None]
+    panel_end = 1 + (rows - 1) // eqmod._PANEL_ROWS * eqmod._PANEL_ROWS + eqmod._PANEL_ROWS
+    c = np.array(band.op.c, order="F")
+    c[(rows == 0) | (np.arange(nodes.size) >= panel_end)] = np.nan
+    assert np.isnan(c).sum() == 129 + 32 * (96 + 64 + 32)
+    poisoned = replace(band, op=eqmod._DenseOperator(c))
+    rng = np.random.default_rng(7)
+    for m in (32, 60, 240):
+        values = rng.uniform(-0.5, 0.5, (m, nodes.size))
+        want = apply_operator_batch(eq, nodes, values, band=band)
+        assert np.array_equal(apply_operator_batch(eq, nodes, values, band=poisoned), want), m
+    for m in (1, 31):
+        values = rng.uniform(-0.5, 0.5, (m, nodes.size))
+        with pytest.raises(DomainError, match="operator image is not finite"):
+            apply_operator_batch(eq, nodes, values, band=poisoned)
+
+
+@pytest.mark.parametrize("n", [2, 33, 34, 65, 129])
+def test_dense_matrix_is_built_by_panels_with_the_row_by_row_values(monkeypatch, n):
+    # C is stored column-major and written by panels of _PANEL_ROWS rows;
+    # its values are still panel_weights' rows, and a cache miss still makes
+    # n - 1 panel_weights calls
+    calls = []
+
+    def counted(*args):
+        calls.append(args[0])
+        return fractional.panel_weights(*args)
+
+    monkeypatch.setattr(eqmod, "panel_weights", counted)
+    eqmod._weight_matrix.cache_clear()
+    a, rho = 0.5, 1.0 / 3.0
+    nodes = 1.0 + 2.0 * np.linspace(0.0, 1.0, n) ** 2
+    c = eqmod._weight_matrix(rho, a, nodes.tobytes(), n).c
+    assert len(calls) == n - 1 and eqmod._weight_matrix.cache_info().misses == 1
+    assert c.flags.f_contiguous and c.shape == (n, n)
+    s = nodes**rho
+    want = np.zeros((n, n))
+    for j in range(1, n):
+        want[j, : j + 1] = fractional.panel_weights(s[j], s[: j + 1], a)
+    assert np.array_equal(c, want)
+    eqmod._weight_matrix(rho, a, nodes.tobytes(), n)
+    assert len(calls) == n - 1 and eqmod._weight_matrix.cache_info().hits == 1
+    eqmod._weight_matrix.cache_clear()
+
+
 def test_dense_path_application_with_band_matches_one_without():
     # at 129 nodes the band binds f, psi and g and the weight matrix too: an
     # application given it gives the bits of one that builds its own, and a
